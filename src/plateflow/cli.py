@@ -22,15 +22,10 @@ from .forces import BergerForce, KirchhoffForce
 from .galerkin import ForcingConfig, assemble, fluid_forcing_field
 from .mesh import beam_operators, build_grid, grad_inner, plate_mean
 from .modal import build_modal_basis
-from .spectrum import (
-    assemble_generator,
-    contraction_norm,
-    generator_eigenvalues,
-    semigroup_consistency,
-    spectral_abscissa,
-)
-from .steady import StationaryError, converge_to_equilibrium, find_equilibria, \
-    pstar_mode_coeffs, stationary_flow_coefficients
+from .spectrum import contraction_norm, generator_eigenvalues, semigroup_consistency, \
+    spectral_abscissa
+from .steady import converge_to_equilibrium, find_equilibria, pstar_mode_coeffs, \
+    stationary_flow_coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +205,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     tr = simulate(sys_, y0, cfg.integration.T, cfg.integration.dt, model,
                   stride=cfg.integration.stride)
 
-    Xi = basis.plate_shapes()
     rows = []
     for k in range(len(tr.t)):
         alpha, beta, betadot = sys_.split(tr.states[k])
@@ -218,7 +212,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                      tr.dissipation_integral[k], tr.balance_residual[k],
                      float(np.linalg.norm(alpha)), float(np.linalg.norm(beta)),
                      float(np.linalg.norm(betadot)),
-                     plate_mean(Xi.T @ beta, g)))
+                     plate_mean(sys_.plate_deflection(beta), g)))
     write_csv(os.path.join(cfg.output.dir, "trajectory.csv"),
               ("t", "E0", "E", "Estar", "dissipation_integral",
                "balance_residual", "norm_alpha", "norm_beta", "norm_betadot",
@@ -290,14 +284,13 @@ def cmd_attract(cfg: ExperimentConfig) -> int:
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
     g, basis = _basis(cfg)
     sys_ = assemble(basis, cfg.physics.nu)
-    gen = assemble_generator(sys_)
-    ev = generator_eigenvalues(gen)
+    ev = generator_eigenvalues(sys_)
     write_csv(os.path.join(cfg.output.dir, "spectrum.csv"), ("re", "im"),
               [(z.real, z.imag) for z in ev])
     y0 = _seeded_state(sys_, cfg.probes.seed)
-    abscissa = spectral_abscissa(gen)
-    contr = contraction_norm(gen, 1.0)
-    dev = semigroup_consistency(gen, sys_, T=1.0, dt=cfg.integration.dt, y0=y0)
+    abscissa = spectral_abscissa(sys_)
+    contr = contraction_norm(sys_, 1.0)
+    dev = semigroup_consistency(sys_, T=1.0, dt=cfg.integration.dt, y0=y0)
     summary = {
         "abscissa": abscissa,
         "stable": bool(abscissa < 0),

@@ -47,7 +47,6 @@ class IntegrationConfig:
 @dataclass
 class ProbesConfig:
     seed: int = 0
-    ensemble: int = 10
     radius: float = 1.0
     m_cap: float = 1e4
 
@@ -154,8 +153,6 @@ def validate(cfg: ExperimentConfig):
     if i.stride < 1:
         raise ConfigError("integration.stride must be at least 1")
     pr = cfg.probes
-    if pr.ensemble < 1:
-        raise ConfigError("probes.ensemble must be at least 1")
     if pr.radius <= 0:
         raise ConfigError("probes.radius must be positive")
     if pr.m_cap <= 0:

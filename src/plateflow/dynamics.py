@@ -9,7 +9,7 @@ isolates the quadrature error of the nonlinear potential (second order in dt).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -52,39 +52,18 @@ class Stepper:
         self.offset_coeff = offset_coeff
         self.fp_tol = fp_tol
         self.fp_maxit = fp_maxit
-        A, c = sys.linear_parts()
-        N = A.shape[0]
-        self._S1 = la.lu_factor(np.eye(N) - 0.5 * dt * A)
-        self._S0 = np.eye(N) + 0.5 * dt * A
-        self._c = c
-        self._Minv = la.inv(sys.M)
-        self._Xi = sys.basis.plate_shapes()
-        self._h = sys.basis.grid.h_x
-        self._w0 = sys.basis.w0
-
-    def plate_deflection(self, beta: np.ndarray) -> np.ndarray:
-        u = self._Xi.T @ beta
-        if self.offset_coeff != 0.0:
-            u = u + self.offset_coeff * self._w0
-        return u
-
-    def force_coeffs(self, beta: np.ndarray) -> np.ndarray:
-        if self.model is None:
-            return np.zeros(self.sys.n)
-        F = self.model.force(self.plate_deflection(beta))
-        return self._h * self._Xi @ F
+        N = sys.A.shape[0]
+        self._S1 = la.lu_factor(np.eye(N) - 0.5 * dt * sys.A)
+        self._S0 = np.eye(N) + 0.5 * dt * sys.A
+        self._c = sys.c
 
     def _nonlinear(self, y: np.ndarray) -> np.ndarray:
         """Contribution of the plate force to ydot."""
-        m, n = self.sys.m, self.sys.n
-        out = np.zeros(m + 2 * n)
+        sys = self.sys
         if self.model is None:
-            return out
-        fc = self.force_coeffs(y[m:m + n])
-        r = -self._Minv @ np.concatenate([np.zeros(m), fc])
-        out[:m] = r[:m]
-        out[m + n:] = r[m:]
-        return out
+            return np.zeros(sys.A.shape[0])
+        fc = sys.force_coeffs(self.model, y[sys.m:sys.m + sys.n], self.offset_coeff)
+        return -sys.B @ fc
 
     def step(self, y: np.ndarray):
         """Advance one step; returns (y_next, y_mid)."""
@@ -113,17 +92,6 @@ class Stepper:
                 )
         return y_next, 0.5 * (y + y_next)
 
-    def potential(self, beta: np.ndarray) -> float:
-        if self.model is None:
-            return 0.0
-        return self.model.potential(self.plate_deflection(beta))
-
-
-def step(sys: GalerkinSystem, y: np.ndarray, dt: float, model: ForceModel | None = None,
-         **kw) -> np.ndarray:
-    """Single implicit-midpoint step (convenience wrapper; factors per call)."""
-    return Stepper(sys, dt, model, **kw).step(y)[0]
-
 
 def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
              model: ForceModel | None = None, stride: int = 10,
@@ -145,9 +113,9 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
 
     def reports(y, diss, work, ref0):
         E0 = sys.energy_quadratic(y)
-        E = E0 + stepper.potential(y[m:m + n])
-        Estar = sys.energy_quadratic(y - y_star) + stepper.potential(y[m:m + n]) \
-            - float(pstar_coeffs @ y[m:m + n])
+        pot = sys.potential(model, y[m:m + n], offset_coeff)
+        E = E0 + pot
+        Estar = sys.energy_quadratic(y - y_star) + pot - float(pstar_coeffs @ y[m:m + n])
         bal = 0.0 if ref0 is None else (E + diss - ref0 - work) / (abs(ref0) + 1.0)
         return E0, E, Estar, bal
 
@@ -329,7 +297,7 @@ def attractor_regularity_probe(traj: Trajectory, sys: GalerkinSystem):
     vt, ut_bend, utt = [], [], []
     for k in range(start, nsamp - 1):
         dstate = (traj.states[k + 1] - traj.states[k - 1]) / (2 * dts)
-        w = np.concatenate([dstate[:m], dstate[m + n:]])
+        w = dstate[sys.kin]
         vt.append(float(np.sqrt(max(w @ sys.M @ w, 0.0))))
         betadot = traj.states[k][m + n:]
         ut_bend.append(float(np.sqrt(np.sum(sys.kappa * betadot ** 2))))

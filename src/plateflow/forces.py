@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import BeamOperators, Grid, GridError, beam_operators
+from .mesh import BeamOperators, Grid, beam_operators
 
 
 class ForceModelError(ValueError):

@@ -2,8 +2,12 @@
 
 State layout: y = (alpha[0:m], beta[0:n], betadot[0:n]).  The fluid velocity
 is v = sum_k alpha_k psi_k + N0(u_t) and the plate deflection u = sum_j
-beta_j xi_j, so the kinetic variables are w = (alpha, betadot) and carry the
-mass matrix M = Gram{psi, N0 xi} + plate identity.
+beta_j xi_j, so the kinetic variables are w = y[kin] = (alpha, betadot) and
+carry the mass matrix M = Gram{psi, N0 xi} + plate identity.
+
+GalerkinSystem is the one place the reduced dynamics are derived:
+ydot = A y + c - B fc(beta), with fc the plate force projected on the plate
+modes, and E0 = 1/2 y^T H y the quadratic energy.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
+from .forces import ForceModel
 from .mesh import (
+    DIV_TOL,
     Grid,
-    GridError,
     VelocityField,
     discrete_div,
     grad_inner,
@@ -26,7 +31,6 @@ from .mesh import (
 from .modal import ModalBasis, project_zero_mean
 
 TRACE_TOL = 1e-8
-DIV_TOL = 1e-10
 
 
 class AssemblyError(RuntimeError):
@@ -81,7 +85,11 @@ def plate_forcing_profile(cfg: ForcingConfig, g: Grid) -> np.ndarray:
 
 @dataclass
 class GalerkinSystem:
-    """Assembled reduced matrices of the coupled linear dynamics."""
+    """Assembled reduced system: ydot = A y + c - B fc(beta), E0 = 1/2 y^T H y.
+
+    M, D, kappa and the loads are the assembled forms; A, c, B, H, kin and Xi
+    are derived from them once, with the single inverse of M, in __post_init__.
+    """
 
     basis: ModalBasis
     nu: float
@@ -92,6 +100,35 @@ class GalerkinSystem:
     f_plate: np.ndarray = field(repr=False, default=None)  # (n,) transverse load coefficients
     G_vl: np.ndarray = field(repr=False, default=None)    # (m,n) flow-mode / lifted-mode Gram
     G_ll: np.ndarray = field(repr=False, default=None)    # (n,n) lifted-mode Gram
+    A: np.ndarray = field(repr=False, init=False)         # (N,N) linear evolution matrix
+    c: np.ndarray = field(repr=False, init=False)         # (N,) constant forcing term
+    B: np.ndarray = field(repr=False, init=False)         # (N,n) plate-force input map
+    H: np.ndarray = field(repr=False, init=False)         # (N,N) energy form
+    kin: np.ndarray = field(repr=False, init=False)       # (m+n,) indices of w in y
+    Xi: np.ndarray = field(repr=False, init=False)        # (n, n_plate) plate mode shapes
+
+    def __post_init__(self):
+        m, n = self.m, self.n
+        N = m + 2 * n
+        self.kin = np.concatenate([np.arange(m), m + n + np.arange(n)])
+        beta = np.arange(m, m + n)
+        Minv = la.inv(self.M)
+        # beta' = betadot;  w' = -Minv (D w + [0; kappa beta] - f) - Minv [0; fc]
+        A = np.zeros((N, N))
+        A[beta, m + n + np.arange(n)] = 1.0
+        A[np.ix_(self.kin, self.kin)] = -Minv @ self.D
+        A[np.ix_(self.kin, beta)] = -Minv[:, m:] * self.kappa
+        self.A = A
+        load = self.f_kin.copy()
+        load[m:] += self.f_plate
+        self.c = np.zeros(N)
+        self.c[self.kin] = Minv @ load
+        self.B = np.zeros((N, n))
+        self.B[self.kin] = Minv[:, m:]
+        self.H = np.zeros((N, N))
+        self.H[np.ix_(self.kin, self.kin)] = self.M
+        self.H[beta, beta] = self.kappa
+        self.Xi = self.basis.plate_shapes()
 
     @property
     def m(self):
@@ -111,8 +148,8 @@ class GalerkinSystem:
     # -- energetics -------------------------------------------------------
     def energy_quadratic(self, y: np.ndarray) -> float:
         """E0: kinetic energy of (v, u_t) plus linear bending energy."""
-        alpha, beta, betadot = self.split(y)
-        w = np.concatenate([alpha, betadot])
+        w = y[self.kin]
+        beta = y[self.m:self.m + self.n]
         return 0.5 * float(w @ self.M @ w) + 0.5 * float(self.kappa @ beta ** 2)
 
     def state_norm(self, y: np.ndarray) -> float:
@@ -120,54 +157,47 @@ class GalerkinSystem:
         return float(np.sqrt(max(2.0 * self.energy_quadratic(y), 0.0)))
 
     def dissipation_rate(self, y: np.ndarray) -> float:
-        alpha, _, betadot = self.split(y)
-        w = np.concatenate([alpha, betadot])
+        w = y[self.kin]
         return float(w @ self.D @ w)
 
     def forcing_power(self, y: np.ndarray) -> float:
-        alpha, _, betadot = self.split(y)
-        w = np.concatenate([alpha, betadot])
-        return float(self.f_kin @ w) + float(self.f_plate @ betadot)
+        w = y[self.kin]
+        return float(self.f_kin @ w) + float(self.f_plate @ y[self.m + self.n:])
+
+    # -- modal force map --------------------------------------------------
+    def plate_deflection(self, beta: np.ndarray, offset: float = 0.0) -> np.ndarray:
+        """u = sum_j beta_j xi_j, plus offset times the mean shape w0."""
+        u = self.Xi.T @ beta
+        if offset != 0.0:
+            u = u + offset * self.basis.w0
+        return u
+
+    def force_coeffs(self, model: ForceModel | None, beta: np.ndarray,
+                     offset: float = 0.0) -> np.ndarray:
+        """fc_j = (F(u), xi_j)_Omega for the plate force model F (None: zero)."""
+        if model is None:
+            return np.zeros(self.n)
+        F = model.force(self.plate_deflection(beta, offset))
+        return self.basis.grid.h_x * self.Xi @ F
+
+    def potential(self, model: ForceModel | None, beta: np.ndarray,
+                  offset: float = 0.0) -> float:
+        if model is None:
+            return 0.0
+        return model.potential(self.plate_deflection(beta, offset))
 
     # -- dynamics ---------------------------------------------------------
     def rhs(self, y: np.ndarray, force_coeffs=None) -> np.ndarray:
-        """Time derivative of the state; force_coeffs(beta) adds the nonlinear
-        plate force projected on the plate modes."""
-        alpha, beta, betadot = self.split(y)
-        w = np.concatenate([alpha, betadot])
+        """Time derivative of the state by a direct solve with M, independent
+        of (A, c, B); force_coeffs(beta) adds the projected plate force."""
+        _, beta, betadot = self.split(y)
+        w = y[self.kin]
         load = self.f_kin.copy()
         load[self.m:] += self.f_plate - self.kappa * beta
         if force_coeffs is not None:
             load[self.m:] -= force_coeffs(beta)
         wdot = la.solve(self.M, load - self.D @ w, assume_a="pos")
         return self.join(wdot[:self.m], betadot, wdot[self.m:])
-
-    def linear_parts(self):
-        """(A, c) with ydot = A y + c for the force-free dynamics."""
-        m, n = self.m, self.n
-        N = m + 2 * n
-        Minv = la.inv(self.M)
-        A = np.zeros((N, N))
-        # beta' = betadot
-        A[m:m + n, m + n:] = np.eye(n)
-        # w' = -Minv (D w + [0; kappa beta])
-        S = -Minv @ self.D
-        A[:m, :m] = S[:m, :m]
-        A[:m, m + n:] = S[:m, m:]
-        A[m + n:, :m] = S[m:, :m]
-        A[m + n:, m + n:] = S[m:, m:]
-        Kcol = np.zeros((m + n, n))
-        Kcol[m:, :] = np.diag(self.kappa)
-        T = -Minv @ Kcol
-        A[:m, m:m + n] = T[:m, :]
-        A[m + n:, m:m + n] = T[m:, :]
-        c = np.zeros(N)
-        load = self.f_kin.copy()
-        load[m:] += self.f_plate
-        w0 = Minv @ load
-        c[:m] = w0[:m]
-        c[m + n:] = w0[m:]
-        return A, c
 
 
 def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None) -> GalerkinSystem:
@@ -250,7 +280,7 @@ def project_initial(sys: GalerkinSystem, v0: VelocityField, u0: np.ndarray,
     u0p = project_zero_mean(u0, g, sys.basis.w0)
     u1p = u1 - plate_mean(u1, g) / g.L_x  # trace of a solenoidal field; already zero mean
 
-    Xi = sys.basis.plate_shapes()
+    Xi = sys.Xi
     beta = g.h_x * Xi @ u0p
     betadot = g.h_x * Xi @ u1p
     plate_res = float(np.sqrt(max(inner_plate(u0p - Xi.T @ beta, u0p - Xi.T @ beta, g), 0.0)))

@@ -60,11 +60,6 @@ class Grid:
         """Plate sample abscissae: cell centers of (0, Lx)."""
         return (np.arange(self.n_x) + 0.5) * self.h_x
 
-    def cell_centers(self):
-        x = (np.arange(self.n_x) + 0.5) * self.h_x
-        z = -self.L_z + (np.arange(self.n_z) + 0.5) * self.h_z
-        return np.meshgrid(x, z, indexing="ij")
-
     def u_face_coords(self):
         x = np.arange(self.n_x + 1) * self.h_x
         z = -self.L_z + (np.arange(self.n_z) + 0.5) * self.h_z
@@ -150,60 +145,6 @@ def discrete_grad(p: ScalarField, g: Grid) -> VelocityField:
     out = VelocityField(g)
     out.u[1:-1, :] = (p.values[1:, :] - p.values[:-1, :]) / g.h_x
     out.w[:, 1:-1] = (p.values[:, 1:] - p.values[:, :-1]) / g.h_z
-    return out
-
-
-@dataclass
-class BoundaryData:
-    """Dirichlet velocity data on the cavity boundary.
-
-    Only the normal component on Omega (the top w-face row) is ever nonzero in
-    this model; tangential components vanish on the whole boundary and normal
-    components vanish on S.
-    """
-
-    grid: Grid
-    w_top: np.ndarray = None
-
-    def __post_init__(self):
-        if self.w_top is None:
-            self.w_top = np.zeros(self.grid.n_x)
-
-
-def discrete_laplacian(v: VelocityField, g: Grid, bc: BoundaryData | None = None) -> VelocityField:
-    """Component-wise five-point Laplacian with ghost-cell Dirichlet closure.
-
-    Tangential boundary values are zero; normal boundary faces are read from
-    the stored field arrays (and, for the top row, must agree with bc if given).
-    Returns values on interior faces; boundary face rows of the result are 0.
-    """
-    if bc is None:
-        bc = BoundaryData(g)
-    hx2, hz2 = g.h_x ** 2, g.h_z ** 2
-    out = VelocityField(g)
-
-    u = v.u
-    lap_u = np.zeros_like(u)
-    ui = u[1:-1, :]
-    lap_u[1:-1, :] = (u[2:, :] - 2 * ui + u[:-2, :]) / hx2
-    # z-direction with ghost reflection across top/bottom walls (tangential BC = 0)
-    uz = np.empty_like(ui)
-    uz[:, 1:-1] = (ui[:, 2:] - 2 * ui[:, 1:-1] + ui[:, :-2]) / hz2
-    uz[:, 0] = (ui[:, 1] - 3 * ui[:, 0]) / hz2
-    uz[:, -1] = (ui[:, -2] - 3 * ui[:, -1]) / hz2
-    lap_u[1:-1, :] += uz
-    out.u = lap_u
-
-    w = v.w
-    lap_w = np.zeros_like(w)
-    wi = w[:, 1:-1]
-    lap_w[:, 1:-1] = (w[:, 2:] - 2 * wi + w[:, :-2]) / hz2
-    wx = np.empty_like(wi)
-    wx[1:-1, :] = (wi[2:, :] - 2 * wi[1:-1, :] + wi[:-2, :]) / hx2
-    wx[0, :] = (wi[1, :] - 3 * wi[0, :]) / hx2
-    wx[-1, :] = (wi[-2, :] - 3 * wi[-1, :]) / hx2
-    lap_w[:, 1:-1] += wx
-    out.w = lap_w
     return out
 
 

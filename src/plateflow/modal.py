@@ -106,10 +106,6 @@ def _unpack_velocity(x: np.ndarray, g: Grid) -> VelocityField:
     return v
 
 
-def _pack_velocity(v: VelocityField) -> np.ndarray:
-    return np.concatenate([v.u[1:-1, :].ravel(), v.w[:, 1:-1].ravel()])
-
-
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
     k = int(np.argmax(np.abs(vec)))
     return -vec if vec[k] < 0 else vec

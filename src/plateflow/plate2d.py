@@ -189,11 +189,6 @@ class VonKarmanForce(ForceModel):
         res = self._K @ v.ravel() + b
         return float(np.linalg.norm(res) / max(np.linalg.norm(b), 1e-300))
 
-    def bending_energy_sq(self, u: np.ndarray) -> float:
-        """|Delta u|^2 quadrature: u^T K u / area-normalization-free form."""
-        x = np.asarray(u).ravel()
-        return float(x @ (self._K @ x))
-
     def force(self, u: np.ndarray) -> np.ndarray:
         g = self.grid
         u = u.reshape(g.n_int, g.n_int)

@@ -1,9 +1,8 @@
-"""Generator of the linear semigroup in modal coordinates, plus the
-trace-operator identities that certify its dissipative structure."""
+"""Spectrum and semigroup of the reduced linear generator GalerkinSystem.A
+(ydot = A y unforced), plus the trace-operator identities that certify its
+dissipative structure."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
@@ -14,51 +13,29 @@ from .modal import ModalBasis
 from .stokes import HarmonicLifter
 
 
-@dataclass
-class DiscreteGenerator:
-    """Matrix A with dY/dt = -A Y for the force-free unforced dynamics,
-    together with the energy form H (E0 = half YᵀHY)."""
-
-    A: np.ndarray = field(repr=False, default=None)
-    H: np.ndarray = field(repr=False, default=None)
-    m: int = 0
-    n: int = 0
+def spectral_abscissa(sys: GalerkinSystem) -> float:
+    return float(np.max(np.real(la.eigvals(sys.A))))
 
 
-def assemble_generator(sys: GalerkinSystem) -> DiscreteGenerator:
-    Alin, _ = sys.linear_parts()
-    m, n = sys.m, sys.n
-    N = m + 2 * n
-    H = np.zeros((N, N))
-    kin = np.concatenate([np.arange(m), m + n + np.arange(n)])
-    H[np.ix_(kin, kin)] = sys.M
-    H[m:m + n, m:m + n] = np.diag(sys.kappa)
-    return DiscreteGenerator(A=-Alin, H=H, m=m, n=n)
-
-
-def spectral_abscissa(gen: DiscreteGenerator) -> float:
-    return float(np.max(np.real(la.eigvals(-gen.A))))
-
-
-def generator_eigenvalues(gen: DiscreteGenerator) -> np.ndarray:
-    """Eigenvalues of -A (the evolution matrix), sorted by real part."""
-    ev = la.eigvals(-gen.A)
+def generator_eigenvalues(sys: GalerkinSystem) -> np.ndarray:
+    """Eigenvalues of A (the evolution matrix), sorted by real part."""
+    ev = la.eigvals(sys.A)
     return ev[np.argsort(-ev.real)]
 
 
-def contraction_norm(gen: DiscreteGenerator, T: float) -> float:
-    """Operator norm of exp(-T A) in the energy inner product."""
-    w, V = la.eigh(gen.H)
+def contraction_norm(sys: GalerkinSystem, T: float) -> float:
+    """Operator norm of exp(T A) in the energy inner product."""
+    w, V = la.eigh(sys.H)
     if w[0] <= 0:
         raise la.LinAlgError("energy form is not positive definite")
     Hs = V @ np.diag(np.sqrt(w)) @ V.T
     Hsi = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
-    E = la.expm(-T * gen.A)
+    E = la.expm(T * sys.A)
     return float(np.linalg.norm(Hs @ E @ Hsi, 2))
 
 
-def semigroup_consistency(gen: DiscreteGenerator, sys: GalerkinSystem, T: float,
-                          dt: float, y0: np.ndarray) -> float:
+def semigroup_consistency(sys: GalerkinSystem, T: float, dt: float,
+                          y0: np.ndarray) -> float:
     """Max deviation between the implicit-midpoint trajectory and expm."""
     from .dynamics import Stepper
 
@@ -70,7 +47,7 @@ def semigroup_consistency(gen: DiscreteGenerator, sys: GalerkinSystem, T: float,
     for k in range(1, n_steps + 1):
         y, _ = stepper.step(y)
         if k % check_every == 0 or k == n_steps:
-            exact = la.expm(-(k * dt) * gen.A) @ y0
+            exact = la.expm((k * dt) * sys.A) @ y0
             dev = max(dev, float(np.max(np.abs(y - exact))))
     return dev
 

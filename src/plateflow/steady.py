@@ -4,14 +4,14 @@ coefficients, and long-run convergence of trajectories to equilibria."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .forces import ForceModel
 from .galerkin import GalerkinSystem
-from .mesh import Grid, VelocityField, inner_fluid, inner_plate
-from .stokes import StokesSolution, StokesSolver
+from .mesh import Grid, VelocityField, inner_fluid
+from .stokes import StokesSolver
 
 STAT_TOL = 1e-8
 
@@ -63,25 +63,16 @@ def pstar_mode_coeffs(sys: GalerkinSystem, gf: VelocityField) -> np.ndarray:
     return np.array([inner_fluid(gf, md.field, g) for md in sys.basis.lifted])
 
 
-def _plate_force_coeffs(sys: GalerkinSystem, model: ForceModel | None, beta: np.ndarray):
-    if model is None:
-        return np.zeros(sys.n)
-    g = sys.basis.grid
-    Xi = sys.basis.plate_shapes()
-    return g.h_x * Xi @ model.force(Xi.T @ beta)
-
-
 def stationary_residual(sys: GalerkinSystem, beta: np.ndarray,
                         pstar_coeffs: np.ndarray, model: ForceModel | None = None) -> float:
     """Norm of the stationary plate equations over the plate mode basis."""
-    r = sys.kappa * beta + _plate_force_coeffs(sys, model, beta) - pstar_coeffs - sys.f_plate
+    r = sys.kappa * beta + sys.force_coeffs(model, beta) - pstar_coeffs - sys.f_plate
     return float(np.linalg.norm(r))
 
 
 def _psi_value(sys: GalerkinSystem, beta, pstar_coeffs, model):
-    Xi = sys.basis.plate_shapes()
-    pot = 0.0 if model is None else model.potential(Xi.T @ beta)
-    return 0.5 * float(sys.kappa @ beta ** 2) + pot - float((pstar_coeffs + sys.f_plate) @ beta)
+    return 0.5 * float(sys.kappa @ beta ** 2) + sys.potential(model, beta) \
+        - float((pstar_coeffs + sys.f_plate) @ beta)
 
 
 def minimize_stationary(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
@@ -98,7 +89,7 @@ def minimize_stationary(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
     beta = np.zeros(n) if beta_init is None else np.array(beta_init, float)
 
     def grad(b):
-        return sys.kappa * b + _plate_force_coeffs(sys, model, b) - pstar_coeffs - sys.f_plate
+        return sys.kappa * b + sys.force_coeffs(model, b) - pstar_coeffs - sys.f_plate
 
     def value(b):
         return _psi_value(sys, b, pstar_coeffs, model)

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import BoundaryData, Grid, GridError, ScalarField, VelocityField, plate_mean
+from .mesh import Grid, GridError, ScalarField, VelocityField, plate_mean
 
 
 class StokesSolveError(RuntimeError):
@@ -223,14 +223,7 @@ class StokesSolver:
         One transposed solve; since the saddle matrix is symmetric this reduces
         to reading the stationary solution of gf along the Omega row.
         """
-        g = self.grid
-        sol = self.solve_body_force(gf)
-        r = (
-            self.nu * sol.v.w[:, g.n_z - 1] / g.h_z
-            + sol.p.values[:, g.n_z - 1]
-            + 0.5 * g.h_z * gf.w[:, g.n_z]
-        )
-        return r - np.mean(r)
+        return self.pressure_trace(self.solve_body_force(gf), gf)
 
     def pressure_trace(self, sol: StokesSolution, gf: VelocityField | None = None) -> np.ndarray:
         """Duality-consistent trace of the pressure on Omega for a no-slip solve."""

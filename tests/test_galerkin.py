@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plateflow.forces import BergerForce
 from plateflow.galerkin import (
     AssemblyError,
     ForcingConfig,
@@ -12,7 +13,6 @@ from plateflow.galerkin import (
     reconstruct,
 )
 from plateflow.mesh import (
-    VelocityField,
     bending_inner,
     inner_fluid,
     inner_plate,
@@ -53,12 +53,52 @@ def test_energy_derivative_identity(sys_free, rng):
     assert abs(dE + sys_free.dissipation_rate(y)) < 1e-9 * (1.0 + abs(dE))
 
 
-def test_rhs_matches_linear_parts(sys_forced, rng):
-    A, c = sys_forced.linear_parts()
+def test_rhs_matches_linear_parts(sys_forced, grid, rng):
+    # the core (A, c, B) against the independent la.solve route of rhs, with
+    # and without the plate force
+    A, c, B = sys_forced.A, sys_forced.c, sys_forced.B
+    berger = BergerForce(grid, kappa=5.0, gamma=0.0)
+
+    def fc(beta):
+        return sys_forced.force_coeffs(berger, beta)
+
+    m, n = sys_forced.m, sys_forced.n
     for _ in range(3):
-        y = rng.standard_normal(sys_forced.m + 2 * sys_forced.n)
+        y = rng.standard_normal(m + 2 * n)
         diff = sys_forced.rhs(y) - (A @ y + c)
         assert np.max(np.abs(diff)) < 1e-9 * (1.0 + np.max(np.abs(A @ y)))
+        force = B @ fc(y[m:m + n])
+        assert np.max(np.abs(force)) > 0
+        diff = sys_forced.rhs(y, fc) - (A @ y + c - force)
+        assert np.max(np.abs(diff)) < 1e-12 * (np.max(np.abs(A @ y)) + np.max(np.abs(force)))
+
+
+def test_energy_form_is_symmetric_positive_definite(sys_free, rng):
+    H = sys_free.H
+    assert np.array_equal(H, H.T)
+    assert np.min(np.linalg.eigvalsh(H)) > 0
+    y = rng.standard_normal(sys_free.m + 2 * sys_free.n)
+    e0 = sys_free.energy_quadratic(y)
+    assert abs(0.5 * float(y @ H @ y) - e0) < 1e-13 * abs(e0)
+
+
+def test_generator_energy_identity(sys_free):
+    # dE0/dt = y^T H A y = -w^T D w for ydot = A y:  H A + A^T H = -2 D_y,
+    # with D_y the dissipation form placed on the kinetic rows and columns
+    A, H, kin = sys_free.A, sys_free.H, sys_free.kin
+    D_y = np.zeros_like(A)
+    D_y[np.ix_(kin, kin)] = sys_free.D
+    HA = H @ A
+    err = np.max(np.abs(HA + HA.T + 2.0 * D_y)) / np.max(np.abs(HA))
+    assert err < 1e-12
+
+
+def test_force_input_works_only_on_plate_velocity(sys_free):
+    # H B selects betadot, so the force term -B fc changes E0 at rate -fc . betadot
+    m, n = sys_free.m, sys_free.n
+    select = np.zeros((m + 2 * n, n))
+    select[m + n:, :] = np.eye(n)
+    assert np.max(np.abs(sys_free.H @ sys_free.B - select)) < 1e-12
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from plateflow.spectrum import (
-    assemble_generator,
     contraction_norm,
     gamma_operator_checks,
     generator_eigenvalues,
@@ -11,40 +9,35 @@ from plateflow.spectrum import (
 )
 
 
-@pytest.fixture(scope="module")
-def gen(sys_free):
-    return assemble_generator(sys_free)
-
-
-def test_energy_form_positive_definite(gen):
-    w = np.linalg.eigvalsh(gen.H)
+def test_energy_form_positive_definite(sys_free):
+    w = np.linalg.eigvalsh(sys_free.H)
     assert w[0] > 0
-    assert np.max(np.abs(gen.H - gen.H.T)) < 1e-13
+    assert np.max(np.abs(sys_free.H - sys_free.H.T)) < 1e-13
 
 
-def test_spectrum_strictly_stable(gen):
-    assert spectral_abscissa(gen) < 0
+def test_spectrum_strictly_stable(sys_free):
+    assert spectral_abscissa(sys_free) < 0
 
 
-def test_eigenvalues_conjugate_symmetric(gen):
-    ev = generator_eigenvalues(gen)
+def test_eigenvalues_conjugate_symmetric(sys_free):
+    ev = generator_eigenvalues(sys_free)
     for z in ev:
         if abs(z.imag) > 1e-10:
             assert np.min(np.abs(ev - np.conj(z))) < 1e-7 * max(1.0, abs(z))
 
 
-def test_semigroup_contracts_in_energy_norm(gen):
+def test_semigroup_contracts_in_energy_norm(sys_free):
     for T in (0.25, 1.0, 4.0):
-        assert contraction_norm(gen, T) <= 1.0 + 1e-10
+        assert contraction_norm(sys_free, T) <= 1.0 + 1e-10
     # and strictly decays for long horizons
-    assert contraction_norm(gen, 4.0) < contraction_norm(gen, 0.25)
+    assert contraction_norm(sys_free, 4.0) < contraction_norm(sys_free, 0.25)
 
 
-def test_integrator_consistent_with_expm(gen, sys_free, rng):
-    y0 = rng.standard_normal(gen.m + 2 * gen.n)
+def test_integrator_consistent_with_expm(sys_free, rng):
+    y0 = rng.standard_normal(sys_free.m + 2 * sys_free.n)
     y0 /= sys_free.state_norm(y0)
-    d1 = semigroup_consistency(gen, sys_free, T=1.0, dt=1e-3, y0=y0)
-    d2 = semigroup_consistency(gen, sys_free, T=1.0, dt=5e-4, y0=y0)
+    d1 = semigroup_consistency(sys_free, T=1.0, dt=1e-3, y0=y0)
+    d2 = semigroup_consistency(sys_free, T=1.0, dt=5e-4, y0=y0)
     assert 3.0 < d1 / d2 < 5.0
 
 
