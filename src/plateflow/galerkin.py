@@ -88,7 +88,8 @@ class GalerkinSystem:
     """Assembled reduced system: ydot = A y + c - B fc(beta), E0 = 1/2 y^T H y.
 
     M, D, kappa and the loads are the assembled forms; A, c, B, H, kin and Xi
-    are derived from them once, with the single inverse of M, in __post_init__.
+    are derived from them once, in __post_init__ (A, c and B by linear_parts,
+    with the single inverse of M).
     """
 
     basis: ModalBasis
@@ -109,8 +110,19 @@ class GalerkinSystem:
 
     def __post_init__(self):
         m, n = self.m, self.n
-        N = m + 2 * n
         self.kin = np.concatenate([np.arange(m), m + n + np.arange(n)])
+        self.A, self.c, self.B = self.linear_parts()
+        beta = np.arange(m, m + n)
+        self.H = np.zeros((m + 2 * n, m + 2 * n))
+        self.H[np.ix_(self.kin, self.kin)] = self.M
+        self.H[beta, beta] = self.kappa
+        self.Xi = self.basis.plate_shapes()
+
+    def linear_parts(self):
+        """(A, c, B) with ydot = A y + c - B fc(beta), from the one inverse of
+        M; run once at assembly, after which they are read as sys.A, sys.c, sys.B."""
+        m, n = self.m, self.n
+        N = m + 2 * n
         beta = np.arange(m, m + n)
         Minv = la.inv(self.M)
         # beta' = betadot;  w' = -Minv (D w + [0; kappa beta] - f) - Minv [0; fc]
@@ -118,17 +130,13 @@ class GalerkinSystem:
         A[beta, m + n + np.arange(n)] = 1.0
         A[np.ix_(self.kin, self.kin)] = -Minv @ self.D
         A[np.ix_(self.kin, beta)] = -Minv[:, m:] * self.kappa
-        self.A = A
         load = self.f_kin.copy()
         load[m:] += self.f_plate
-        self.c = np.zeros(N)
-        self.c[self.kin] = Minv @ load
-        self.B = np.zeros((N, n))
-        self.B[self.kin] = Minv[:, m:]
-        self.H = np.zeros((N, N))
-        self.H[np.ix_(self.kin, self.kin)] = self.M
-        self.H[beta, beta] = self.kappa
-        self.Xi = self.basis.plate_shapes()
+        c = np.zeros(N)
+        c[self.kin] = Minv @ load
+        B = np.zeros((N, n))
+        B[self.kin] = Minv[:, m:]
+        return A, c, B
 
     @property
     def m(self):

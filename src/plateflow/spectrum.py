@@ -23,15 +23,22 @@ def generator_eigenvalues(sys: GalerkinSystem) -> np.ndarray:
     return ev[np.argsort(-ev.real)]
 
 
-def contraction_norm(sys: GalerkinSystem, T: float) -> float:
-    """Operator norm of exp(T A) in the energy inner product."""
+def assemble_generator(sys: GalerkinSystem):
+    """The generator A in energy coordinates, as the change of variables
+    S = H^(1/2) and its inverse: z = S y turns ydot = A y into
+    zdot = S A S^-1 z, dissipative in the Euclidean norm, with |z| the
+    energy norm of y."""
     w, V = la.eigh(sys.H)
     if w[0] <= 0:
         raise la.LinAlgError("energy form is not positive definite")
-    Hs = V @ np.diag(np.sqrt(w)) @ V.T
-    Hsi = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
+    return V @ np.diag(np.sqrt(w)) @ V.T, V @ np.diag(1.0 / np.sqrt(w)) @ V.T
+
+
+def contraction_norm(sys: GalerkinSystem, T: float) -> float:
+    """Operator norm of exp(T A) in the energy inner product."""
+    S, Sinv = assemble_generator(sys)
     E = la.expm(T * sys.A)
-    return float(np.linalg.norm(Hs @ E @ Hsi, 2))
+    return float(np.linalg.norm(S @ E @ Sinv, 2))
 
 
 def semigroup_consistency(sys: GalerkinSystem, T: float, dt: float,

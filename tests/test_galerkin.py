@@ -73,15 +73,6 @@ def test_rhs_matches_linear_parts(sys_forced, grid, rng):
         assert np.max(np.abs(diff)) < 1e-12 * (np.max(np.abs(A @ y)) + np.max(np.abs(force)))
 
 
-def test_energy_form_is_symmetric_positive_definite(sys_free, rng):
-    H = sys_free.H
-    assert np.array_equal(H, H.T)
-    assert np.min(np.linalg.eigvalsh(H)) > 0
-    y = rng.standard_normal(sys_free.m + 2 * sys_free.n)
-    e0 = sys_free.energy_quadratic(y)
-    assert abs(0.5 * float(y @ H @ y) - e0) < 1e-13 * abs(e0)
-
-
 def test_generator_energy_identity(sys_free):
     # dE0/dt = y^T H A y = -w^T D w for ydot = A y:  H A + A^T H = -2 D_y,
     # with D_y the dissipation form placed on the kinetic rows and columns

@@ -9,10 +9,13 @@ from plateflow.spectrum import (
 )
 
 
-def test_energy_form_positive_definite(sys_free):
+def test_energy_form_positive_definite(sys_free, rng):
     w = np.linalg.eigvalsh(sys_free.H)
     assert w[0] > 0
     assert np.max(np.abs(sys_free.H - sys_free.H.T)) < 1e-13
+    y = rng.standard_normal(sys_free.m + 2 * sys_free.n)
+    e0 = sys_free.energy_quadratic(y)
+    assert abs(0.5 * float(y @ sys_free.H @ y) - e0) < 1e-13 * abs(e0)
 
 
 def test_spectrum_strictly_stable(sys_free):
