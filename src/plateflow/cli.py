@@ -146,18 +146,14 @@ def cmd_modes(cfg: ExperimentConfig) -> int:
     # applied to a mode, projected back onto the admissible subspace
     cons = np.vstack([ops.C, g.h_x * np.ones((1, g.n_plate))])
     Z = la.null_space(cons)
-    rows = []
-    for k, md in enumerate(basis.flow):
-        rows.append(("flow", k, md.mu, md.residual))
-    for k, md in enumerate(basis.plate):
-        r = ops.K @ md.shape / g.h_x - md.kappa * md.shape
-        res = float(np.linalg.norm(Z @ (Z.T @ r)) / md.kappa)
-        rows.append(("plate", k, md.kappa, res))
+    R = ops.K @ basis.xi.T / g.h_x - basis.kappa * basis.xi.T
+    plate_res = np.linalg.norm(Z @ (Z.T @ R), axis=0) / basis.kappa
+    rows = [("flow", k, mu, res) for k, (mu, res) in enumerate(zip(basis.mu, basis.psi_res))]
+    rows += [("plate", k, kap, res) for k, (kap, res) in enumerate(zip(basis.kappa, plate_res))]
     write_csv(os.path.join(cfg.output.dir, "modes.csv"),
               ("kind", "index", "eigenvalue", "residual"), rows)
 
-    lift_norms = [float(np.sqrt(grad_inner(md.field, md.field, g)))
-                  for md in basis.lifted]
+    lift_norms = np.sqrt(np.diag(grad_inner(basis.lift, basis.lift, g)))
     summary = {
         "m": basis.m,
         "n": basis.n,
@@ -165,8 +161,8 @@ def cmd_modes(cfg: ExperimentConfig) -> int:
         "mu_max": float(basis.mu[-1]),
         "kappa_min": float(basis.kappa[0]),
         "kappa_max": float(basis.kappa[-1]),
-        "max_flow_residual": max(md.residual for md in basis.flow),
-        "max_lifting_gradient_norm": max(lift_norms),
+        "max_flow_residual": float(np.max(basis.psi_res)),
+        "max_lifting_gradient_norm": float(np.max(lift_norms)),
     }
     write_json(os.path.join(cfg.output.dir, "modes.json"), summary)
     return 0
@@ -191,8 +187,8 @@ def cmd_assemble(cfg: ExperimentConfig) -> int:
 
 
 def cmd_forces_verify(cfg: ExperimentConfig) -> int:
-    setup = verification._Setup(cfg, os.path.join(cfg.output.dir, "modes_cache"))
-    result = verification.check_force_models(setup)
+    result = verification.run_criterion("force_model_contracts", cfg,
+                                        os.path.join(cfg.output.dir, "modes_cache"))
     write_json(os.path.join(cfg.output.dir, "forces_verify.json"), result)
     return 0 if result["pass"] else 1
 
@@ -303,8 +299,8 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 
 
 def cmd_quasistability(cfg: ExperimentConfig) -> int:
-    setup = verification._Setup(cfg, os.path.join(cfg.output.dir, "modes_cache"))
-    result = verification.check_quasi_stability(setup)
+    result = verification.run_criterion("quasi_stability", cfg,
+                                        os.path.join(cfg.output.dir, "modes_cache"))
     write_json(os.path.join(cfg.output.dir, "quasistability.json"), result)
     return 0 if result["pass"] else 1
 

@@ -18,6 +18,11 @@ from .forces import ForceModel
 from .galerkin import GalerkinSystem
 
 
+# midpoint fixed point: relative update tolerance and iteration cap
+FP_TOL = 1e-12
+FP_MAXIT = 50
+
+
 class IntegratorError(RuntimeError):
     pass
 
@@ -36,22 +41,17 @@ class Trajectory:
     stride: int
     n_steps: int
     scheme: str = "implicit midpoint"
-    offset_coeff: float = 0.0
 
 
 class Stepper:
     """One-step implicit midpoint map with pre-factored linear part."""
 
-    def __init__(self, sys: GalerkinSystem, dt: float, model: ForceModel | None = None,
-                 offset_coeff: float = 0.0, fp_tol: float = 1e-12, fp_maxit: int = 50):
+    def __init__(self, sys: GalerkinSystem, dt: float, model: ForceModel | None = None):
         if dt <= 0:
             raise IntegratorError("time step must be positive")
         self.sys = sys
         self.dt = dt
         self.model = model
-        self.offset_coeff = offset_coeff
-        self.fp_tol = fp_tol
-        self.fp_maxit = fp_maxit
         N = sys.A.shape[0]
         self._S1 = la.lu_factor(np.eye(N) - 0.5 * dt * sys.A)
         self._S0 = np.eye(N) + 0.5 * dt * sys.A
@@ -62,7 +62,7 @@ class Stepper:
         sys = self.sys
         if self.model is None:
             return np.zeros(sys.A.shape[0])
-        fc = sys.force_coeffs(self.model, y[sys.m:sys.m + sys.n], self.offset_coeff)
+        fc = sys.force_coeffs(self.model, y[sys.m:sys.m + sys.n])
         return -sys.B @ fc
 
     def step(self, y: np.ndarray):
@@ -72,7 +72,7 @@ class Stepper:
         y_next = la.lu_solve(self._S1, base + dt * self._nonlinear(y))
         if self.model is not None:
             converged = False
-            for _ in range(self.fp_maxit):
+            for _ in range(FP_MAXIT):
                 rhs = base + dt * self._nonlinear(0.5 * (y + y_next))
                 if not np.all(np.isfinite(rhs)):
                     raise IntegratorError(
@@ -82,7 +82,7 @@ class Stepper:
                 y_new = la.lu_solve(self._S1, rhs)
                 delta = float(np.max(np.abs(y_new - y_next)))
                 y_next = y_new
-                if delta <= self.fp_tol * (1.0 + float(np.max(np.abs(y_next)))):
+                if delta <= FP_TOL * (1.0 + float(np.max(np.abs(y_next)))):
                     converged = True
                     break
             if not converged:
@@ -95,14 +95,14 @@ class Stepper:
 
 def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
              model: ForceModel | None = None, stride: int = 10,
-             offset_coeff: float = 0.0, alpha_star: np.ndarray | None = None,
+             alpha_star: np.ndarray | None = None,
              pstar_coeffs: np.ndarray | None = None) -> Trajectory:
     """Integrate on [0, T], sampling every `stride` steps with energy reports.
 
     alpha_star / pstar_coeffs shift the reported Estar to measure energy
     relative to the stationary flow; both default to zero (Estar = E).
     """
-    stepper = Stepper(sys, dt, model, offset_coeff=offset_coeff)
+    stepper = Stepper(sys, dt, model)
     n_steps = int(round(T / dt))
     m, n = sys.m, sys.n
     if alpha_star is None:
@@ -113,7 +113,7 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
 
     def reports(y, diss, work, ref0):
         E0 = sys.energy_quadratic(y)
-        pot = sys.potential(model, y[m:m + n], offset_coeff)
+        pot = sys.potential(model, y[m:m + n])
         E = E0 + pot
         Estar = sys.energy_quadratic(y - y_star) + pot - float(pstar_coeffs @ y[m:m + n])
         bal = 0.0 if ref0 is None else (E + diss - ref0 - work) / (abs(ref0) + 1.0)
@@ -150,7 +150,6 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
         dt=dt,
         stride=stride,
         n_steps=n_steps,
-        offset_coeff=offset_coeff,
     )
 
 

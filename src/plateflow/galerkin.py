@@ -87,7 +87,7 @@ def plate_forcing_profile(cfg: ForcingConfig, g: Grid) -> np.ndarray:
 class GalerkinSystem:
     """Assembled reduced system: ydot = A y + c - B fc(beta), E0 = 1/2 y^T H y.
 
-    M, D, kappa and the loads are the assembled forms; A, c, B, H, kin and Xi
+    M, D, kappa and the loads are the assembled forms; A, c, B, H, kin and hXi
     are derived from them once, in __post_init__ (A, c and B by linear_parts,
     with the single inverse of M).
     """
@@ -106,7 +106,7 @@ class GalerkinSystem:
     B: np.ndarray = field(repr=False, init=False)         # (N,n) plate-force input map
     H: np.ndarray = field(repr=False, init=False)         # (N,N) energy form
     kin: np.ndarray = field(repr=False, init=False)       # (m+n,) indices of w in y
-    Xi: np.ndarray = field(repr=False, init=False)        # (n, n_plate) plate mode shapes
+    hXi: np.ndarray = field(repr=False, init=False)       # (n,n_plate) h_x xi: F -> (F, xi_j)_Omega
 
     def __post_init__(self):
         m, n = self.m, self.n
@@ -116,7 +116,7 @@ class GalerkinSystem:
         self.H = np.zeros((m + 2 * n, m + 2 * n))
         self.H[np.ix_(self.kin, self.kin)] = self.M
         self.H[beta, beta] = self.kappa
-        self.Xi = self.basis.plate_shapes()
+        self.hXi = self.basis.grid.h_x * self.basis.xi
 
     def linear_parts(self):
         """(A, c, B) with ydot = A y + c - B fc(beta), from the one inverse of
@@ -173,26 +173,20 @@ class GalerkinSystem:
         return float(self.f_kin @ w) + float(self.f_plate @ y[self.m + self.n:])
 
     # -- modal force map --------------------------------------------------
-    def plate_deflection(self, beta: np.ndarray, offset: float = 0.0) -> np.ndarray:
-        """u = sum_j beta_j xi_j, plus offset times the mean shape w0."""
-        u = self.Xi.T @ beta
-        if offset != 0.0:
-            u = u + offset * self.basis.w0
-        return u
+    def plate_deflection(self, beta: np.ndarray) -> np.ndarray:
+        """u = sum_j beta_j xi_j."""
+        return self.basis.xi.T @ beta
 
-    def force_coeffs(self, model: ForceModel | None, beta: np.ndarray,
-                     offset: float = 0.0) -> np.ndarray:
+    def force_coeffs(self, model: ForceModel | None, beta: np.ndarray) -> np.ndarray:
         """fc_j = (F(u), xi_j)_Omega for the plate force model F (None: zero)."""
         if model is None:
             return np.zeros(self.n)
-        F = model.force(self.plate_deflection(beta, offset))
-        return self.basis.grid.h_x * self.Xi @ F
+        return self.hXi @ model.force(self.plate_deflection(beta))
 
-    def potential(self, model: ForceModel | None, beta: np.ndarray,
-                  offset: float = 0.0) -> float:
+    def potential(self, model: ForceModel | None, beta: np.ndarray) -> float:
         if model is None:
             return 0.0
-        return model.potential(self.plate_deflection(beta, offset))
+        return model.potential(self.plate_deflection(beta))
 
     # -- dynamics ---------------------------------------------------------
     def rhs(self, y: np.ndarray, force_coeffs=None) -> np.ndarray:
@@ -215,15 +209,10 @@ def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None)
     m, n = basis.m, basis.n
     if forcing is None:
         forcing = ForcingConfig()
+    psi, lift = basis.psi, basis.lift
 
-    G_vl = np.array(
-        [[inner_fluid(basis.flow[i].field, basis.lifted[k].field, g) for k in range(n)]
-         for i in range(m)]
-    )
-    G_ll = np.array(
-        [[inner_fluid(basis.lifted[k].field, basis.lifted[l].field, g) for l in range(n)]
-         for k in range(n)]
-    )
+    G_vl = inner_fluid(psi, lift, g)
+    G_ll = inner_fluid(lift, lift, g)
     M = np.block([[np.eye(m), G_vl], [G_vl.T, np.eye(n) + G_ll]])
     M = 0.5 * (M + M.T)
 
@@ -233,26 +222,14 @@ def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None)
             f"kinetic mass matrix is not positive definite: smallest eigenvalue {ev[0]:.6e}"
         )
 
-    Gd_vl = np.array(
-        [[grad_inner(basis.flow[i].field, basis.lifted[k].field, g) for k in range(n)]
-         for i in range(m)]
-    )
-    Gd_ll = np.array(
-        [[grad_inner(basis.lifted[k].field, basis.lifted[l].field, g) for l in range(n)]
-         for k in range(n)]
-    )
+    Gd_vl = grad_inner(psi, lift, g)
+    Gd_ll = grad_inner(lift, lift, g)
     D = nu * np.block([[np.diag(basis.mu), Gd_vl], [Gd_vl.T, Gd_ll]])
     D = 0.5 * (D + D.T)
 
     gf = fluid_forcing_field(forcing, g)
-    gp = plate_forcing_profile(forcing, g)
-    f_kin = np.concatenate(
-        [
-            [inner_fluid(gf, basis.flow[i].field, g) for i in range(m)],
-            [inner_fluid(gf, basis.lifted[k].field, g) for k in range(n)],
-        ]
-    )
-    f_plate = np.array([inner_plate(gp, basis.plate[k].shape, g) for k in range(n)])
+    f_kin = np.concatenate([inner_fluid(gf, psi, g), inner_fluid(gf, lift, g)])
+    f_plate = g.h_x * basis.xi @ plate_forcing_profile(forcing, g)
 
     return GalerkinSystem(basis=basis, nu=nu, M=M, D=D, kappa=basis.kappa,
                           f_kin=f_kin, f_plate=f_plate, G_vl=G_vl, G_ll=G_ll)
@@ -288,20 +265,14 @@ def project_initial(sys: GalerkinSystem, v0: VelocityField, u0: np.ndarray,
     u0p = project_zero_mean(u0, g, sys.basis.w0)
     u1p = u1 - plate_mean(u1, g) / g.L_x  # trace of a solenoidal field; already zero mean
 
-    Xi = sys.Xi
-    beta = g.h_x * Xi @ u0p
-    betadot = g.h_x * Xi @ u1p
-    plate_res = float(np.sqrt(max(inner_plate(u0p - Xi.T @ beta, u0p - Xi.T @ beta, g), 0.0)))
+    beta = sys.hXi @ u0p
+    betadot = sys.hXi @ u1p
+    r = u0p - sys.plate_deflection(beta)
+    plate_res = float(np.sqrt(max(inner_plate(r, r, g), 0.0)))
 
-    lift_dot = VelocityField(g)
-    for k in range(sys.n):
-        lift_dot = lift_dot + betadot[k] * sys.basis.lifted[k].field
-    v_rem = v0 - lift_dot
-    alpha = np.array([inner_fluid(v_rem, sys.basis.flow[i].field, g) for i in range(sys.m)])
-    recon = lift_dot.copy()
-    for i in range(sys.m):
-        recon = recon + alpha[i] * sys.basis.flow[i].field
-    diff = v0 - recon
+    lift_dot = sys.basis.lift.combine(betadot)
+    alpha = inner_fluid(sys.basis.psi, v0 - lift_dot, g)
+    diff = v0 - (lift_dot + sys.basis.psi.combine(alpha))
     vres = float(np.sqrt(max(inner_fluid(diff, diff, g), 0.0)))
 
     y0 = sys.join(alpha, beta, betadot)
@@ -316,22 +287,13 @@ class ReconstructedState:
     u_t: np.ndarray
 
 
-def reconstruct(sys: GalerkinSystem, y: np.ndarray,
-                offset_coeff: float = 0.0) -> ReconstructedState:
-    """Coefficients to fields.  The plate velocity is accumulated in the same
-    order as the fluid field, so the trace identity v|_Omega = u_t holds bit
-    for bit at the plate nodes (flow modes have exactly zero trace there)."""
-    g = sys.basis.grid
+def reconstruct(sys: GalerkinSystem, y: np.ndarray) -> ReconstructedState:
+    """Coefficients to fields.  The flow modes have zero trace on Omega and the
+    lifted modes carry their plate modes as trace, so the trace row of v is
+    set to the plate velocity itself, as StokesSolver.lift sets it: the trace
+    identity v|_Omega = u_t holds bit for bit."""
     alpha, beta, betadot = sys.split(y)
-    v = VelocityField(g)
-    for i in range(sys.m):
-        v = v + alpha[i] * sys.basis.flow[i].field
-    u = np.zeros(g.n_plate)
-    u_t = np.zeros(g.n_plate)
-    for k in range(sys.n):
-        v = v + betadot[k] * sys.basis.lifted[k].field
-        u = u + beta[k] * sys.basis.plate[k].shape
-        u_t = u_t + betadot[k] * sys.basis.plate[k].shape
-    if offset_coeff != 0.0:
-        u = u + offset_coeff * sys.basis.w0
-    return ReconstructedState(v=v, u=u, u_t=u_t)
+    u_t = sys.plate_deflection(betadot)
+    v = sys.basis.psi.combine(alpha) + sys.basis.lift.combine(betadot)
+    v.w[:, -1] = u_t
+    return ReconstructedState(v=v, u=sys.plate_deflection(beta), u_t=u_t)

@@ -91,7 +91,11 @@ def build_grid(config: GeometryConfig) -> Grid:
 
 @dataclass
 class VelocityField:
-    """MAC velocity: u on vertical faces, w on horizontal faces (boundary rows included)."""
+    """MAC velocity: u on vertical faces, w on horizontal faces (boundary rows included).
+
+    u and w may carry a leading mode axis, which makes the field a stack of
+    fields; stack[k] is the k-th field and stack.combine(c) is sum_k c_k stack[k].
+    """
 
     grid: Grid
     u: np.ndarray = None
@@ -102,8 +106,22 @@ class VelocityField:
             self.u = np.zeros(self.grid.shape_u)
         if self.w is None:
             self.w = np.zeros(self.grid.shape_w)
-        if self.u.shape != self.grid.shape_u or self.w.shape != self.grid.shape_w:
+        if (self.u.shape[-2:] != self.grid.shape_u or self.w.shape[-2:] != self.grid.shape_w
+                or self.u.shape[:-2] != self.w.shape[:-2]):
             raise GridError("velocity component shape mismatch with grid")
+
+    @classmethod
+    def stack(cls, fields):
+        """One stack from single fields."""
+        fields = list(fields)
+        return cls(fields[0].grid, np.array([f.u for f in fields]), np.array([f.w for f in fields]))
+
+    def __getitem__(self, k):
+        return VelocityField(self.grid, self.u[k], self.w[k])
+
+    def combine(self, c: np.ndarray):
+        """sum_k c_k self[k] for a stack."""
+        return VelocityField(self.grid, np.tensordot(c, self.u, 1), np.tensordot(c, self.w, 1))
 
     def copy(self):
         return VelocityField(self.grid, self.u.copy(), self.w.copy())
@@ -128,7 +146,7 @@ class ScalarField:
     def __post_init__(self):
         if self.values is None:
             self.values = np.zeros(self.grid.shape_p)
-        if self.values.shape != self.grid.shape_p:
+        if self.values.shape[-2:] != self.grid.shape_p:
             raise GridError("scalar field shape mismatch with grid")
 
 
@@ -136,7 +154,7 @@ def discrete_div(v: VelocityField, g: Grid) -> ScalarField:
     """Cell-centered divergence; uses the stored boundary faces directly."""
     if v.grid is not g and v.grid != g:
         raise GridError("field/grid mismatch")
-    d = (v.u[1:, :] - v.u[:-1, :]) / g.h_x + (v.w[:, 1:] - v.w[:, :-1]) / g.h_z
+    d = (v.u[..., 1:, :] - v.u[..., :-1, :]) / g.h_x + (v.w[..., 1:] - v.w[..., :-1]) / g.h_z
     return ScalarField(g, d)
 
 
@@ -157,10 +175,20 @@ def _face_weights(g: Grid):
     return wu, ww
 
 
-def inner_fluid(a: VelocityField, b: VelocityField, g: Grid) -> float:
+def _gram(a: VelocityField, b: VelocityField, pa, pb, coef, scale: float):
+    """scale * sum_t coef_t <pa_t, pb_t>, each pair of parts contracted over its
+    grid axes: a float for two fields, the table over the modes for a stack on
+    either side."""
+    la, lb = a.u.shape[:-2], b.u.shape[:-2]
+    s = scale * sum(c * (x.reshape(la + (-1,)) @ y.reshape(lb + (-1,)).T)
+                    for c, x, y in zip(coef, pa, pb))
+    return float(s) if np.ndim(s) == 0 else s
+
+
+def inner_fluid(a: VelocityField, b: VelocityField, g: Grid):
+    """Discrete (a, b)_O; a stack on either side gives the Gram table."""
     wu, ww = _face_weights(g)
-    s = np.sum(wu * a.u * b.u) + np.sum(ww * a.w * b.w)
-    return g.h_x * g.h_z * s
+    return _gram(a, b, (wu * a.u, ww * a.w), (b.u, b.w), (1.0, 1.0), g.h_x * g.h_z)
 
 
 def inner_plate(a: np.ndarray, b: np.ndarray, g: Grid) -> float:
@@ -181,32 +209,33 @@ def inner_product(a, b, domain: str, g: Grid) -> float:
     raise GridError(f"unknown inner product domain {domain!r}")
 
 
-def grad_inner(a: VelocityField, b: VelocityField, g: Grid,
-               a_top: np.ndarray | None = None, b_top: np.ndarray | None = None) -> float:
+def _grad_parts(v: VelocityField):
+    """The face differences and wall values whose weighted products make grad_inner."""
+    u, w = v.u, v.w
+    ui, wi = u[..., 1:-1, :], w[..., 1:-1]
+    return (
+        # u: d/dx at cell centers (boundary u-faces are zero by no-slip)
+        u[..., 1:, :] - u[..., :-1, :],
+        # u: d/dz at interior horizontal positions, then the half-cell wall terms
+        ui[..., 1:] - ui[..., :-1], ui[..., 0], ui[..., -1],
+        # w: d/dz at cell centers (the top row carries the plate trace)
+        w[..., 1:] - w[..., :-1],
+        # w: d/dx at interior vertical positions, then the half-cell wall terms
+        wi[..., 1:, :] - wi[..., :-1, :], wi[..., 0, :], wi[..., -1, :],
+    )
+
+
+def grad_inner(a: VelocityField, b: VelocityField, g: Grid):
     """Discrete (grad a, grad b)_O, exactly matching the ghost-closed Laplacian form.
 
-    a_top/b_top are the prescribed normal traces on Omega (defaults: the stored
-    top w-rows).  Tangential boundary values are zero throughout.  Near-wall
-    tangential derivatives use the half-cell ghost rule, which makes this form
-    the exact bilinear form of the assembled Stokes operator.
+    The normal traces on Omega are the stored top w-rows; tangential boundary
+    values are zero throughout.  Near-wall tangential derivatives use the
+    half-cell ghost rule, which makes this form the exact bilinear form of the
+    assembled Stokes operator.  A stack on either side gives the Gram table.
     """
-    hx, hz = g.h_x, g.h_z
-    s = 0.0
-    # u-component: d/dx at cell centers (boundary u-faces are zero by no-slip)
-    s += np.sum((a.u[1:, :] - a.u[:-1, :]) * (b.u[1:, :] - b.u[:-1, :])) / hx ** 2
-    # u-component: d/dz at interior horizontal positions + half-cell wall terms
-    au, bu = a.u[1:-1, :], b.u[1:-1, :]
-    s += np.sum((au[:, 1:] - au[:, :-1]) * (bu[:, 1:] - bu[:, :-1])) / hz ** 2
-    s += 2.0 * np.sum(au[:, 0] * bu[:, 0]) / hz ** 2
-    s += 2.0 * np.sum(au[:, -1] * bu[:, -1]) / hz ** 2
-    # w-component: d/dz at cell centers (top row carries the plate trace)
-    s += np.sum((a.w[:, 1:] - a.w[:, :-1]) * (b.w[:, 1:] - b.w[:, :-1])) / hz ** 2
-    # w-component: d/dx at interior vertical positions + half-cell wall terms
-    aw, bw = a.w[:, 1:-1], b.w[:, 1:-1]
-    s += np.sum((aw[1:, :] - aw[:-1, :]) * (bw[1:, :] - bw[:-1, :])) / hx ** 2
-    s += 2.0 * np.sum(aw[0, :] * bw[0, :]) / hx ** 2
-    s += 2.0 * np.sum(aw[-1, :] * bw[-1, :]) / hx ** 2
-    return hx * hz * s
+    cx, cz = 1.0 / g.h_x ** 2, 1.0 / g.h_z ** 2
+    return _gram(a, b, _grad_parts(a), _grad_parts(b),
+                 (cx, cz, 2.0 * cz, 2.0 * cz, cz, cx, 2.0 * cx, 2.0 * cx), g.h_x * g.h_z)
 
 
 DIV_TOL = 1e-10

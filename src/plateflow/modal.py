@@ -22,37 +22,13 @@ from .mesh import (
     BeamOperators,
     Grid,
     GridError,
-    ScalarField,
     VelocityField,
     beam_operators,
     plate_mean,
 )
-from .stokes import StokesSolver, VelocityBlocks, velocity_blocks
+from .stokes import StokesSolver, VelocityBlocks, unpack_interior, velocity_blocks
 
 EIG_TOL = 1e-8
-
-
-@dataclass
-class StokesMode:
-    mu: float
-    field: VelocityField
-    pressure: ScalarField
-    residual: float
-
-
-@dataclass
-class PlateMode:
-    kappa: float
-    shape: np.ndarray
-
-
-@dataclass
-class LiftedMode:
-    """A plate eigenmode together with its solenoidal extension into the cavity."""
-
-    plate: PlateMode
-    field: VelocityField
-    pressure: ScalarField
 
 
 def _streamfunction_basis(g: Grid) -> sp.csr_matrix:
@@ -98,24 +74,17 @@ def _streamfunction_basis(g: Grid) -> sp.csr_matrix:
     return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n_u + n_w, n_s)))
 
 
-def _unpack_velocity(x: np.ndarray, g: Grid) -> VelocityField:
-    n_u = (g.n_x - 1) * g.n_z
-    v = VelocityField(g)
-    v.u[1:-1, :] = x[:n_u].reshape(g.n_x - 1, g.n_z)
-    v.w[:, 1:-1] = x[n_u:].reshape(g.n_x, g.n_z - 1)
-    return v
-
-
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
     k = int(np.argmax(np.abs(vec)))
     return -vec if vec[k] < 0 else vec
 
 
-def solve_stokes_eigenmodes(g: Grid, m: int, blocks: VelocityBlocks | None = None) -> list[StokesMode]:
+def solve_stokes_eigenmodes(g: Grid, m: int, blocks: VelocityBlocks | None = None):
     """The m slowest-decaying eigenmodes of the no-slip cavity Stokes operator.
 
-    Returns modes with unit fluid L2 norm, pairwise orthogonal, with pressures
-    recovered by least squares and a verified operator residual.
+    Returns (mu, psi, residual): the eigenvalues, the modes as a stack with
+    unit fluid L2 norm and pairwise orthogonal, and each mode's relative
+    operator residual, with its pressure recovered by least squares.
     """
     if blocks is None:
         blocks = velocity_blocks(g)
@@ -137,30 +106,21 @@ def solve_stokes_eigenmodes(g: Grid, m: int, blocks: VelocityBlocks | None = Non
     N = sp.bmat([[sp.csr_matrix(Gr.T @ Gr), e], [e.T, None]], format="csc")
     lu = spla.splu(N)
 
-    modes = []
-    for k in range(m):
-        x = _fix_sign(Z @ Y[:, k])
-        rho = mu[k] * vol * x - blocks.A @ x
-        rhs = np.concatenate([Gr.T @ rho, [0.0]])
-        p = lu.solve(rhs)[:-1]
-        p -= np.mean(p)
-        res = blocks.A @ x + Gr @ p - mu[k] * vol * x
-        rel = np.linalg.norm(res) / max(np.linalg.norm(blocks.A @ x), 1e-300)
-        modes.append(
-            StokesMode(
-                mu=float(mu[k]),
-                field=_unpack_velocity(x, g),
-                pressure=ScalarField(g, p.reshape(g.n_x, g.n_z)),
-                residual=float(rel),
-            )
-        )
-    return modes
+    # one column at a time: a batched Z @ Y[:, :m] rounds differently
+    X = np.array([_fix_sign(Z @ Y[:, k]) for k in range(m)])
+    mu = mu[:m].copy()
+    AX = blocks.A @ X.T
+    P = lu.solve(np.vstack([Gr.T @ (mu * vol * X.T - AX), np.zeros((1, m))]))[:-1]
+    res = AX + Gr @ (P - P.mean(axis=0)) - mu * vol * X.T
+    residual = np.linalg.norm(res, axis=0) / np.maximum(np.linalg.norm(AX, axis=0), 1e-300)
+    return mu, unpack_interior(X, g), residual
 
 
 def solve_plate_eigenmodes(g: Grid, n: int, ops: BeamOperators | None = None,
-                           zero_mean: bool = True) -> list[PlateMode]:
+                           zero_mean: bool = True):
     """Clamped plate bending eigenmodes, restricted to zero-mean deflections.
 
+    Returns (kappa, xi) with row k of xi the k-th shape at the plate points.
     The zero-mean restriction matches the configuration space of a plate
     closing an incompressible cavity.  Shapes are orthonormal in the plate L2
     product.
@@ -180,7 +140,7 @@ def solve_plate_eigenmodes(g: Grid, n: int, ops: BeamOperators | None = None,
     Kred = Z.T @ ops.K @ Z
     Mred = h * (Z.T @ Z)
     kappa, Y = la.eigh(0.5 * (Kred + Kred.T), 0.5 * (Mred + Mred.T))
-    return [PlateMode(kappa=float(kappa[k]), shape=_fix_sign(Z @ Y[:, k])) for k in range(n)]
+    return kappa[:n].copy(), np.array([_fix_sign(Z @ Y[:, k]) for k in range(n)])
 
 
 def mean_shape(g: Grid, ops: BeamOperators | None = None) -> np.ndarray:
@@ -211,33 +171,25 @@ def project_zero_mean(u: np.ndarray, g: Grid, w0: np.ndarray | None = None) -> n
 
 @dataclass
 class ModalBasis:
-    """The coupled trial space: flow eigenmodes plus lifted plate eigenmodes."""
+    """The coupled trial space: m flow eigenmodes psi and n plate eigenmodes xi
+    with their liftings N0 xi, each family stacked along axis 0."""
 
     grid: Grid
-    flow: list[StokesMode]
-    plate: list[PlateMode]
-    lifted: list[LiftedMode]
+    mu: np.ndarray          # (m,) Stokes eigenvalues
+    psi: VelocityField      # stack of the m flow modes
+    psi_res: np.ndarray     # (m,) relative operator residuals of the flow modes
+    kappa: np.ndarray       # (n,) bending eigenvalues
+    xi: np.ndarray          # (n, n_plate) plate mode shapes
+    lift: VelocityField     # stack of the n lifted modes N0 xi_k
     w0: np.ndarray = field(repr=False, default=None)
 
     @property
     def m(self):
-        return len(self.flow)
+        return len(self.mu)
 
     @property
     def n(self):
-        return len(self.plate)
-
-    @property
-    def mu(self):
-        return np.array([md.mu for md in self.flow])
-
-    @property
-    def kappa(self):
-        return np.array([md.kappa for md in self.plate])
-
-    def plate_shapes(self) -> np.ndarray:
-        """Row k is the k-th plate mode sampled at the plate points."""
-        return np.array([md.shape for md in self.plate])
+        return len(self.kappa)
 
 
 def build_modal_basis(g: Grid, m: int, n: int, cache_dir: str | None = None) -> ModalBasis:
@@ -248,14 +200,12 @@ def build_modal_basis(g: Grid, m: int, n: int, cache_dir: str | None = None) -> 
             return _load_basis(path, g)
 
     blocks = velocity_blocks(g)
-    flow = solve_stokes_eigenmodes(g, m, blocks)
-    plate = solve_plate_eigenmodes(g, n)
+    mu, psi, psi_res = solve_stokes_eigenmodes(g, m, blocks)
+    kappa, xi = solve_plate_eigenmodes(g, n)
     solver = StokesSolver(g, nu=1.0)
-    lifted = []
-    for md in plate:
-        sol = solver.lift(md.shape)
-        lifted.append(LiftedMode(plate=md, field=sol.v, pressure=sol.p))
-    basis = ModalBasis(grid=g, flow=flow, plate=plate, lifted=lifted, w0=mean_shape(g))
+    lift = VelocityField.stack(solver.lift(x).v for x in xi)
+    basis = ModalBasis(grid=g, mu=mu, psi=psi, psi_res=psi_res, kappa=kappa, xi=xi,
+                       lift=lift, w0=mean_shape(g))
 
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
@@ -264,40 +214,12 @@ def build_modal_basis(g: Grid, m: int, n: int, cache_dir: str | None = None) -> 
 
 
 def _save_basis(path: str, b: ModalBasis):
-    np.savez_compressed(
-        path,
-        mu=b.mu,
-        kappa=b.kappa,
-        psi_u=np.array([md.field.u for md in b.flow]),
-        psi_w=np.array([md.field.w for md in b.flow]),
-        psi_p=np.array([md.pressure.values for md in b.flow]),
-        psi_res=np.array([md.residual for md in b.flow]),
-        xi=b.plate_shapes(),
-        lift_u=np.array([md.field.u for md in b.lifted]),
-        lift_w=np.array([md.field.w for md in b.lifted]),
-        lift_p=np.array([md.pressure.values for md in b.lifted]),
-        w0=b.w0,
-    )
+    np.savez_compressed(path, mu=b.mu, psi_u=b.psi.u, psi_w=b.psi.w, psi_res=b.psi_res,
+                        kappa=b.kappa, xi=b.xi, lift_u=b.lift.u, lift_w=b.lift.w, w0=b.w0)
 
 
 def _load_basis(path: str, g: Grid) -> ModalBasis:
-    d = np.load(path)
-    flow = [
-        StokesMode(
-            mu=float(d["mu"][k]),
-            field=VelocityField(g, d["psi_u"][k], d["psi_w"][k]),
-            pressure=ScalarField(g, d["psi_p"][k]),
-            residual=float(d["psi_res"][k]),
-        )
-        for k in range(len(d["mu"]))
-    ]
-    plate = [PlateMode(kappa=float(d["kappa"][k]), shape=d["xi"][k]) for k in range(len(d["kappa"]))]
-    lifted = [
-        LiftedMode(
-            plate=plate[k],
-            field=VelocityField(g, d["lift_u"][k], d["lift_w"][k]),
-            pressure=ScalarField(g, d["lift_p"][k]),
-        )
-        for k in range(len(plate))
-    ]
-    return ModalBasis(grid=g, flow=flow, plate=plate, lifted=lifted, w0=d["w0"])
+    with np.load(path) as d:
+        return ModalBasis(grid=g, mu=d["mu"], psi=VelocityField(g, d["psi_u"], d["psi_w"]),
+                          psi_res=d["psi_res"], kappa=d["kappa"], xi=d["xi"],
+                          lift=VelocityField(g, d["lift_u"], d["lift_w"]), w0=d["w0"])

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .galerkin import GalerkinSystem
-from .mesh import inner_fluid, inner_plate
+from .mesh import VelocityField, inner_fluid
 from .modal import ModalBasis
 from .stokes import HarmonicLifter
 
@@ -69,15 +69,9 @@ def gamma_operator_checks(basis: ModalBasis, lifter: HarmonicLifter | None = Non
     g = basis.grid
     if lifter is None:
         lifter = HarmonicLifter(g)
-    n = basis.n
-    grads = [lifter.lift(basis.plate[i].shape)[1] for i in range(n)]
-    Gam = np.array(
-        [[inner_fluid(grads[i], basis.lifted[j].field, g) for j in range(n)] for i in range(n)]
-    )
-    plate_gram = np.array(
-        [[inner_plate(basis.plate[i].shape, basis.plate[j].shape, g) for j in range(n)]
-         for i in range(n)]
-    )
+    grads = VelocityField.stack(lifter.lift(x)[1] for x in basis.xi)
+    Gam = inner_fluid(grads, basis.lift, g)
+    plate_gram = g.h_x * basis.xi @ basis.xi.T
     sym_err = float(np.max(np.abs(Gam - Gam.T)))
     min_eig = float(np.min(la.eigvalsh(0.5 * (Gam + Gam.T))))
     gram_err = float(np.max(np.abs(Gam - plate_gram)))

@@ -52,15 +52,12 @@ def solve_stationary_stokes(gf: VelocityField, g: Grid, nu: float = 1.0,
 
 def stationary_flow_coefficients(sys: GalerkinSystem, gf: VelocityField) -> np.ndarray:
     """alpha*_k = (G0, psi_k) / (nu mu_k): the reduced stationary flow."""
-    g = sys.basis.grid
-    proj = np.array([inner_fluid(gf, md.field, g) for md in sys.basis.flow])
-    return proj / (sys.nu * sys.basis.mu)
+    return inner_fluid(gf, sys.basis.psi, sys.basis.grid) / (sys.nu * sys.basis.mu)
 
 
 def pstar_mode_coeffs(sys: GalerkinSystem, gf: VelocityField) -> np.ndarray:
     """(p*, xi_j) computed as (G0, N0 xi_j): the duality route."""
-    g = sys.basis.grid
-    return np.array([inner_fluid(gf, md.field, g) for md in sys.basis.lifted])
+    return inner_fluid(gf, sys.basis.lift, sys.basis.grid)
 
 
 def stationary_residual(sys: GalerkinSystem, beta: np.ndarray,

@@ -21,6 +21,13 @@ class StokesSolveError(RuntimeError):
     pass
 
 
+def _one_field(v: VelocityField) -> VelocityField:
+    """The right-hand sides index one field's grid axes: reject a stack."""
+    if v.u.ndim != 2:
+        raise GridError("expected one velocity field, got a stack")
+    return v
+
+
 @dataclass
 class StokesSolution:
     v: VelocityField
@@ -44,6 +51,17 @@ class VelocityBlocks:
     Gr: sp.csr_matrix
     n_u: int
     n_w: int
+
+
+def unpack_interior(X: np.ndarray, g: Grid) -> VelocityField:
+    """Packed interior-face vectors (one per row of X) to velocity fields whose
+    boundary faces are zero."""
+    n_u = (g.n_x - 1) * g.n_z
+    lead = X.shape[:-1]
+    v = VelocityField(g, np.zeros(lead + g.shape_u), np.zeros(lead + g.shape_w))
+    v.u[..., 1:-1, :] = X[..., :n_u].reshape(lead + (g.n_x - 1, g.n_z))
+    v.w[..., 1:-1] = X[..., n_u:].reshape(lead + (g.n_x, g.n_z - 1))
+    return v
 
 
 def velocity_blocks(grid: Grid) -> VelocityBlocks:
@@ -171,6 +189,7 @@ class StokesSolver:
     # -- right-hand sides -------------------------------------------------
     def _rhs_body_force(self, gf: VelocityField) -> np.ndarray:
         g = self.grid
+        gf = _one_field(gf)
         rhs = np.zeros(self.n_tot)
         vol = g.h_x * g.h_z
         rhs[: self.nu_int] = vol * gf.u[1:-1, :].ravel()
@@ -189,9 +208,7 @@ class StokesSolver:
 
     def _unpack(self, x: np.ndarray, w_top: np.ndarray | None = None) -> StokesSolution:
         g = self.grid
-        v = VelocityField(g)
-        v.u[1:-1, :] = x[: self.nu_int].reshape(g.n_x - 1, g.n_z)
-        v.w[:, 1:-1] = x[self.nu_int: self.nu_int + self.nw_int].reshape(g.n_x, g.n_z - 1)
+        v = unpack_interior(x[: self.nu_int + self.nw_int], g)
         if w_top is not None:
             v.w[:, -1] = w_top
         p = x[self.nu_int + self.nw_int: -1].reshape(g.n_x, g.n_z)
@@ -228,7 +245,7 @@ class StokesSolver:
     def pressure_trace(self, sol: StokesSolution, gf: VelocityField | None = None) -> np.ndarray:
         """Duality-consistent trace of the pressure on Omega for a no-slip solve."""
         g = self.grid
-        top = np.zeros(g.n_plate) if gf is None else gf.w[:, g.n_z]
+        top = np.zeros(g.n_plate) if gf is None else _one_field(gf).w[:, g.n_z]
         r = self.nu * sol.v.w[:, g.n_z - 1] / g.h_z + sol.p.values[:, g.n_z - 1] + 0.5 * g.h_z * top
         return r - np.mean(r)
 

@@ -22,7 +22,7 @@ from plateflow.plate2d import (
 
 @pytest.fixture(scope="module")
 def norms(basis, grid):
-    return SurrogateNorms(kappa=basis.kappa, shapes=basis.plate_shapes(),
+    return SurrogateNorms(kappa=basis.kappa, shapes=basis.xi,
                           weight=grid.h_x)
 
 

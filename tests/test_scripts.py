@@ -1,5 +1,7 @@
-"""Smoke test: the experiment scripts in scripts/ run to completion on small inputs."""
+"""The scripts in scripts/: the experiments run to completion on small inputs,
+and the artifact comparison passes identical outputs and fails perturbed ones."""
 
+import json
 import os
 import subprocess
 import sys
@@ -23,3 +25,40 @@ def _run(script, *args, cwd):
 def test_script_exits_cleanly(script, args, tmp_path):
     proc = _run(script, *args, cwd=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _write_artifacts(root, energy, rows):
+    (root / "run").mkdir(parents=True)
+    (root / "run" / "summary.json").write_text(
+        json.dumps({"energy": energy, "ok": True, "table": [1.0, 2.0]}))
+    (root / "run" / "trajectory.csv").write_text(
+        "t,E0\n" + "".join(f"{t},{e}\n" for t, e in rows))
+    # the mode cache is not an artifact: a difference there is ignored
+    (root / "run" / "modes_cache").mkdir()
+    (root / "run" / "modes_cache" / "x.json").write_text(json.dumps({"energy": energy * 2}))
+
+
+@pytest.mark.parametrize("energy, rows, code", [
+    (0.5, [(0.0, 0.5), (0.1, 0.25)], 0),                  # identical
+    (0.5 * (1 + 1e-9), [(0.0, 0.5), (0.1, 0.25)], 0),     # within 1e-6 relative
+    (0.5, [(0.0, 0.5), (0.1, 0.25 + 1e-13)], 0),          # within 1e-12 absolute
+    (0.5 * (1 + 1e-5), [(0.0, 0.5), (0.1, 0.25)], 1),     # JSON number off by 1e-5
+    (0.5, [(0.0, 0.5), (0.1, 0.2501)], 1),                # CSV number off
+    (0.5, [(0.0, 0.5)], 1),                               # CSV row missing
+])
+def test_compare_artifacts(tmp_path, energy, rows, code):
+    _write_artifacts(tmp_path / "a", 0.5, [(0.0, 0.5), (0.1, 0.25)])
+    _write_artifacts(tmp_path / "b", energy, rows)
+    proc = _run("compare_artifacts.py", str(tmp_path / "a"), str(tmp_path / "b"), cwd=tmp_path)
+    assert proc.returncode == code, proc.stdout + proc.stderr
+
+
+def test_compare_artifacts_rejects_key_and_file_mismatches(tmp_path):
+    _write_artifacts(tmp_path / "a", 0.5, [(0.0, 0.5)])
+    _write_artifacts(tmp_path / "b", 0.5, [(0.0, 0.5)])
+    (tmp_path / "b" / "run" / "summary.json").write_text(json.dumps({"energy": 0.5}))
+    proc = _run("compare_artifacts.py", str(tmp_path / "a"), str(tmp_path / "b"), cwd=tmp_path)
+    assert proc.returncode == 1 and "keys differ" in proc.stdout
+    (tmp_path / "b" / "run" / "summary.json").unlink()
+    proc = _run("compare_artifacts.py", str(tmp_path / "a"), str(tmp_path / "b"), cwd=tmp_path)
+    assert proc.returncode == 1 and "only in" in proc.stdout

@@ -3,6 +3,7 @@ import pytest
 
 from plateflow.galerkin import ForcingConfig, fluid_forcing_field
 from plateflow.mesh import (
+    GridError,
     VelocityField,
     inner_fluid,
     inner_plate,
@@ -34,6 +35,16 @@ def test_body_force_solution_is_solenoidal_no_slip(grid, solver):
     assert is_solenoidal(sol.v, grid)
     assert np.max(np.abs(sol.v.w[:, -1])) == 0.0      # no normal flow through Omega
     assert abs(float(np.sum(sol.p.values))) < 1e-9    # pressure gauge: zero mean
+
+
+def test_body_force_and_pressure_trace_reject_a_stack(grid, solver, basis):
+    # their right-hand sides index one field's grid axes
+    gf = fluid_forcing_field(ForcingConfig(fluid_kind="shear", fluid_amp=1.0), grid)
+    sol = solver.solve_body_force(gf)
+    with pytest.raises(GridError, match="stack"):
+        solver.solve_body_force(basis.psi)
+    with pytest.raises(GridError, match="stack"):
+        solver.pressure_trace(sol, basis.psi)
 
 
 def test_lift_matches_trace_and_rejects_nonzero_mean(grid, solver, rng):
