@@ -35,12 +35,7 @@ class Trajectory:
     E: np.ndarray
     Estar: np.ndarray
     dissipation_integral: np.ndarray
-    work_integral: np.ndarray
     balance_residual: np.ndarray
-    dt: float
-    stride: int
-    n_steps: int
-    scheme: str = "implicit midpoint"
 
 
 class Stepper:
@@ -124,7 +119,7 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
     diss_acc = 0.0
     work_acc = 0.0
     E00, E_0, Es0, _ = reports(y0, 0.0, 0.0, None)
-    rows = [(E00, E_0, Es0, 0.0, 0.0, 0.0)]
+    rows = [(E00, E_0, Es0, 0.0, 0.0)]
 
     y = y0.copy()
     for k in range(1, n_steps + 1):
@@ -135,7 +130,7 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
             E0, E, Estar, bal = reports(y, diss_acc, work_acc, E_0)
             samples.append(y.copy())
             ts.append(k * dt)
-            rows.append((E0, E, Estar, bal, diss_acc, work_acc))
+            rows.append((E0, E, Estar, bal, diss_acc))
 
     arr = np.array(rows)
     return Trajectory(
@@ -146,10 +141,6 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
         Estar=arr[:, 2],
         balance_residual=arr[:, 3],
         dissipation_integral=arr[:, 4],
-        work_integral=arr[:, 5],
-        dt=dt,
-        stride=stride,
-        n_steps=n_steps,
     )
 
 

@@ -13,10 +13,40 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class GridError(ValueError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# 1-D stencils (dense, they are small); every sparse grid operator is a
+# Kronecker sum of them
+# ---------------------------------------------------------------------------
+
+def offdiag(n: int, c: float) -> np.ndarray:
+    """n x n nearest-neighbour coupling: c on the first sub- and super-diagonal."""
+    return c * (np.eye(n, k=-1) + np.eye(n, k=1))
+
+
+def forward_diff(n: int, c: float) -> np.ndarray:
+    """(n-1) x n forward difference: row k is c (x_{k+1} - x_k)."""
+    return c * (np.eye(n - 1, n, k=1) - np.eye(n - 1, n))
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> sp.coo_matrix:
+    """Sparse Kronecker product of two 1-D stencils; zero entries are not stored.
+
+    Built from the nonzero entries directly: on a 16x16 grid the format
+    conversions inside scipy.sparse.kron cost more than the product itself.
+    """
+    ra, ca = np.nonzero(a)
+    rb, cb = np.nonzero(b)
+    return sp.coo_matrix((np.outer(a[ra, ca], b[rb, cb]).ravel(),
+                          (np.add.outer(ra * b.shape[0], rb).ravel(),
+                           np.add.outer(ca * b.shape[1], cb).ravel())),
+                         shape=(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
 
 
 @dataclass(frozen=True)

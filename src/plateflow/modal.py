@@ -19,14 +19,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import (
-    BeamOperators,
     Grid,
     GridError,
     VelocityField,
     beam_operators,
+    forward_diff,
+    kron,
     plate_mean,
 )
-from .stokes import StokesSolver, VelocityBlocks, unpack_interior, velocity_blocks
+from .stokes import StokesSolver, unpack_interior, velocity_blocks
 
 EIG_TOL = 1e-8
 
@@ -36,42 +37,13 @@ def _streamfunction_basis(g: Grid) -> sp.csr_matrix:
 
     u = ds/dz, w = -ds/dx with s = 0 on the whole boundary; every image field
     is discretely divergence free with zero normal trace, and the map is a
-    bijection onto that subspace.
+    bijection onto that subspace.  The differences are the transposed forward
+    differences of velocity_blocks' Gr, so Gr^T Z = 0 by the mixed-product
+    rule: both of its terms are +-(D_x^T kron D_z^T) with unit differences.
     """
-    n_u = (g.n_x - 1) * g.n_z
-    n_w = g.n_x * (g.n_z - 1)
-    n_s = (g.n_x - 1) * (g.n_z - 1)
-
-    def isv(i, j):
-        # interior vertices: i = 1..n_x-1, j = 1..n_z-1
-        return (i - 1) * (g.n_z - 1) + (j - 1)
-
-    rows, cols, vals = [], [], []
-    # u[i, j] = (s[i, j+1] - s[i, j]) / h_z, vertex rows j=0 and j=n_z are zero
-    for i in range(1, g.n_x):
-        for j in range(g.n_z):
-            r = (i - 1) * g.n_z + j
-            if j + 1 <= g.n_z - 1:
-                rows.append(r)
-                cols.append(isv(i, j + 1))
-                vals.append(1.0 / g.h_z)
-            if j >= 1:
-                rows.append(r)
-                cols.append(isv(i, j))
-                vals.append(-1.0 / g.h_z)
-    # w[i, j] = -(s[i+1, j] - s[i, j]) / h_x, vertex columns i=0 and i=n_x zero
-    for i in range(g.n_x):
-        for j in range(1, g.n_z):
-            r = n_u + i * (g.n_z - 1) + (j - 1)
-            if i + 1 <= g.n_x - 1:
-                rows.append(r)
-                cols.append(isv(i + 1, j))
-                vals.append(-1.0 / g.h_x)
-            if i >= 1:
-                rows.append(r)
-                cols.append(isv(i, j))
-                vals.append(1.0 / g.h_x)
-    return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n_u + n_w, n_s)))
+    dx = forward_diff(g.n_x, 1.0 / g.h_x).T
+    dz = -forward_diff(g.n_z, 1.0 / g.h_z).T
+    return sp.vstack([kron(np.eye(g.n_x - 1), dz), kron(dx, np.eye(g.n_z - 1))], format="csr")
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -79,20 +51,19 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[k] < 0 else vec
 
 
-def solve_stokes_eigenmodes(g: Grid, m: int, blocks: VelocityBlocks | None = None):
+def solve_stokes_eigenmodes(g: Grid, m: int):
     """The m slowest-decaying eigenmodes of the no-slip cavity Stokes operator.
 
     Returns (mu, psi, residual): the eigenvalues, the modes as a stack with
     unit fluid L2 norm and pairwise orthogonal, and each mode's relative
     operator residual, with its pressure recovered by least squares.
     """
-    if blocks is None:
-        blocks = velocity_blocks(g)
     n_s = (g.n_x - 1) * (g.n_z - 1)
     if not 1 <= m <= n_s:
         raise GridError(f"requested {m} flow modes but the solenoidal space has dimension {n_s}")
     vol = g.h_x * g.h_z
     Z = _streamfunction_basis(g)
+    blocks = velocity_blocks(g)
     Ared = (Z.T @ (blocks.A @ Z)).toarray()
     Mred = vol * (Z.T @ Z).toarray()
     Ared = 0.5 * (Ared + Ared.T)
@@ -116,8 +87,7 @@ def solve_stokes_eigenmodes(g: Grid, m: int, blocks: VelocityBlocks | None = Non
     return mu, unpack_interior(X, g), residual
 
 
-def solve_plate_eigenmodes(g: Grid, n: int, ops: BeamOperators | None = None,
-                           zero_mean: bool = True):
+def solve_plate_eigenmodes(g: Grid, n: int, zero_mean: bool = True):
     """Clamped plate bending eigenmodes, restricted to zero-mean deflections.
 
     Returns (kappa, xi) with row k of xi the k-th shape at the plate points.
@@ -125,8 +95,7 @@ def solve_plate_eigenmodes(g: Grid, n: int, ops: BeamOperators | None = None,
     closing an incompressible cavity.  Shapes are orthonormal in the plate L2
     product.
     """
-    if ops is None:
-        ops = beam_operators(g)
+    ops = beam_operators(g)
     h = g.h_x
     cons = [ops.C]
     if zero_mean:
@@ -143,15 +112,14 @@ def solve_plate_eigenmodes(g: Grid, n: int, ops: BeamOperators | None = None,
     return kappa[:n].copy(), np.array([_fix_sign(Z @ Y[:, k]) for k in range(n)])
 
 
-def mean_shape(g: Grid, ops: BeamOperators | None = None) -> np.ndarray:
+def mean_shape(g: Grid) -> np.ndarray:
     """The clamped deflection representing the mean functional in bending energy.
 
     w0 minimizes bending energy among clamped shapes with a unit-mean load; it
     is bending-orthogonal to every zero-mean clamped deflection, which makes
     the induced projection energy-stable.
     """
-    if ops is None:
-        ops = beam_operators(g)
+    ops = beam_operators(g)
     n = g.n_plate
     KKT = np.zeros((n + 2, n + 2))
     KKT[:n, :n] = ops.K
@@ -199,8 +167,7 @@ def build_modal_basis(g: Grid, m: int, n: int, cache_dir: str | None = None) -> 
         if os.path.exists(path):
             return _load_basis(path, g)
 
-    blocks = velocity_blocks(g)
-    mu, psi, psi_res = solve_stokes_eigenmodes(g, m, blocks)
+    mu, psi, psi_res = solve_stokes_eigenmodes(g, m)
     kappa, xi = solve_plate_eigenmodes(g, n)
     solver = StokesSolver(g, nu=1.0)
     lift = VelocityField.stack(solver.lift(x).v for x in xi)

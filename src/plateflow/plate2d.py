@@ -21,6 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .forces import ForceModel, ForceModelError
+from .mesh import kron, offdiag
 
 
 @dataclass(frozen=True)
@@ -110,42 +111,13 @@ def clamped_laplacian_map(g: PlateGrid2D) -> sp.csr_matrix:
     normal-equations operator h^2 L^T L is the discrete clamped biharmonic
     energy form.
     """
-    n = g.n_int
     h2 = g.h ** 2
-    rows, cols, vals = [], [], []
-
-    def col(i, j):
-        # interior node index, i,j in 1..n
-        return (i - 1) * n + (j - 1)
-
-    r = 0
-    for i in range(g.n + 1):
-        for j in range(g.n + 1):
-            for di, dj in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)):
-                ii, jj = i + di, j + dj
-                if (di, dj) == (0, 0):
-                    if 1 <= i <= n and 1 <= j <= n:
-                        rows.append(r)
-                        cols.append(col(i, j))
-                        vals.append(-4.0 / h2)
-                    continue
-                # reflect ghost neighbors of boundary rows back inside
-                if ii < 0:
-                    ii = -ii
-                if ii > g.n:
-                    ii = 2 * g.n - ii
-                if jj < 0:
-                    jj = -jj
-                if jj > g.n:
-                    jj = 2 * g.n - jj
-                if 1 <= ii <= n and 1 <= jj <= n:
-                    rows.append(r)
-                    cols.append(col(ii, jj))
-                    vals.append(1.0 / h2)
-            r += 1
-    return sp.csr_matrix(
-        sp.coo_matrix((vals, (rows, cols)), shape=((g.n + 1) ** 2, n * n))
-    )
+    # 1-D node stencil u_{k-1} + u_{k+1} over all n+1 nodes, applied to the
+    # interior values; the clamped ghosts mirror u_{-1} = u_1, u_{n+1} = u_{n-1}
+    T = offdiag(g.n + 1, 1.0 / h2)[:, 1:-1]
+    T[0, 0] = T[-1, -1] = 2.0 / h2
+    E = np.eye(g.n + 1, g.n_int, k=-1)   # the interior nodes among all n+1
+    return (kron(T, E) + kron(E, T) - (4.0 / h2) * kron(E, E)).tocsr()
 
 
 @dataclass

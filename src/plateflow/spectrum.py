@@ -59,7 +59,7 @@ def semigroup_consistency(sys: GalerkinSystem, T: float, dt: float,
     return dev
 
 
-def gamma_operator_checks(basis: ModalBasis, lifter: HarmonicLifter | None = None):
+def gamma_operator_checks(basis: ModalBasis):
     """Pairing matrix of harmonically lifted traces against the lifted modes.
 
     Builds Gamma_hat[i, j] = (grad q_i, phi_j)_O where q_i extends the trace
@@ -67,8 +67,7 @@ def gamma_operator_checks(basis: ModalBasis, lifter: HarmonicLifter | None = Non
     with the plate Gram matrix.
     """
     g = basis.grid
-    if lifter is None:
-        lifter = HarmonicLifter(g)
+    lifter = HarmonicLifter(g)
     grads = VelocityField.stack(lifter.lift(x)[1] for x in basis.xi)
     Gam = inner_fluid(grads, basis.lift, g)
     plate_gram = g.h_x * basis.xi @ basis.xi.T

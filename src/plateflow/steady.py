@@ -29,15 +29,13 @@ class Equilibrium:
     energy: float                   # value of the stationary functional Psi
 
 
-def solve_stationary_stokes(gf: VelocityField, g: Grid, nu: float = 1.0,
-                            solver: StokesSolver | None = None):
+def solve_stationary_stokes(gf: VelocityField, g: Grid, nu: float = 1.0):
     """Stationary flow for body force gf with no-slip walls.
 
     Returns (solution, p_star_trace); the trace is cross-validated against the
     adjoint lifting of gf, two routes to the same functional.
     """
-    if solver is None or solver.nu != nu:
-        solver = StokesSolver(g, nu=nu)
+    solver = StokesSolver(g, nu=nu)
     sol = solver.solve_body_force(gf)
     p_trace = solver.pressure_trace(sol, gf)
     ref = StokesSolver(g, nu=1.0).adjoint_trace_functional(gf) if nu != 1.0 else \

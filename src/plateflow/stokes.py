@@ -14,7 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Grid, GridError, ScalarField, VelocityField, plate_mean
+from .mesh import (Grid, GridError, ScalarField, VelocityField, forward_diff, kron, offdiag,
+                   plate_mean)
 
 
 class StokesSolveError(RuntimeError):
@@ -68,84 +69,28 @@ def velocity_blocks(grid: Grid) -> VelocityBlocks:
     g = grid
     hx, hz = g.h_x, g.h_z
     vol = hx * hz
-    n_u = (g.n_x - 1) * g.n_z
-    n_w = g.n_x * (g.n_z - 1)
-    n_p = g.n_x * g.n_z
 
-    def iu(i, j):
-        # i = 1..n_x-1, j = 0..n_z-1
-        return (i - 1) * g.n_z + j
+    def wall(n, h):
+        # second difference across the tangential walls: the half-cell ghost
+        # closes the end rows with 3/h^2
+        d = np.full(n, 2.0 / h ** 2)
+        d[[0, -1]] = 3.0 / h ** 2
+        return d
 
-    def iw(i, j):
-        # i = 0..n_x-1, j = 1..n_z-1
-        return n_u + i * (g.n_z - 1) + (j - 1)
+    def laplacian(nx, nz, diag):
+        # vol * (-Lap) on an nx x nz block of faces, row-major in (i, j)
+        return (kron(offdiag(nx, -vol / hx ** 2), np.eye(nz))
+                + kron(np.eye(nx), offdiag(nz, -vol / hz ** 2)) + sp.diags(vol * diag))
 
-    def ip(i, j):
-        return i * g.n_z + j
-
-    ar, ac, av = [], [], []
-    gr, gc, gv = [], [], []
-
-    def addA(r, c, v):
-        ar.append(r)
-        ac.append(c)
-        av.append(v)
-
-    def addG(r, c, v):
-        gr.append(r)
-        gc.append(c)
-        gv.append(v)
-
-    # u rows: tangential walls are top and bottom (half-cell ghost, diag 3/hz^2)
-    for i in range(1, g.n_x):
-        for j in range(g.n_z):
-            r = iu(i, j)
-            diag = 2.0 / hx ** 2
-            if i - 1 >= 1:
-                addA(r, iu(i - 1, j), -vol / hx ** 2)
-            if i + 1 <= g.n_x - 1:
-                addA(r, iu(i + 1, j), -vol / hx ** 2)
-            if 0 < j < g.n_z - 1:
-                diag += 2.0 / hz ** 2
-                addA(r, iu(i, j - 1), -vol / hz ** 2)
-                addA(r, iu(i, j + 1), -vol / hz ** 2)
-            elif j == 0:
-                diag += 3.0 / hz ** 2
-                addA(r, iu(i, j + 1), -vol / hz ** 2)
-            else:
-                diag += 3.0 / hz ** 2
-                addA(r, iu(i, j - 1), -vol / hz ** 2)
-            addA(r, r, vol * diag)
-            addG(r, ip(i, j), hz)
-            addG(r, ip(i - 1, j), -hz)
-
-    # w rows: tangential walls are left and right (half-cell ghost, diag 3/hx^2)
-    for i in range(g.n_x):
-        for j in range(1, g.n_z):
-            r = iw(i, j)
-            diag = 2.0 / hz ** 2
-            if j - 1 >= 1:
-                addA(r, iw(i, j - 1), -vol / hz ** 2)
-            if j + 1 <= g.n_z - 1:
-                addA(r, iw(i, j + 1), -vol / hz ** 2)
-            if 0 < i < g.n_x - 1:
-                diag += 2.0 / hx ** 2
-                addA(r, iw(i - 1, j), -vol / hx ** 2)
-                addA(r, iw(i + 1, j), -vol / hx ** 2)
-            elif i == 0:
-                diag += 3.0 / hx ** 2
-                addA(r, iw(i + 1, j), -vol / hx ** 2)
-            else:
-                diag += 3.0 / hx ** 2
-                addA(r, iw(i - 1, j), -vol / hx ** 2)
-            addA(r, r, vol * diag)
-            addG(r, ip(i, j), hx)
-            addG(r, ip(i, j - 1), -hx)
-
-    n_vel = n_u + n_w
-    A = sp.csr_matrix(sp.coo_matrix((av, (ar, ac)), shape=(n_vel, n_vel)))
-    Gr = sp.csr_matrix(sp.coo_matrix((gv, (gr, gc)), shape=(n_vel, n_p)))
-    return VelocityBlocks(grid=grid, A=A, Gr=Gr, n_u=n_u, n_w=n_w)
+    # u rows: tangential walls top and bottom; w rows: left and right
+    A = sp.block_diag([
+        laplacian(g.n_x - 1, g.n_z, np.tile(2.0 / hx ** 2 + wall(g.n_z, hz), g.n_x - 1)),
+        laplacian(g.n_x, g.n_z - 1, np.repeat(2.0 / hz ** 2 + wall(g.n_x, hx), g.n_z - 1)),
+    ], format="csr")
+    Gr = sp.vstack([kron(forward_diff(g.n_x, hz), np.eye(g.n_z)),
+                    kron(np.eye(g.n_x), forward_diff(g.n_z, hx))], format="csr")
+    return VelocityBlocks(grid=grid, A=A, Gr=Gr, n_u=(g.n_x - 1) * g.n_z,
+                          n_w=g.n_x * (g.n_z - 1))
 
 
 class StokesSolver:
@@ -179,13 +124,6 @@ class StokesSolver:
         )
         self._lu = spla.splu(K)
 
-    def _iw(self, i, j):
-        # i = 0..n_x-1, j = 1..n_z-1
-        return self.nu_int + i * (self.grid.n_z - 1) + (j - 1)
-
-    def _ip(self, i, j):
-        return self.nu_int + self.nw_int + i * self.grid.n_z + j
-
     # -- right-hand sides -------------------------------------------------
     def _rhs_body_force(self, gf: VelocityField) -> np.ndarray:
         g = self.grid
@@ -201,9 +139,10 @@ class StokesSolver:
         g = self.grid
         rhs = np.zeros(self.n_tot)
         vol = g.h_x * g.h_z
-        for i in range(g.n_x):
-            rhs[self._iw(i, g.n_z - 1)] += self.nu * vol * psi[i] / g.h_z ** 2
-            rhs[self._ip(i, g.n_z - 1)] += g.h_x * psi[i]
+        n_v = self.nu_int + self.nw_int
+        # the top w-face and the top pressure cell of every column
+        rhs[self.nu_int: n_v].reshape(g.n_x, g.n_z - 1)[:, -1] += self.nu * vol * psi / g.h_z ** 2
+        rhs[n_v: -1].reshape(g.n_x, g.n_z)[:, -1] += g.h_x * psi
         return rhs
 
     def _unpack(self, x: np.ndarray, w_top: np.ndarray | None = None) -> StokesSolution:
@@ -263,33 +202,17 @@ class HarmonicLifter:
         self.grid = grid
         g = grid
         hx2, hz2 = g.h_x ** 2, g.h_z ** 2
-        rows, cols, vals = [], [], []
-
-        def idx(i, j):
-            return i * g.n_z + j
-
-        for i in range(g.n_x):
-            for j in range(g.n_z):
-                r = idx(i, j)
-                diag = 0.0
-                for di, dj, h2 in ((-1, 0, hx2), (1, 0, hx2), (0, -1, hz2), (0, 1, hz2)):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < g.n_x and 0 <= jj < g.n_z:
-                        diag += 1.0 / h2
-                        rows.append(r)
-                        cols.append(idx(ii, jj))
-                        vals.append(-1.0 / h2)
-                    elif jj == g.n_z:
-                        # Dirichlet ghost across Omega: q_ghost = 2 r_i - q,
-                        # contributing (2 r_i - 2 q) / h2 beyond the interior pairs
-                        diag += 2.0 / h2
-                    # Neumann walls: ghost = mirror, zero contribution
-                rows.append(r)
-                cols.append(r)
-                vals.append(diag)
-        K = sp.csc_matrix(
-            sp.coo_matrix((vals, (rows, cols)), shape=(g.n_x * g.n_z,) * 2)
-        )
+        # Neumann walls (mirror ghost) drop the missing neighbour from an end
+        # row; the Dirichlet ghost across Omega adds 2/hz^2 to the top row
+        x_part = np.full(g.n_x, 2.0 / hx2)
+        x_part[[0, -1]] = 1.0 / hx2
+        below = np.full(g.n_z, 1.0 / hz2)
+        below[0] = 0.0
+        above = np.full(g.n_z, 1.0 / hz2)
+        above[-1] = 2.0 / hz2
+        diag = (x_part[:, None] + below) + above
+        K = (kron(offdiag(g.n_x, -1.0 / hx2), np.eye(g.n_z))
+             + kron(np.eye(g.n_x), offdiag(g.n_z, -1.0 / hz2)) + sp.diags(diag.ravel())).tocsc()
         self._lu = spla.splu(K)
 
     def lift(self, r: np.ndarray) -> tuple[ScalarField, VelocityField]:

@@ -4,6 +4,8 @@ import pytest
 from plateflow.dynamics import (
     IntegratorError,
     Stepper,
+    Trajectory,
+    attractor_regularity_probe,
     continuous_dependence_probe,
     energy_balance_residual,
     fit_decay_rate,
@@ -120,6 +122,29 @@ def test_quasi_stability_probe_basics(sys_free, berger):
     passed, M = quasi_stability_probe(sys_free, ya, yb, T=3.0, dt=1e-3,
                                       gamma_star=1.0, model=berger, M_cap=1e4)
     assert passed and 0.0 < M <= 1e4
+
+
+def test_attractor_regularity_probe_flags_growth(sys_free):
+    # synthetic trajectories y(t) = e^{rt} y_1 with a known answer: every sup
+    # norm of a growing tail rises from the first half to the second, a
+    # decaying tail's falls
+    t = np.linspace(0.0, 4.0, 201)
+    y1 = _random_unit_state(sys_free, seed=21)
+    zeros = np.zeros_like(t)
+
+    def probe(rate):
+        states = np.exp(rate * t)[:, None] * y1
+        return attractor_regularity_probe(Trajectory(t, states, zeros, zeros, zeros, zeros, zeros),
+                                          sys_free)
+
+    grow, decay = probe(1.0), probe(-1.0)
+    assert not grow["pass"]
+    assert decay["pass"]
+    for name in ("v_t", "u_t_bending", "u_tt"):
+        assert not grow[name]["non_growing"]
+        assert grow[name]["sup_second"] > 2.0 * grow[name]["sup_first"] > 0.0
+        assert decay[name]["non_growing"]
+        assert 0.0 < decay[name]["sup_second"] < decay[name]["sup_first"]
 
 
 def test_fixed_point_failure_is_reported(sys_free, grid):

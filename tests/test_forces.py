@@ -15,6 +15,7 @@ from plateflow.forces import (
 from plateflow.plate2d import (
     PlateGrid2D,
     VonKarmanForce,
+    clamped_laplacian_map,
     plate2d_eigenmodes,
     vk_bracket,
 )
@@ -120,6 +121,39 @@ def test_coercivity_sweep(grid, norms, rng):
 def test_plate2d_rejects_coarse():
     with pytest.raises(ForceModelError):
         PlateGrid2D(n=4)
+
+
+def test_clamped_laplacian_boundary_rows_mirror_the_ghost(g2, rng):
+    # the clamped ghost u_{-1} = u_1 leaves 2 u_adjacent / h^2 on a boundary
+    # node (corners see no interior neighbour)
+    n = g2.n
+    u = rng.standard_normal(g2.size)
+    Lu = (clamped_laplacian_map(g2) @ u).reshape(n + 1, n + 1)
+    full = np.zeros((n + 1, n + 1))
+    full[1:-1, 1:-1] = u.reshape(g2.n_int, g2.n_int)
+    want = np.zeros((n + 1, n + 1))
+    want[0, :] = 2 * full[1, :]
+    want[-1, :] = 2 * full[-2, :]
+    want[:, 0] = 2 * full[:, 1]
+    want[:, -1] = 2 * full[:, -2]
+    edge = np.ones((n + 1, n + 1), dtype=bool)
+    edge[1:-1, 1:-1] = False
+    assert np.max(np.abs(Lu[edge] - want[edge] / g2.h ** 2)) < 1e-12 * np.max(np.abs(Lu))
+
+
+def test_clamped_laplacian_interior_rows_converge_second_order():
+    # on u = sin^2(pi x) sin^2(pi y) the interior rows approach Lap u with
+    # error ratio 4 when h is halved
+    def error(n):
+        g = PlateGrid2D(n=n)
+        x, y = g.interior_coords()
+        sx, sy = np.sin(np.pi * x) ** 2, np.sin(np.pi * y) ** 2
+        cx, cy = 2 * np.pi ** 2 * np.cos(2 * np.pi * x), 2 * np.pi ** 2 * np.cos(2 * np.pi * y)
+        Lu = (clamped_laplacian_map(g) @ (sx * sy).ravel()).reshape(n + 1, n + 1)
+        return np.max(np.abs(Lu[1:-1, 1:-1] - (cx * sy + sx * cy)))
+
+    e16, e32 = error(16), error(32)
+    assert 3.5 < e16 / e32 < 4.5
 
 
 def test_bracket_polynomial_oracles(g2):

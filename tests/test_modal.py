@@ -6,6 +6,7 @@ from plateflow.mesh import (
     GridError,
     bending_inner,
     build_grid,
+    discrete_div,
     grad_inner,
     inner_fluid,
     inner_plate,
@@ -13,12 +14,26 @@ from plateflow.mesh import (
     plate_mean,
 )
 from plateflow.modal import (
+    _streamfunction_basis,
     build_modal_basis,
     mean_shape,
     project_zero_mean,
     solve_plate_eigenmodes,
     solve_stokes_eigenmodes,
 )
+from plateflow.stokes import unpack_interior
+
+
+def test_streamfunction_basis_spans_the_solenoidal_fields():
+    # every column is a divergence-free field whose walls and Omega row carry
+    # zero, and the columns are independent: (n_x-1)(n_z-1) of them
+    g = build_grid(GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
+    Z = _streamfunction_basis(g).toarray()
+    n_s = (g.n_x - 1) * (g.n_z - 1)
+    assert Z.shape[1] == n_s
+    v = unpack_interior(Z.T, g)
+    assert np.max(np.abs(discrete_div(v, g).values)) < 1e-12 / min(g.h_x, g.h_z) ** 2
+    assert np.linalg.matrix_rank(Z) == n_s
 
 
 def test_stokes_modes_orthonormal_with_small_residuals(grid, basis):

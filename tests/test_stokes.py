@@ -3,15 +3,25 @@ import pytest
 
 from plateflow.galerkin import ForcingConfig, fluid_forcing_field
 from plateflow.mesh import (
+    GeometryConfig,
     GridError,
     VelocityField,
+    build_grid,
+    discrete_div,
+    grad_inner,
     inner_fluid,
     inner_plate,
     is_solenoidal,
     plate_mean,
 )
-from plateflow.modal import project_zero_mean
-from plateflow.stokes import HarmonicLifter, StokesSolveError, StokesSolver
+from plateflow.modal import _streamfunction_basis, project_zero_mean
+from plateflow.stokes import (
+    HarmonicLifter,
+    StokesSolveError,
+    StokesSolver,
+    unpack_interior,
+    velocity_blocks,
+)
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +32,17 @@ def solver(grid):
 def _zero_mean_trace(g, rng):
     psi = rng.standard_normal(g.n_plate)
     return psi - plate_mean(psi, g) / g.L_x
+
+
+def test_gradient_block_is_minus_volume_divergence(rng):
+    # Gr^T x = -vol div(x) for packed interior-face vectors x (walls and the
+    # Omega row zero), on a grid with unequal spacings so h_x and h_z cannot trade
+    g = build_grid(GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
+    Gr = velocity_blocks(g).Gr
+    X = rng.standard_normal((5, Gr.shape[0]))
+    div = discrete_div(unpack_interior(X, g), g).values.reshape(5, -1)
+    want = -g.h_x * g.h_z * div
+    assert np.max(np.abs((Gr.T @ X.T).T - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_solver_rejects_bad_viscosity(grid):
@@ -54,6 +75,20 @@ def test_lift_matches_trace_and_rejects_nonzero_mean(grid, solver, rng):
     assert np.max(np.abs(sol.v.w[:, -1] - psi)) < 1e-11
     with pytest.raises(StokesSolveError, match="zero-mean"):
         solver.lift(np.ones(grid.n_plate))
+
+
+def test_lift_on_unequal_spacings(rng):
+    # the lift N0 psi is solenoidal, carries psi, and is orthogonal in the
+    # gradient form to every solenoidal field with zero trace (the Stokes
+    # energy is minimal); nu != 1 must cancel between the operator and the trace
+    g = build_grid(GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
+    psi = _zero_mean_trace(g, rng)
+    v = StokesSolver(g, nu=0.7).lift(psi).v
+    assert is_solenoidal(v, g)
+    assert np.array_equal(v.w[:, -1], psi)
+    Z = unpack_interior(_streamfunction_basis(g).toarray().T, g)
+    scale = np.sqrt(np.diag(grad_inner(Z, Z, g)) * grad_inner(v, v, g))
+    assert np.max(np.abs(grad_inner(Z, v, g)) / scale) < 1e-12
 
 
 def test_lift_is_linear(grid, solver, rng):
