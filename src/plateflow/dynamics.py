@@ -1,10 +1,12 @@
 """Time integration of the reduced dynamics and trajectory-level diagnostics.
 
-Implicit midpoint throughout: the linear part is solved directly with a
-pre-factored matrix, and only the nonlinear plate force is fixed-point
-iterated at the midpoint state.  Midpoint evaluation makes the quadratic
-energy bookkeeping exact for the linear terms, so the energy-balance residual
-isolates the quadrature error of the nonlinear potential (second order in dt).
+Implicit midpoint throughout: the linear part is inverted once into a
+propagator, and only the nonlinear plate force is fixed-point iterated at the
+midpoint state.  Midpoint evaluation makes the quadratic energy bookkeeping
+exact for the linear terms, so the energy-balance residual isolates the
+quadrature error of the nonlinear potential (second order in dt).  A state is
+one trajectory (N,) or B trajectories stepped as the columns of (N, B); each
+column runs its own fixed point, so a batch member is its solo run up to rounding.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class IntegratorError(RuntimeError):
 @dataclass
 class Trajectory:
     t: np.ndarray
-    states: np.ndarray                 # (samples, m+2n)
+    states: np.ndarray                 # (samples, m+2n); a batch adds a trailing B axis to all
     E0: np.ndarray
     E: np.ndarray
     Estar: np.ndarray
@@ -39,7 +41,9 @@ class Trajectory:
 
 
 class Stepper:
-    """One-step implicit midpoint map with pre-factored linear part."""
+    """One-step implicit midpoint map S1 y+ = S0 y + dt c - dt B fc(beta_mid),
+    S1 = I - dt A/2 and S0 = I + dt A/2, through the propagator P = S1^-1 S0,
+    p = dt S1^-1 c, PB = dt S1^-1 B: base = P y + p, each iterate y+ = base - PB fc."""
 
     def __init__(self, sys: GalerkinSystem, dt: float, model: ForceModel | None = None):
         if dt <= 0:
@@ -47,114 +51,127 @@ class Stepper:
         self.sys = sys
         self.dt = dt
         self.model = model
+        self._fc = sys.force_map(model)
         N = sys.A.shape[0]
-        self._S1 = la.lu_factor(np.eye(N) - 0.5 * dt * sys.A)
-        self._S0 = np.eye(N) + 0.5 * dt * sys.A
-        self._c = sys.c
-
-    def _nonlinear(self, y: np.ndarray) -> np.ndarray:
-        """Contribution of the plate force to ydot."""
-        sys = self.sys
-        if self.model is None:
-            return np.zeros(sys.A.shape[0])
-        fc = sys.force_coeffs(self.model, y[sys.m:sys.m + sys.n])
-        return -sys.B @ fc
+        S1 = la.lu_factor(np.eye(N) - 0.5 * dt * sys.A)
+        self._P = la.lu_solve(S1, np.eye(N) + 0.5 * dt * sys.A)
+        self._p = la.lu_solve(S1, dt * sys.c)[:, None]
+        self._PB = la.lu_solve(S1, dt * sys.B)
 
     def step(self, y: np.ndarray):
-        """Advance one step; returns (y_next, y_mid)."""
-        dt = self.dt
-        base = self._S0 @ y + dt * self._c
-        y_next = la.lu_solve(self._S1, base + dt * self._nonlinear(y))
+        """Advance one step; returns (y_next, y_mid), both shaped like y.  A
+        column converged to FP_TOL is frozen; a failure names its column."""
+        Y = y.reshape(len(y), -1)
+        base = y_next = self._P @ Y + self._p
         if self.model is not None:
-            converged = False
+            sys, PB = self.sys, self._PB
+            beta = slice(sys.m, sys.m + sys.n)
+            y_next = base - PB @ self._fc(Y[beta])
+            live = np.arange(Y.shape[1])
+            cols = slice(None)             # live as a slice while every column is
+            last = np.full(Y.shape[1], np.nan)
+            failure = "did not converge"
             for _ in range(FP_MAXIT):
-                rhs = base + dt * self._nonlinear(0.5 * (y + y_next))
-                if not np.all(np.isfinite(rhs)):
-                    raise IntegratorError(
-                        "force fixed point diverged (non-finite iterate); "
-                        "reduce the time step"
-                    )
-                y_new = la.lu_solve(self._S1, rhs)
-                delta = float(np.max(np.abs(y_new - y_next)))
-                y_next = y_new
-                if delta <= FP_TOL * (1.0 + float(np.max(np.abs(y_next)))):
-                    converged = True
+                y_old = y_next[:, cols]
+                mid = 0.5 * (Y[beta, cols] + y_old[beta])
+                y_new = base[:, cols] - PB @ self._fc(mid)
+                delta = np.abs(y_new - y_old).max(0)
+                finite = np.isfinite(delta)
+                if not finite.all():
+                    live, failure = live[~finite], "diverged (non-finite iterate)"
                     break
-            if not converged:
+                y_next[:, cols] = y_new
+                last[cols] = delta
+                going = delta > FP_TOL * (1.0 + np.abs(y_new).max(0))
+                if not going.any():
+                    failure = None
+                    break
+                if not going.all():
+                    live = cols = live[going]
+            if failure:
                 raise IntegratorError(
-                    f"force fixed point did not converge (last update {delta:.3e}); "
-                    "reduce the time step"
-                )
+                    f"force fixed point {failure} in member {live[0]} (last update "
+                    f"{last[live[0]]:.3e}); reduce the time step")
+        y_next = y_next.reshape(y.shape)
         return y_next, 0.5 * (y + y_next)
 
 
 def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
              model: ForceModel | None = None, stride: int = 10,
              alpha_star: np.ndarray | None = None,
-             pstar_coeffs: np.ndarray | None = None) -> Trajectory:
+             pstar_coeffs: np.ndarray | None = None,
+             keep_states: bool = True) -> Trajectory:
     """Integrate on [0, T], sampling every `stride` steps with energy reports.
 
-    alpha_star / pstar_coeffs shift the reported Estar to measure energy
-    relative to the stationary flow; both default to zero (Estar = E).
+    y0 of shape (N, B) runs B trajectories as one batch.  alpha_star /
+    pstar_coeffs shift the reported Estar to measure energy relative to the
+    stationary flow; both default to zero (Estar = E).  keep_states=False
+    keeps only the reports (states is None), for long ensembles sampled at
+    every step.
     """
     stepper = Stepper(sys, dt, model)
     n_steps = int(round(T / dt))
     m, n = sys.m, sys.n
+    y = np.array(y0, dtype=float).reshape(len(y0), -1)
     if alpha_star is None:
         alpha_star = np.zeros(m)
     if pstar_coeffs is None:
         pstar_coeffs = np.zeros(n)
-    y_star = sys.join(alpha_star, np.zeros(n), np.zeros(n))
+    y_star = sys.join(alpha_star, np.zeros(n), np.zeros(n))[:, None]
 
-    def reports(y, diss, work, ref0):
+    def energies(y):
+        beta = y[m:m + n]
         E0 = sys.energy_quadratic(y)
-        pot = sys.potential(model, y[m:m + n])
-        E = E0 + pot
-        Estar = sys.energy_quadratic(y - y_star) + pot - float(pstar_coeffs @ y[m:m + n])
-        bal = 0.0 if ref0 is None else (E + diss - ref0 - work) / (abs(ref0) + 1.0)
-        return E0, E, Estar, bal
+        pot = sys.potential(model, beta)
+        return E0, E0 + pot, sys.energy_quadratic(y - y_star) + pot - pstar_coeffs @ beta
 
-    samples = [y0.copy()]
-    ts = [0.0]
-    diss_acc = 0.0
-    work_acc = 0.0
-    E00, E_0, Es0, _ = reports(y0, 0.0, 0.0, None)
-    rows = [(E00, E_0, Es0, 0.0, 0.0)]
-
-    y = y0.copy()
+    n_samples = 1 + n_steps // stride + (n_steps % stride != 0)
+    t = np.zeros(n_samples)
+    rep = np.zeros((n_samples, 5, y.shape[1]))      # E0, E, Estar, balance, dissipation
+    states = np.zeros((n_samples,) + y.shape) if keep_states else None
+    rep[0, :3] = energies(y)
+    E_0 = rep[0, 1]
+    if keep_states:
+        states[0] = y
+    diss_acc = work_acc = 0.0
+    i = 0
     for k in range(1, n_steps + 1):
         y, y_mid = stepper.step(y)
-        diss_acc += dt * sys.dissipation_rate(y_mid)
-        work_acc += dt * sys.forcing_power(y_mid)
+        diss_acc = diss_acc + dt * sys.dissipation_rate(y_mid)
+        work_acc = work_acc + dt * sys.forcing_power(y_mid)
         if k % stride == 0 or k == n_steps:
-            E0, E, Estar, bal = reports(y, diss_acc, work_acc, E_0)
-            samples.append(y.copy())
-            ts.append(k * dt)
-            rows.append((E0, E, Estar, bal, diss_acc))
+            i += 1
+            E0, E, Estar = energies(y)
+            t[i] = k * dt
+            rep[i] = E0, E, Estar, (E + diss_acc - E_0 - work_acc) / (np.abs(E_0) + 1.0), diss_acc
+            if keep_states:
+                states[i] = y
 
-    arr = np.array(rows)
-    return Trajectory(
-        t=np.array(ts),
-        states=np.array(samples),
-        E0=arr[:, 0],
-        E=arr[:, 1],
-        Estar=arr[:, 2],
-        balance_residual=arr[:, 3],
-        dissipation_integral=arr[:, 4],
-    )
+    if np.ndim(y0) == 1:
+        rep = rep[..., 0]
+        states = None if states is None else states[..., 0]
+    return Trajectory(t=t, states=states, E0=rep[:, 0], E=rep[:, 1], Estar=rep[:, 2],
+                      balance_residual=rep[:, 3], dissipation_integral=rep[:, 4])
+
+
+def per_sample(fn, states: np.ndarray) -> np.ndarray:
+    """Column-wise fn of (N, k) arrays on every sample: (samples, N[, B]) -> (samples[, B])."""
+    K, N = states.shape[:2]
+    return fn(np.moveaxis(states, 1, 0).reshape(N, -1)).reshape((K,) + states.shape[2:])
 
 
 def energy_balance_residual(traj: Trajectory) -> float:
     return float(np.max(np.abs(traj.balance_residual)))
 
 
-def lyapunov_V(sys: GalerkinSystem, y: np.ndarray, eps: float) -> float:
-    """E0 perturbed by eps[(u, u_t) + (v, N0 u)], via the stored Gram blocks."""
+def lyapunov_V(sys: GalerkinSystem, y: np.ndarray, eps: float):
+    """E0 perturbed by eps[(u, u_t) + (v, N0 u)], from the Gram blocks; y is (N,) or (N, B)."""
     if eps < 0:
         raise IntegratorError("lyapunov weight must be nonnegative")
     alpha, beta, betadot = sys.split(y)
-    cross = float(beta @ betadot)
-    v_pair = float(alpha @ sys.G_vl @ beta) + float(betadot @ sys.G_ll @ beta)
+    cross = np.vecdot(beta, betadot, axis=0)
+    v_pair = (np.einsum("i...,ij,j...->...", alpha, sys.G_vl, beta)
+              + np.einsum("i...,ij,j...->...", betadot, sys.G_ll, beta))
     return sys.energy_quadratic(y) + eps * (cross + v_pair)
 
 
@@ -170,14 +187,12 @@ def lyapunov_eps_scan(sys: GalerkinSystem, n_states: int = 100, rng=None,
     if eps_list is None:
         eps_list = [2.0 ** (-k) for k in range(1, 11)]
     N = sys.m + 2 * sys.n
-    states = rng.standard_normal((n_states, N))
+    states = rng.standard_normal((n_states, N)).T
+    e0 = sys.energy_quadratic(states)
     table = []
     eps_star = None
     for eps in eps_list:
-        ratios = []
-        for y in states:
-            e0 = sys.energy_quadratic(y)
-            ratios.append(lyapunov_V(sys, y, eps) / e0)
+        ratios = lyapunov_V(sys, states, eps) / e0
         a0, a1 = float(np.min(ratios)), float(np.max(ratios))
         table.append((eps, a0, a1))
         if eps_star is None and a0 >= 0.5 and a1 <= 1.5:
@@ -213,8 +228,8 @@ def continuous_dependence_probe(sys: GalerkinSystem, y0: np.ndarray, delta: floa
                                 **sim_kw):
     """Perturbation response at sizes delta and delta/2.
 
-    Returns dict with sup-norm differences and their ratio (2 means exactly
-    first-order dependence).
+    Base, full and half runs are one batch.  Returns dict with sup-norm
+    differences and their ratio (2 means exactly first-order dependence).
     """
     if delta <= 0:
         raise IntegratorError("perturbation size must be positive")
@@ -222,17 +237,14 @@ def continuous_dependence_probe(sys: GalerkinSystem, y0: np.ndarray, delta: floa
         rng = np.random.default_rng(0)
     W = rng.standard_normal(y0.shape)
     W /= max(sys.state_norm(W), 1e-300)
-    base = simulate(sys, y0, T, dt, model, **sim_kw)
+    runs = np.column_stack([y0, y0 + delta * W, y0 + (0.5 * delta) * W])
+    states = simulate(sys, runs, T, dt, model, **sim_kw).states
 
-    def supdiff(d):
-        pert = simulate(sys, y0 + d * W, T, dt, model, **sim_kw)
-        return max(
-            sys.state_norm(pert.states[k] - base.states[k])
-            for k in range(len(base.t))
-        )
+    def supdiff(j):
+        return float(np.max(per_sample(sys.state_norm, states[..., j] - states[..., 0])))
 
-    d_full = supdiff(delta)
-    d_half = supdiff(0.5 * delta)
+    d_full = supdiff(1)
+    d_half = supdiff(2)
     return {
         "delta": delta,
         "sup_full": d_full,
@@ -247,27 +259,31 @@ def quasi_stability_probe(sys: GalerkinSystem, y0_a: np.ndarray, y0_b: np.ndarra
     """Smallest M with ||Z(t)||^2 <= M e^{-g*t}||Z0||^2 + M int e^{-g*(t-s)}||du||^2.
 
     Z is the difference of the two trajectories in the energy norm, du the
-    plate-deflection difference in the plate L2 norm.  Returns (passed, M).
+    plate-deflection difference in the plate L2 norm.  y0_a and y0_b are one
+    state each, (N,), or B pairs as columns, (N, B); both sides of all pairs
+    run as one batch.  Returns (passed, M), as scalars or (B,) arrays.
     """
-    ta = simulate(sys, y0_a, T, dt, model, **sim_kw)
-    tb = simulate(sys, y0_b, T, dt, model, **sim_kw)
+    B = y0_a.shape[1] if y0_a.ndim == 2 else 1
+    tr = simulate(sys, np.column_stack([y0_a, y0_b]), T, dt, model, **sim_kw)
     m, n = sys.m, sys.n
-    t = ta.t
-    Z2 = np.array([sys.state_norm(ta.states[k] - tb.states[k]) ** 2 for k in range(len(t))])
-    du2 = np.array([
-        float(np.sum((ta.states[k][m:m + n] - tb.states[k][m:m + n]) ** 2))
-        for k in range(len(t))
-    ])
-    if Z2[0] == 0.0 and np.max(Z2) == 0.0:
-        return True, 0.0
-    # integral term by trapezoid on the sample grid
-    conv = np.zeros_like(t)
+    t = tr.t
+    diff = tr.states[..., :B]                                 # (samples, N, B), in place
+    diff -= tr.states[..., B:]
+    Z2 = np.maximum(np.einsum("kib,ij,kjb->kb", diff, sys.H, diff), 0.0)    # 2 E0(diff)
+    du = diff[:, m:m + n]
+    du2 = np.einsum("kib,kib->kb", du, du)
+    # integral term by trapezoid on the sample grid, as a recursion in k
+    conv = np.zeros_like(du2)
     for k in range(1, len(t)):
-        w = np.exp(-gamma_star * (t[k] - t[: k + 1])) * du2[: k + 1]
-        conv[k] = np.trapezoid(w, t[: k + 1])
-    rhs_unit = np.exp(-gamma_star * t) * Z2[0] + conv
-    M = float(np.max(Z2 / np.maximum(rhs_unit, 1e-300)))
-    return bool(M <= M_cap), M
+        h = t[k] - t[k - 1]
+        e = np.exp(-gamma_star * h)
+        conv[k] = e * conv[k - 1] + 0.5 * h * (e * du2[k - 1] + du2[k])
+    rhs_unit = np.exp(-gamma_star * t)[:, None] * Z2[0] + conv
+    M = np.max(Z2 / np.maximum(rhs_unit, 1e-300), axis=0)
+    M[np.all((y0_a == y0_b).reshape(len(y0_a), -1), axis=0)] = 0.0    # an identical pair
+    if y0_a.ndim == 1:
+        return bool(M[0] <= M_cap), float(M[0])
+    return M <= M_cap, M
 
 
 def attractor_regularity_probe(traj: Trajectory, sys: GalerkinSystem):
@@ -284,15 +300,12 @@ def attractor_regularity_probe(traj: Trajectory, sys: GalerkinSystem):
     start = nsamp // 2
     m, n = sys.m, sys.n
     dts = traj.t[1] - traj.t[0]
-    vt, ut_bend, utt = [], [], []
-    for k in range(start, nsamp - 1):
-        dstate = (traj.states[k + 1] - traj.states[k - 1]) / (2 * dts)
-        w = dstate[sys.kin]
-        vt.append(float(np.sqrt(max(w @ sys.M @ w, 0.0))))
-        betadot = traj.states[k][m + n:]
-        ut_bend.append(float(np.sqrt(np.sum(sys.kappa * betadot ** 2))))
-        utt.append(float(np.linalg.norm(dstate[m + n:])))
-    vt, ut_bend, utt = map(np.array, (vt, ut_bend, utt))
+    states = traj.states[start - 1:]
+    dstate = (states[2:] - states[:-2]) / (2 * dts)       # at samples start .. nsamp-2
+    w = dstate[:, sys.kin]
+    vt = np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", w, sys.M, w), 0.0))
+    ut_bend = np.sqrt(np.sum(sys.kappa * states[1:-1, m + n:] ** 2, axis=1))
+    utt = np.linalg.norm(dstate[:, m + n:], axis=1)
     half = len(vt) // 2
 
     def halves(a):

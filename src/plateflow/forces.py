@@ -21,6 +21,11 @@ class ForceModelError(ValueError):
     pass
 
 
+def per_column(v: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """v of shape (k,) shaped to broadcast against like, (k,) or (k, B)."""
+    return v.reshape(v.shape + (1,) * (like.ndim - 1))
+
+
 class ForceModel:
     """Interface: force(u) and potential(u) on nodal plate values."""
 
@@ -58,7 +63,8 @@ class KirchhoffForce(ForceModel):
 
     F(u) = -d/dx(kappa(|u'|^q u' - mu |u'|^r u')) + f(u) - load, the gradient
     of Pi(u) = integral of kappa(|u'|^{q+2}/(q+2) - mu |u'|^{r+2}/(r+2))
-    + fhat(u) - load*u, with fhat an antiderivative of f.
+    + fhat(u) - load*u, with fhat an antiderivative of f.  force and
+    potential take u as (n_plate,) or as B columns (n_plate, B).
     """
 
     grid: Grid
@@ -87,7 +93,7 @@ class KirchhoffForce(ForceModel):
 
     def force(self, u):
         s = self.ops.D @ u
-        return self.ops.D.T @ self._flux(s) + self.f(u) - self.load
+        return self.ops.D.T @ self._flux(s) + self.f(u) - per_column(self.load, u)
 
     def potential(self, u):
         h = self.grid.h_x
@@ -96,7 +102,8 @@ class KirchhoffForce(ForceModel):
             np.abs(s) ** (self.q + 2) / (self.q + 2)
             - self.mu * np.abs(s) ** (self.r + 2) / (self.r + 2)
         )
-        return h * float(np.sum(grad_part)) + h * float(np.sum(self.f_antideriv(u) - self.load * u))
+        local = self.f_antideriv(u) - per_column(self.load, u) * u
+        return h * np.sum(grad_part, axis=0) + h * np.sum(local, axis=0)
 
     def local_term_lower_bound(self, lambda1: float, s_max: float = 1e3, samples: int = 2001):
         """Check liminf f(s)/s > -lambda1 by sampling; returns (worst ratio, ok)."""
@@ -109,7 +116,8 @@ class KirchhoffForce(ForceModel):
 
 @dataclass
 class BergerForce(ForceModel):
-    """Membrane-averaged stiffening: F(u) = (kappa*int|u'|^2 - gamma)(-u'') - load."""
+    """Membrane-averaged stiffening: F(u) = (kappa*int|u'|^2 - gamma)(-u'') - load;
+    force and potential take u as (n_plate,) or as B columns (n_plate, B)."""
 
     grid: Grid
     kappa: float = 1.0
@@ -126,18 +134,18 @@ class BergerForce(ForceModel):
         if self.ops is None:
             self.ops = beam_operators(self.grid)
 
-    def _Q(self, u):
-        s = self.ops.D @ u
-        return self.grid.h_x * float(np.dot(s, s))
+    def _Q(self, s):                   # h |s|^2 per column of the slopes s = D u
+        return self.grid.h_x * np.vecdot(s, s, axis=0)
 
     def force(self, u):
         s = self.ops.D @ u
-        return (self.kappa * self._Q(u) - self.gamma) * (self.ops.D.T @ s) - self.load
+        return (self.kappa * self._Q(s) - self.gamma) * (self.ops.D.T @ s) \
+            - per_column(self.load, u)
 
     def potential(self, u):
-        Q = self._Q(u)
+        Q = self._Q(self.ops.D @ u)
         h = self.grid.h_x
-        return 0.25 * self.kappa * Q ** 2 - 0.5 * self.gamma * Q - h * float(np.dot(self.load, u))
+        return 0.25 * self.kappa * Q ** 2 - 0.5 * self.gamma * Q - h * (self.load @ u)
 
 
 def verify_gradient(model: ForceModel, u: np.ndarray, g: Grid, h_fd: float = 1e-5,

@@ -7,7 +7,8 @@ carry the mass matrix M = Gram{psi, N0 xi} + plate identity.
 
 GalerkinSystem is the one place the reduced dynamics are derived:
 ydot = A y + c - B fc(beta), with fc the plate force projected on the plate
-modes, and E0 = 1/2 y^T H y the quadratic energy.
+modes, and E0 = 1/2 y^T H y the quadratic energy.  The energetics and the force
+map act on one state (N,) or column by column on B states (N, B).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .forces import ForceModel
+from .forces import BergerForce, ForceModel, per_column
 from .mesh import (
     DIV_TOL,
     Grid,
@@ -154,36 +155,52 @@ class GalerkinSystem:
         return np.concatenate([alpha, beta, betadot])
 
     # -- energetics -------------------------------------------------------
-    def energy_quadratic(self, y: np.ndarray) -> float:
+    def energy_quadratic(self, y: np.ndarray):
         """E0: kinetic energy of (v, u_t) plus linear bending energy."""
         w = y[self.kin]
         beta = y[self.m:self.m + self.n]
-        return 0.5 * float(w @ self.M @ w) + 0.5 * float(self.kappa @ beta ** 2)
+        return 0.5 * np.vecdot(w, self.M @ w, axis=0) + 0.5 * (self.kappa @ beta ** 2)
 
-    def state_norm(self, y: np.ndarray) -> float:
+    def state_norm(self, y: np.ndarray):
         """Energy norm of the coupled state: sqrt of twice the quadratic energy."""
-        return float(np.sqrt(max(2.0 * self.energy_quadratic(y), 0.0)))
+        return np.sqrt(np.maximum(2.0 * self.energy_quadratic(y), 0.0))
 
-    def dissipation_rate(self, y: np.ndarray) -> float:
+    def dissipation_rate(self, y: np.ndarray):
         w = y[self.kin]
-        return float(w @ self.D @ w)
+        return np.vecdot(w, self.D @ w, axis=0)
 
-    def forcing_power(self, y: np.ndarray) -> float:
+    def forcing_power(self, y: np.ndarray):
         w = y[self.kin]
-        return float(self.f_kin @ w) + float(self.f_plate @ y[self.m + self.n:])
+        return self.f_kin @ w + self.f_plate @ y[self.m + self.n:]
 
     # -- modal force map --------------------------------------------------
     def plate_deflection(self, beta: np.ndarray) -> np.ndarray:
         """u = sum_j beta_j xi_j."""
         return self.basis.xi.T @ beta
 
-    def force_coeffs(self, model: ForceModel | None, beta: np.ndarray) -> np.ndarray:
-        """fc_j = (F(u), xi_j)_Omega for the plate force model F (None: zero)."""
+    def force_map(self, model: ForceModel | None):
+        """beta -> fc, fc_j = (F(u), xi_j)_Omega, for the plate force model F (None: zero).
+        Berger exactly in n x n modal form, from the model's own D and h: with
+        K = (D xi^T)^T (D xi^T), Q = h beta^T K beta and fc = (kappa Q - gamma)
+        h_x K beta - hXi load."""
         if model is None:
-            return np.zeros(self.n)
-        return self.hXi @ model.force(self.plate_deflection(beta))
+            return np.zeros_like
+        if not isinstance(model, BergerForce):
+            return lambda beta: self.hXi @ model.force(self.plate_deflection(beta))
+        DX = model.ops.D @ self.basis.xi.T
+        K, load, h_x = DX.T @ DX, self.hXi @ model.load, self.basis.grid.h_x
 
-    def potential(self, model: ForceModel | None, beta: np.ndarray) -> float:
+        def berger(beta):
+            Kb = K @ beta
+            Q = model.grid.h_x * np.vecdot(beta, Kb, axis=0)
+            return (model.kappa * Q - model.gamma) * h_x * Kb - per_column(load, beta)
+        return berger
+
+    def force_coeffs(self, model: ForceModel | None, beta: np.ndarray) -> np.ndarray:
+        """One evaluation of force_map(model); a loop takes the map once."""
+        return self.force_map(model)(beta)
+
+    def potential(self, model: ForceModel | None, beta: np.ndarray):
         if model is None:
             return 0.0
         return model.potential(self.plate_deflection(beta))

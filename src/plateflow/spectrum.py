@@ -44,19 +44,11 @@ def contraction_norm(sys: GalerkinSystem, T: float) -> float:
 def semigroup_consistency(sys: GalerkinSystem, T: float, dt: float,
                           y0: np.ndarray) -> float:
     """Max deviation between the implicit-midpoint trajectory and expm."""
-    from .dynamics import Stepper
+    from .dynamics import simulate
 
-    stepper = Stepper(sys, dt)
-    n_steps = int(round(T / dt))
-    y = y0.copy()
-    dev = 0.0
-    check_every = max(n_steps // 20, 1)
-    for k in range(1, n_steps + 1):
-        y, _ = stepper.step(y)
-        if k % check_every == 0 or k == n_steps:
-            exact = la.expm((k * dt) * sys.A) @ y0
-            dev = max(dev, float(np.max(np.abs(y - exact))))
-    return dev
+    tr = simulate(sys, y0, T, dt, stride=max(int(round(T / dt)) // 20, 1))
+    return max(float(np.max(np.abs(y - la.expm(t * sys.A) @ y0)))
+               for t, y in zip(tr.t, tr.states))
 
 
 def gamma_operator_checks(basis: ModalBasis):

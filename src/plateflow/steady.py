@@ -82,9 +82,10 @@ def minimize_stationary(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
     """
     n = sys.n
     beta = np.zeros(n) if beta_init is None else np.array(beta_init, float)
+    fc = sys.force_map(model)
 
     def grad(b):
-        return sys.kappa * b + sys.force_coeffs(model, b) - pstar_coeffs - sys.f_plate
+        return sys.kappa * b + fc(b) - pstar_coeffs - sys.f_plate
 
     def value(b):
         return _psi_value(sys, b, pstar_coeffs, model)

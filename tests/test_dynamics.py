@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
+from plateflow import dynamics
 from plateflow.dynamics import (
     IntegratorError,
     Stepper,
@@ -14,7 +16,7 @@ from plateflow.dynamics import (
     quasi_stability_probe,
     simulate,
 )
-from plateflow.forces import BergerForce
+from plateflow.forces import BergerForce, KirchhoffForce
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +156,126 @@ def test_fixed_point_failure_is_reported(sys_free, grid):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegratorError, match="converge|diverge"):
             simulate(sys_free, y0, T=1.0, dt=0.5, model=wild)
+
+
+def _loaded_models(grid):
+    load = 0.4 * np.sin(2.0 * np.pi * grid.plate_x() / grid.L_x)
+    return {
+        "linear": None,
+        "berger": BergerForce(grid, kappa=5.0, gamma=30.0, load=load),
+        "kirchhoff": KirchhoffForce(grid, kappa=1.0, q=2.0, r=0.0, mu=0.5, load=load),
+    }
+
+
+@pytest.mark.parametrize("name", ["linear", "berger", "kirchhoff"])
+def test_batched_simulate_matches_solo_runs(sys_forced, grid, name):
+    # each column of one (N, B) run against its own (N,) run, states and
+    # every energy report, on a forced system with a loaded plate force
+    model = _loaded_models(grid)[name]
+    y0 = np.column_stack([_random_unit_state(sys_forced, seed=30 + j, scale=0.5 * (j + 1))
+                          for j in range(3)])
+    batch = simulate(sys_forced, y0, T=0.5, dt=1e-3, model=model, stride=10)
+    assert batch.states.shape == (51, y0.shape[0], 3) and batch.E.shape == (51, 3)
+    for j in range(3):
+        solo = simulate(sys_forced, y0[:, j], T=0.5, dt=1e-3, model=model, stride=10)
+        assert solo.states.shape == (51, y0.shape[0]) and solo.E.shape == (51,)
+        size = np.max(np.abs(solo.states))
+        assert np.max(np.abs(batch.states[..., j] - solo.states)) <= 1e-13 * size
+        for field in ("E0", "E", "Estar", "dissipation_integral"):
+            want = getattr(solo, field)
+            got = getattr(batch, field)[:, j]
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(batch.balance_residual[:, j] - solo.balance_residual)) < 1e-15
+
+
+def test_propagator_step_matches_lu_solve_midpoint(sys_forced, grid):
+    # one step of the propagator against the factored midpoint equation
+    # S1 y+ = S0 y + dt c - dt B fc(beta_mid), iterated with lu_solve
+    dt = 1e-3
+    model = _loaded_models(grid)["berger"]
+    N = sys_forced.A.shape[0]
+    m, n = sys_forced.m, sys_forced.n
+    S1 = la.lu_factor(np.eye(N) - 0.5 * dt * sys_forced.A)
+    S0 = np.eye(N) + 0.5 * dt * sys_forced.A
+    for stepper_model in (None, model):
+        y = _random_unit_state(sys_forced, seed=40, scale=0.8)
+        base = S0 @ y + dt * sys_forced.c
+        want = la.lu_solve(S1, base)
+        if stepper_model is not None:
+            for _ in range(50):
+                mid = 0.5 * (y + want)[m:m + n]
+                rhs = base - dt * sys_forced.B @ sys_forced.force_coeffs(stepper_model, mid)
+                want = la.lu_solve(S1, rhs)
+        got, _ = Stepper(sys_forced, dt, stepper_model).step(y)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_batched_step_failure_names_the_member(sys_free, grid, monkeypatch):
+    # column 1 converges slowly while column 3 diverges: the error names
+    # column 3 with its last finite update; when the iterations run out, it
+    # names the first column still iterating
+    stiff = BergerForce(grid, kappa=1e6)
+    small = _random_unit_state(sys_free, seed=50, scale=1e-6)
+    slow = _random_unit_state(sys_free, seed=51, scale=0.2)
+    big = _random_unit_state(sys_free, seed=52, scale=10.0)
+    stepper = Stepper(sys_free, 0.05, stiff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegratorError, match=r"diverged \(non-finite iterate\) in member 3 "
+                                                  r"\(last update \d\.\d{3}e[+-]\d+\)"):
+            stepper.step(np.column_stack([small, slow, small, big]))
+    stepper.step(np.column_stack([small, slow, small]))
+    monkeypatch.setattr("plateflow.dynamics.FP_MAXIT", 3)
+    with pytest.raises(IntegratorError, match=r"did not converge in member 1 \(last update"):
+        stepper.step(np.column_stack([small, slow, slow]))
+
+
+def _trapezoid_conv(t, du2, gamma_star):
+    # the O(K^2) form: integral of e^{-g(t_k - s)} du2(s) by trapezoid on [0, t_k]
+    conv = np.zeros_like(t)
+    for k in range(1, len(t)):
+        w = np.exp(-gamma_star * (t[k] - t[: k + 1])) * du2[: k + 1]
+        conv[k] = np.trapezoid(w, t[: k + 1])
+    return conv
+
+
+def test_quasi_stability_recursion_matches_trapezoid(sys_free, berger):
+    # T = 1.005 with stride 10 leaves a last sample interval of 5 steps; a
+    # large gamma_star makes the convolution, not the Z0 term, set M
+    T, dt, gamma_star = 1.005, 1e-3, 20.0
+    m, n = sys_free.m, sys_free.n
+    ya = np.column_stack([_random_unit_state(sys_free, seed=60),
+                          _random_unit_state(sys_free, seed=61)])
+    yb = np.column_stack([_random_unit_state(sys_free, seed=62), ya[:, 1]])
+    passed, M = quasi_stability_probe(sys_free, ya, yb, T=T, dt=dt, gamma_star=gamma_star,
+                                      model=berger, M_cap=1e4, stride=10)
+    tr = simulate(sys_free, np.column_stack([ya, yb]), T, dt, berger, stride=10)
+    t = tr.t
+    assert np.isclose(t[-1] - t[-2], 0.005) and np.isclose(t[1] - t[0], 0.01)
+    diff = tr.states[..., 0] - tr.states[..., 2]
+    Z2 = np.array([sys_free.state_norm(d) ** 2 for d in diff])
+    du2 = np.array([float(np.sum(d[m:m + n] ** 2)) for d in diff])
+    want = np.max(Z2 / (np.exp(-gamma_star * t) * Z2[0] + _trapezoid_conv(t, du2, gamma_star)))
+    assert want > 2.0
+    assert abs(M[0] - want) <= 1e-12 * want
+    # the identical pair keeps M = 0 on its own
+    assert M[1] == 0.0 and passed.tolist() == [True, True]
+
+
+def test_quasi_stability_identical_pair_has_zero_M(sys_free, berger, monkeypatch):
+    # M = 0 for an identical pair must not rest on the two batch columns
+    # rounding alike: perturb the second side's samples at rounding level
+    real = dynamics.simulate
+
+    def rounded_apart(*args, **kw):
+        tr = real(*args, **kw)
+        tr.states[..., 2:] *= 1.0 + 1e-15
+        return tr
+
+    monkeypatch.setattr(dynamics, "simulate", rounded_apart)
+    ya = np.column_stack([_random_unit_state(sys_free, seed=63), _random_unit_state(sys_free, seed=64)])
+    yb = np.column_stack([ya[:, 0], _random_unit_state(sys_free, seed=65)])
+    passed, M = quasi_stability_probe(sys_free, ya, yb, T=0.2, dt=1e-3, gamma_star=1.0,
+                                      model=berger, stride=10)
+    assert M[0] == 0.0 and M[1] > 0.0 and passed[0]
+    assert quasi_stability_probe(sys_free, ya[:, 0], ya[:, 0], T=0.2, dt=1e-3, gamma_star=1.0,
+                                 model=berger, stride=10) == (True, 0.0)

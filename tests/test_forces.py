@@ -198,3 +198,20 @@ def test_plate2d_eigenmodes_ordered_normalized(g2):
     assert np.all(np.diff(vals) >= -1e-9)
     for v in vecs:
         assert abs(g2.h ** 2 * float(v @ v) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["kirchhoff", "berger"])
+def test_force_model_acts_column_by_column(grid, rng, name):
+    # force and potential on (n_plate, B) equal the single-column calls
+    load = rng.standard_normal(grid.n_plate)
+    if name == "kirchhoff":
+        model = KirchhoffForce(grid, kappa=1.0, q=2.0, r=0.0, mu=0.5, load=load)
+    else:
+        model = BergerForce(grid, kappa=5.0, gamma=30.0, load=load)
+    U = 0.4 * rng.standard_normal((grid.n_plate, 3))
+    F, P = model.force(U), model.potential(U)
+    assert F.shape == U.shape and P.shape == (3,)
+    for j in range(3):
+        f, p = model.force(U[:, j]), model.potential(U[:, j])
+        assert np.max(np.abs(F[:, j] - f)) <= 1e-14 * np.max(np.abs(f))
+        assert abs(P[j] - p) <= 1e-14 * abs(p)

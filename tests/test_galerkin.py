@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plateflow.dynamics import lyapunov_V
 from plateflow.forces import BergerForce
 from plateflow.galerkin import (
     AssemblyError,
@@ -13,6 +16,7 @@ from plateflow.galerkin import (
     reconstruct,
 )
 from plateflow.mesh import (
+    beam_operators,
     bending_inner,
     inner_fluid,
     inner_plate,
@@ -160,3 +164,44 @@ def test_state_norm_matches_energy(sys_free, grid, rng):
     two_e0_fields = (inner_fluid(rec.v, rec.v, grid) + inner_plate(rec.u_t, rec.u_t, grid)
                      + bending_inner(rec.u, rec.u, grid))
     assert abs(two_e0_fields - two_e0) < 1e-12 * (1.0 + abs(two_e0))
+
+
+@pytest.mark.parametrize("own_ops", [False, True])
+def test_modal_berger_matches_nodal_force(sys_forced, grid, rng, own_ops):
+    # force_coeffs (modal for Berger) and potential against the nodal force
+    # projected by hXi, for one state and for a batch of columns; the modal
+    # form follows a model built with its own beam operators
+    load = rng.standard_normal(grid.n_plate)
+    ops = beam_operators(grid)
+    if own_ops:
+        ops = dataclasses.replace(ops, D=1.5 * ops.D)
+    model = BergerForce(grid, kappa=5.0, gamma=30.0, load=load, ops=ops)
+    n = sys_forced.n
+    betas = 0.7 * rng.standard_normal((n, 4))
+    for j in range(4):
+        beta = betas[:, j]
+        u = sys_forced.plate_deflection(beta)
+        want_fc = sys_forced.hXi @ model.force(u)
+        want_pot = model.potential(u)
+        fc = sys_forced.force_coeffs(model, beta)
+        pot = sys_forced.potential(model, beta)
+        assert fc.shape == (n,) and np.ndim(pot) == 0
+        assert np.max(np.abs(fc - want_fc)) <= 1e-14 * np.max(np.abs(want_fc))
+        assert abs(pot - want_pot) <= 1e-14 * abs(want_pot)
+        fc_cols = sys_forced.force_coeffs(model, betas)
+        pot_cols = sys_forced.potential(model, betas)
+        assert fc_cols.shape == (n, 4) and pot_cols.shape == (4,)
+        assert np.max(np.abs(fc_cols[:, j] - want_fc)) <= 1e-14 * np.max(np.abs(want_fc))
+        assert abs(pot_cols[j] - want_pot) <= 1e-14 * abs(want_pot)
+
+
+def test_energetics_act_column_by_column(sys_forced, rng):
+    N = sys_forced.m + 2 * sys_forced.n
+    Y = rng.standard_normal((N, 3))
+    fns = [getattr(sys_forced, name) for name in
+           ("energy_quadratic", "state_norm", "dissipation_rate", "forcing_power")]
+    for fn in fns + [lambda y: lyapunov_V(sys_forced, y, 0.25)]:
+        cols = fn(Y)
+        assert cols.shape == (3,)
+        for j in range(3):
+            assert abs(cols[j] - fn(Y[:, j])) <= 1e-14 * abs(fn(Y[:, j]))
