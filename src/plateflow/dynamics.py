@@ -137,8 +137,9 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
     i = 0
     for k in range(1, n_steps + 1):
         y, y_mid = stepper.step(y)
-        diss_acc = diss_acc + dt * sys.dissipation_rate(y_mid)
-        work_acc = work_acc + dt * sys.forcing_power(y_mid)
+        diss, work = sys.power_rates(y_mid)
+        diss_acc = diss_acc + dt * diss
+        work_acc = work_acc + dt * work
         if k % stride == 0 or k == n_steps:
             i += 1
             E0, E, Estar = energies(y)

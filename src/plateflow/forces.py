@@ -10,7 +10,6 @@ from the discrete derivative operators rather than from independent stencils.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -39,32 +38,13 @@ class ForceModel:
 
 
 @dataclass
-class NoForce(ForceModel):
-    name: str = "none"
-
-    def force(self, u):
-        return np.zeros_like(u)
-
-    def potential(self, u):
-        return 0.0
-
-
-def _cubic_default(s):
-    return s ** 3 - s
-
-
-def _cubic_default_antideriv(s):
-    return 0.25 * s ** 4 - 0.5 * s ** 2
-
-
-@dataclass
 class KirchhoffForce(ForceModel):
     """Quasilinear gradient term plus a local (Nemytskii) feedback.
 
-    F(u) = -d/dx(kappa(|u'|^q u' - mu |u'|^r u')) + f(u) - load, the gradient
-    of Pi(u) = integral of kappa(|u'|^{q+2}/(q+2) - mu |u'|^{r+2}/(r+2))
-    + fhat(u) - load*u, with fhat an antiderivative of f.  force and
-    potential take u as (n_plate,) or as B columns (n_plate, B).
+    F(u) = -d/dx(phi(u')) + u^3 - u - load, with the flux phi(s) = kappa(|s|^q s
+    - mu |s|^r s), the gradient of Pi(u) = integral of kappa(|u'|^{q+2}/(q+2)
+    - mu |u'|^{r+2}/(r+2)) + u^4/4 - u^2/2 - load*u.  force and potential take
+    u as (n_plate,) or as B columns (n_plate, B); jacobian takes (n_plate,).
     """
 
     grid: Grid
@@ -72,8 +52,6 @@ class KirchhoffForce(ForceModel):
     q: float = 2.0
     r: float = 0.0
     mu: float = 0.0
-    f: Callable = _cubic_default
-    f_antideriv: Callable = _cubic_default_antideriv
     load: np.ndarray = None
     ops: BeamOperators = field(repr=False, default=None)
     name: str = "kirchhoff"
@@ -93,7 +71,14 @@ class KirchhoffForce(ForceModel):
 
     def force(self, u):
         s = self.ops.D @ u
-        return self.ops.D.T @ self._flux(s) + self.f(u) - per_column(self.load, u)
+        return self.ops.D.T @ self._flux(s) + (u ** 3 - u) - per_column(self.load, u)
+
+    def jacobian(self, u):
+        """dF/du = D^T diag(phi'(D u)) D + diag(3u^2 - 1)."""
+        D = self.ops.D
+        a = np.abs(D @ u)
+        dflux = self.kappa * ((self.q + 1) * a ** self.q - self.mu * (self.r + 1) * a ** self.r)
+        return D.T @ (dflux[:, None] * D) + np.diag(3.0 * u ** 2 - 1.0)
 
     def potential(self, u):
         h = self.grid.h_x
@@ -102,14 +87,15 @@ class KirchhoffForce(ForceModel):
             np.abs(s) ** (self.q + 2) / (self.q + 2)
             - self.mu * np.abs(s) ** (self.r + 2) / (self.r + 2)
         )
-        local = self.f_antideriv(u) - per_column(self.load, u) * u
+        local = 0.25 * u ** 4 - 0.5 * u ** 2 - per_column(self.load, u) * u
         return h * np.sum(grad_part, axis=0) + h * np.sum(local, axis=0)
 
     def local_term_lower_bound(self, lambda1: float, s_max: float = 1e3, samples: int = 2001):
-        """Check liminf f(s)/s > -lambda1 by sampling; returns (worst ratio, ok)."""
+        """Check liminf f(s)/s > -lambda1 for the local term f(s) = s^3 - s by
+        sampling; returns (worst ratio, ok)."""
         s = np.linspace(-s_max, s_max, samples)
         s = s[np.abs(s) > 1.0]
-        ratios = self.f(s) / s
+        ratios = (s ** 3 - s) / s
         worst = float(np.min(ratios))
         return worst, worst > -lambda1
 

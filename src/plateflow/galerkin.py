@@ -165,18 +165,21 @@ class GalerkinSystem:
         """Energy norm of the coupled state: sqrt of twice the quadratic energy."""
         return np.sqrt(np.maximum(2.0 * self.energy_quadratic(y), 0.0))
 
-    def dissipation_rate(self, y: np.ndarray):
+    def power_rates(self, y: np.ndarray):
+        """(dissipation rate w^T D w, forcing power (f, w)) from one gather of w."""
         w = y[self.kin]
-        return np.vecdot(w, self.D @ w, axis=0)
-
-    def forcing_power(self, y: np.ndarray):
-        w = y[self.kin]
-        return self.f_kin @ w + self.f_plate @ y[self.m + self.n:]
+        diss = np.vecdot(w, self.D @ w, axis=0)
+        return diss, self.f_kin @ w + self.f_plate @ y[self.m + self.n:]
 
     # -- modal force map --------------------------------------------------
     def plate_deflection(self, beta: np.ndarray) -> np.ndarray:
         """u = sum_j beta_j xi_j."""
         return self.basis.xi.T @ beta
+
+    def _berger_gram(self, model: BergerForce):
+        """K = (D xi^T)^T (D xi^T), from the model's own D."""
+        DX = model.ops.D @ self.basis.xi.T
+        return DX.T @ DX
 
     def force_map(self, model: ForceModel | None):
         """beta -> fc, fc_j = (F(u), xi_j)_Omega, for the plate force model F (None: zero).
@@ -187,13 +190,30 @@ class GalerkinSystem:
             return np.zeros_like
         if not isinstance(model, BergerForce):
             return lambda beta: self.hXi @ model.force(self.plate_deflection(beta))
-        DX = model.ops.D @ self.basis.xi.T
-        K, load, h_x = DX.T @ DX, self.hXi @ model.load, self.basis.grid.h_x
+        K, load, h_x = self._berger_gram(model), self.hXi @ model.load, self.basis.grid.h_x
 
         def berger(beta):
             Kb = K @ beta
             Q = model.grid.h_x * np.vecdot(beta, Kb, axis=0)
             return (model.kappa * Q - model.gamma) * h_x * Kb - per_column(load, beta)
+        return berger
+
+    def force_jacobian(self, model: ForceModel | None):
+        """beta -> dfc/dbeta (n, n) at one beta, exact: for Berger
+        h_x [(kappa Q - gamma) K + 2 kappa h (K beta)(K beta)^T], otherwise
+        hXi F'(u) xi^T (None: zero)."""
+        if model is None:
+            return lambda beta: np.zeros((self.n, self.n))
+        if not isinstance(model, BergerForce):
+            xi = self.basis.xi
+            return lambda beta: self.hXi @ model.jacobian(xi.T @ beta) @ xi.T
+        K, h, h_x = self._berger_gram(model), model.grid.h_x, self.basis.grid.h_x
+
+        def berger(beta):
+            Kb = K @ beta
+            Q = h * (beta @ Kb)
+            return h_x * ((model.kappa * Q - model.gamma) * K
+                          + 2.0 * model.kappa * h * np.outer(Kb, Kb))
         return berger
 
     def force_coeffs(self, model: ForceModel | None, beta: np.ndarray) -> np.ndarray:

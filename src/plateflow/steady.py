@@ -5,8 +5,10 @@ coefficients, and long-run convergence of trajectories to equilibria."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 import numpy as np
+import scipy.linalg as la
 
 from .forces import ForceModel
 from .galerkin import GalerkinSystem
@@ -65,69 +67,47 @@ def stationary_residual(sys: GalerkinSystem, beta: np.ndarray,
     return float(np.linalg.norm(r))
 
 
-def _psi_value(sys: GalerkinSystem, beta, pstar_coeffs, model):
-    return 0.5 * float(sys.kappa @ beta ** 2) + sys.potential(model, beta) \
-        - float((pstar_coeffs + sys.f_plate) @ beta)
+def _psi_value(sys: GalerkinSystem, beta, load, model):
+    return 0.5 * float(sys.kappa @ beta ** 2) + sys.potential(model, beta) - float(load @ beta)
 
 
 def minimize_stationary(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
                         model: ForceModel | None = None,
                         beta_init: np.ndarray | None = None,
                         stat_tol: float = STAT_TOL, max_iter: int = 500) -> Equilibrium:
-    """Descend the stationary plate functional on zero-mean mode coefficients.
+    """Descend the stationary plate functional Psi on zero-mean mode coefficients.
 
-    Gradient descent with backtracking, then Newton polish with a
-    finite-difference Hessian.  The zero-mean restriction is built into the
-    basis, which fixes the additive pressure constant.
+    Each step is the Newton step on the exact Hessian diag(kappa) + dfc/dbeta
+    where that is positive definite, else the gradient preconditioned by
+    1/kappa; both backtrack to the Armijo condition on Psi, so the iteration
+    descends into minima, not saddles.  The Armijo test allows Psi a rounding
+    of 1e-13 |Psi|, below which it cannot rank steps, and the loop stops once
+    the gradient is 1e-13 of its terms.  The zero-mean restriction is built
+    into the basis, which fixes the additive pressure constant.
     """
-    n = sys.n
-    beta = np.zeros(n) if beta_init is None else np.array(beta_init, float)
-    fc = sys.force_map(model)
-
-    def grad(b):
-        return sys.kappa * b + fc(b) - pstar_coeffs - sys.f_plate
-
-    def value(b):
-        return _psi_value(sys, b, pstar_coeffs, model)
-
-    # scaled gradient descent (preconditioned by the bending stiffness)
-    P = 1.0 / sys.kappa
-    val = value(beta)
+    beta = np.zeros(sys.n) if beta_init is None else np.array(beta_init, float)
+    fc, jac = sys.force_map(model), sys.force_jacobian(model)
+    load = pstar_coeffs + sys.f_plate
+    norm = np.linalg.norm
+    val = _psi_value(sys, beta, load, model)
     for _ in range(max_iter):
-        gvec = grad(beta)
-        if np.linalg.norm(gvec) <= 0.1 * stat_tol:
+        g = sys.kappa * beta + fc(beta) - load
+        if norm(g) <= 1e-13 * (norm(load) + norm(sys.kappa * beta)):
             break
-        d = -P * gvec
-        step_len = 1.0
+        try:
+            d = -la.cho_solve(la.cho_factor(np.diag(sys.kappa) + jac(beta)), g)
+        except la.LinAlgError:
+            d = -g / sys.kappa
+        slope, step = 1e-4 * float(g @ d), 1.0
         for _ in range(40):
-            trial = beta + step_len * d
-            tval = value(trial)
-            if tval <= val + 1e-4 * step_len * float(gvec @ d):
+            trial = beta + step * d
+            tval = _psi_value(sys, trial, load, model)
+            if tval <= val + step * slope + 1e-13 * abs(val):
                 beta, val = trial, tval
                 break
-            step_len *= 0.5
+            step *= 0.5
         else:
             break
-
-    # Newton polish
-    for _ in range(30):
-        gvec = grad(beta)
-        if np.linalg.norm(gvec) <= 1e-13 * (1.0 + np.max(sys.kappa)):
-            break
-        eps = 1e-7
-        Hess = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = eps
-            Hess[:, j] = (grad(beta + e) - grad(beta - e)) / (2 * eps)
-        Hess = 0.5 * (Hess + Hess.T)
-        try:
-            delta = np.linalg.solve(Hess, -gvec)
-        except np.linalg.LinAlgError:
-            break
-        if np.linalg.norm(delta) > 10.0:
-            delta *= 10.0 / np.linalg.norm(delta)
-        beta = beta + delta
 
     res = stationary_residual(sys, beta, pstar_coeffs, model)
     if res > stat_tol:
@@ -139,14 +119,16 @@ def minimize_stationary(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
         beta_star=beta,
         pstar_coeffs=pstar_coeffs.copy(),
         residual=res,
-        energy=value(beta),
+        energy=val,
     )
 
 
 def find_equilibria(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
                     model: ForceModel | None = None, starts: int = 8,
                     scale: float = 0.5, seed: int = 0) -> list[Equilibrium]:
-    """Multi-start descent; returns distinct equilibria sorted by energy."""
+    """Multi-start descent; returns distinct equilibria sorted by energy.  Energies
+    equal to 1e-12 relative (the +-beta pair of a symmetric plate) tie and are
+    ordered by the first plate coefficient, larger first."""
     rng = np.random.default_rng(seed)
     found = []
     inits = [None] + [scale * rng.standard_normal(sys.n) for _ in range(starts - 1)]
@@ -157,7 +139,12 @@ def find_equilibria(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
             continue
         if not any(np.linalg.norm(eq.beta_star - e.beta_star) < 1e-6 for e in found):
             found.append(eq)
-    return sorted(found, key=lambda e: e.energy)
+
+    def order(a, b):
+        if abs(a.energy - b.energy) <= 1e-12 * max(abs(a.energy), abs(b.energy)):
+            return b.beta_star[0] - a.beta_star[0]
+        return a.energy - b.energy
+    return sorted(found, key=cmp_to_key(order))
 
 
 def equilibrium_state(sys: GalerkinSystem, gf: VelocityField, eq: Equilibrium) -> np.ndarray:
@@ -169,7 +156,9 @@ def converge_to_equilibrium(sys: GalerkinSystem, y0: np.ndarray, gf: VelocityFie
                             T: float, dt: float, model: ForceModel | None = None,
                             stride: int = 50):
     """Run the dynamics and measure the distance to an independently found
-    equilibrium (seeded from the trajectory tail).
+    equilibrium (seeded from the trajectory tail).  The trajectory's Estar is
+    shifted by the stationary flow and by p* plus the plate load, so it is the
+    Lyapunov functional of the forced problem.
 
     Returns (distances over time, matched Equilibrium, trajectory).
     """
@@ -178,7 +167,7 @@ def converge_to_equilibrium(sys: GalerkinSystem, y0: np.ndarray, gf: VelocityFie
     alpha_star = stationary_flow_coefficients(sys, gf)
     pstar = pstar_mode_coeffs(sys, gf)
     traj = simulate(sys, y0, T, dt, model, stride=stride,
-                    alpha_star=alpha_star, pstar_coeffs=pstar)
+                    alpha_star=alpha_star, pstar_coeffs=pstar + sys.f_plate)
     beta_tail = traj.states[-1][sys.m:sys.m + sys.n]
     eq = minimize_stationary(sys, pstar, model, beta_init=beta_tail)
     y_eq = sys.join(alpha_star, eq.beta_star, np.zeros(sys.n))

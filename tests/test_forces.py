@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from plateflow.forces import (
     BergerForce,
+    ForceModel,
     ForceModelError,
     KirchhoffForce,
-    NoForce,
     SurrogateNorms,
     verify_coercivity,
     verify_gradient,
@@ -30,13 +30,6 @@ def norms(basis, grid):
 @pytest.fixture(scope="module")
 def g2():
     return PlateGrid2D(n=24)
-
-
-def test_no_force_is_zero(grid, rng):
-    u = rng.standard_normal(grid.n_plate)
-    model = NoForce()
-    assert np.max(np.abs(model.force(u))) == 0.0
-    assert model.potential(u) == 0.0
 
 
 def test_parameter_validation(grid):
@@ -109,9 +102,13 @@ def test_coercivity_sweep(grid, norms, rng):
     good = KirchhoffForce(grid, kappa=1.0, q=2.0)
     _, ok = verify_coercivity(good, norms, grid, rng=np.random.default_rng(5))
     assert ok
-    # a strongly destabilizing local term blows the functional down
-    bad = KirchhoffForce(grid, kappa=0.0, q=2.0, f=lambda s: -1e6 * s ** 3,
-                         f_antideriv=lambda s: -2.5e5 * s ** 4)
+    # a strongly destabilizing local term, potential -2.5e5 u^4, blows the
+    # functional down
+    class Destabilizing(ForceModel):
+        def potential(self, u):
+            return grid.h_x * np.sum(-2.5e5 * u ** 4, axis=0)
+
+    bad = Destabilizing()
     _, ok = verify_coercivity(bad, norms, grid, rng=np.random.default_rng(5))
     assert not ok
 

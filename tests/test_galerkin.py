@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plateflow.dynamics import lyapunov_V
-from plateflow.forces import BergerForce
+from plateflow.forces import BergerForce, KirchhoffForce
 from plateflow.galerkin import (
     AssemblyError,
     ForcingConfig,
@@ -54,7 +54,7 @@ def test_energy_derivative_identity(sys_free, rng):
     w = np.concatenate([y[:m], y[m + n:]])
     wdot = np.concatenate([ydot[:m], ydot[m + n:]])
     dE = float(w @ sys_free.M @ wdot) + float(sys_free.kappa @ (y[m:m + n] * y[m + n:]))
-    assert abs(dE + sys_free.dissipation_rate(y)) < 1e-9 * (1.0 + abs(dE))
+    assert abs(dE + sys_free.power_rates(y)[0]) < 1e-9 * (1.0 + abs(dE))
 
 
 def test_rhs_matches_linear_parts(sys_forced, grid, rng):
@@ -198,10 +198,45 @@ def test_modal_berger_matches_nodal_force(sys_forced, grid, rng, own_ops):
 def test_energetics_act_column_by_column(sys_forced, rng):
     N = sys_forced.m + 2 * sys_forced.n
     Y = rng.standard_normal((N, 3))
-    fns = [getattr(sys_forced, name) for name in
-           ("energy_quadratic", "state_norm", "dissipation_rate", "forcing_power")]
-    for fn in fns + [lambda y: lyapunov_V(sys_forced, y, 0.25)]:
+    fns = [sys_forced.energy_quadratic, sys_forced.state_norm,
+           lambda y: sys_forced.power_rates(y)[0], lambda y: sys_forced.power_rates(y)[1],
+           lambda y: lyapunov_V(sys_forced, y, 0.25)]
+    for fn in fns:
         cols = fn(Y)
         assert cols.shape == (3,)
         for j in range(3):
             assert abs(cols[j] - fn(Y[:, j])) <= 1e-14 * abs(fn(Y[:, j]))
+
+
+def test_none_model_gives_zero_force(sys_forced, rng):
+    # model=None is the absent plate force: zero force, Jacobian and potential
+    n = sys_forced.n
+    beta = rng.standard_normal(n)
+    assert np.array_equal(sys_forced.force_map(None)(beta), np.zeros(n))
+    assert np.array_equal(sys_forced.force_jacobian(None)(beta), np.zeros((n, n)))
+    assert sys_forced.potential(None, beta) == 0.0
+
+
+@pytest.mark.parametrize("case", ["berger", "berger_own_ops", "kirchhoff_r0", "kirchhoff_r1",
+                                  "kirchhoff_local"])
+def test_force_jacobian_matches_central_differences(sys_forced, grid, rng, case):
+    # the exact dfc/dbeta against central differences of force_map, column by
+    # column; the Jacobian of a gradient is symmetric.  kirchhoff_local has
+    # kappa = 0, so its local term u^3 - u is not swamped by the flux term
+    load = rng.standard_normal(grid.n_plate)
+    if case.startswith("berger"):
+        ops = beam_operators(grid)
+        if case == "berger_own_ops":
+            ops = dataclasses.replace(ops, D=1.5 * ops.D)
+        model = BergerForce(grid, kappa=5.0, gamma=30.0, load=load, ops=ops)
+    else:
+        q, r = (2.5, 1.0) if case == "kirchhoff_r1" else (2.0, 0.0)
+        kappa = 0.0 if case == "kirchhoff_local" else 1.0
+        model = KirchhoffForce(grid, kappa=kappa, q=q, r=r, mu=0.5, load=load)
+    fc, jac = sys_forced.force_map(model), sys_forced.force_jacobian(model)
+    n, h = sys_forced.n, 1e-6
+    beta = 0.7 * rng.standard_normal(n)
+    J = jac(beta)
+    fd = np.column_stack([(fc(beta + h * e) - fc(beta - h * e)) / (2 * h) for e in np.eye(n)])
+    assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
+    assert np.max(np.abs(J - J.T)) <= 1e-12 * np.max(np.abs(J))

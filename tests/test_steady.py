@@ -86,6 +86,9 @@ def test_trajectory_attracted_to_equilibrium(sys_forced, grid, berger):
     y0 /= sys_forced.state_norm(y0)
     dist, eq, traj = converge_to_equilibrium(sys_forced, y0, gf_local,
                                              T=10.0, dt=1e-3, model=berger)
+    # under the plate load Estar is the Lyapunov functional, so non-increasing
+    assert np.max(np.abs(sys_forced.f_plate)) > 0
+    assert np.all(np.diff(traj.Estar) <= 1e-10 * (1.0 + abs(traj.Estar[0])))
     assert dist[-1] < 1e-4
     assert dist[-1] < dist[0]
     y_eq = equilibrium_state(sys_forced, gf_local, eq)
@@ -99,3 +102,39 @@ def test_minimize_reports_stagnation(sys_free, gf, berger):
     pstar = pstar_mode_coeffs(sys_free, gf)
     with pytest.raises(StationaryError):
         minimize_stationary(sys_free, pstar, berger, max_iter=0, stat_tol=1e-300)
+
+
+def test_minimize_stationary_reaches_rounding_residual(sys_forced, gf, berger):
+    # the Newton steps on the exact Hessian drive the forced Berger residual
+    # to rounding, far below the STAT_TOL acceptance bound
+    pstar = pstar_mode_coeffs(sys_forced, gf)
+    eq = minimize_stationary(sys_forced, pstar, berger)
+    assert eq.residual <= 1e-12 * np.linalg.norm(pstar + sys_forced.f_plate)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_find_equilibria_orders_energy_ties(sys_free, grid, seed):
+    # the buckled plate (gamma about twice critical) has the flat state and a
+    # +-beta pair of minima whose energies agree to rounding: the pair comes
+    # first, ordered by the first plate coefficient, larger first
+    buckled = BergerForce(grid, kappa=5.0, gamma=165.6)
+    eqs = find_equilibria(sys_free, np.zeros(sys_free.n), buckled, seed=seed)
+    assert len(eqs) == 3
+    a, b, flat = eqs
+    assert abs(a.energy - b.energy) <= 1e-12 * abs(a.energy)
+    assert a.beta_star[0] > 0 > b.beta_star[0]
+    assert np.max(np.abs(a.beta_star + b.beta_star)) <= 1e-8 * np.max(np.abs(a.beta_star))
+    assert flat.energy == 0.0 and np.all(flat.beta_star == 0.0)
+
+
+def test_minimize_stationary_converges_from_every_start_on_buckled_plate(sys_free, grid):
+    # Psi is about -389 at the buckled minima, so near them the Armijo test
+    # cannot rank the last Newton steps without its rounding allowance; every
+    # seeded start still reaches a residual at rounding
+    buckled = BergerForce(grid, kappa=5.0, gamma=165.6)
+    rng = np.random.default_rng(0)
+    for _ in range(7):
+        eq = minimize_stationary(sys_free, np.zeros(sys_free.n), buckled,
+                                 beta_init=0.5 * rng.standard_normal(sys_free.n))
+        assert eq.energy < 0
+        assert eq.residual <= 1e-12 * np.linalg.norm(sys_free.kappa * eq.beta_star)
