@@ -1,9 +1,12 @@
 """Modal bases: Stokes eigenmodes of the cavity and clamped plate eigenmodes.
 
 The Stokes eigenproblem is solved exactly on the discretely solenoidal
-subspace by parametrizing velocities with an interior-vertex streamfunction;
-the resulting dense symmetric pencil has dimension (n_x-1)(n_z-1).  Plate
-modes come from the clamped bending pencil restricted to zero-mean
+subspace by parametrizing velocities with an interior-vertex streamfunction.
+One sparse factorization of the streamfunction operator K = Z^T A Z serves the
+basis build: shift-invert Lanczos computes only the slowest modes, and the
+plate-to-fluid lifts are solves in the same streamfunction space.  Equal
+eigenvalues (the square cavity has exact pairs) are put in a canonical gauge.
+Plate modes come from the clamped bending pencil restricted to zero-mean
 deflections, which is the configuration space compatible with the
 incompressible cavity.
 """
@@ -27,9 +30,14 @@ from .mesh import (
     kron,
     plate_mean,
 )
-from .stokes import StokesSolver, unpack_interior, velocity_blocks
+from .stokes import unpack_interior, velocity_blocks
 
 EIG_TOL = 1e-8
+# two eigenvalues, or two entry magnitudes of a flow mode, closer than this
+# relative gap count as equal in the gauge of the flow modes
+TIE_TOL = 1e-8
+# stored in every mode-cache file; a file of any other version is rebuilt
+CACHE_VERSION = 2
 
 
 def _streamfunction_basis(g: Grid) -> sp.csr_matrix:
@@ -46,54 +54,95 @@ def _streamfunction_basis(g: Grid) -> sp.csr_matrix:
     return sp.vstack([kron(np.eye(g.n_x - 1), dz), kron(dx, np.eye(g.n_z - 1))], format="csr")
 
 
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(vec)))
+def _fix_sign(vec: np.ndarray, tie: float) -> np.ndarray:
+    """Make the first entry within the relative gap tie of the largest magnitude
+    positive; mirror entries of a symmetric mode tie up to rounding."""
+    a = np.abs(vec)
+    k = int(np.argmax(a >= (1.0 - tie) * a.max()))
     return -vec if vec[k] < 0 else vec
+
+
+def _vertex_weight(g: Grid) -> np.ndarray:
+    """x + sqrt(2) z + 0.1 x z on the interior vertices (the streamfunction dofs,
+    row-major in (i, j)): no symmetry of the cavity leaves it unchanged."""
+    x = np.arange(1, g.n_x) * g.h_x
+    z = np.arange(1, g.n_z) * g.h_z - g.L_z
+    return (x[:, None] + np.sqrt(2.0) * z + 0.1 * np.outer(x, z)).ravel()
+
+
+def _gauge(mu: np.ndarray, Y: np.ndarray, M, weight: np.ndarray) -> np.ndarray:
+    """Canonical M-orthonormal eigenvectors for ascending eigenvalues mu.
+
+    Each cluster (relative gaps <= TIE_TOL) is rotated to the eigenbasis of
+    the diagonal weight restricted to it, which depends only on the cluster's
+    span, not on the basis an eigensolver returned for it.
+    """
+    Y = Y.copy()
+    for c in np.split(np.arange(len(mu)), np.flatnonzero(np.diff(mu) > TIE_TOL * mu[1:]) + 1):
+        Yc = Y[:, c]
+        Y[:, c] = Yc @ la.eigh(Yc.T @ (weight[:, None] * Yc), Yc.T @ (M @ Yc))[1]
+    return Y
 
 
 def solve_stokes_eigenmodes(g: Grid, m: int):
     """The m slowest-decaying eigenmodes of the no-slip cavity Stokes operator.
 
-    Returns (mu, psi, residual): the eigenvalues, the modes as a stack with
-    unit fluid L2 norm and pairwise orthogonal, and each mode's relative
-    operator residual, with its pressure recovered by least squares.
+    One sparse LU factor of K = Z^T A Z serves shift-invert Lanczos on the
+    pencil (K, vol Z^T Z), which computes m + 4 eigenpairs so that a cluster at
+    the cut is whole for the gauge, and the lifts.  Returns (mu, psi, residual,
+    lift): the eigenvalues, the modes as a stack with unit fluid L2 norm and
+    pairwise orthogonal, each mode's relative operator residual after the
+    least-squares pressure, and lift(xi), the stack of Stokes lifts N0 xi_k of
+    the zero-mean plate functions in the rows of xi.
     """
     n_s = (g.n_x - 1) * (g.n_z - 1)
-    if not 1 <= m <= n_s:
-        raise GridError(f"requested {m} flow modes but the solenoidal space has dimension {n_s}")
+    if not 1 <= m <= n_s - 1:
+        raise GridError(f"requested {m} flow modes but the eigensolver computes 1 to {n_s - 1} "
+                        f"(the solenoidal space has dimension {n_s})")
     vol = g.h_x * g.h_z
     Z = _streamfunction_basis(g)
     blocks = velocity_blocks(g)
-    Ared = (Z.T @ (blocks.A @ Z)).toarray()
-    Mred = vol * (Z.T @ Z).toarray()
-    Ared = 0.5 * (Ared + Ared.T)
-    Mred = 0.5 * (Mred + Mred.T)
-    mu, Y = la.eigh(Ared, Mred)
+    K = (Z.T @ (blocks.A @ Z)).tocsc()
+    M = (vol * (Z.T @ Z)).tocsc()
+    # K and M are symmetric: a minimum-degree ordering of K + K^T fills in less than COLAMD
+    lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A")
+    mu, Y = spla.eigsh(K, k=min(m + 4, n_s - 1), M=M, sigma=0, tol=0, v0=np.ones(n_s),
+                       OPinv=spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float))
+    Y = _gauge(mu, Y, M, _vertex_weight(g))[:, :m]
+    mu = mu[:m]
+    X = np.array([_fix_sign(x, TIE_TOL) for x in (Z @ Y).T])
 
-    # least-squares pressure: Gr^T Gr p = Gr^T rho, with the mean pinned
-    Gr = blocks.Gr
-    n_p = Gr.shape[1]
-    e = vol * np.ones((n_p, 1))
-    N = sp.bmat([[sp.csr_matrix(Gr.T @ Gr), e], [e.T, None]], format="csc")
-    lu = spla.splu(N)
-
-    # one column at a time: a batched Z @ Y[:, :m] rounds differently
-    X = np.array([_fix_sign(Z @ Y[:, k]) for k in range(m)])
-    mu = mu[:m].copy()
+    # the part of A x - mu vol x orthogonal to the pressure gradients is its
+    # projection Z (Z^T Z)^-1 Z^T onto the solenoidal fields, Z^T Z = M / vol
     AX = blocks.A @ X.T
-    P = lu.solve(np.vstack([Gr.T @ (mu * vol * X.T - AX), np.zeros((1, m))]))[:-1]
-    res = AX + Gr @ (P - P.mean(axis=0)) - mu * vol * X.T
-    residual = np.linalg.norm(res, axis=0) / np.maximum(np.linalg.norm(AX, axis=0), 1e-300)
-    return mu, unpack_interior(X, g), residual
+    R = Z @ spla.splu(M, permc_spec="MMD_AT_PLUS_A").solve(Z.T @ (AX - mu * vol * X.T))
+    residual = vol * np.linalg.norm(R, axis=0) / np.maximum(np.linalg.norm(AX, axis=0), 1e-300)
+
+    def lift(xi: np.ndarray) -> VelocityField:
+        # E - Z K^-1 Z^T (A E - b): E extends each trace by the streamfunction
+        # s_i = -sum_{k<=i} h_x xi_k on the top vertices (so only its top u-row is
+        # nonzero); b is the trace's coupling into the top interior w-row
+        E = np.zeros((blocks.n_u + blocks.n_w, len(xi)))
+        b = np.zeros_like(E)
+        E[:blocks.n_u].reshape(g.n_x - 1, g.n_z, -1)[:, -1] = \
+            -g.h_x * np.cumsum(xi, axis=1)[:, :-1].T / g.h_z
+        b[blocks.n_u:].reshape(g.n_x, g.n_z - 1, -1)[:, -1] = vol * xi.T / g.h_z ** 2
+        v = unpack_interior((E - Z @ lu.solve(Z.T @ (blocks.A @ E - b))).T, g)
+        v.w[..., -1] = xi
+        return v
+
+    return mu, unpack_interior(X, g), residual, lift
 
 
 def solve_plate_eigenmodes(g: Grid, n: int, zero_mean: bool = True):
     """Clamped plate bending eigenmodes, restricted to zero-mean deflections.
 
-    Returns (kappa, xi) with row k of xi the k-th shape at the plate points.
-    The zero-mean restriction matches the configuration space of a plate
-    closing an incompressible cavity.  Shapes are orthonormal in the plate L2
-    product.
+    Returns (kappa, xi, residual) with row k of xi the k-th shape at the plate
+    points and residual[k] the relative residual of the constrained eigenproblem:
+    the raw bending operator applied to the mode, projected back onto the
+    admissible subspace.  The zero-mean restriction matches the configuration
+    space of a plate closing an incompressible cavity.  Shapes are orthonormal
+    in the plate L2 product.
     """
     ops = beam_operators(g)
     h = g.h_x
@@ -109,7 +158,10 @@ def solve_plate_eigenmodes(g: Grid, n: int, zero_mean: bool = True):
     Kred = Z.T @ ops.K @ Z
     Mred = h * (Z.T @ Z)
     kappa, Y = la.eigh(0.5 * (Kred + Kred.T), 0.5 * (Mred + Mred.T))
-    return kappa[:n].copy(), np.array([_fix_sign(Z @ Y[:, k]) for k in range(n)])
+    # tie 0 keeps the argmax signs in which the battery's force-contract values were recorded
+    kappa, xi = kappa[:n].copy(), np.array([_fix_sign(Z @ Y[:, k], 0.0) for k in range(n)])
+    R = ops.K @ xi.T / h - kappa * xi.T
+    return kappa, xi, np.linalg.norm(Z @ (Z.T @ R), axis=0) / kappa
 
 
 def mean_shape(g: Grid) -> np.ndarray:
@@ -148,6 +200,7 @@ class ModalBasis:
     psi_res: np.ndarray     # (m,) relative operator residuals of the flow modes
     kappa: np.ndarray       # (n,) bending eigenvalues
     xi: np.ndarray          # (n, n_plate) plate mode shapes
+    xi_res: np.ndarray      # (n,) relative residuals of the plate modes
     lift: VelocityField     # stack of the n lifted modes N0 xi_k
     w0: np.ndarray = field(repr=False, default=None)
 
@@ -161,18 +214,21 @@ class ModalBasis:
 
 
 def build_modal_basis(g: Grid, m: int, n: int, cache_dir: str | None = None) -> ModalBasis:
-    """Assemble (or load from cache) the m flow and n plate modes with liftings."""
+    """Assemble (or load from cache) the m flow and n plate modes with liftings.
+
+    A cache file of another format version, or whose arrays do not fit the grid
+    and mode counts, is rebuilt and overwritten.
+    """
     if cache_dir is not None:
         path = os.path.join(cache_dir, f"modes_{g.grid_key()}_m{m}_n{n}.npz")
-        if os.path.exists(path):
-            return _load_basis(path, g)
+        basis = _load_basis(path, g, m, n) if os.path.exists(path) else None
+        if basis is not None:
+            return basis
 
-    mu, psi, psi_res = solve_stokes_eigenmodes(g, m)
-    kappa, xi = solve_plate_eigenmodes(g, n)
-    solver = StokesSolver(g, nu=1.0)
-    lift = VelocityField.stack(solver.lift(x).v for x in xi)
+    mu, psi, psi_res, lift = solve_stokes_eigenmodes(g, m)
+    kappa, xi, xi_res = solve_plate_eigenmodes(g, n)
     basis = ModalBasis(grid=g, mu=mu, psi=psi, psi_res=psi_res, kappa=kappa, xi=xi,
-                       lift=lift, w0=mean_shape(g))
+                       xi_res=xi_res, lift=lift(xi), w0=mean_shape(g))
 
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
@@ -181,12 +237,22 @@ def build_modal_basis(g: Grid, m: int, n: int, cache_dir: str | None = None) -> 
 
 
 def _save_basis(path: str, b: ModalBasis):
-    np.savez_compressed(path, mu=b.mu, psi_u=b.psi.u, psi_w=b.psi.w, psi_res=b.psi_res,
-                        kappa=b.kappa, xi=b.xi, lift_u=b.lift.u, lift_w=b.lift.w, w0=b.w0)
+    np.savez_compressed(path, version=CACHE_VERSION, mu=b.mu, psi_u=b.psi.u, psi_w=b.psi.w,
+                        psi_res=b.psi_res, kappa=b.kappa, xi=b.xi, xi_res=b.xi_res,
+                        lift_u=b.lift.u, lift_w=b.lift.w, w0=b.w0)
 
 
-def _load_basis(path: str, g: Grid) -> ModalBasis:
-    with np.load(path) as d:
-        return ModalBasis(grid=g, mu=d["mu"], psi=VelocityField(g, d["psi_u"], d["psi_w"]),
-                          psi_res=d["psi_res"], kappa=d["kappa"], xi=d["xi"],
-                          lift=VelocityField(g, d["lift_u"], d["lift_w"]), w0=d["w0"])
+def _load_basis(path: str, g: Grid, m: int, n: int) -> ModalBasis | None:
+    """The cached basis, or None if the file is not of CACHE_VERSION or an
+    array is missing or has the wrong shape."""
+    shapes = {"mu": (m,), "psi_u": (m,) + g.shape_u, "psi_w": (m,) + g.shape_w, "psi_res": (m,),
+              "kappa": (n,), "xi": (n, g.n_plate), "xi_res": (n,), "lift_u": (n,) + g.shape_u,
+              "lift_w": (n,) + g.shape_w, "w0": (g.n_plate,)}
+    with np.load(path) as f:
+        if "version" not in f.files or f["version"] != CACHE_VERSION \
+                or any(k not in f.files or f[k].shape != s for k, s in shapes.items()):
+            return None
+        d = {k: f[k] for k in shapes}
+    return ModalBasis(grid=g, mu=d["mu"], psi=VelocityField(g, d["psi_u"], d["psi_w"]),
+                      psi_res=d["psi_res"], kappa=d["kappa"], xi=d["xi"], xi_res=d["xi_res"],
+                      lift=VelocityField(g, d["lift_u"], d["lift_w"]), w0=d["w0"])

@@ -24,9 +24,7 @@ class StationaryError(RuntimeError):
 
 @dataclass
 class Equilibrium:
-    alpha_star: np.ndarray          # flow-mode coefficients of the stationary velocity
     beta_star: np.ndarray           # plate-mode coefficients of the stationary deflection
-    pstar_coeffs: np.ndarray        # (p*, xi_j) pairings driving the plate problem
     residual: float
     energy: float                   # value of the stationary functional Psi
 
@@ -114,13 +112,7 @@ def minimize_stationary(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
         raise StationaryError(
             f"stationary descent stagnated: residual {res:.3e} above {stat_tol:.1e}"
         )
-    return Equilibrium(
-        alpha_star=np.zeros(sys.m),
-        beta_star=beta,
-        pstar_coeffs=pstar_coeffs.copy(),
-        residual=res,
-        energy=val,
-    )
+    return Equilibrium(beta_star=beta, residual=res, energy=val)
 
 
 def find_equilibria(sys: GalerkinSystem, pstar_coeffs: np.ndarray,

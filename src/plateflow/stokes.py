@@ -1,9 +1,12 @@
 """Sparse saddle-point machinery for the cavity Stokes problem.
 
-One assembled symmetric factorization serves every solve in the model: the
-plate-to-fluid lifting (prescribed normal trace on Omega), its adjoint (the
-pressure-trace functional), the stationary flow driven by a body force, and
-the harmonic extension of pressure traces.
+StokesSolver factors the whole saddle-point system once per solver and
+serves the stationary problem: the flow driven by a body force, its pressure
+trace on Omega, and the adjoint of the lifting (the pressure-trace
+functional) as the second route to that trace.  Its lift (prescribed normal
+trace on Omega) is the independent reference for the lifts of the mode basis,
+which modal.solve_stokes_eigenmodes solves in the streamfunction space.
+HarmonicLifter extends pressure traces to discrete harmonic fields.
 """
 
 from __future__ import annotations

@@ -149,7 +149,7 @@ def _clamped_beam_eig_oracle(k_index=1):
 
 def test_clamped_beam_first_eigenvalue_converges():
     g = build_grid(GeometryConfig(n_x=64, n_z=4))
-    kappa, _ = solve_plate_eigenmodes(g, 2, zero_mean=False)
+    kappa = solve_plate_eigenmodes(g, 2, zero_mean=False)[0]
     exact = _clamped_beam_eig_oracle(1)
     assert abs(kappa[0] - exact) / exact < 1e-2
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from plateflow.mesh import (
     GeometryConfig,
@@ -14,14 +15,42 @@ from plateflow.mesh import (
     plate_mean,
 )
 from plateflow.modal import (
+    CACHE_VERSION,
+    TIE_TOL,
+    _fix_sign,
+    _gauge,
     _streamfunction_basis,
+    _vertex_weight,
     build_modal_basis,
     mean_shape,
     project_zero_mean,
     solve_plate_eigenmodes,
     solve_stokes_eigenmodes,
 )
-from plateflow.stokes import unpack_interior
+from plateflow.stokes import StokesSolver, unpack_interior, velocity_blocks
+
+GRIDS = {"16x16": GeometryConfig(n_x=16, n_z=16),
+         "12x9": GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7)}
+
+
+def _dense_oracle(g):
+    """The whole streamfunction pencil (K, M) solved densely: eigenvalues,
+    M-orthonormal eigenvectors, Z and M."""
+    Z = _streamfunction_basis(g)
+    K = (Z.T @ (velocity_blocks(g).A @ Z)).toarray()
+    M = g.h_x * g.h_z * (Z.T @ Z).toarray()
+    mu, Y = la.eigh(K, M)
+    return mu, Y, Z, M
+
+
+def _clusters(mu):
+    return np.split(np.arange(len(mu)), np.flatnonzero(np.diff(mu) > TIE_TOL * mu[1:]) + 1)
+
+
+def _packed(v, g):
+    """A stack of velocity fields as rows of packed interior-face values."""
+    return np.hstack([v.u[:, 1:-1, :].reshape(len(v.u), -1),
+                      v.w[:, :, 1:-1].reshape(len(v.w), -1)])
 
 
 def test_streamfunction_basis_spans_the_solenoidal_fields():
@@ -71,6 +100,7 @@ def test_plate_modes_orthonormal_zero_mean(grid, basis):
         assert abs(plate_mean(x, grid)) < 1e-12
     assert np.all(basis.kappa > 0)
     assert np.all(np.diff(basis.kappa) >= -1e-6)
+    assert basis.xi_res.shape == (n,) and np.all(basis.xi_res < 1e-10)
 
 
 def test_plate_modes_diagonalize_bending(grid, basis):
@@ -94,11 +124,85 @@ def test_mode_count_limits(grid):
         solve_plate_eigenmodes(grid, 10_000)
 
 
+def test_eigensolver_takes_every_count_below_the_dimension():
+    # the Lanczos solver needs m < n_s: on a 4x4 grid (n_s = 9) m = 8 is the
+    # largest count, and its eigenvalues are the pencil's first eight
+    g = build_grid(GeometryConfig(n_x=4, n_z=4))
+    mu_ref = _dense_oracle(g)[0]
+    mu = solve_stokes_eigenmodes(g, 8)[0]
+    assert np.max(np.abs(mu - mu_ref[:8]) / mu_ref[:8]) < 1e-10
+    with pytest.raises(GridError, match="1 to 8"):
+        solve_stokes_eigenmodes(g, 9)
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_stokes_eigenmodes_match_dense_oracle(name):
+    # eigenvalues to 1e-10; each mode of a simple eigenvalue equals the oracle's
+    # sign-fixed mode; each cluster of equal eigenvalues (the square cavity's
+    # exact pairs) spans the oracle's space, compared through the projectors
+    g = build_grid(GRIDS[name])
+    m = 12
+    mu, psi, res, _ = solve_stokes_eigenmodes(g, m)
+    mu_ref, Y, Z, M = _dense_oracle(g)
+    assert np.max(np.abs(mu - mu_ref[:m]) / mu_ref[:m]) < 1e-10
+    assert np.all(res < 1e-10)
+    X, X_ref = _packed(psi, g), (Z @ Y[:, :m]).T
+    vol = g.h_x * g.h_z
+    clusters = [c for c in _clusters(mu_ref[:m + 4]) if c[0] < m]
+    if name == "16x16":
+        assert [list(c) for c in clusters if len(c) > 1] == [[1, 2], [6, 7], [8, 9]]
+    for c in clusters:
+        if len(c) == 1:
+            k = c[0]
+            assert np.max(np.abs(X[k] - _fix_sign(X_ref[k], TIE_TOL))) < 1e-9
+        else:
+            P, P_ref = vol * X[c].T @ X[c], vol * X_ref[c].T @ X_ref[c]
+            assert np.max(np.abs(P - P_ref)) < 1e-9 * np.max(np.abs(P_ref))
+
+
+def test_gauge_depends_only_on_the_span_of_each_cluster(grid, basis):
+    # any orthonormal basis of each cluster gives the same modes after the
+    # gauge; the modes of the solver are those of the gauged dense oracle
+    mu_ref, Y, Z, M = _dense_oracle(grid)
+    mu_ref, Y = mu_ref[:16], Y[:, :16]
+    w = _vertex_weight(grid)
+
+    def modes(Y):
+        return np.array([_fix_sign(x, TIE_TOL) for x in (Z @ _gauge(mu_ref, Y, M, w)).T])
+
+    ref = modes(Y)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        Yr = Y.copy()
+        for c in _clusters(mu_ref):
+            Yr[:, c] = Y[:, c] @ la.qr(rng.standard_normal((len(c), len(c))))[0]
+        assert np.max(np.abs(modes(Yr) - ref)) < 1e-10
+    assert np.max(np.abs(_packed(basis.psi, grid) - ref[:basis.m])) < 1e-9
+    # a count that cuts the pair (1, 2) keeps the first of the gauged pair
+    assert np.max(np.abs(_packed(solve_stokes_eigenmodes(grid, 2)[1], grid) - ref[:2])) < 1e-9
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_lift_matches_saddle_point_solver(name):
+    # the streamfunction-space lift against the saddle-point solve, at nu != 1
+    # (it must cancel), with the Omega row set to the trace itself
+    g = build_grid(GRIDS[name])
+    xi = solve_plate_eigenmodes(g, 6)[1]
+    v = solve_stokes_eigenmodes(g, 2)[3](xi)
+    solver = StokesSolver(g, nu=0.7)
+    for k in range(len(xi)):
+        ref = solver.lift(xi[k]).v
+        scale = max(np.max(np.abs(ref.u)), np.max(np.abs(ref.w)))
+        assert np.max(np.abs(v[k].u - ref.u)) < 1e-11 * scale
+        assert np.max(np.abs(v[k].w - ref.w)) < 1e-11 * scale
+        assert np.array_equal(v[k].w[:, -1], ref.w[:, -1])
+
+
 def test_mean_shape_projection(grid, rng):
     w0 = mean_shape(grid)
     assert plate_mean(w0, grid) > 0
     # bending-orthogonal to every zero-mean clamped-compatible deflection
-    kappa, xi = solve_plate_eigenmodes(grid, 4)
+    kappa, xi, _ = solve_plate_eigenmodes(grid, 4)
     for k in range(4):
         num = bending_inner(w0, xi[k], grid)
         assert abs(num) < 1e-9 * (1.0 + kappa[k])
@@ -125,21 +229,37 @@ def test_basis_cache_roundtrip(grid, basis, tmp_path):
     assert other.m == 2 and other.n == 2
 
 
-def test_basis_cache_reads_files_with_mode_pressures(grid, basis, tmp_path):
-    # earlier cache files also hold the flow and lift pressures (psi_p, lift_p);
-    # they load, and the extra arrays are ignored
+def _stale_file(b, kind):
+    # every array of the basis, each entry of mu doubled so that a load shows
+    arrays = dict(version=CACHE_VERSION, mu=2.0 * b.mu, psi_u=b.psi.u, psi_w=b.psi.w,
+                  psi_res=b.psi_res, kappa=b.kappa, xi=b.xi, xi_res=b.xi_res,
+                  lift_u=b.lift.u, lift_w=b.lift.w, w0=b.w0)
+    if kind == "no_version":
+        del arrays["version"]
+    elif kind == "other_version":
+        arrays["version"] = CACHE_VERSION - 1
+    else:
+        arrays["psi_u"] = b.psi.u[:, :-1]
+    return arrays
+
+
+@pytest.mark.parametrize("kind", ["no_version", "other_version", "wrong_shape"])
+def test_basis_cache_rebuilds_stale_files(grid, basis, tmp_path, kind):
+    # a cache file of another format version (or of none), or whose arrays do
+    # not fit the grid and mode counts, is rebuilt and overwritten: the result
+    # equals a fresh build byte for byte, and the next call loads the new file
     b = basis
     path = tmp_path / f"modes_{grid.grid_key()}_m{b.m}_n{b.n}.npz"
-    np.savez_compressed(path, mu=b.mu, kappa=b.kappa, psi_u=b.psi.u, psi_w=b.psi.w,
-                        psi_p=np.ones((b.m,) + grid.shape_p), psi_res=b.psi_res, xi=b.xi,
-                        lift_u=b.lift.u, lift_w=b.lift.w,
-                        lift_p=np.ones((b.n,) + grid.shape_p), w0=b.w0)
-    loaded = build_modal_basis(grid, b.m, b.n, cache_dir=str(tmp_path))
-    for name in ("mu", "kappa", "psi_res", "xi", "w0"):
-        assert np.array_equal(getattr(loaded, name), getattr(b, name))
-    for name in ("psi", "lift"):
-        assert np.array_equal(getattr(loaded, name).u, getattr(b, name).u)
-        assert np.array_equal(getattr(loaded, name).w, getattr(b, name).w)
+    np.savez_compressed(path, **_stale_file(b, kind))
+    for _ in range(2):
+        loaded = build_modal_basis(grid, b.m, b.n, cache_dir=str(tmp_path))
+        for name in ("mu", "kappa", "psi_res", "xi", "xi_res", "w0"):
+            assert np.array_equal(getattr(loaded, name), getattr(b, name))
+        for name in ("psi", "lift"):
+            assert np.array_equal(getattr(loaded, name).u, getattr(b, name).u)
+            assert np.array_equal(getattr(loaded, name).w, getattr(b, name).w)
+        with np.load(path) as f:
+            assert f["version"] == CACHE_VERSION
 
 
 @pytest.mark.parametrize("form", [inner_fluid, grad_inner])

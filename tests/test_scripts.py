@@ -21,6 +21,7 @@ def _run(script, *args, cwd):
 @pytest.mark.parametrize("script, args", [
     ("decay_rate_study.py", ("--ensemble", "1", "--out", "decay")),
     ("attractor_demo.py", ("--T", "2")),
+    ("convergence_study.py", ("--max-n", "64")),
 ])
 def test_script_exits_cleanly(script, args, tmp_path):
     proc = _run(script, *args, cwd=tmp_path)
