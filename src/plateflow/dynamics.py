@@ -7,6 +7,9 @@ exact for the linear terms, so the energy-balance residual isolates the
 quadrature error of the nonlinear potential (second order in dt).  A state is
 one trajectory (N,) or B trajectories stepped as the columns of (N, B); each
 column runs its own fixed point, so a batch member is its solo run up to rounding.
+simulate calls Stepper.step once per step and keeps each block of steps in a
+buffer; the block's energy reports come from one call each of the
+GalerkinSystem energetics on its stacked columns.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ from .galerkin import GalerkinSystem
 # midpoint fixed point: relative update tolerance and iteration cap
 FP_TOL = 1e-12
 FP_MAXIT = 50
+# states (steps x trajectories) per block of simulate's energy reports; the
+# block is cut to whole strides, and bounded in columns so that its buffers
+# stay small next to the trajectory whatever the batch size
+_BLOCK_COLUMNS = 256
 
 
 class IntegratorError(RuntimeError):
@@ -101,18 +108,27 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
              alpha_star: np.ndarray | None = None,
              pstar_coeffs: np.ndarray | None = None,
              keep_states: bool = True) -> Trajectory:
-    """Integrate on [0, T], sampling every `stride` steps with energy reports.
+    """Integrate on [0, T], sampling every `stride` steps (and at T) with energy reports.
 
     y0 of shape (N, B) runs B trajectories as one batch.  alpha_star /
     pstar_coeffs shift the reported Estar to measure energy relative to the
     stationary flow; both default to zero (Estar = E).  keep_states=False
     keeps only the reports (states is None), for long ensembles sampled at
-    every step.
+    every step.  Reports are computed per block of steps from the stacked
+    columns: power rates at every step's midpoint, energies at the block's
+    samples; the dissipation and work integrals add one step at a time, left
+    to right.  Raises IntegratorError for stride < 1 and for T negative or
+    not finite.
     """
+    if not stride >= 1:
+        raise IntegratorError(f"sample stride must be at least 1, got {stride}")
+    if not (np.isfinite(T) and T >= 0):
+        raise IntegratorError(f"final time must be finite and nonnegative, got {T}")
     stepper = Stepper(sys, dt, model)
     n_steps = int(round(T / dt))
     m, n = sys.m, sys.n
     y = np.array(y0, dtype=float).reshape(len(y0), -1)
+    N, B = y.shape
     if alpha_star is None:
         alpha_star = np.zeros(m)
     if pstar_coeffs is None:
@@ -127,26 +143,36 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
 
     n_samples = 1 + n_steps // stride + (n_steps % stride != 0)
     t = np.zeros(n_samples)
-    rep = np.zeros((n_samples, 5, y.shape[1]))      # E0, E, Estar, balance, dissipation
-    states = np.zeros((n_samples,) + y.shape) if keep_states else None
+    rep = np.zeros((n_samples, 5, B))               # E0, E, Estar, balance, dissipation
+    states = np.zeros((n_samples, N, B)) if keep_states else None
     rep[0, :3] = energies(y)
     E_0 = rep[0, 1]
     if keep_states:
         states[0] = y
-    diss_acc = work_acc = 0.0
+    L = stride * max(1, _BLOCK_COLUMNS // (stride * B))   # samples sit at j % stride == 0
+    Ys = np.empty((N, min(L, n_steps) + 1, B))      # block start and its steps, step-major columns
+    acc = np.zeros((2, 1, B))                       # dissipation and work integrals so far
     i = 0
-    for k in range(1, n_steps + 1):
-        y, y_mid = stepper.step(y)
-        diss, work = sys.power_rates(y_mid)
-        diss_acc = diss_acc + dt * diss
-        work_acc = work_acc + dt * work
-        if k % stride == 0 or k == n_steps:
-            i += 1
-            E0, E, Estar = energies(y)
-            t[i] = k * dt
-            rep[i] = E0, E, Estar, (E + diss_acc - E_0 - work_acc) / (np.abs(E_0) + 1.0), diss_acc
-            if keep_states:
-                states[i] = y
+    for k0 in range(0, n_steps, L):
+        nb = min(L, n_steps - k0)
+        Ys[:, 0] = y
+        for j in range(1, nb + 1):
+            y = Ys[:, j] = stepper.step(y)[0]
+        mid = 0.5 * (Ys[:, :nb] + Ys[:, 1:nb + 1])  # the y_mid of each step
+        rates = np.stack(sys.power_rates(mid.reshape(N, -1))).reshape(2, nb, B)
+        acc = np.add.accumulate(np.concatenate([acc[:, -1:], dt * rates], axis=1), axis=1)
+        js = np.arange(stride, nb + 1, stride)
+        if nb % stride:                             # the last step of the run
+            js = np.append(js, nb)
+        Ysamp = Ys[:, js]
+        E0, E, Estar = (e.reshape(len(js), B) for e in energies(Ysamp.reshape(N, -1)))
+        diss, work = acc[:, js]
+        s = slice(i + 1, i + 1 + len(js))
+        t[s] = (k0 + js) * dt
+        rep[s] = np.stack([E0, E, Estar, (E + diss - E_0 - work) / (np.abs(E_0) + 1.0), diss], 1)
+        if keep_states:
+            states[s] = Ysamp.transpose(1, 0, 2)
+        i += len(js)
 
     if np.ndim(y0) == 1:
         rep = rep[..., 0]

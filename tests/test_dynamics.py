@@ -279,3 +279,80 @@ def test_quasi_stability_identical_pair_has_zero_M(sys_free, berger, monkeypatch
     assert M[0] == 0.0 and M[1] > 0.0 and passed[0]
     assert quasi_stability_probe(sys_free, ya[:, 0], ya[:, 0], T=0.2, dt=1e-3, gamma_star=1.0,
                                  model=berger, stride=10) == (True, 0.0)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"stride": 0}, "stride .* got 0"), ({"stride": -3}, "stride .* got -3"),
+    ({"T": -1.0}, "time .* got -1.0"), ({"T": float("nan")}, "time .* got nan"),
+    ({"T": float("inf")}, "time .* got inf")])
+def test_simulate_rejects_bad_stride_and_horizon(sys_free, bad, message):
+    kw = {"T": 0.1, "dt": 1e-3, "stride": 10} | bad
+    with pytest.raises(IntegratorError, match=message):
+        simulate(sys_free, _random_unit_state(sys_free, seed=70), **kw)
+
+
+def _per_step_reference(sys, y0, T, dt, model, stride, alpha_star, pstar_coeffs):
+    # simulate's reports one step at a time: power rates at each step's
+    # midpoint, summed as it goes, and the energies at each sample
+    m, n = sys.m, sys.n
+    stepper = Stepper(sys, dt, model)
+    y_star = sys.join(alpha_star, np.zeros(n), np.zeros(n))[:, None]
+
+    def energies(y):
+        beta = y[m:m + n]
+        E0 = sys.energy_quadratic(y)
+        pot = sys.potential(model, beta)
+        return E0, E0 + pot, sys.energy_quadratic(y - y_star) + pot - pstar_coeffs @ beta
+
+    y = y0.reshape(len(y0), -1)
+    n_steps = int(round(T / dt))
+    diss_acc = work_acc = np.zeros(y.shape[1])
+    t, states, rep = [0.0], [y], [energies(y) + (diss_acc, diss_acc)]
+    E_0 = rep[0][1]
+    for k in range(1, n_steps + 1):
+        y, y_mid = stepper.step(y)
+        diss, work = sys.power_rates(y_mid)
+        diss_acc = diss_acc + dt * diss
+        work_acc = work_acc + dt * work
+        if k % stride == 0 or k == n_steps:
+            E0, E, Estar = energies(y)
+            t.append(k * dt)
+            states.append(y)
+            rep.append((E0, E, Estar, (E + diss_acc - E_0 - work_acc) / (np.abs(E_0) + 1.0),
+                        diss_acc))
+    rep = np.array(rep)
+    return np.array(t), np.array(states).reshape((len(t),) + y0.shape), rep.reshape(
+        rep.shape[:2] + y0.shape[1:])
+
+
+@pytest.mark.parametrize("keep_states", [True, False])
+@pytest.mark.parametrize("span", ["short", "whole", "long"])
+@pytest.mark.parametrize("stride", [1, 7, 10])
+@pytest.mark.parametrize("B", [1, 3])
+def test_block_reports_match_per_step_reference(sys_forced, grid, B, stride, span, keep_states):
+    # L is simulate's block length; short is under one block, whole is two
+    # blocks exactly, long has a short last block; short and long are not
+    # multiples of 7 or 10
+    L = stride * max(1, dynamics._BLOCK_COLUMNS // (stride * B))
+    n_steps = {"short": L // 2 + 3, "whole": 2 * L, "long": 2 * L + 33}[span]
+    dt = 1e-3
+    model = _loaded_models(grid)["berger"]
+    m, n = sys_forced.m, sys_forced.n
+    y0 = np.column_stack([_random_unit_state(sys_forced, seed=80 + j, scale=0.5 * (j + 1))
+                          for j in range(B)])
+    if B == 1:
+        y0 = y0[:, 0]
+    rng = np.random.default_rng(7)
+    alpha_star, pstar = 0.1 * rng.standard_normal(m), 0.1 * rng.standard_normal(n)
+    tr = simulate(sys_forced, y0, n_steps * dt, dt, model, stride=stride, alpha_star=alpha_star,
+                  pstar_coeffs=pstar, keep_states=keep_states)
+    t, states, rep = _per_step_reference(sys_forced, y0, n_steps * dt, dt, model, stride,
+                                         alpha_star, pstar)
+    assert np.array_equal(tr.t, t)
+    assert np.array_equal(tr.states, states) if keep_states else tr.states is None
+    # stacking columns may reorder BLAS sums; measured worst drift 1.1e-16
+    scale = 1.0 + np.abs(rep[0, 1])
+    for col, field in enumerate(("E0", "E", "Estar", "balance_residual", "dissipation_integral")):
+        got = getattr(tr, field)
+        assert got.shape == rep[:, col].shape
+        assert np.max(np.abs(got - rep[:, col]) / scale) <= 1e-14, field
