@@ -53,8 +53,8 @@ class Stepper:
     p = dt S1^-1 c, PB = dt S1^-1 B: base = P y + p, each iterate y+ = base - PB fc."""
 
     def __init__(self, sys: GalerkinSystem, dt: float, model: ForceModel | None = None):
-        if dt <= 0:
-            raise IntegratorError("time step must be positive")
+        if not (np.isfinite(dt) and dt > 0):
+            raise IntegratorError(f"time step dt must be finite and positive, got {dt}")
         self.sys = sys
         self.dt = dt
         self.model = model

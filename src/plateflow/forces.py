@@ -90,15 +90,6 @@ class KirchhoffForce(ForceModel):
         local = 0.25 * u ** 4 - 0.5 * u ** 2 - per_column(self.load, u) * u
         return h * np.sum(grad_part, axis=0) + h * np.sum(local, axis=0)
 
-    def local_term_lower_bound(self, lambda1: float, s_max: float = 1e3, samples: int = 2001):
-        """Check liminf f(s)/s > -lambda1 for the local term f(s) = s^3 - s by
-        sampling; returns (worst ratio, ok)."""
-        s = np.linspace(-s_max, s_max, samples)
-        s = s[np.abs(s) > 1.0]
-        ratios = (s ** 3 - s) / s
-        worst = float(np.min(ratios))
-        return worst, worst > -lambda1
-
 
 @dataclass
 class BergerForce(ForceModel):

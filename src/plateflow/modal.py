@@ -2,13 +2,13 @@
 
 The Stokes eigenproblem is solved exactly on the discretely solenoidal
 subspace by parametrizing velocities with an interior-vertex streamfunction.
-One sparse factorization of the streamfunction operator K = Z^T A Z serves the
-basis build: shift-invert Lanczos computes only the slowest modes, and the
-plate-to-fluid lifts are solves in the same streamfunction space.  Equal
-eigenvalues (the square cavity has exact pairs) are put in a canonical gauge.
-Plate modes come from the clamped bending pencil restricted to zero-mean
-deflections, which is the configuration space compatible with the
-incompressible cavity.
+The one sparse factorization of the streamfunction operator K = Z^T A Z, that
+of stokes.StokesSolver, serves the basis build: shift-invert Lanczos computes
+only the slowest modes, and the plate-to-fluid lifts are solves in the same
+streamfunction space.  Equal eigenvalues (the square cavity has exact pairs)
+are put in a canonical gauge.  Plate modes come from the clamped bending
+pencil restricted to zero-mean deflections, which is the configuration space
+compatible with the incompressible cavity.
 """
 
 from __future__ import annotations
@@ -18,19 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import (
-    Grid,
-    GridError,
-    VelocityField,
-    beam_operators,
-    forward_diff,
-    kron,
-    plate_mean,
-)
-from .stokes import unpack_interior, velocity_blocks
+from .mesh import Grid, GridError, VelocityField, beam_operators, plate_mean
+from .stokes import StokesSolver, unpack_interior
 
 EIG_TOL = 1e-8
 # two eigenvalues, or two entry magnitudes of a flow mode, closer than this
@@ -38,20 +29,6 @@ EIG_TOL = 1e-8
 TIE_TOL = 1e-8
 # stored in every mode-cache file; a file of any other version is rebuilt
 CACHE_VERSION = 2
-
-
-def _streamfunction_basis(g: Grid) -> sp.csr_matrix:
-    """Map interior-vertex streamfunctions to interior-face velocities.
-
-    u = ds/dz, w = -ds/dx with s = 0 on the whole boundary; every image field
-    is discretely divergence free with zero normal trace, and the map is a
-    bijection onto that subspace.  The differences are the transposed forward
-    differences of velocity_blocks' Gr, so Gr^T Z = 0 by the mixed-product
-    rule: both of its terms are +-(D_x^T kron D_z^T) with unit differences.
-    """
-    dx = forward_diff(g.n_x, 1.0 / g.h_x).T
-    dz = -forward_diff(g.n_z, 1.0 / g.h_z).T
-    return sp.vstack([kron(np.eye(g.n_x - 1), dz), kron(dx, np.eye(g.n_z - 1))], format="csr")
 
 
 def _fix_sign(vec: np.ndarray, tie: float) -> np.ndarray:
@@ -87,51 +64,35 @@ def _gauge(mu: np.ndarray, Y: np.ndarray, M, weight: np.ndarray) -> np.ndarray:
 def solve_stokes_eigenmodes(g: Grid, m: int):
     """The m slowest-decaying eigenmodes of the no-slip cavity Stokes operator.
 
-    One sparse LU factor of K = Z^T A Z serves shift-invert Lanczos on the
-    pencil (K, vol Z^T Z), which computes m + 4 eigenpairs so that a cluster at
-    the cut is whole for the gauge, and the lifts.  Returns (mu, psi, residual,
-    lift): the eigenvalues, the modes as a stack with unit fluid L2 norm and
-    pairwise orthogonal, each mode's relative operator residual after the
-    least-squares pressure, and lift(xi), the stack of Stokes lifts N0 xi_k of
-    the zero-mean plate functions in the rows of xi.
+    The LU factor of K = Z^T A Z of one StokesSolver serves shift-invert
+    Lanczos on the pencil (K, vol Z^T Z), which computes m + 4 eigenpairs so
+    that a cluster at the cut is whole for the gauge.  Returns (mu, psi,
+    residual, lift): the eigenvalues, the modes as a stack with unit fluid L2
+    norm and pairwise orthogonal, each mode's relative operator residual after
+    the least-squares pressure, and the solver's lift, by which lift(xi) is the
+    stack of Stokes lifts N0 xi_k of the zero-mean plate functions in the rows
+    of xi, solved with the same factor.
     """
     n_s = (g.n_x - 1) * (g.n_z - 1)
     if not 1 <= m <= n_s - 1:
         raise GridError(f"requested {m} flow modes but the eigensolver computes 1 to {n_s - 1} "
                         f"(the solenoidal space has dimension {n_s})")
     vol = g.h_x * g.h_z
-    Z = _streamfunction_basis(g)
-    blocks = velocity_blocks(g)
-    K = (Z.T @ (blocks.A @ Z)).tocsc()
+    solver = StokesSolver(g)
+    Z, K, A = solver.Z, solver.K, solver.blocks.A
     M = (vol * (Z.T @ Z)).tocsc()
-    # K and M are symmetric: a minimum-degree ordering of K + K^T fills in less than COLAMD
-    lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A")
     mu, Y = spla.eigsh(K, k=min(m + 4, n_s - 1), M=M, sigma=0, tol=0, v0=np.ones(n_s),
-                       OPinv=spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float))
+                       OPinv=spla.LinearOperator(K.shape, matvec=solver.lu.solve, dtype=float))
     Y = _gauge(mu, Y, M, _vertex_weight(g))[:, :m]
     mu = mu[:m]
     X = np.array([_fix_sign(x, TIE_TOL) for x in (Z @ Y).T])
 
     # the part of A x - mu vol x orthogonal to the pressure gradients is its
     # projection Z (Z^T Z)^-1 Z^T onto the solenoidal fields, Z^T Z = M / vol
-    AX = blocks.A @ X.T
+    AX = A @ X.T
     R = Z @ spla.splu(M, permc_spec="MMD_AT_PLUS_A").solve(Z.T @ (AX - mu * vol * X.T))
     residual = vol * np.linalg.norm(R, axis=0) / np.maximum(np.linalg.norm(AX, axis=0), 1e-300)
-
-    def lift(xi: np.ndarray) -> VelocityField:
-        # E - Z K^-1 Z^T (A E - b): E extends each trace by the streamfunction
-        # s_i = -sum_{k<=i} h_x xi_k on the top vertices (so only its top u-row is
-        # nonzero); b is the trace's coupling into the top interior w-row
-        E = np.zeros((blocks.n_u + blocks.n_w, len(xi)))
-        b = np.zeros_like(E)
-        E[:blocks.n_u].reshape(g.n_x - 1, g.n_z, -1)[:, -1] = \
-            -g.h_x * np.cumsum(xi, axis=1)[:, :-1].T / g.h_z
-        b[blocks.n_u:].reshape(g.n_x, g.n_z - 1, -1)[:, -1] = vol * xi.T / g.h_z ** 2
-        v = unpack_interior((E - Z @ lu.solve(Z.T @ (blocks.A @ E - b))).T, g)
-        v.w[..., -1] = xi
-        return v
-
-    return mu, unpack_interior(X, g), residual, lift
+    return mu, unpack_interior(X, g), residual, solver.lift
 
 
 def solve_plate_eigenmodes(g: Grid, n: int, zero_mean: bool = True):

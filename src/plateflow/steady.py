@@ -16,6 +16,9 @@ from .mesh import Grid, VelocityField, inner_fluid
 from .stokes import StokesSolver
 
 STAT_TOL = 1e-8
+# a correct stationary Stokes solve reads a relative momentum residual of 7e-15
+# at 16x16 to 3e-12 at 128x128; a pressure off by 1e-6 of itself reads 2e-7 to 3e-8
+STOKES_TOL = 1e-9
 
 
 class StationaryError(RuntimeError):
@@ -32,20 +35,18 @@ class Equilibrium:
 def solve_stationary_stokes(gf: VelocityField, g: Grid, nu: float = 1.0):
     """Stationary flow for body force gf with no-slip walls.
 
-    Returns (solution, p_star_trace); the trace is cross-validated against the
-    adjoint lifting of gf, two routes to the same functional.
+    Returns (solution, p_star_trace).  Raises StationaryError when the
+    solution's momentum residual, relative to the size of its terms face by
+    face (StokesSolver.momentum_residual), exceeds STOKES_TOL.
     """
     solver = StokesSolver(g, nu=nu)
     sol = solver.solve_body_force(gf)
-    p_trace = solver.pressure_trace(sol, gf)
-    ref = StokesSolver(g, nu=1.0).adjoint_trace_functional(gf) if nu != 1.0 else \
-        solver.adjoint_trace_functional(gf)
-    err = float(np.max(np.abs(p_trace - ref)))
-    if err > 1e-8:
+    res = solver.momentum_residual(sol, gf)
+    if not res <= STOKES_TOL:
         raise StationaryError(
-            f"pressure trace disagrees with the adjoint route by {err:.3e}"
+            f"stationary Stokes momentum residual {res:.3e} above {STOKES_TOL:.1e}"
         )
-    return sol, p_trace
+    return sol, solver.pressure_trace(sol, gf)
 
 
 def stationary_flow_coefficients(sys: GalerkinSystem, gf: VelocityField) -> np.ndarray:

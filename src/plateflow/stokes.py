@@ -1,12 +1,13 @@
-"""Sparse saddle-point machinery for the cavity Stokes problem.
+"""The MAC Stokes blocks of the cavity and the one Stokes solver built on them.
 
-StokesSolver factors the whole saddle-point system once per solver and
-serves the stationary problem: the flow driven by a body force, its pressure
-trace on Omega, and the adjoint of the lifting (the pressure-trace
-functional) as the second route to that trace.  Its lift (prescribed normal
-trace on Omega) is the independent reference for the lifts of the mode basis,
-which modal.solve_stokes_eigenmodes solves in the streamfunction space.
-HarmonicLifter extends pressure traces to discrete harmonic fields.
+StokesSolver parametrizes the discretely solenoidal fields by an
+interior-vertex streamfunction, v = Z s, and factors the streamfunction
+operator K = Z^T A Z once.  That factor serves the shift-invert eigensolve of
+the mode basis (modal.solve_stokes_eigenmodes), the lifts N0 of plate traces
+(prescribed normal trace on Omega), and the stationary flow of a body force
+with its pressure, recovered from the momentum residual, and the pressure
+trace on Omega.  HarmonicLifter extends pressure traces to discrete harmonic
+fields.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import (Grid, GridError, ScalarField, VelocityField, forward_diff, kron, offdiag,
-                   plate_mean)
+from .mesh import Grid, GridError, ScalarField, VelocityField, forward_diff, kron, offdiag
+
+# a plate trace whose mean exceeds this, relative to 1 + its largest entry,
+# has no solenoidal extension
+LIFT_MEAN_TOL = 1e-10
 
 
 class StokesSolveError(RuntimeError):
@@ -46,8 +50,7 @@ class VelocityBlocks:
     pressures cell by cell.  A is the vector Laplacian energy form scaled by
     the cell volume (symmetric positive definite, viscosity-free); Gr is the
     pressure-gradient coupling, whose transpose is the negative volume-scaled
-    divergence; Mv is the diagonal of L2 face weights times the cell volume
-    restricted to interior faces (all weight one there).
+    divergence.
     """
 
     grid: Grid
@@ -66,6 +69,12 @@ def unpack_interior(X: np.ndarray, g: Grid) -> VelocityField:
     v.u[..., 1:-1, :] = X[..., :n_u].reshape(lead + (g.n_x - 1, g.n_z))
     v.w[..., 1:-1] = X[..., n_u:].reshape(lead + (g.n_x, g.n_z - 1))
     return v
+
+
+def pack_interior(v: VelocityField) -> np.ndarray:
+    """The interior-face values of one velocity field, packed as the rows of
+    VelocityBlocks are: the inverse of unpack_interior."""
+    return np.concatenate([v.u[1:-1, :].ravel(), v.w[:, 1:-1].ravel()])
 
 
 def velocity_blocks(grid: Grid) -> VelocityBlocks:
@@ -96,12 +105,27 @@ def velocity_blocks(grid: Grid) -> VelocityBlocks:
                           n_w=g.n_x * (g.n_z - 1))
 
 
-class StokesSolver:
-    """Factorized MAC discretization of -nu*Lap(v) + grad p = g, div v = 0.
+def _streamfunction_basis(g: Grid) -> sp.csr_matrix:
+    """Map interior-vertex streamfunctions to interior-face velocities.
 
-    Unknowns: interior u-faces, interior w-faces, cell pressures, and one
-    Lagrange multiplier pinning the pressure mean (which also absorbs any
-    incompatibility between the boundary flux and incompressibility).
+    u = ds/dz, w = -ds/dx with s = 0 on the whole boundary; every image field
+    is discretely divergence free with zero normal trace, and the map is a
+    bijection onto that subspace.  The differences are the transposed forward
+    differences of velocity_blocks' Gr, so Gr^T Z = 0 by the mixed-product
+    rule: both of its terms are +-(D_x^T kron D_z^T) with unit differences.
+    """
+    dx = forward_diff(g.n_x, 1.0 / g.h_x).T
+    dz = -forward_diff(g.n_z, 1.0 / g.h_z).T
+    return sp.vstack([kron(np.eye(g.n_x - 1), dz), kron(dx, np.eye(g.n_z - 1))], format="csr")
+
+
+class StokesSolver:
+    """The MAC Stokes problem -nu Lap v + grad p = g, div v = 0 on the
+    discretely solenoidal fields v = Z s.
+
+    One sparse LU factor of the streamfunction operator K = Z^T A Z serves
+    the shift-invert eigensolve of the mode basis, the lifts N0 of plate
+    traces and the stationary flow of a body force.
     """
 
     def __init__(self, grid: Grid, nu: float = 1.0):
@@ -109,80 +133,65 @@ class StokesSolver:
             raise ValueError("viscosity must be positive")
         self.grid = grid
         self.nu = nu
-        g = grid
         self.blocks = velocity_blocks(grid)
-        self.nu_int = self.blocks.n_u
-        self.nw_int = self.blocks.n_w
-        self.np_ = g.n_x * g.n_z
-        self.n_tot = self.nu_int + self.nw_int + self.np_ + 1
+        self.Z = _streamfunction_basis(grid)
+        self.K = (self.Z.T @ (self.blocks.A @ self.Z)).tocsc()
+        # K is symmetric: a minimum-degree ordering of K + K^T fills in less than COLAMD
+        self.lu = spla.splu(self.K, permc_spec="MMD_AT_PLUS_A")
+
+    def lift(self, xi: np.ndarray) -> VelocityField:
+        """N0: the Stokes extensions of one zero-mean plate trace (n_plate,) or
+        of the rows of a stack (k, n_plate), with the Omega row set to the
+        trace itself."""
+        g, blocks, Z = self.grid, self.blocks, self.Z
         vol = g.h_x * g.h_z
-        e = vol * np.ones((self.np_, 1))
-        K = sp.bmat(
-            [
-                [nu * self.blocks.A, self.blocks.Gr, None],
-                [self.blocks.Gr.T, None, e],
-                [None, e.T, None],
-            ],
-            format="csc",
-        )
-        self._lu = spla.splu(K)
-
-    # -- right-hand sides -------------------------------------------------
-    def _rhs_body_force(self, gf: VelocityField) -> np.ndarray:
-        g = self.grid
-        gf = _one_field(gf)
-        rhs = np.zeros(self.n_tot)
-        vol = g.h_x * g.h_z
-        rhs[: self.nu_int] = vol * gf.u[1:-1, :].ravel()
-        rhs[self.nu_int: self.nu_int + self.nw_int] = vol * gf.w[:, 1:-1].ravel()
-        return rhs
-
-    def _rhs_trace(self, psi: np.ndarray) -> np.ndarray:
-        """Boundary contribution of the normal trace w = psi on Omega."""
-        g = self.grid
-        rhs = np.zeros(self.n_tot)
-        vol = g.h_x * g.h_z
-        n_v = self.nu_int + self.nw_int
-        # the top w-face and the top pressure cell of every column
-        rhs[self.nu_int: n_v].reshape(g.n_x, g.n_z - 1)[:, -1] += self.nu * vol * psi / g.h_z ** 2
-        rhs[n_v: -1].reshape(g.n_x, g.n_z)[:, -1] += g.h_x * psi
-        return rhs
-
-    def _unpack(self, x: np.ndarray, w_top: np.ndarray | None = None) -> StokesSolution:
-        g = self.grid
-        v = unpack_interior(x[: self.nu_int + self.nw_int], g)
-        if w_top is not None:
-            v.w[:, -1] = w_top
-        p = x[self.nu_int + self.nw_int: -1].reshape(g.n_x, g.n_z)
-        p = p - np.mean(p)
-        return StokesSolution(v=v, p=ScalarField(g, p))
-
-    # -- public solves ----------------------------------------------------
-    def solve_body_force(self, gf: VelocityField) -> StokesSolution:
-        """Stationary Stokes flow with no-slip boundary everywhere."""
-        x = self._lu.solve(self._rhs_body_force(gf))
-        return self._unpack(x)
-
-    def lift(self, psi: np.ndarray, mean_tol: float = 1e-10) -> StokesSolution:
-        """N0: extend a zero-mean plate function into a solenoidal cavity field."""
-        g = self.grid
-        if psi.shape != (g.n_plate,):
+        X = np.atleast_2d(xi)
+        if xi.ndim > 2 or X.shape[1] != g.n_plate:
             raise GridError("plate function shape mismatch with grid")
-        scale = 1.0 + float(np.max(np.abs(psi)))
-        if abs(plate_mean(psi, g)) > mean_tol * scale:
+        scale = 1.0 + np.max(np.abs(X), axis=1)
+        if np.any(np.abs(g.h_x * np.sum(X, axis=1)) > LIFT_MEAN_TOL * scale):
             raise StokesSolveError(
                 "lift requires a zero-mean plate function (discrete system inconsistent)"
             )
-        x = self._lu.solve(self._rhs_trace(psi))
-        return self._unpack(x, w_top=psi)
+        # E - Z K^-1 Z^T (A E - b): E extends each trace by the streamfunction
+        # s_i = -sum_{k<=i} h_x xi_k on the top vertices (so only its top u-row is
+        # nonzero); b is the trace's coupling into the top interior w-row
+        E = np.zeros((blocks.n_u + blocks.n_w, len(X)))
+        b = np.zeros_like(E)
+        E[:blocks.n_u].reshape(g.n_x - 1, g.n_z, -1)[:, -1] = \
+            -g.h_x * np.cumsum(X, axis=1)[:, :-1].T / g.h_z
+        b[blocks.n_u:].reshape(g.n_x, g.n_z - 1, -1)[:, -1] = vol * X.T / g.h_z ** 2
+        v = unpack_interior((E - Z @ self.lu.solve(Z.T @ (blocks.A @ E - b))).T, g)
+        v.w[..., -1] = X
+        return v if xi.ndim == 2 else v[0]
 
-    def adjoint_trace_functional(self, gf: VelocityField) -> np.ndarray:
-        """N0^*: the zero-mean plate function r with (r, b)_Omega = (gf, N0 b)_O.
+    def solve_body_force(self, gf: VelocityField) -> StokesSolution:
+        """Stationary Stokes flow with no-slip boundary everywhere.
 
-        One transposed solve; since the saddle matrix is symmetric this reduces
-        to reading the stationary solution of gf along the Omega row.
+        The velocity is v = Z K^-1 Z^T b / nu, b the volume-weighted interior
+        body force; the pressure solves the Neumann problem Gr^T Gr p =
+        Gr^T (b - nu A v) with one cell pinned, then has its mean removed.
         """
-        return self.pressure_trace(self.solve_body_force(gf), gf)
+        g, A, Gr = self.grid, self.blocks.A, self.blocks.Gr
+        b = g.h_x * g.h_z * pack_interior(_one_field(gf))
+        v = self.Z @ self.lu.solve(self.Z.T @ b) / self.nu
+        # Gr 1 = 0, so the pinned cell's equation is minus the sum of the others
+        p = np.zeros(g.n_x * g.n_z)
+        p[1:] = spla.spsolve((Gr.T @ Gr)[1:, 1:].tocsc(), (Gr.T @ (b - self.nu * (A @ v)))[1:])
+        return StokesSolution(v=unpack_interior(v, g),
+                              p=ScalarField(g, (p - np.mean(p)).reshape(g.n_x, g.n_z)))
+
+    def momentum_residual(self, sol: StokesSolution, gf: VelocityField) -> float:
+        """max |b - nu A v - Gr p| / (|b| + nu |A||v| + |Gr||p|) over the
+        interior faces: the momentum residual of a body-force solve, relative
+        to the size of its terms face by face."""
+        g, A, Gr = self.grid, self.blocks.A, self.blocks.Gr
+        b = g.h_x * g.h_z * pack_interior(_one_field(gf))
+        v, p = pack_interior(sol.v), sol.p.values.ravel()
+        r = b - self.nu * (A @ v) - Gr @ p
+        scale = np.abs(b) + self.nu * (abs(A) @ np.abs(v)) + abs(Gr) @ np.abs(p)
+        # every term is bounded by scale, so r is exactly 0 where scale is
+        return float(np.max(np.abs(r) / np.maximum(scale, np.finfo(float).tiny)))
 
     def pressure_trace(self, sol: StokesSolution, gf: VelocityField | None = None) -> np.ndarray:
         """Duality-consistent trace of the pressure on Omega for a no-slip solve."""

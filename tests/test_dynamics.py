@@ -31,8 +31,11 @@ def _random_unit_state(sys, seed=0, scale=1.0):
 
 
 def test_stepper_rejects_bad_dt(sys_free):
-    with pytest.raises(IntegratorError):
-        Stepper(sys_free, dt=0.0)
+    for dt in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(IntegratorError, match=f"dt must be finite and positive, got {dt}"):
+            Stepper(sys_free, dt=dt)
+    with pytest.raises(IntegratorError, match="dt must be finite and positive, got inf"):
+        simulate(sys_free, _random_unit_state(sys_free, seed=70), T=0.1, dt=np.inf)
 
 
 def test_midpoint_matches_scalar_formula_per_mode(sys_free):

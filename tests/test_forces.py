@@ -74,11 +74,19 @@ def test_berger_potential_scaling_oracle(grid, rng):
     assert abs(p1 - 0.25 * 3.0 * Q ** 2) < 1e-10 * (1.0 + abs(p1))
 
 
-def test_kirchhoff_local_term_condition(grid):
-    model = KirchhoffForce(grid, kappa=1.0, q=2.0)
-    worst, ok = model.local_term_lower_bound(lambda1=500.0)
-    assert ok
-    assert worst >= -1.0   # the default cubic has f(s)/s >= -1
+def test_kirchhoff_local_term_condition(grid, basis, rng):
+    # the local term is the fixed cubic f(s) = s^3 - s: at kappa = 0 it is the
+    # whole force, less the load
+    u = rng.standard_normal((grid.n_plate, 3))
+    load = rng.standard_normal(grid.n_plate)
+    model = KirchhoffForce(grid, kappa=0.0, q=2.0, load=load)
+    assert np.array_equal(model.force(u), u ** 3 - u - load[:, None])
+    # so liminf f(s)/s > -lambda_1: f(s)/s = s^2 - 1 >= -1 > -lambda_1, with
+    # lambda_1 the smallest bending eigenvalue of the basis
+    s = np.linspace(-30.0, 30.0, 20 * grid.n_plate).reshape(grid.n_plate, 20)   # no s = 0
+    ratio = KirchhoffForce(grid, kappa=0.0, q=2.0).force(s) / s
+    assert np.max(np.abs(ratio - (s ** 2 - 1.0)) / (s ** 2 + 1.0)) < 1e-14
+    assert np.min(ratio) >= -1.0 > -basis.kappa[0]
 
 
 def test_surrogate_norm_ordering(norms, rng):

@@ -19,7 +19,6 @@ from plateflow.modal import (
     TIE_TOL,
     _fix_sign,
     _gauge,
-    _streamfunction_basis,
     _vertex_weight,
     build_modal_basis,
     mean_shape,
@@ -27,7 +26,8 @@ from plateflow.modal import (
     solve_plate_eigenmodes,
     solve_stokes_eigenmodes,
 )
-from plateflow.stokes import StokesSolver, unpack_interior, velocity_blocks
+from plateflow.stokes import _streamfunction_basis, unpack_interior, velocity_blocks
+from saddle_stokes import SaddlePointStokesSolver
 
 GRIDS = {"16x16": GeometryConfig(n_x=16, n_z=16),
          "12x9": GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7)}
@@ -189,7 +189,7 @@ def test_lift_matches_saddle_point_solver(name):
     g = build_grid(GRIDS[name])
     xi = solve_plate_eigenmodes(g, 6)[1]
     v = solve_stokes_eigenmodes(g, 2)[3](xi)
-    solver = StokesSolver(g, nu=0.7)
+    solver = SaddlePointStokesSolver(g, nu=0.7)
     for k in range(len(xi)):
         ref = solver.lift(xi[k]).v
         scale = max(np.max(np.abs(ref.u)), np.max(np.abs(ref.w)))

@@ -3,8 +3,9 @@ import pytest
 
 from plateflow.forces import BergerForce
 from plateflow.galerkin import ForcingConfig, fluid_forcing_field
-from plateflow.mesh import inner_plate
+from plateflow.mesh import GeometryConfig, ScalarField, build_grid, inner_plate
 from plateflow.steady import (
+    STOKES_TOL,
     StationaryError,
     converge_to_equilibrium,
     equilibrium_state,
@@ -15,6 +16,8 @@ from plateflow.steady import (
     stationary_flow_coefficients,
     stationary_residual,
 )
+from plateflow.stokes import StokesSolution, StokesSolver
+from saddle_stokes import assert_matches_saddle_point
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +30,30 @@ def berger(grid):
     return BergerForce(grid, kappa=5.0, gamma=0.0)
 
 
-def test_stationary_pressure_routes_agree(grid, gf):
-    sol, p_trace = solve_stationary_stokes(gf, grid, nu=1.0)
-    assert abs(float(np.mean(p_trace))) < 1e-12
+def test_stationary_pressure_routes_agree(grid):
+    # the flow, pressure and trace against the saddle-point oracle; a correct
+    # solve passes the momentum check with a wide margin
+    for g in (grid, build_grid(GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7))):
+        gf = fluid_forcing_field(ForcingConfig(fluid_kind="shear", fluid_amp=2.0), g)
+        for nu in (1.0, 0.7):
+            sol, p_trace = solve_stationary_stokes(gf, g, nu=nu)
+            assert abs(float(np.mean(p_trace))) < 1e-12
+            assert_matches_saddle_point(sol, p_trace, gf, g, nu)
+            assert StokesSolver(g, nu).momentum_residual(sol, gf) < 1e-2 * STOKES_TOL
+
+
+def test_stationary_stokes_rejects_a_perturbed_pressure(grid, gf, monkeypatch):
+    # a pressure off by 1e-6 of itself breaks the momentum balance beyond
+    # STOKES_TOL, and the error names the measured value and the bound
+    solve = StokesSolver.solve_body_force
+
+    def perturbed(self, f):
+        sol = solve(self, f)
+        return StokesSolution(v=sol.v, p=ScalarField(sol.p.grid, sol.p.values * (1.0 + 1e-6)))
+
+    monkeypatch.setattr(StokesSolver, "solve_body_force", perturbed)
+    with pytest.raises(StationaryError, match=r"residual \d\.\d{3}e-\d+ above 1\.0e-09"):
+        solve_stationary_stokes(gf, grid, nu=1.0)
 
 
 def test_pstar_duality_with_direct_trace(grid, basis, sys_free, gf):

@@ -14,14 +14,18 @@ from plateflow.mesh import (
     is_solenoidal,
     plate_mean,
 )
-from plateflow.modal import _streamfunction_basis, project_zero_mean
+from plateflow.modal import project_zero_mean
 from plateflow.stokes import (
     HarmonicLifter,
     StokesSolveError,
     StokesSolver,
+    _streamfunction_basis,
     unpack_interior,
     velocity_blocks,
 )
+from saddle_stokes import assert_matches_saddle_point
+
+UNEQUAL = GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7)
 
 
 @pytest.fixture(scope="module")
@@ -70,20 +74,25 @@ def test_body_force_and_pressure_trace_reject_a_stack(grid, solver, basis):
 
 def test_lift_matches_trace_and_rejects_nonzero_mean(grid, solver, rng):
     psi = _zero_mean_trace(grid, rng)
-    sol = solver.lift(psi)
-    assert is_solenoidal(sol.v, grid)
-    assert np.max(np.abs(sol.v.w[:, -1] - psi)) < 1e-11
+    v = solver.lift(psi)
+    assert is_solenoidal(v, grid)
+    assert np.array_equal(v.w[:, -1], psi)
     with pytest.raises(StokesSolveError, match="zero-mean"):
         solver.lift(np.ones(grid.n_plate))
+    # a stack is checked row by row, and a trace of another length is refused
+    with pytest.raises(StokesSolveError, match="zero-mean"):
+        solver.lift(np.array([psi, psi + 1e-6]))
+    with pytest.raises(GridError, match="shape"):
+        solver.lift(psi[:-1])
 
 
 def test_lift_on_unequal_spacings(rng):
     # the lift N0 psi is solenoidal, carries psi, and is orthogonal in the
     # gradient form to every solenoidal field with zero trace (the Stokes
     # energy is minimal); nu != 1 must cancel between the operator and the trace
-    g = build_grid(GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
+    g = build_grid(UNEQUAL)
     psi = _zero_mean_trace(g, rng)
-    v = StokesSolver(g, nu=0.7).lift(psi).v
+    v = StokesSolver(g, nu=0.7).lift(psi)
     assert is_solenoidal(v, g)
     assert np.array_equal(v.w[:, -1], psi)
     Z = unpack_interior(_streamfunction_basis(g).toarray().T, g)
@@ -96,28 +105,47 @@ def test_lift_is_linear(grid, solver, rng):
     b = _zero_mean_trace(grid, rng)
     sab = solver.lift(a + 2.0 * b)
     sa, sb = solver.lift(a), solver.lift(b)
-    comb = sa.v + sb.v * 2.0
-    assert np.max(np.abs(sab.v.u - comb.u)) < 1e-11
-    assert np.max(np.abs(sab.v.w - comb.w)) < 1e-11
+    comb = sa + sb * 2.0
+    assert np.max(np.abs(sab.u - comb.u)) < 1e-11
+    assert np.max(np.abs(sab.w - comb.w)) < 1e-11
+    # a stack lifts row by row
+    stack = solver.lift(np.array([a, b]))
+    assert np.max(np.abs(stack[0].u - sa.u)) < 1e-14 * np.max(np.abs(sa.u))
+    assert np.array_equal(stack[1].w[:, -1], b)
 
 
-def test_adjoint_trace_functional_duality(grid, solver, rng):
-    # (N0^* gf, b)_Omega = (gf, N0 b)_O for zero-mean traces b
-    gf = fluid_forcing_field(ForcingConfig(fluid_kind="bump", fluid_amp=1.5), grid)
-    r = solver.adjoint_trace_functional(gf)
-    for _ in range(4):
-        b = _zero_mean_trace(grid, rng)
-        lhs = inner_plate(r, b, grid)
-        rhs = inner_fluid(gf, solver.lift(b).v, grid)
-        assert abs(lhs - rhs) < 1e-11 * (1.0 + abs(rhs))
+def _random_body_force(g, rng):
+    # nonzero on every face, the Omega row included, where pressure_trace
+    # adds half a cell of the force
+    return VelocityField(g, rng.standard_normal(g.shape_u), rng.standard_normal(g.shape_w))
 
 
-def test_pressure_trace_agrees_with_adjoint_route(grid, solver):
-    gf = fluid_forcing_field(ForcingConfig(fluid_kind="shear", fluid_amp=2.0), grid)
-    sol = solver.solve_body_force(gf)
-    direct = solver.pressure_trace(sol, gf)
-    dual = solver.adjoint_trace_functional(gf)
-    assert np.max(np.abs(direct - dual)) < 1e-10
+def test_adjoint_trace_functional_duality(grid, rng):
+    # (N0^* gf, b)_Omega = (gf, N0 b)_O for zero-mean traces b, with
+    # N0^* gf = pressure_trace(solve_body_force(gf), gf)
+    for g in (grid, build_grid(UNEQUAL)):
+        for gf in (fluid_forcing_field(ForcingConfig(fluid_kind="bump", fluid_amp=1.5), g),
+                   _random_body_force(g, rng)):
+            for nu in (1.0, 0.7):
+                solver = StokesSolver(g, nu=nu)
+                r = solver.pressure_trace(solver.solve_body_force(gf), gf)
+                for _ in range(4):
+                    b = _zero_mean_trace(g, rng)
+                    lhs = inner_plate(r, b, g)
+                    rhs = inner_fluid(gf, solver.lift(b), g)
+                    assert abs(lhs - rhs) < 1e-11 * (1.0 + abs(rhs))
+
+
+def test_pressure_trace_agrees_with_adjoint_route(grid, rng):
+    # the streamfunction solve and its recovered pressure against the
+    # saddle-point solve, whose trace is the adjoint of its lift
+    for g in (grid, build_grid(UNEQUAL)):
+        for gf in [fluid_forcing_field(ForcingConfig(fluid_kind=kind, fluid_amp=2.0), g)
+                   for kind in ("shear", "bump")] + [_random_body_force(g, rng)]:
+            for nu in (1.0, 0.7):
+                solver = StokesSolver(g, nu=nu)
+                sol = solver.solve_body_force(gf)
+                assert_matches_saddle_point(sol, solver.pressure_trace(sol, gf), gf, g, nu)
 
 
 def test_pressure_trace_independent_of_viscosity(grid):
@@ -137,7 +165,7 @@ def test_harmonic_lift_residual_and_boundary_pairing(grid, solver, rng):
     # (grad q, v)_O = (r, v.n)_Omega for solenoidal v with no-slip on S
     for _ in range(4):
         b = project_zero_mean(rng.standard_normal(grid.n_plate), grid)
-        v = solver.lift(b).v
+        v = solver.lift(b)
         lhs = inner_fluid(gradq, v, grid)
         rhs = inner_plate(r, b, grid)
         assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(rhs))
