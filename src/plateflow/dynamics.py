@@ -103,6 +103,25 @@ class Stepper:
         return y_next, 0.5 * (y + y_next)
 
 
+def energies(sys: GalerkinSystem, y: np.ndarray, model: ForceModel | None = None,
+             alpha_star: np.ndarray | None = None,
+             pstar_coeffs: np.ndarray | None = None):
+    """(E0, E, Estar) of the states y, (N,) or columns (N, k): E0 the quadratic
+    energy, E = E0 plus the plate potential, and Estar the energy of y less the
+    stationary flow alpha_star, plus the potential, less the work of pstar_coeffs
+    on the plate coefficients.  Both shifts default to zero (Estar = E)."""
+    m, n = sys.m, sys.n
+    y_star = sys.join(np.zeros(m) if alpha_star is None else alpha_star,
+                      np.zeros(n), np.zeros(n))
+    if y.ndim == 2:
+        y_star = y_star[:, None]
+    beta = y[m:m + n]
+    E0 = sys.energy_quadratic(y)
+    pot = sys.potential(model, beta)
+    shift = 0.0 if pstar_coeffs is None else pstar_coeffs @ beta
+    return E0, E0 + pot, sys.energy_quadratic(y - y_star) + pot - shift
+
+
 def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
              model: ForceModel | None = None, stride: int = 10,
              alpha_star: np.ndarray | None = None,
@@ -126,26 +145,17 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
         raise IntegratorError(f"final time must be finite and nonnegative, got {T}")
     stepper = Stepper(sys, dt, model)
     n_steps = int(round(T / dt))
-    m, n = sys.m, sys.n
     y = np.array(y0, dtype=float).reshape(len(y0), -1)
     N, B = y.shape
-    if alpha_star is None:
-        alpha_star = np.zeros(m)
-    if pstar_coeffs is None:
-        pstar_coeffs = np.zeros(n)
-    y_star = sys.join(alpha_star, np.zeros(n), np.zeros(n))[:, None]
 
-    def energies(y):
-        beta = y[m:m + n]
-        E0 = sys.energy_quadratic(y)
-        pot = sys.potential(model, beta)
-        return E0, E0 + pot, sys.energy_quadratic(y - y_star) + pot - pstar_coeffs @ beta
+    def reports(y):
+        return energies(sys, y, model, alpha_star, pstar_coeffs)
 
     n_samples = 1 + n_steps // stride + (n_steps % stride != 0)
     t = np.zeros(n_samples)
     rep = np.zeros((n_samples, 5, B))               # E0, E, Estar, balance, dissipation
     states = np.zeros((n_samples, N, B)) if keep_states else None
-    rep[0, :3] = energies(y)
+    rep[0, :3] = reports(y)
     E_0 = rep[0, 1]
     if keep_states:
         states[0] = y
@@ -165,7 +175,7 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
         if nb % stride:                             # the last step of the run
             js = np.append(js, nb)
         Ysamp = Ys[:, js]
-        E0, E, Estar = (e.reshape(len(js), B) for e in energies(Ysamp.reshape(N, -1)))
+        E0, E, Estar = (e.reshape(len(js), B) for e in reports(Ysamp.reshape(N, -1)))
         diss, work = acc[:, js]
         s = slice(i + 1, i + 1 + len(js))
         t[s] = (k0 + js) * dt

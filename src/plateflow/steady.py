@@ -145,6 +145,20 @@ def equilibrium_state(sys: GalerkinSystem, gf: VelocityField, eq: Equilibrium) -
     return sys.join(alpha_star, eq.beta_star, np.zeros(sys.n))
 
 
+def distance_to_equilibrium(sys: GalerkinSystem, states: np.ndarray, alpha_star: np.ndarray,
+                            pstar: np.ndarray, model: ForceModel | None = None):
+    """Distance of every sampled state (samples, N) to the equilibrium that descent
+    from the last sample's plate coefficients finds, with the stationary flow
+    alpha_star and the pressure coefficients pstar.
+
+    Returns (distances over the samples, the Equilibrium).
+    """
+    eq = minimize_stationary(sys, pstar, model, beta_init=states[-1][sys.m:sys.m + sys.n])
+    y_eq = sys.join(alpha_star, eq.beta_star, np.zeros(sys.n))
+    dist = np.array([sys.state_norm(states[k] - y_eq) for k in range(len(states))])
+    return dist, eq
+
+
 def converge_to_equilibrium(sys: GalerkinSystem, y0: np.ndarray, gf: VelocityField,
                             T: float, dt: float, model: ForceModel | None = None,
                             stride: int = 50):
@@ -161,8 +175,5 @@ def converge_to_equilibrium(sys: GalerkinSystem, y0: np.ndarray, gf: VelocityFie
     pstar = pstar_mode_coeffs(sys, gf)
     traj = simulate(sys, y0, T, dt, model, stride=stride,
                     alpha_star=alpha_star, pstar_coeffs=pstar + sys.f_plate)
-    beta_tail = traj.states[-1][sys.m:sys.m + sys.n]
-    eq = minimize_stationary(sys, pstar, model, beta_init=beta_tail)
-    y_eq = sys.join(alpha_star, eq.beta_star, np.zeros(sys.n))
-    dist = np.array([sys.state_norm(traj.states[k] - y_eq) for k in range(len(traj.t))])
+    dist, eq = distance_to_equilibrium(sys, traj.states, alpha_star, pstar, model)
     return dist, eq, traj

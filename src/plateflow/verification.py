@@ -1,17 +1,33 @@
 """The full property-verification battery at desk scale.
 
-Each check returns a dict with a boolean "pass" plus the measured numbers, so
+Each check ends in a dict with a boolean "pass" plus the measured numbers, so
 the CLI can print one line per criterion and the test suite can assert on the
 same data.  All tolerances are fixed here, not configurable: they encode the
 claims being verified.
+
+The battery runs as one schedule.  A check that integrates trajectories is a
+generator: it draws its random states, yields its run requests (_Run) and
+receives their trajectories.  The scheduler starts the checks in CRITERIA
+order, each up to its request, so every random draw keeps its place; it then
+steps each group of requests that share system, force model, dt and
+keep_states as one ensemble, and resumes a check once all its runs are served.
+A batch member is its solo run up to rounding, so the verdicts are those of
+the checks run one after another.
 """
 
 from __future__ import annotations
+
+import math
+from collections.abc import Generator
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .dynamics import (
+    IntegratorError,
+    Trajectory,
+    energies,
     energy_balance_residual,
     fit_decay_rate,
     lyapunov_V,
@@ -23,13 +39,14 @@ from .dynamics import (
 )
 from .forces import (
     BergerForce,
+    ForceModel,
     KirchhoffForce,
     SurrogateNorms,
     verify_coercivity,
     verify_gradient,
     verify_lipschitz,
 )
-from .galerkin import ForcingConfig, assemble, fluid_forcing_field, reconstruct
+from .galerkin import ForcingConfig, GalerkinSystem, assemble, fluid_forcing_field, reconstruct
 from .mesh import build_grid, plate_mean
 from .modal import build_modal_basis
 from .plate2d import PlateGrid2D, VonKarmanForce, vk_bracket
@@ -39,7 +56,8 @@ from .spectrum import (
     semigroup_consistency,
     spectral_abscissa,
 )
-from .steady import converge_to_equilibrium, pstar_mode_coeffs, solve_stationary_stokes
+from .steady import (distance_to_equilibrium, pstar_mode_coeffs, solve_stationary_stokes,
+                     stationary_flow_coefficients)
 
 
 class _Setup:
@@ -58,27 +76,32 @@ class _Setup:
         self.berger = BergerForce(self.grid, kappa=5.0, gamma=0.0)
         self.rng = np.random.default_rng(cfg.probes.seed)
         self.abscissa = spectral_abscissa(self.sys_free)
-        self._linear_rate = None
 
     def random_state(self, scale=1.0):
         y = self.rng.standard_normal(self.sys_free.m + 2 * self.sys_free.n)
         return scale * y / self.sys_free.state_norm(y)
 
-    def linear_rate(self):
-        """Fitted decay rate of the state norm for the unforced linear flow."""
-        if self._linear_rate is None:
-            y0 = self.random_state()
-            tr = simulate(self.sys_free, y0, T=4.0, dt=1e-3, stride=10)
-            gam, _ = fit_decay_rate(tr.t, tr.E0)
-            self._linear_rate = 0.5 * gam
-        return self._linear_rate
+
+class _Run(NamedTuple):
+    """One trajectory a check requests: simulate(sys, y0, T, dt, model, stride,
+    keep_states=keep_states); round(T/dt) must be a whole number of strides."""
+
+    sys: GalerkinSystem
+    y0: np.ndarray
+    T: float
+    dt: float
+    model: ForceModel | None = None
+    stride: int = 10
+    keep_states: bool = True
 
 
 def check_mass_matrix_positivity(s: _Setup):
     results = []
     for (m, n) in [(1, 1), (4, 4), (12, 8)]:
-        basis = build_modal_basis(s.grid, m, n)
-        sysmn = assemble(basis, s.nu)
+        if (m, n) == (s.cfg.modes.m, s.cfg.modes.n):
+            sysmn = s.sys_free                  # the set-up's own basis; the others are built here
+        else:
+            sysmn = assemble(build_modal_basis(s.grid, m, n), s.nu)
         sym = float(np.max(np.abs(sysmn.M - sysmn.M.T)))
         min_eig = float(np.min(np.linalg.eigvalsh(sysmn.M)))
         results.append({"m": m, "n": n, "symmetry_error": sym, "min_eigenvalue": min_eig,
@@ -88,10 +111,10 @@ def check_mass_matrix_positivity(s: _Setup):
 
 def check_energy_balance(s: _Setup):
     y0 = s.random_state(0.5)
-    lin = simulate(s.sys_forced, y0, T=2.0, dt=1e-3, stride=10)
+    lin, nl1, nl2 = yield [_Run(s.sys_forced, y0, T=2.0, dt=1e-3),
+                           _Run(s.sys_forced, y0, T=2.0, dt=1e-3, model=s.berger),
+                           _Run(s.sys_forced, y0, T=2.0, dt=5e-4, model=s.berger, stride=20)]
     res_lin = energy_balance_residual(lin)
-    nl1 = simulate(s.sys_forced, y0, T=2.0, dt=1e-3, model=s.berger, stride=10)
-    nl2 = simulate(s.sys_forced, y0, T=2.0, dt=5e-4, model=s.berger, stride=20)
     res1, res2 = energy_balance_residual(nl1), energy_balance_residual(nl2)
     ratio = res1 / max(res2, 1e-300)
     ok = res_lin <= 1e-5 and res1 <= 1e-5 and 3.4 <= ratio <= 4.6
@@ -103,7 +126,7 @@ def check_exponential_stability(s: _Setup):
     members = []
     ok = True
     y0 = np.column_stack([s.random_state() for _ in range(10)])
-    tr = simulate(s.sys_free, y0, T=4.0, dt=1e-3, stride=1, keep_states=False)
+    (tr,) = yield [_Run(s.sys_free, y0, T=4.0, dt=1e-3, stride=1, keep_states=False)]
     for E0 in tr.E0.T:
         mono = bool(np.all(np.diff(E0) <= 1e-12))
         gam, fit_res = fit_decay_rate(tr.t, E0)
@@ -121,7 +144,7 @@ def check_lyapunov(s: _Setup):
     if eps_star is None:
         return {"eps_star": None, "pass": False}
     y0 = np.column_stack([s.random_state() for _ in range(10)])
-    tr = simulate(s.sys_free, y0, T=3.0, dt=1e-3, stride=10)
+    (tr,) = yield [_Run(s.sys_free, y0, T=3.0, dt=1e-3)]
     V = per_sample(lambda y: lyapunov_V(s.sys_free, y, eps_star), tr.states)
     mono_ok = bool(np.all(np.diff(V, axis=0) <= 1e-12))
     row = next(r for r in table if r[0] == eps_star)
@@ -134,8 +157,9 @@ def check_mean_preservation(s: _Setup):
     y0 = s.random_state()
     worst_drift = 0.0
     worst_trace = 0.0
-    for model in (None, s.berger):
-        tr = simulate(s.sys_forced, y0, T=2.0, dt=1e-3, model=model, stride=50)
+    trajs = yield [_Run(s.sys_forced, y0, T=2.0, dt=1e-3, model=model, stride=50)
+                   for model in (None, s.berger)]
+    for tr in trajs:
         means = []
         for y in tr.states:
             rec = reconstruct(s.sys_forced, y)
@@ -194,25 +218,34 @@ def check_gradient_structure(s: _Setup):
     pstar_direct = sysf.hXi @ ptrace
     pstar_err = float(np.max(np.abs(pstar - pstar_direct)))
 
-    dist, eq, tr = converge_to_equilibrium(sysf, s.random_state(0.5), s.gf, T=15.0, dt=1e-3,
-                                           model=s.berger, stride=50)
-    tol_E = 1e-10 * (1.0 + abs(tr.Estar[0]))
-    estar_mono = bool(np.all(np.diff(tr.Estar) <= tol_E))
+    (tr,) = yield [_Run(sysf, s.random_state(0.5), T=15.0, dt=1e-3, model=s.berger, stride=50)]
+    # Estar is shifted by the stationary flow and by p* plus the plate load, so
+    # it is the Lyapunov functional of the forced problem
+    alpha_star = stationary_flow_coefficients(sysf, s.gf)
+    Estar = energies(sysf, tr.states.T, s.berger, alpha_star, pstar + sysf.f_plate)[2]
+    dist, eq = distance_to_equilibrium(sysf, tr.states, alpha_star, pstar, s.berger)
+    tol_E = 1e-10 * (1.0 + abs(Estar[0]))
+    estar_mono = bool(np.all(np.diff(Estar) <= tol_E))
     ok = estar_mono and dist[-1] <= 1e-4 and eq.residual <= 1e-8 and pstar_err <= 1e-8
     return {"estar_monotone": estar_mono, "tail_distance": dist[-1],
             "stationary_residual": eq.residual, "pstar_identity_error": pstar_err, "pass": ok}
 
 
 def check_quasi_stability(s: _Setup):
-    gamma_star = 0.5 * s.linear_rate()
+    y_rate = s.random_state()
     pairs = [(s.random_state(s.cfg.probes.radius), s.random_state(s.cfg.probes.radius))
              for _ in range(10)]
     ya, yb = (np.column_stack(side) for side in zip(*pairs))
+    lin_a, lin_b = s.random_state(), s.random_state()
+    (tr,) = yield [_Run(s.sys_free, y_rate, T=4.0, dt=1e-3)]
+    # half the decay rate of the unforced linear flow's state norm, which is
+    # itself half the fitted rate of E0
+    gamma_star = 0.25 * fit_decay_rate(tr.t, tr.E0)[0]
     passed, Ms = quasi_stability_probe(s.sys_free, ya, yb, T=6.0, dt=1e-3,
                                        gamma_star=gamma_star, model=s.berger,
                                        M_cap=s.cfg.probes.m_cap, stride=10)
     passed_lin, M_lin = quasi_stability_probe(
-        s.sys_free, s.random_state(), s.random_state(), T=6.0, dt=1e-3,
+        s.sys_free, lin_a, lin_b, T=6.0, dt=1e-3,
         gamma_star=gamma_star, model=None, M_cap=s.cfg.probes.m_cap, stride=10)
     ok = bool(np.all(passed)) and passed_lin
     return {"gamma_star": gamma_star, "berger_M": Ms.tolist(), "linear_M": M_lin, "pass": ok}
@@ -237,8 +270,8 @@ def check_trace_operator_identities(s: _Setup):
 
 
 def check_attractor_regularity(s: _Setup):
-    y0 = s.random_state(0.5)
-    tr = simulate(s.sys_forced, y0, T=20.0, dt=1e-3, model=s.berger, stride=20)
+    (tr,) = yield [_Run(s.sys_forced, s.random_state(0.5), T=20.0, dt=1e-3, model=s.berger,
+                        stride=20)]
     probe = attractor_regularity_probe(tr, s.sys_forced)
     return {**{k: v for k, v in probe.items() if k != "pass"}, "pass": probe["pass"]}
 
@@ -259,20 +292,110 @@ _CHECKS = {
 CRITERIA = list(_CHECKS)
 
 
+def _groups(runs: list[_Run]) -> list[list[int]]:
+    """Indices of the runs that share system, force model, dt and keep_states,
+    group by group in order of first appearance."""
+    groups = {}
+    for i, run in enumerate(runs):
+        groups.setdefault((id(run.sys), id(run.model), run.dt, run.keep_states), []).append(i)
+    return list(groups.values())
+
+
+_REPORTS = ("E0", "E", "Estar", "dissipation_integral", "balance_residual")
+
+
+def _simulate_group(runs: list[_Run]) -> list[Trajectory]:
+    """Step runs of one group as one ensemble: one simulate to the longest T at
+    the gcd of the strides.  Each run gets its own columns, every
+    (stride / gcd)-th sample up to its T, copied when the group has other runs
+    so that the group's arrays can be dropped.  Raises IntegratorError for a
+    run whose round(T/dt) is not a whole number of its strides."""
+    steps = [int(round(run.T / run.dt)) for run in runs]
+    for run, n in zip(runs, steps):
+        if n % run.stride:
+            raise IntegratorError(f"a run of {n} steps is not a whole number of "
+                                  f"strides {run.stride}")
+    gcd = math.gcd(*(run.stride for run in runs))
+    first = runs[0]
+    tr = simulate(first.sys, np.column_stack([run.y0 for run in runs]),
+                  max(run.T for run in runs), first.dt, first.model, stride=gcd,
+                  keep_states=first.keep_states)
+
+    def cut(a, *index):
+        return a[index].copy() if len(runs) > 1 else a[index]
+
+    out, col = [], 0
+    for run, n in zip(runs, steps):
+        if run.y0.ndim == 1:
+            cols, col = col, col + 1
+        else:
+            cols, col = slice(col, col + run.y0.shape[1]), col + run.y0.shape[1]
+        rows = slice(0, n // gcd + 1, run.stride // gcd)
+        states = None if tr.states is None else cut(tr.states, rows, slice(None), cols)
+        out.append(Trajectory(t=cut(tr.t, rows), states=states,
+                              **{k: cut(getattr(tr, k), rows, cols) for k in _REPORTS}))
+    return out
+
+
+def _run_checks(s: _Setup, names: list[str], report=None) -> dict:
+    """Run the named checks on one set-up as one schedule; returns their results
+    in the order of names.
+
+    Each check is started, and advanced to its run requests, before the next one
+    starts.  Each group of requests is then one simulate; its arrays are dropped
+    once handed out, and a check resumes as soon as all its runs are served.
+    report gets one line per check, in the order of names, once that check and
+    every one before it are done.
+    """
+    results, waiting, requests = {}, {}, []
+    unreported = list(names)
+
+    def report_done():
+        while unreported and unreported[0] in results:
+            name = unreported.pop(0)
+            if report is not None:
+                report(f"{name}: {'PASS' if results[name]['pass'] else 'FAIL'}")
+
+    for name in names:
+        check = _CHECKS[name](s)
+        if not isinstance(check, Generator):
+            results[name] = check
+        else:
+            try:
+                runs = next(check)
+            except StopIteration as stop:
+                results[name] = stop.value
+            else:
+                waiting[name] = (check, [None] * len(runs))
+                requests += [(name, i, run) for i, run in enumerate(runs)]
+        report_done()
+
+    for group in _groups([run for _, _, run in requests]):
+        ready = []
+        for k, tr in zip(group, _simulate_group([requests[k][2] for k in group])):
+            name, i, _ = requests[k]
+            served = waiting[name][1]
+            served[i] = tr
+            if all(t is not None for t in served):
+                ready.append(name)
+        # the group's trajectories are now held by their checks alone, so each
+        # is freed once its check returns
+        for name in ready:
+            check, served = waiting.pop(name)
+            try:
+                check.send(served)
+            except StopIteration as stop:
+                results[name] = stop.value
+        report_done()
+    return {name: results[name] for name in names}
+
+
 def run_criterion(name: str, cfg: ExperimentConfig, cache_dir=None):
     """Run one criterion of the battery on its own set-up; returns its result dict."""
-    return _CHECKS[name](_Setup(cfg, cache_dir))
+    return _run_checks(_Setup(cfg, cache_dir), [name])[name]
 
 
 def run_all(cfg: ExperimentConfig, cache_dir=None, report=print):
     """Run the whole battery; returns (summary dict, all passed)."""
-    setup = _Setup(cfg, cache_dir)
-    summary = {}
-    all_ok = True
-    for name in CRITERIA:
-        result = _CHECKS[name](setup)
-        summary[name] = result
-        all_ok = all_ok and result["pass"]
-        if report is not None:
-            report(f"{name}: {'PASS' if result['pass'] else 'FAIL'}")
-    return summary, all_ok
+    summary = _run_checks(_Setup(cfg, cache_dir), CRITERIA, report)
+    return summary, all(result["pass"] for result in summary.values())

@@ -5,6 +5,7 @@ from plateflow.config import ExperimentConfig
 from plateflow.galerkin import ForcingConfig, assemble
 from plateflow.mesh import GeometryConfig, build_grid
 from plateflow.modal import build_modal_basis
+from plateflow.verification import run_all
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +33,12 @@ def sys_forced(basis):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def battery_run(tmp_path_factory):
+    """run_all on the default config: (summary, reported lines, mode-cache dir)."""
+    cache = str(tmp_path_factory.mktemp("modes_cache"))
+    lines = []
+    summary, _ = run_all(ExperimentConfig(), cache_dir=cache, report=lines.append)
+    return summary, lines, cache

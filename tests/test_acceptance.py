@@ -8,16 +8,12 @@ so the CLI and the suite can never drift apart.
 import numpy as np
 import pytest
 
-from plateflow.config import ExperimentConfig
-from plateflow.verification import CRITERIA, run_all
+from plateflow.verification import CRITERIA
 
 
 @pytest.fixture(scope="session")
-def battery(tmp_path_factory):
-    cfg = ExperimentConfig()
-    cache = str(tmp_path_factory.mktemp("modes_cache"))
-    summary, _ = run_all(cfg, cache_dir=cache, report=None)
-    return summary
+def battery(battery_run):
+    return battery_run[0]
 
 
 def _check(battery, index, name):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plateflow.dynamics import energies, simulate
 from plateflow.forces import BergerForce
 from plateflow.galerkin import ForcingConfig, fluid_forcing_field
 from plateflow.mesh import GeometryConfig, ScalarField, build_grid, inner_plate
@@ -120,6 +121,52 @@ def test_trajectory_attracted_to_equilibrium(sys_forced, grid, berger):
     from plateflow.dynamics import Stepper
     y1, _ = Stepper(sys_forced, 1e-3, berger).step(y_eq)
     assert sys_forced.state_norm(y1 - y_eq) < 1e-10
+
+
+def _forced_start(sys_forced, grid):
+    gf_local = fluid_forcing_field(ForcingConfig(fluid_kind="shear", fluid_amp=1.0), grid)
+    rng = np.random.default_rng(2)
+    y0 = rng.standard_normal(sys_forced.m + 2 * sys_forced.n)
+    y0 *= 0.5 / sys_forced.state_norm(y0)
+    return gf_local, y0, stationary_flow_coefficients(sys_forced, gf_local), \
+        pstar_mode_coeffs(sys_forced, gf_local)
+
+
+def test_shifted_energy_is_simulates_estar(sys_forced, grid, berger):
+    gf_local, y0, alpha_star, pstar = _forced_start(sys_forced, grid)
+    load = pstar + sys_forced.f_plate
+    tr = simulate(sys_forced, y0, T=1.0, dt=1e-3, model=berger, stride=50,
+                  alpha_star=alpha_star, pstar_coeffs=load)
+    E0, E, Estar = energies(sys_forced, tr.states.T, berger, alpha_star, load)
+    for got, want in ((E0, tr.E0), (E, tr.E), (Estar, tr.Estar)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # a single state gives the same numbers as a column
+    assert np.allclose(energies(sys_forced, tr.states[-1], berger, alpha_star, load)[2],
+                       Estar[-1], rtol=1e-14, atol=0.0)
+    # the shift moves Estar off E; unshifted, Estar is E
+    assert np.max(np.abs(Estar - E)) > 1e-5
+    plain = energies(sys_forced, tr.states.T, berger)
+    assert np.array_equal(plain[2], plain[1])
+
+
+def test_converge_to_equilibrium_matches_its_parts(sys_forced, grid, berger):
+    # the oracle: the shifted run, descent from its last plate state, and the
+    # distance of every sample, written out
+    gf_local, y0, alpha_star, pstar = _forced_start(sys_forced, grid)
+    dist, eq, traj = converge_to_equilibrium(sys_forced, y0, gf_local, T=3.0, dt=1e-3,
+                                             model=berger)
+    tr = simulate(sys_forced, y0, T=3.0, dt=1e-3, model=berger, stride=50)
+    y_star = sys_forced.join(alpha_star, np.zeros(sys_forced.n), np.zeros(sys_forced.n))
+    beta = tr.states[:, sys_forced.m:sys_forced.m + sys_forced.n]
+    Estar = (sys_forced.energy_quadratic((tr.states - y_star).T)
+             + sys_forced.potential(berger, beta.T) - beta @ (pstar + sys_forced.f_plate))
+    want_eq = minimize_stationary(sys_forced, pstar, berger, beta_init=beta[-1])
+    y_eq = sys_forced.join(alpha_star, want_eq.beta_star, np.zeros(sys_forced.n))
+    assert np.array_equal(traj.states, tr.states)
+    assert np.max(np.abs(traj.Estar - Estar)) <= 1e-14 * np.max(np.abs(Estar))
+    assert np.array_equal(eq.beta_star, want_eq.beta_star)
+    assert (eq.residual, eq.energy) == (want_eq.residual, want_eq.energy)
+    assert np.array_equal(dist, [sys_forced.state_norm(y - y_eq) for y in tr.states])
 
 
 def test_minimize_reports_stagnation(sys_free, gf, berger):

@@ -1,0 +1,109 @@
+"""The battery's schedule: grouped runs equal their solo runs, and the
+scheduled battery equals its checks run one after another."""
+
+from collections.abc import Generator
+
+import numpy as np
+import pytest
+
+from plateflow.config import ExperimentConfig
+from plateflow.dynamics import IntegratorError, simulate
+from plateflow.forces import BergerForce
+from plateflow.verification import (
+    CRITERIA,
+    _CHECKS,
+    _groups,
+    _Run,
+    _Setup,
+    _simulate_group,
+)
+
+REPORTS = ("E0", "E", "Estar", "dissipation_integral", "balance_residual")
+
+
+def _solo(run):
+    return simulate(run.sys, run.y0, run.T, run.dt, run.model, stride=run.stride,
+                    keep_states=run.keep_states)
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+def test_group_members_match_their_solo_runs(sys_forced, grid):
+    berger = BergerForce(grid, kappa=5.0, gamma=0.0)
+    rng = np.random.default_rng(5)
+    N = sys_forced.m + 2 * sys_forced.n
+
+    def y0(*cols):
+        y = rng.standard_normal((N, *cols))
+        return 0.5 * y / sys_forced.state_norm(y)
+
+    runs = [
+        _Run(sys_forced, y0(), T=0.3, dt=1e-3, model=berger, stride=10),
+        _Run(sys_forced, y0(3), T=0.5, dt=1e-3, model=berger, stride=25),
+        _Run(sys_forced, y0(), T=0.45, dt=1e-3, model=berger, stride=15),
+        _Run(sys_forced, y0(2), T=0.12, dt=1e-3, model=berger, stride=3, keep_states=False),
+        _Run(sys_forced, y0(), T=0.1, dt=1e-3, model=berger, stride=2, keep_states=False),
+        _Run(sys_forced, y0(), T=0.1, dt=5e-4, model=berger, stride=10),
+        _Run(sys_forced, y0(), T=0.1, dt=1e-3, stride=10),
+    ]
+    groups = _groups(runs)
+    assert groups == [[0, 1, 2], [3, 4], [5], [6]]
+    for group in groups:
+        members = [runs[k] for k in group]
+        for run, got in zip(members, _simulate_group(members)):
+            want = _solo(run)
+            assert np.array_equal(got.t, want.t)
+            if run.keep_states:
+                _assert_close(got.states, want.states)
+            else:
+                assert got.states is None
+            for name in REPORTS:
+                _assert_close(getattr(got, name), getattr(want, name))
+
+
+def test_group_rejects_a_run_off_its_stride(sys_free):
+    y = np.ones(sys_free.m + 2 * sys_free.n)
+    aligned = _Run(sys_free, y, T=0.3, dt=1e-3, stride=10)
+    with pytest.raises(IntegratorError, match="not a whole number of strides 10"):
+        _simulate_group([aligned, _Run(sys_free, y, T=0.255, dt=1e-3, stride=10)])
+
+
+def _run_in_sequence(s):
+    """Every check run to completion before the next starts, its runs solo."""
+    out = {}
+    for name in CRITERIA:
+        check = _CHECKS[name](s)
+        if isinstance(check, Generator):
+            try:
+                check.send([_solo(run) for run in next(check)])
+            except StopIteration as stop:
+                check = stop.value
+        out[name] = check
+    return out
+
+
+def _assert_same(got, want, where=""):
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            _assert_same(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), where
+        for k, (a, b) in enumerate(zip(got, want)):
+            _assert_same(a, b, f"{where}.{k}")
+    elif isinstance(want, (bool, np.bool_)) or want is None:
+        assert got == want and type(got) is type(want), where
+    else:
+        d = abs(got - want)
+        assert d <= 1e-12 or d <= 1e-6 * abs(want), f"{where}: {got!r} vs {want!r}"
+
+
+def test_schedule_equals_the_checks_run_in_sequence(battery_run):
+    # run_all at seed 0, the default config's seed
+    summary, lines, cache = battery_run
+    assert lines == [f"{name}: {'PASS' if summary[name]['pass'] else 'FAIL'}"
+                     for name in CRITERIA]
+    _assert_same(summary, _run_in_sequence(_Setup(ExperimentConfig(), cache)))
