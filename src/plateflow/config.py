@@ -1,12 +1,14 @@
 """Experiment configuration: flat INI-style file with one section per group.
 
-Unknown sections or keys are rejected so that typos fail loudly; every
-validation error names the offending field as section.key.
+Unknown sections or keys are rejected so that typos fail loudly, and so is a
+float field that is nan or infinite; every validation error names the
+offending field as section.key.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 
 from .mesh import GeometryConfig
@@ -82,13 +84,12 @@ _GPL_KINDS = ("none", "uniform", "sine")
 
 def _coerce(section: str, key: str, raw: str, target_type):
     try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        return raw
+        value = target_type(raw)
     except ValueError:
         raise ConfigError(f"{section}.{key} must be a {target_type.__name__}, got {raw!r}")
+    if target_type is float and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(path: str) -> ExperimentConfig:

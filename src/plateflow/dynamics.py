@@ -8,8 +8,10 @@ quadrature error of the nonlinear potential (second order in dt).  A state is
 one trajectory (N,) or B trajectories stepped as the columns of (N, B); each
 column runs its own fixed point, so a batch member is its solo run up to rounding.
 simulate calls Stepper.step once per step and keeps each block of steps in a
-buffer; the block's energy reports come from one call each of the
-GalerkinSystem energetics on its stacked columns.
+buffer; the block's energy reports (E0, E, the power integrals) come from one
+call each of the GalerkinSystem energetics on its stacked columns.  The
+quasi-stability and attractor-regularity probes read a trajectory the caller
+runs, and only energies computes the energy shifted by a stationary state.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .galerkin import GalerkinSystem
 # midpoint fixed point: relative update tolerance and iteration cap
 FP_TOL = 1e-12
 FP_MAXIT = 50
-# states (steps x trajectories) per block of simulate's energy reports; the
+# states (steps x trajectories) per block of simulate's energy reports, and
+# (samples x pairs) per block of quasi_stability_probe's differences; a report
 # block is cut to whole strides, and bounded in columns so that its buffers
 # stay small next to the trajectory whatever the batch size
 _BLOCK_COLUMNS = 256
@@ -42,7 +45,6 @@ class Trajectory:
     states: np.ndarray                 # (samples, m+2n); a batch adds a trailing B axis to all
     E0: np.ndarray
     E: np.ndarray
-    Estar: np.ndarray
     dissipation_integral: np.ndarray
     balance_residual: np.ndarray
 
@@ -124,14 +126,10 @@ def energies(sys: GalerkinSystem, y: np.ndarray, model: ForceModel | None = None
 
 def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
              model: ForceModel | None = None, stride: int = 10,
-             alpha_star: np.ndarray | None = None,
-             pstar_coeffs: np.ndarray | None = None,
              keep_states: bool = True) -> Trajectory:
     """Integrate on [0, T], sampling every `stride` steps (and at T) with energy reports.
 
-    y0 of shape (N, B) runs B trajectories as one batch.  alpha_star /
-    pstar_coeffs shift the reported Estar to measure energy relative to the
-    stationary flow; both default to zero (Estar = E).  keep_states=False
+    y0 of shape (N, B) runs B trajectories as one batch.  keep_states=False
     keeps only the reports (states is None), for long ensembles sampled at
     every step.  Reports are computed per block of steps from the stacked
     columns: power rates at every step's midpoint, energies at the block's
@@ -149,13 +147,14 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
     N, B = y.shape
 
     def reports(y):
-        return energies(sys, y, model, alpha_star, pstar_coeffs)
+        E0 = sys.energy_quadratic(y)
+        return E0, E0 + sys.potential(model, y[sys.m:sys.m + sys.n])
 
     n_samples = 1 + n_steps // stride + (n_steps % stride != 0)
     t = np.zeros(n_samples)
-    rep = np.zeros((n_samples, 5, B))               # E0, E, Estar, balance, dissipation
+    rep = np.zeros((n_samples, 4, B))               # E0, E, balance, dissipation
     states = np.zeros((n_samples, N, B)) if keep_states else None
-    rep[0, :3] = reports(y)
+    rep[0, :2] = reports(y)
     E_0 = rep[0, 1]
     if keep_states:
         states[0] = y
@@ -175,11 +174,11 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
         if nb % stride:                             # the last step of the run
             js = np.append(js, nb)
         Ysamp = Ys[:, js]
-        E0, E, Estar = (e.reshape(len(js), B) for e in reports(Ysamp.reshape(N, -1)))
+        E0, E = (e.reshape(len(js), B) for e in reports(Ysamp.reshape(N, -1)))
         diss, work = acc[:, js]
         s = slice(i + 1, i + 1 + len(js))
         t[s] = (k0 + js) * dt
-        rep[s] = np.stack([E0, E, Estar, (E + diss - E_0 - work) / (np.abs(E_0) + 1.0), diss], 1)
+        rep[s] = np.stack([E0, E, (E + diss - E_0 - work) / (np.abs(E_0) + 1.0), diss], 1)
         if keep_states:
             states[s] = Ysamp.transpose(1, 0, 2)
         i += len(js)
@@ -187,8 +186,8 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
     if np.ndim(y0) == 1:
         rep = rep[..., 0]
         states = None if states is None else states[..., 0]
-    return Trajectory(t=t, states=states, E0=rep[:, 0], E=rep[:, 1], Estar=rep[:, 2],
-                      balance_residual=rep[:, 3], dissipation_integral=rep[:, 4])
+    return Trajectory(t=t, states=states, E0=rep[:, 0], E=rep[:, 1],
+                      balance_residual=rep[:, 2], dissipation_integral=rep[:, 3])
 
 
 def per_sample(fn, states: np.ndarray) -> np.ndarray:
@@ -212,23 +211,20 @@ def lyapunov_V(sys: GalerkinSystem, y: np.ndarray, eps: float):
     return sys.energy_quadratic(y) + eps * (cross + v_pair)
 
 
-def lyapunov_eps_scan(sys: GalerkinSystem, n_states: int = 100, rng=None,
-                      eps_list=None):
-    """For each eps, the observed ratio range V/E0 over random states.
+def lyapunov_eps_scan(sys: GalerkinSystem, n_states: int = 100, rng=None):
+    """For each eps = 2^-1, ..., 2^-10, the observed ratio range V/E0 over random states.
 
     Returns (table, eps_star): table rows (eps, a0, a1); eps_star is the
     largest eps with ratios inside [0.5, 1.5], or None.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if eps_list is None:
-        eps_list = [2.0 ** (-k) for k in range(1, 11)]
     N = sys.m + 2 * sys.n
     states = rng.standard_normal((n_states, N)).T
     e0 = sys.energy_quadratic(states)
     table = []
     eps_star = None
-    for eps in eps_list:
+    for eps in (2.0 ** (-k) for k in range(1, 11)):
         ratios = lyapunov_V(sys, states, eps) / e0
         a0, a1 = float(np.min(ratios)), float(np.max(ratios))
         table.append((eps, a0, a1))
@@ -237,22 +233,25 @@ def lyapunov_eps_scan(sys: GalerkinSystem, n_states: int = 100, rng=None,
     return table, eps_star
 
 
-def fit_decay_rate(t: np.ndarray, q: np.ndarray, floor: float = 1e-280):
+def fit_decay_rate(t: np.ndarray, q: np.ndarray):
     """Least-squares slope of log q over the second half of the samples.
 
-    Returns (gamma_hat, fit_residual); gamma_hat > 0 means decay.  Raises on
-    non-positive samples in the fit window.
+    Returns (gamma_hat, fit_residual); gamma_hat > 0 means decay.  Underflowed
+    samples, in [0, 1e-280], are left out; raises on a negative or nan sample
+    in the fit window, and when fewer than four samples are left.
     """
     t = np.asarray(t, float)
     q = np.asarray(q, float)
     half = len(t) // 2
     tw, qw = t[half:], q[half:]
-    keep = qw > floor
+    bad = np.flatnonzero(~(qw >= 0))
+    if len(bad):
+        raise IntegratorError(f"decay fit requires nonnegative samples, got {qw[bad[0]]:g} "
+                              f"at sample {half + bad[0]}")
+    keep = qw > 1e-280
     tw, qw = tw[keep], qw[keep]
     if len(tw) < 4:
         raise IntegratorError("too few usable samples to fit a decay rate")
-    if np.any(qw <= 0):
-        raise IntegratorError("decay fit requires positive samples")
     logq = np.log(qw)
     Amat = np.column_stack([tw, np.ones_like(tw)])
     coef, res, _, _ = np.linalg.lstsq(Amat, logq, rcond=None)
@@ -261,8 +260,7 @@ def fit_decay_rate(t: np.ndarray, q: np.ndarray, floor: float = 1e-280):
 
 
 def continuous_dependence_probe(sys: GalerkinSystem, y0: np.ndarray, delta: float,
-                                T: float, dt: float, model=None, rng=None,
-                                **sim_kw):
+                                T: float, dt: float, model=None, rng=None):
     """Perturbation response at sizes delta and delta/2.
 
     Base, full and half runs are one batch.  Returns dict with sup-norm
@@ -275,7 +273,7 @@ def continuous_dependence_probe(sys: GalerkinSystem, y0: np.ndarray, delta: floa
     W = rng.standard_normal(y0.shape)
     W /= max(sys.state_norm(W), 1e-300)
     runs = np.column_stack([y0, y0 + delta * W, y0 + (0.5 * delta) * W])
-    states = simulate(sys, runs, T, dt, model, **sim_kw).states
+    states = simulate(sys, runs, T, dt, model).states
 
     def supdiff(j):
         return float(np.max(per_sample(sys.state_norm, states[..., j] - states[..., 0])))
@@ -290,25 +288,27 @@ def continuous_dependence_probe(sys: GalerkinSystem, y0: np.ndarray, delta: floa
     }
 
 
-def quasi_stability_probe(sys: GalerkinSystem, y0_a: np.ndarray, y0_b: np.ndarray,
-                          T: float, dt: float, gamma_star: float, model=None,
-                          M_cap: float = 1e4, **sim_kw):
+def quasi_stability_probe(sys: GalerkinSystem, tr: Trajectory, gamma_star: float,
+                          M_cap: float):
     """Smallest M with ||Z(t)||^2 <= M e^{-g*t}||Z0||^2 + M int e^{-g*(t-s)}||du||^2.
 
-    Z is the difference of the two trajectories in the energy norm, du the
-    plate-deflection difference in the plate L2 norm.  y0_a and y0_b are one
-    state each, (N,), or B pairs as columns, (N, B); both sides of all pairs
-    run as one batch.  Returns (passed, M), as scalars or (B,) arrays.
+    tr holds B pairs of trajectories as its 2B columns, the a-sides first.  Z
+    is the difference of a pair in the energy norm, du its plate-deflection
+    difference in the plate L2 norm; a pair whose sample-0 columns are equal
+    is identical, with M = 0.  Returns (passed, M) as (B,) arrays.
     """
-    B = y0_a.shape[1] if y0_a.ndim == 2 else 1
-    tr = simulate(sys, np.column_stack([y0_a, y0_b]), T, dt, model, **sim_kw)
+    B = tr.states.shape[2] // 2
     m, n = sys.m, sys.n
     t = tr.t
-    diff = tr.states[..., :B]                                 # (samples, N, B), in place
-    diff -= tr.states[..., B:]
-    Z2 = np.maximum(np.einsum("kib,ij,kjb->kb", diff, sys.H, diff), 0.0)    # 2 E0(diff)
-    du = diff[:, m:m + n]
-    du2 = np.einsum("kib,kib->kb", du, du)
+    a, b = tr.states[..., :B], tr.states[..., B:]
+    Z2, du2 = np.empty((2, len(t), B))
+    rows = max(1, _BLOCK_COLUMNS // B)          # samples per block of pair differences
+    for k in range(0, len(t), rows):
+        diff = a[k:k + rows] - b[k:k + rows]                  # (rows, N, B)
+        # 2 E0(diff), and the squared plate L2 norm of du
+        Z2[k:k + rows] = np.maximum(np.einsum("kib,ij,kjb->kb", diff, sys.H, diff), 0.0)
+        du = diff[:, m:m + n]
+        du2[k:k + rows] = np.einsum("kib,kib->kb", du, du)
     # integral term by trapezoid on the sample grid, as a recursion in k
     conv = np.zeros_like(du2)
     for k in range(1, len(t)):
@@ -317,9 +317,7 @@ def quasi_stability_probe(sys: GalerkinSystem, y0_a: np.ndarray, y0_b: np.ndarra
         conv[k] = e * conv[k - 1] + 0.5 * h * (e * du2[k - 1] + du2[k])
     rhs_unit = np.exp(-gamma_star * t)[:, None] * Z2[0] + conv
     M = np.max(Z2 / np.maximum(rhs_unit, 1e-300), axis=0)
-    M[np.all((y0_a == y0_b).reshape(len(y0_a), -1), axis=0)] = 0.0    # an identical pair
-    if y0_a.ndim == 1:
-        return bool(M[0] <= M_cap), float(M[0])
+    M[np.all(a[0] == b[0], axis=0)] = 0.0                     # an identical pair
     return M <= M_cap, M
 
 

@@ -282,7 +282,7 @@ class ProjectionReport:
 
 
 def project_initial(sys: GalerkinSystem, v0: VelocityField, u0: np.ndarray,
-                    u1: np.ndarray, trace_tol: float = TRACE_TOL) -> ProjectionReport:
+                    u1: np.ndarray) -> ProjectionReport:
     """Project compatible initial data onto the modal space.
 
     Requires div v0 = 0 and the normal trace of v0 on Omega to equal u1.  The
@@ -294,7 +294,7 @@ def project_initial(sys: GalerkinSystem, v0: VelocityField, u0: np.ndarray,
     if d > DIV_TOL:
         raise AssemblyError(f"initial velocity is not divergence free: max divergence {d:.3e}")
     tr = float(np.max(np.abs(v0.w[:, -1] - u1)))
-    if tr > trace_tol:
+    if tr > TRACE_TOL:
         raise AssemblyError(
             f"initial data incompatible: fluid normal trace differs from plate velocity by {tr:.3e}"
         )

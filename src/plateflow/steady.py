@@ -118,13 +118,14 @@ def minimize_stationary(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
 
 def find_equilibria(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
                     model: ForceModel | None = None, starts: int = 8,
-                    scale: float = 0.5, seed: int = 0) -> list[Equilibrium]:
-    """Multi-start descent; returns distinct equilibria sorted by energy.  Energies
-    equal to 1e-12 relative (the +-beta pair of a symmetric plate) tie and are
-    ordered by the first plate coefficient, larger first."""
+                    seed: int = 0) -> list[Equilibrium]:
+    """Multi-start descent from the flat state and starts - 1 random ones of
+    scale 0.5; returns distinct equilibria sorted by energy.  Energies equal to
+    1e-12 relative (the +-beta pair of a symmetric plate) tie and are ordered
+    by the first plate coefficient, larger first."""
     rng = np.random.default_rng(seed)
     found = []
-    inits = [None] + [scale * rng.standard_normal(sys.n) for _ in range(starts - 1)]
+    inits = [None] + [0.5 * rng.standard_normal(sys.n) for _ in range(starts - 1)]
     for b0 in inits:
         try:
             eq = minimize_stationary(sys, pstar_coeffs, model, beta_init=b0)
@@ -163,17 +164,15 @@ def converge_to_equilibrium(sys: GalerkinSystem, y0: np.ndarray, gf: VelocityFie
                             T: float, dt: float, model: ForceModel | None = None,
                             stride: int = 50):
     """Run the dynamics and measure the distance to an independently found
-    equilibrium (seeded from the trajectory tail).  The trajectory's Estar is
-    shifted by the stationary flow and by p* plus the plate load, so it is the
-    Lyapunov functional of the forced problem.
+    equilibrium (seeded from the trajectory tail).  The Lyapunov functional of
+    the forced problem is dynamics.energies of the trajectory's states, shifted
+    by the stationary flow and by p* plus the plate load.
 
     Returns (distances over time, matched Equilibrium, trajectory).
     """
     from .dynamics import simulate
 
-    alpha_star = stationary_flow_coefficients(sys, gf)
-    pstar = pstar_mode_coeffs(sys, gf)
-    traj = simulate(sys, y0, T, dt, model, stride=stride,
-                    alpha_star=alpha_star, pstar_coeffs=pstar + sys.f_plate)
-    dist, eq = distance_to_equilibrium(sys, traj.states, alpha_star, pstar, model)
+    traj = simulate(sys, y0, T, dt, model, stride=stride)
+    dist, eq = distance_to_equilibrium(sys, traj.states, stationary_flow_coefficients(sys, gf),
+                                       pstar_mode_coeffs(sys, gf), model)
     return dist, eq, traj

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plateflow.config import ExperimentConfig
+from plateflow.dynamics import Stepper
 from plateflow.galerkin import ForcingConfig, assemble
 from plateflow.mesh import GeometryConfig, build_grid
 from plateflow.modal import build_modal_basis
@@ -37,8 +38,26 @@ def rng():
 
 @pytest.fixture(scope="session")
 def battery_run(tmp_path_factory):
-    """run_all on the default config: (summary, reported lines, mode-cache dir)."""
+    """run_all on the default config: (summary, reported lines, mode-cache dir,
+    steppers).  steppers lists each Stepper the battery builds, in order, as a
+    dict of its system, model and dt and the number of steps it took per state
+    shape."""
     cache = str(tmp_path_factory.mktemp("modes_cache"))
-    lines = []
-    summary, _ = run_all(ExperimentConfig(), cache_dir=cache, report=lines.append)
-    return summary, lines, cache
+    lines, steppers = [], []
+    init, step = Stepper.__init__, Stepper.step
+
+    def counted_init(self, sys, dt, model=None):
+        self.record = {"sys": sys, "model": model, "dt": dt, "steps": {}}
+        steppers.append(self.record)
+        init(self, sys, dt, model)
+
+    def counted_step(self, y):
+        steps = self.record["steps"]
+        steps[y.shape] = steps.get(y.shape, 0) + 1
+        return step(self, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Stepper, "__init__", counted_init)
+        mp.setattr(Stepper, "step", counted_step)
+        summary, _ = run_all(ExperimentConfig(), cache_dir=cache, report=lines.append)
+    return summary, lines, cache, steppers

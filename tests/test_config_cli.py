@@ -1,11 +1,12 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from plateflow.cli import _dumps, main, write_csv, write_json
-from plateflow.config import ConfigError, ExperimentConfig, parse_config
+from plateflow.config import _SECTIONS, ConfigError, ExperimentConfig, parse_config
 
 
 def _write(tmp_path, text, name="cfg.ini"):
@@ -141,3 +142,17 @@ def test_write_json_trailing_newline(tmp_path):
     path = str(tmp_path / "x.json")
     write_json(path, {"x": 1})
     assert open(path, "rb").read() == b'{"x":1}\n'
+
+
+_FLOAT_FIELDS = [(section, f.name) for section, cls in _SECTIONS.items() for f in fields(cls)
+                 if isinstance(getattr(cls(), f.name), float)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("section, key", _FLOAT_FIELDS)
+def test_non_finite_float_is_rejected_by_name(tmp_path, capsys, section, key, value):
+    path = _write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be finite, got '{value}'"):
+        parse_config(path)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {section}.{key} must be finite" in capsys.readouterr().err

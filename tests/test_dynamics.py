@@ -9,10 +9,12 @@ from plateflow.dynamics import (
     Trajectory,
     attractor_regularity_probe,
     continuous_dependence_probe,
+    energies,
     energy_balance_residual,
     fit_decay_rate,
     lyapunov_V,
     lyapunov_eps_scan,
+    per_sample,
     quasi_stability_probe,
     simulate,
 )
@@ -90,6 +92,27 @@ def test_fit_decay_rate_on_synthetic_exponential():
         fit_decay_rate(t[:4], np.ones(4) * 1e-300)
 
 
+def test_fit_decay_rate_rejects_negative_samples_and_drops_underflow():
+    t = np.linspace(0.0, 1.0, 20)
+    q = np.exp(-2.0 * t)
+    bad = q.copy()
+    bad[15] = -1.0
+    with pytest.raises(IntegratorError, match="nonnegative samples, got -1 at sample 15"):
+        fit_decay_rate(t, bad)
+    bad[15] = np.nan
+    with pytest.raises(IntegratorError, match="got nan at sample 15"):
+        fit_decay_rate(t, bad)
+    # a negative sample before the fit window is not read
+    early = q.copy()
+    early[3] = -1.0
+    assert fit_decay_rate(t, early) == fit_decay_rate(t, q)
+    # samples in [0, 1e-280] have underflowed and are left out of the fit
+    under = q.copy()
+    under[[12, 15]] = (0.0, 1e-280)
+    gam, res = fit_decay_rate(t, under)
+    assert abs(gam - 2.0) < 1e-12 and res < 1e-12
+
+
 def test_fitted_rate_tracks_spectral_abscissa(sys_free):
     from plateflow.spectrum import spectral_abscissa
     y0 = _random_unit_state(sys_free, seed=6)
@@ -118,15 +141,20 @@ def test_continuous_dependence_first_order(sys_free, berger):
     assert 1.8 < out["ratio"] < 2.2
 
 
+def _pair_run(sys, ya, yb, T, model, dt=1e-3):
+    # the pairs (ya, yb) as one run: the a-sides, then the b-sides
+    return simulate(sys, np.column_stack([ya, yb]), T, dt, model, stride=10)
+
+
 def test_quasi_stability_probe_basics(sys_free, berger):
     ya = _random_unit_state(sys_free, seed=11)
     yb = _random_unit_state(sys_free, seed=12)
-    passed, M = quasi_stability_probe(sys_free, ya, ya.copy(), T=1.0, dt=1e-3,
-                                      gamma_star=1.0, model=berger)
-    assert passed and M == 0.0
-    passed, M = quasi_stability_probe(sys_free, ya, yb, T=3.0, dt=1e-3,
-                                      gamma_star=1.0, model=berger, M_cap=1e4)
-    assert passed and 0.0 < M <= 1e4
+    passed, M = quasi_stability_probe(sys_free, _pair_run(sys_free, ya, ya.copy(), 1.0, berger),
+                                      gamma_star=1.0, M_cap=1e4)
+    assert passed.tolist() == [True] and M.tolist() == [0.0]
+    passed, M = quasi_stability_probe(sys_free, _pair_run(sys_free, ya, yb, 3.0, berger),
+                                      gamma_star=1.0, M_cap=1e4)
+    assert passed[0] and 0.0 < M[0] <= 1e4
 
 
 def test_attractor_regularity_probe_flags_growth(sys_free):
@@ -139,7 +167,7 @@ def test_attractor_regularity_probe_flags_growth(sys_free):
 
     def probe(rate):
         states = np.exp(rate * t)[:, None] * y1
-        return attractor_regularity_probe(Trajectory(t, states, zeros, zeros, zeros, zeros, zeros),
+        return attractor_regularity_probe(Trajectory(t, states, zeros, zeros, zeros, zeros),
                                           sys_free)
 
     grow, decay = probe(1.0), probe(-1.0)
@@ -184,7 +212,7 @@ def test_batched_simulate_matches_solo_runs(sys_forced, grid, name):
         assert solo.states.shape == (51, y0.shape[0]) and solo.E.shape == (51,)
         size = np.max(np.abs(solo.states))
         assert np.max(np.abs(batch.states[..., j] - solo.states)) <= 1e-13 * size
-        for field in ("E0", "E", "Estar", "dissipation_integral"):
+        for field in ("E0", "E", "dissipation_integral"):
             want = getattr(solo, field)
             got = getattr(batch, field)[:, j]
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -249,9 +277,8 @@ def test_quasi_stability_recursion_matches_trapezoid(sys_free, berger):
     ya = np.column_stack([_random_unit_state(sys_free, seed=60),
                           _random_unit_state(sys_free, seed=61)])
     yb = np.column_stack([_random_unit_state(sys_free, seed=62), ya[:, 1]])
-    passed, M = quasi_stability_probe(sys_free, ya, yb, T=T, dt=dt, gamma_star=gamma_star,
-                                      model=berger, M_cap=1e4, stride=10)
-    tr = simulate(sys_free, np.column_stack([ya, yb]), T, dt, berger, stride=10)
+    tr = _pair_run(sys_free, ya, yb, T, berger, dt)
+    passed, M = quasi_stability_probe(sys_free, tr, gamma_star=gamma_star, M_cap=1e4)
     t = tr.t
     assert np.isclose(t[-1] - t[-2], 0.005) and np.isclose(t[1] - t[0], 0.01)
     diff = tr.states[..., 0] - tr.states[..., 2]
@@ -264,24 +291,19 @@ def test_quasi_stability_recursion_matches_trapezoid(sys_free, berger):
     assert M[1] == 0.0 and passed.tolist() == [True, True]
 
 
-def test_quasi_stability_identical_pair_has_zero_M(sys_free, berger, monkeypatch):
+def test_quasi_stability_identical_pair_has_zero_M(sys_free, berger):
     # M = 0 for an identical pair must not rest on the two batch columns
-    # rounding alike: perturb the second side's samples at rounding level
-    real = dynamics.simulate
-
-    def rounded_apart(*args, **kw):
-        tr = real(*args, **kw)
-        tr.states[..., 2:] *= 1.0 + 1e-15
-        return tr
-
-    monkeypatch.setattr(dynamics, "simulate", rounded_apart)
+    # rounding alike: perturb the b-side's samples k >= 1 at rounding level
     ya = np.column_stack([_random_unit_state(sys_free, seed=63), _random_unit_state(sys_free, seed=64)])
     yb = np.column_stack([ya[:, 0], _random_unit_state(sys_free, seed=65)])
-    passed, M = quasi_stability_probe(sys_free, ya, yb, T=0.2, dt=1e-3, gamma_star=1.0,
-                                      model=berger, stride=10)
+    tr = _pair_run(sys_free, ya, yb, 0.2, berger)
+    tr.states[1:, :, 2:] *= 1.0 + 1e-15
+    passed, M = quasi_stability_probe(sys_free, tr, gamma_star=1.0, M_cap=1e4)
     assert M[0] == 0.0 and M[1] > 0.0 and passed[0]
-    assert quasi_stability_probe(sys_free, ya[:, 0], ya[:, 0], T=0.2, dt=1e-3, gamma_star=1.0,
-                                 model=berger, stride=10) == (True, 0.0)
+    single = _pair_run(sys_free, ya[:, 0], ya[:, 0], 0.2, berger)
+    single.states[1:, :, 1:] *= 1.0 + 1e-15
+    passed, M = quasi_stability_probe(sys_free, single, gamma_star=1.0, M_cap=1e4)
+    assert (passed.tolist(), M.tolist()) == ([True], [0.0])
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -296,12 +318,13 @@ def test_simulate_rejects_bad_stride_and_horizon(sys_free, bad, message):
 
 def _per_step_reference(sys, y0, T, dt, model, stride, alpha_star, pstar_coeffs):
     # simulate's reports one step at a time: power rates at each step's
-    # midpoint, summed as it goes, and the energies at each sample
+    # midpoint, summed as it goes, and the energies at each sample, with the
+    # energy shifted by alpha_star and pstar_coeffs written out
     m, n = sys.m, sys.n
     stepper = Stepper(sys, dt, model)
     y_star = sys.join(alpha_star, np.zeros(n), np.zeros(n))[:, None]
 
-    def energies(y):
+    def reports(y):
         beta = y[m:m + n]
         E0 = sys.energy_quadratic(y)
         pot = sys.potential(model, beta)
@@ -310,7 +333,7 @@ def _per_step_reference(sys, y0, T, dt, model, stride, alpha_star, pstar_coeffs)
     y = y0.reshape(len(y0), -1)
     n_steps = int(round(T / dt))
     diss_acc = work_acc = np.zeros(y.shape[1])
-    t, states, rep = [0.0], [y], [energies(y) + (diss_acc, diss_acc)]
+    t, states, rep = [0.0], [y], [reports(y) + (diss_acc, diss_acc)]
     E_0 = rep[0][1]
     for k in range(1, n_steps + 1):
         y, y_mid = stepper.step(y)
@@ -318,7 +341,7 @@ def _per_step_reference(sys, y0, T, dt, model, stride, alpha_star, pstar_coeffs)
         diss_acc = diss_acc + dt * diss
         work_acc = work_acc + dt * work
         if k % stride == 0 or k == n_steps:
-            E0, E, Estar = energies(y)
+            E0, E, Estar = reports(y)
             t.append(k * dt)
             states.append(y)
             rep.append((E0, E, Estar, (E + diss_acc - E_0 - work_acc) / (np.abs(E_0) + 1.0),
@@ -347,15 +370,17 @@ def test_block_reports_match_per_step_reference(sys_forced, grid, B, stride, spa
         y0 = y0[:, 0]
     rng = np.random.default_rng(7)
     alpha_star, pstar = 0.1 * rng.standard_normal(m), 0.1 * rng.standard_normal(n)
-    tr = simulate(sys_forced, y0, n_steps * dt, dt, model, stride=stride, alpha_star=alpha_star,
-                  pstar_coeffs=pstar, keep_states=keep_states)
+    tr = simulate(sys_forced, y0, n_steps * dt, dt, model, stride=stride, keep_states=keep_states)
     t, states, rep = _per_step_reference(sys_forced, y0, n_steps * dt, dt, model, stride,
                                          alpha_star, pstar)
     assert np.array_equal(tr.t, t)
     assert np.array_equal(tr.states, states) if keep_states else tr.states is None
     # stacking columns may reorder BLAS sums; measured worst drift 1.1e-16
     scale = 1.0 + np.abs(rep[0, 1])
-    for col, field in enumerate(("E0", "E", "Estar", "balance_residual", "dissipation_integral")):
-        got = getattr(tr, field)
+    # the shifted energy comes from energies on the stacked samples alone
+    Estar = per_sample(lambda y: energies(sys_forced, y, model, alpha_star, pstar)[2], states)
+    for col, (field, got) in enumerate((("E0", tr.E0), ("E", tr.E), ("Estar", Estar),
+                                        ("balance_residual", tr.balance_residual),
+                                        ("dissipation_integral", tr.dissipation_integral))):
         assert got.shape == rep[:, col].shape
         assert np.max(np.abs(got - rep[:, col]) / scale) <= 1e-14, field

@@ -113,7 +113,10 @@ def test_trajectory_attracted_to_equilibrium(sys_forced, grid, berger):
                                              T=10.0, dt=1e-3, model=berger)
     # under the plate load Estar is the Lyapunov functional, so non-increasing
     assert np.max(np.abs(sys_forced.f_plate)) > 0
-    assert np.all(np.diff(traj.Estar) <= 1e-10 * (1.0 + abs(traj.Estar[0])))
+    Estar = energies(sys_forced, traj.states.T, berger,
+                     stationary_flow_coefficients(sys_forced, gf_local),
+                     pstar_mode_coeffs(sys_forced, gf_local) + sys_forced.f_plate)[2]
+    assert np.all(np.diff(Estar) <= 1e-10 * (1.0 + abs(Estar[0])))
     assert dist[-1] < 1e-4
     assert dist[-1] < dist[0]
     y_eq = equilibrium_state(sys_forced, gf_local, eq)
@@ -132,13 +135,22 @@ def _forced_start(sys_forced, grid):
         pstar_mode_coeffs(sys_forced, gf_local)
 
 
-def test_shifted_energy_is_simulates_estar(sys_forced, grid, berger):
+def _written_out_estar(sys, states, model, alpha_star, load):
+    # the energy of the samples less the stationary flow, plus the plate
+    # potential, less the work of the load on the plate coefficients
+    y_star = sys.join(alpha_star, np.zeros(sys.n), np.zeros(sys.n))
+    beta = states[:, sys.m:sys.m + sys.n]
+    return (sys.energy_quadratic((states - y_star).T) + sys.potential(model, beta.T)
+            - beta @ load)
+
+
+def test_shifted_energy_matches_its_formula(sys_forced, grid, berger):
     gf_local, y0, alpha_star, pstar = _forced_start(sys_forced, grid)
     load = pstar + sys_forced.f_plate
-    tr = simulate(sys_forced, y0, T=1.0, dt=1e-3, model=berger, stride=50,
-                  alpha_star=alpha_star, pstar_coeffs=load)
+    tr = simulate(sys_forced, y0, T=1.0, dt=1e-3, model=berger, stride=50)
     E0, E, Estar = energies(sys_forced, tr.states.T, berger, alpha_star, load)
-    for got, want in ((E0, tr.E0), (E, tr.E), (Estar, tr.Estar)):
+    want_Estar = _written_out_estar(sys_forced, tr.states, berger, alpha_star, load)
+    for got, want in ((E0, tr.E0), (E, tr.E), (Estar, want_Estar)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # a single state gives the same numbers as a column
     assert np.allclose(energies(sys_forced, tr.states[-1], berger, alpha_star, load)[2],
@@ -150,20 +162,20 @@ def test_shifted_energy_is_simulates_estar(sys_forced, grid, berger):
 
 
 def test_converge_to_equilibrium_matches_its_parts(sys_forced, grid, berger):
-    # the oracle: the shifted run, descent from its last plate state, and the
-    # distance of every sample, written out
+    # the oracle: the run, its shifted energy, descent from its last plate
+    # state, and the distance of every sample, written out
     gf_local, y0, alpha_star, pstar = _forced_start(sys_forced, grid)
     dist, eq, traj = converge_to_equilibrium(sys_forced, y0, gf_local, T=3.0, dt=1e-3,
                                              model=berger)
     tr = simulate(sys_forced, y0, T=3.0, dt=1e-3, model=berger, stride=50)
-    y_star = sys_forced.join(alpha_star, np.zeros(sys_forced.n), np.zeros(sys_forced.n))
+    load = pstar + sys_forced.f_plate
+    Estar = _written_out_estar(sys_forced, tr.states, berger, alpha_star, load)
     beta = tr.states[:, sys_forced.m:sys_forced.m + sys_forced.n]
-    Estar = (sys_forced.energy_quadratic((tr.states - y_star).T)
-             + sys_forced.potential(berger, beta.T) - beta @ (pstar + sys_forced.f_plate))
     want_eq = minimize_stationary(sys_forced, pstar, berger, beta_init=beta[-1])
     y_eq = sys_forced.join(alpha_star, want_eq.beta_star, np.zeros(sys_forced.n))
     assert np.array_equal(traj.states, tr.states)
-    assert np.max(np.abs(traj.Estar - Estar)) <= 1e-14 * np.max(np.abs(Estar))
+    got = energies(sys_forced, traj.states.T, berger, alpha_star, load)[2]
+    assert np.max(np.abs(got - Estar)) <= 1e-14 * np.max(np.abs(Estar))
     assert np.array_equal(eq.beta_star, want_eq.beta_star)
     assert (eq.residual, eq.energy) == (want_eq.residual, want_eq.energy)
     assert np.array_equal(dist, [sys_forced.state_norm(y - y_eq) for y in tr.states])

@@ -18,7 +18,7 @@ from plateflow.verification import (
     _simulate_group,
 )
 
-REPORTS = ("E0", "E", "Estar", "dissipation_integral", "balance_residual")
+REPORTS = ("E0", "E", "dissipation_integral", "balance_residual")
 
 
 def _solo(run):
@@ -103,7 +103,26 @@ def _assert_same(got, want, where=""):
 
 def test_schedule_equals_the_checks_run_in_sequence(battery_run):
     # run_all at seed 0, the default config's seed
-    summary, lines, cache = battery_run
+    summary, lines, cache, _ = battery_run
     assert lines == [f"{name}: {'PASS' if summary[name]['pass'] else 'FAIL'}"
                      for name in CRITERIA]
     _assert_same(summary, _run_in_sequence(_Setup(ExperimentConfig(), cache)))
+
+
+def test_battery_schedule_steps(battery_run):
+    # at seed 0 the battery builds 7 steppers and takes 30,000 Berger and
+    # 14,000 linear steps (a batched step counts once); every free linear run
+    # at dt = 1e-3 that keeps its states, the quasi-stability pair and the
+    # semigroup run included, is one (N, 14) run to T = 6
+    summary, _, _, steppers = battery_run
+    assert len(steppers) == 7
+    steps = {"berger": 0, "linear": 0}
+    for st in steppers:
+        steps["linear" if st["model"] is None else "berger"] += sum(st["steps"].values())
+    assert steps == {"berger": 30000, "linear": 14000}
+    N = steppers[0]["sys"].A.shape[0]
+    free_linear = [st["steps"] for st in steppers
+                   if st["model"] is None and st["dt"] == 1e-3 and not np.any(st["sys"].c)]
+    # exponential_stability's ensemble keeps no states and runs on its own
+    assert free_linear == [{(N, 10): 4000}, {(N, 14): 6000}]
+    assert type(summary["quasi_stability"]["linear_M"]) is float
