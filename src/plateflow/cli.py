@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import verification
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config, validate
 from .dynamics import IntegratorError, energy_balance_residual, fit_decay_rate, simulate
 from .forces import BergerForce, KirchhoffForce
 from .galerkin import ForcingConfig, assemble, fluid_forcing_field
@@ -103,6 +103,7 @@ def _load_config(args) -> ExperimentConfig:
         cfg.output.dir = args.out
     if args.seed is not None:
         cfg.probes.seed = args.seed
+        validate(cfg)
     os.makedirs(cfg.output.dir, exist_ok=True)
     return cfg
 

@@ -154,6 +154,8 @@ def validate(cfg: ExperimentConfig):
     if i.stride < 1:
         raise ConfigError("integration.stride must be at least 1")
     pr = cfg.probes
+    if pr.seed < 0:
+        raise ConfigError("probes.seed must be nonnegative")
     if pr.radius <= 0:
         raise ConfigError("probes.radius must be positive")
     if pr.m_cap <= 0:

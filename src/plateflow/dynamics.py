@@ -7,9 +7,10 @@ exact for the linear terms, so the energy-balance residual isolates the
 quadrature error of the nonlinear potential (second order in dt).  A state is
 one trajectory (N,) or B trajectories stepped as the columns of (N, B); each
 column runs its own fixed point, so a batch member is its solo run up to rounding.
-simulate calls Stepper.step once per step and keeps each block of steps in a
-buffer; the block's energy reports (E0, E, the power integrals) come from one
-call each of the GalerkinSystem energetics on its stacked columns.  The
+Stepper.step returns only the next state; simulate calls it once per step and
+keeps each block of steps in a buffer, from which it forms every step's
+midpoint.  The block's energy reports (E0, E, the power integrals) come from
+one call each of the GalerkinSystem energetics on its stacked columns.  The
 quasi-stability and attractor-regularity probes read a trajectory the caller
 runs, and only energies computes the energy shifted by a stationary state.
 """
@@ -67,9 +68,9 @@ class Stepper:
         self._p = la.lu_solve(S1, dt * sys.c)[:, None]
         self._PB = la.lu_solve(S1, dt * sys.B)
 
-    def step(self, y: np.ndarray):
-        """Advance one step; returns (y_next, y_mid), both shaped like y.  A
-        column converged to FP_TOL is frozen; a failure names its column."""
+    def step(self, y: np.ndarray) -> np.ndarray:
+        """Advance one step; returns y_next, shaped like y.  A column converged
+        to FP_TOL is frozen; a failure names its column."""
         Y = y.reshape(len(y), -1)
         base = y_next = self._P @ Y + self._p
         if self.model is not None:
@@ -101,8 +102,7 @@ class Stepper:
                 raise IntegratorError(
                     f"force fixed point {failure} in member {live[0]} (last update "
                     f"{last[live[0]]:.3e}); reduce the time step")
-        y_next = y_next.reshape(y.shape)
-        return y_next, 0.5 * (y + y_next)
+        return y_next.reshape(y.shape)
 
 
 def energies(sys: GalerkinSystem, y: np.ndarray, model: ForceModel | None = None,
@@ -166,8 +166,8 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
         nb = min(L, n_steps - k0)
         Ys[:, 0] = y
         for j in range(1, nb + 1):
-            y = Ys[:, j] = stepper.step(y)[0]
-        mid = 0.5 * (Ys[:, :nb] + Ys[:, 1:nb + 1])  # the y_mid of each step
+            y = Ys[:, j] = stepper.step(y)
+        mid = 0.5 * (Ys[:, :nb] + Ys[:, 1:nb + 1])  # each step's midpoint
         rates = np.stack(sys.power_rates(mid.reshape(N, -1))).reshape(2, nb, B)
         acc = np.add.accumulate(np.concatenate([acc[:, -1:], dt * rates], axis=1), axis=1)
         js = np.arange(stride, nb + 1, stride)

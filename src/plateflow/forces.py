@@ -28,8 +28,6 @@ def per_column(v: np.ndarray, like: np.ndarray) -> np.ndarray:
 class ForceModel:
     """Interface: force(u) and potential(u) on nodal plate values."""
 
-    name = "base"
-
     def force(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -53,8 +51,7 @@ class KirchhoffForce(ForceModel):
     r: float = 0.0
     mu: float = 0.0
     load: np.ndarray = None
-    ops: BeamOperators = field(repr=False, default=None)
-    name: str = "kirchhoff"
+    ops: BeamOperators = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kappa < 0:
@@ -63,8 +60,7 @@ class KirchhoffForce(ForceModel):
             raise ForceModelError("kirchhoff exponents must satisfy q > r >= 0")
         if self.load is None:
             self.load = np.zeros(self.grid.n_plate)
-        if self.ops is None:
-            self.ops = beam_operators(self.grid)
+        self.ops = beam_operators(self.grid)
 
     def _flux(self, s):
         return self.kappa * (np.abs(s) ** self.q * s - self.mu * np.abs(s) ** self.r * s)
@@ -100,16 +96,14 @@ class BergerForce(ForceModel):
     kappa: float = 1.0
     gamma: float = 0.0
     load: np.ndarray = None
-    ops: BeamOperators = field(repr=False, default=None)
-    name: str = "berger"
+    ops: BeamOperators = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kappa <= 0:
             raise ForceModelError("berger coefficient kappa must be positive")
         if self.load is None:
             self.load = np.zeros(self.grid.n_plate)
-        if self.ops is None:
-            self.ops = beam_operators(self.grid)
+        self.ops = beam_operators(self.grid)
 
     def _Q(self, s):                   # h |s|^2 per column of the slopes s = D u
         return self.grid.h_x * np.vecdot(s, s, axis=0)

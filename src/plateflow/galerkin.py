@@ -216,10 +216,6 @@ class GalerkinSystem:
                           + 2.0 * model.kappa * h * np.outer(Kb, Kb))
         return berger
 
-    def force_coeffs(self, model: ForceModel | None, beta: np.ndarray) -> np.ndarray:
-        """One evaluation of force_map(model); a loop takes the map once."""
-        return self.force_map(model)(beta)
-
     def potential(self, model: ForceModel | None, beta: np.ndarray):
         if model is None:
             return 0.0

@@ -291,7 +291,6 @@ class BeamOperators:
 
     grid: Grid
     D: np.ndarray = field(repr=False, default=None)
-    B: np.ndarray = field(repr=False, default=None)   # second-derivative map, cells -> cells
     K: np.ndarray = field(repr=False, default=None)
     C: np.ndarray = field(repr=False, default=None)
 
@@ -299,15 +298,13 @@ class BeamOperators:
 def beam_operators(g: Grid) -> BeamOperators:
     n, h = g.n_plate, g.h_x
     D = np.zeros((n + 1, n))
-    idx = np.arange(1, n)
-    D[idx, idx - 1] = -1.0 / h
-    D[idx, idx] = 1.0 / h
-    B = (D[1:, :] - D[:-1, :]) / h
+    D[1:-1] = forward_diff(n, 1.0 / h)
+    B = (D[1:, :] - D[:-1, :]) / h      # second-derivative map, cells -> cells
     K = h * B.T @ B
     C = np.zeros((2, n))
     C[0, :3] = [15.0 / 8.0, -10.0 / 8.0, 3.0 / 8.0]
     C[1, -3:] = [3.0 / 8.0, -10.0 / 8.0, 15.0 / 8.0]
-    return BeamOperators(grid=g, D=D, B=B, K=K, C=C)
+    return BeamOperators(grid=g, D=D, K=K, C=C)
 
 
 def beam_biharmonic(u: np.ndarray, g: Grid, ops: BeamOperators | None = None) -> np.ndarray:

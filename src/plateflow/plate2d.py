@@ -6,15 +6,18 @@ own node-centered square grid and is exercised force-only; the coupled cavity
 runs use the beam models.
 
 The force is constructed as the exact discrete gradient of the discrete
-potential: second-derivative maps Dxx, Dyy, Dxy act on interior nodes, the
-clamped biharmonic is the normal-equations operator of the nodal Laplacian
-with ghost closure, and every bracket appearing in the potential is
-differentiated through transposes of those maps.
+potential: the second-derivative maps Dxx, Dyy, Dxy on interior nodes are
+Kronecker products of 1-D stencils, built once per grid
+(second_derivative_maps); the clamped biharmonic form is the
+normal-equations operator h^2 L^T L of the nodal Laplacian with ghost
+closure (bending_form); and every bracket appearing in the potential is
+differentiated through the transposes of the same maps that evaluate it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,40 +55,22 @@ class PlateGrid2D:
         return np.meshgrid(x, x, indexing="ij")
 
 
-def _pad(u: np.ndarray, g: PlateGrid2D) -> np.ndarray:
-    n = g.n_int
-    full = np.zeros((n + 2, n + 2))
-    full[1:-1, 1:-1] = u.reshape(n, n)
-    return full
+@lru_cache(maxsize=8)
+def second_derivative_maps(g: PlateGrid2D):
+    """(Dxx, Dyy, Dxy): centered second differences on interior nodes with a
+    zero boundary, as Kronecker products of the 1-D stencils; built once per
+    grid and shared, so callers must not modify them."""
+    n, h = g.n_int, g.h
+    d2 = offdiag(n, 1.0 / h ** 2) - (2.0 / h ** 2) * np.eye(n)
+    d1 = (np.eye(n, k=1) - np.eye(n, k=-1)) / (2.0 * h)   # centered first difference
+    eye = np.eye(n)
+    return kron(d2, eye).tocsr(), kron(eye, d2).tocsr(), kron(d1, d1).tocsr()
 
 
 def second_derivatives(u: np.ndarray, g: PlateGrid2D):
     """(u_xx, u_yy, u_xy) at interior nodes, centered stencils, zero boundary."""
-    f = _pad(u, g)
-    h2 = g.h ** 2
-    uxx = (f[2:, 1:-1] - 2 * f[1:-1, 1:-1] + f[:-2, 1:-1]) / h2
-    uyy = (f[1:-1, 2:] - 2 * f[1:-1, 1:-1] + f[1:-1, :-2]) / h2
-    uxy = (f[2:, 2:] - f[2:, :-2] - f[:-2, 2:] + f[:-2, :-2]) / (4 * h2)
-    return uxx, uyy, uxy
-
-
-def _adjoint_second_derivatives(axx, ayy, axy, g: PlateGrid2D):
-    """Transpose action: Dxx^T axx + Dyy^T ayy + Dxy^T axy on interior nodes."""
-    n = g.n_int
-    h2 = g.h ** 2
-    out = np.zeros((n + 2, n + 2))
-    out[2:, 1:-1] += axx / h2
-    out[1:-1, 1:-1] += -2 * axx / h2
-    out[:-2, 1:-1] += axx / h2
-    out[1:-1, 2:] += ayy / h2
-    out[1:-1, 1:-1] += -2 * ayy / h2
-    out[1:-1, :-2] += ayy / h2
-    q = axy / (4 * h2)
-    out[2:, 2:] += q
-    out[2:, :-2] -= q
-    out[:-2, 2:] -= q
-    out[:-2, :-2] += q
-    return out[1:-1, 1:-1]
+    u = u.ravel()
+    return tuple((D @ u).reshape(g.n_int, g.n_int) for D in second_derivative_maps(g))
 
 
 def vk_bracket(u: np.ndarray, v: np.ndarray, g: PlateGrid2D) -> np.ndarray:
@@ -98,9 +83,11 @@ def vk_bracket(u: np.ndarray, v: np.ndarray, g: PlateGrid2D) -> np.ndarray:
 
 
 def _bracket_adjoint(w: np.ndarray, u: np.ndarray, g: PlateGrid2D) -> np.ndarray:
-    """Gradient of du -> sum(w * [u, du]): Dyy^T(w u_xx) + Dxx^T(w u_yy) - 2 Dxy^T(w u_xy)."""
+    """Gradient of du -> sum(w * [u, du]): Dxx^T(w u_yy) + Dyy^T(w u_xx) - 2 Dxy^T(w u_xy)."""
+    Dxx, Dyy, Dxy = second_derivative_maps(g)
     uxx, uyy, uxy = second_derivatives(u, g)
-    return _adjoint_second_derivatives(w * uyy, w * uxx, -2 * w * uxy, g)
+    out = Dxx.T @ (w * uyy).ravel() + Dyy.T @ (w * uxx).ravel() - 2 * (Dxy.T @ (w * uxy).ravel())
+    return out.reshape(g.n_int, g.n_int)
 
 
 def clamped_laplacian_map(g: PlateGrid2D) -> sp.csr_matrix:
@@ -120,6 +107,12 @@ def clamped_laplacian_map(g: PlateGrid2D) -> sp.csr_matrix:
     return (kron(T, E) + kron(E, T) - (4.0 / h2) * kron(E, E)).tocsr()
 
 
+def bending_form(g: PlateGrid2D) -> sp.csc_matrix:
+    """The discrete clamped biharmonic energy form h^2 L^T L, L = clamped_laplacian_map(g)."""
+    L = clamped_laplacian_map(g)
+    return sp.csc_matrix(g.h ** 2 * (L.T @ L))
+
+
 @dataclass
 class VonKarmanForce(ForceModel):
     """Large-deflection plate force F(u) = -[u, airy(u) + F0] - load.
@@ -133,10 +126,8 @@ class VonKarmanForce(ForceModel):
     grid: PlateGrid2D
     F0: np.ndarray = None
     load: np.ndarray = None
-    name: str = "von_karman"
-    _L: sp.csr_matrix = field(repr=False, default=None)
-    _K: sp.csc_matrix = field(repr=False, default=None)
-    _lu: object = field(repr=False, default=None)
+    _K: sp.csc_matrix = field(init=False, repr=False)
+    _lu: object = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.grid
@@ -144,8 +135,7 @@ class VonKarmanForce(ForceModel):
             self.F0 = np.zeros((g.n_int, g.n_int))
         if self.load is None:
             self.load = np.zeros((g.n_int, g.n_int))
-        self._L = clamped_laplacian_map(g)
-        self._K = sp.csc_matrix(g.h ** 2 * (self._L.T @ self._L))
+        self._K = bending_form(g)
         self._lu = spla.splu(self._K)
 
     def airy(self, u: np.ndarray) -> np.ndarray:
@@ -182,8 +172,7 @@ class VonKarmanForce(ForceModel):
 
 def plate2d_eigenmodes(g: PlateGrid2D, n_modes: int):
     """Lowest clamped bending eigenpairs of the 2D plate (L2-normalized)."""
-    L = clamped_laplacian_map(g)
-    K = sp.csc_matrix(g.h ** 2 * (L.T @ L))
+    K = bending_form(g)
     M = g.h ** 2 * sp.identity(g.size, format="csc")
     vals, vecs = spla.eigsh(K, k=n_modes, M=M, sigma=0.0)
     order = np.argsort(vals)

@@ -15,14 +15,14 @@ from .modal import ModalBasis
 from .stokes import HarmonicLifter
 
 
-def spectral_abscissa(sys: GalerkinSystem) -> float:
-    return float(np.max(np.real(la.eigvals(sys.A))))
-
-
 def generator_eigenvalues(sys: GalerkinSystem) -> np.ndarray:
     """Eigenvalues of A (the evolution matrix), sorted by real part."""
     ev = la.eigvals(sys.A)
     return ev[np.argsort(-ev.real)]
+
+
+def spectral_abscissa(sys: GalerkinSystem) -> float:
+    return float(generator_eigenvalues(sys)[0].real)
 
 
 def assemble_generator(sys: GalerkinSystem):

@@ -62,7 +62,7 @@ def pstar_mode_coeffs(sys: GalerkinSystem, gf: VelocityField) -> np.ndarray:
 def stationary_residual(sys: GalerkinSystem, beta: np.ndarray,
                         pstar_coeffs: np.ndarray, model: ForceModel | None = None) -> float:
     """Norm of the stationary plate equations over the plate mode basis."""
-    r = sys.kappa * beta + sys.force_coeffs(model, beta) - pstar_coeffs - sys.f_plate
+    r = sys.kappa * beta + sys.force_map(model)(beta) - pstar_coeffs - sys.f_plate
     return float(np.linalg.norm(r))
 
 

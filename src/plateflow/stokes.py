@@ -7,7 +7,8 @@ the mode basis (modal.solve_stokes_eigenmodes), the lifts N0 of plate traces
 (prescribed normal trace on Omega), and the stationary flow of a body force
 with its pressure, recovered from the momentum residual, and the pressure
 trace on Omega.  HarmonicLifter extends pressure traces to discrete harmonic
-fields.
+fields, with the face gradient of mesh.discrete_grad and the Omega row closed
+by the half-cell ghost.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Grid, GridError, ScalarField, VelocityField, forward_diff, kron, offdiag
+from .mesh import (Grid, GridError, ScalarField, VelocityField, discrete_grad, forward_diff, kron,
+                   offdiag)
 
 # a plate trace whose mean exceeds this, relative to 1 + its largest entry,
 # has no solenoidal extension
@@ -233,12 +235,10 @@ class HarmonicLifter:
             raise GridError("plate trace shape mismatch with grid")
         rhs = np.zeros(g.n_x * g.n_z)
         rhs.reshape(g.n_x, g.n_z)[:, g.n_z - 1] = 2.0 * r / g.h_z ** 2
-        q = self._lu.solve(rhs).reshape(g.n_x, g.n_z)
-        grad = VelocityField(g)
-        grad.u[1:-1, :] = (q[1:, :] - q[:-1, :]) / g.h_x
-        grad.w[:, 1:-1] = (q[:, 1:] - q[:, :-1]) / g.h_z
-        grad.w[:, -1] = 2.0 * (r - q[:, -1]) / g.h_z
-        return ScalarField(g, q), grad
+        q = ScalarField(g, self._lu.solve(rhs).reshape(g.n_x, g.n_z))
+        grad = discrete_grad(q, g)
+        grad.w[:, -1] = 2.0 * (r - q.values[:, -1]) / g.h_z
+        return q, grad
 
     def harmonic_residual(self, q: ScalarField, r: np.ndarray) -> float:
         g = self.grid

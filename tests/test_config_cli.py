@@ -156,3 +156,15 @@ def test_non_finite_float_is_rejected_by_name(tmp_path, capsys, section, key, va
         parse_config(path)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"error: {section}.{key} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_negative_seed_is_rejected_by_name(tmp_path, capsys, source):
+    # from the config file or from the --seed override, which is applied
+    # after the file is validated
+    if source == "config":
+        args = ["--config", _write(tmp_path, "[probes]\nseed = -1\n")]
+    else:
+        args = ["--seed", "-1"]
+    assert main(["spectrum", "--out", str(tmp_path / "out"), *args]) == 2
+    assert "error: probes.seed must be nonnegative" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from plateflow.forces import (
 from plateflow.plate2d import (
     PlateGrid2D,
     VonKarmanForce,
+    _bracket_adjoint,
     clamped_laplacian_map,
     plate2d_eigenmodes,
     vk_bracket,
@@ -178,6 +179,14 @@ def test_bracket_symmetric(g2, seed):
     u = rng.standard_normal(g2.size)
     v = rng.standard_normal(g2.size)
     assert np.array_equal(vk_bracket(u, v, g2), vk_bracket(v, u, g2))
+
+
+def test_bracket_adjoint_is_the_transpose(g2, rng):
+    # sum(w * [u, d]) = sum(adjoint(w, u) * d) to rounding: the adjoint is the
+    # transpose of d -> [u, d], which the gradient test sees only to 1e-7
+    u, w, d = (rng.standard_normal((g2.n_int, g2.n_int)) for _ in range(3))
+    lhs = np.sum(w * vk_bracket(u, d, g2))
+    assert abs(lhs - np.sum(_bracket_adjoint(w, u, g2) * d)) <= 1e-12 * abs(lhs)
 
 
 def test_von_karman_force_is_exact_gradient(g2, rng):

@@ -16,7 +16,6 @@ from plateflow.galerkin import (
     reconstruct,
 )
 from plateflow.mesh import (
-    beam_operators,
     bending_inner,
     inner_fluid,
     inner_plate,
@@ -63,9 +62,7 @@ def test_rhs_matches_linear_parts(sys_forced, grid, rng):
     A, c, B = sys_forced.A, sys_forced.c, sys_forced.B
     berger = BergerForce(grid, kappa=5.0, gamma=0.0)
 
-    def fc(beta):
-        return sys_forced.force_coeffs(berger, beta)
-
+    fc = sys_forced.force_map(berger)
     m, n = sys_forced.m, sys_forced.n
     for _ in range(3):
         y = rng.standard_normal(m + 2 * n)
@@ -168,14 +165,14 @@ def test_state_norm_matches_energy(sys_free, grid, rng):
 
 @pytest.mark.parametrize("own_ops", [False, True])
 def test_modal_berger_matches_nodal_force(sys_forced, grid, rng, own_ops):
-    # force_coeffs (modal for Berger) and potential against the nodal force
+    # force_map (modal for Berger) and potential against the nodal force
     # projected by hXi, for one state and for a batch of columns; the modal
-    # form follows a model built with its own beam operators
+    # form follows a model given its own beam operators
     load = rng.standard_normal(grid.n_plate)
-    ops = beam_operators(grid)
+    model = BergerForce(grid, kappa=5.0, gamma=30.0, load=load)
     if own_ops:
-        ops = dataclasses.replace(ops, D=1.5 * ops.D)
-    model = BergerForce(grid, kappa=5.0, gamma=30.0, load=load, ops=ops)
+        model.ops = dataclasses.replace(model.ops, D=1.5 * model.ops.D)
+    fcs = sys_forced.force_map(model)
     n = sys_forced.n
     betas = 0.7 * rng.standard_normal((n, 4))
     for j in range(4):
@@ -183,12 +180,12 @@ def test_modal_berger_matches_nodal_force(sys_forced, grid, rng, own_ops):
         u = sys_forced.plate_deflection(beta)
         want_fc = sys_forced.hXi @ model.force(u)
         want_pot = model.potential(u)
-        fc = sys_forced.force_coeffs(model, beta)
+        fc = fcs(beta)
         pot = sys_forced.potential(model, beta)
         assert fc.shape == (n,) and np.ndim(pot) == 0
         assert np.max(np.abs(fc - want_fc)) <= 1e-14 * np.max(np.abs(want_fc))
         assert abs(pot - want_pot) <= 1e-14 * abs(want_pot)
-        fc_cols = sys_forced.force_coeffs(model, betas)
+        fc_cols = fcs(betas)
         pot_cols = sys_forced.potential(model, betas)
         assert fc_cols.shape == (n, 4) and pot_cols.shape == (4,)
         assert np.max(np.abs(fc_cols[:, j] - want_fc)) <= 1e-14 * np.max(np.abs(want_fc))
@@ -225,10 +222,9 @@ def test_force_jacobian_matches_central_differences(sys_forced, grid, rng, case)
     # kappa = 0, so its local term u^3 - u is not swamped by the flux term
     load = rng.standard_normal(grid.n_plate)
     if case.startswith("berger"):
-        ops = beam_operators(grid)
+        model = BergerForce(grid, kappa=5.0, gamma=30.0, load=load)
         if case == "berger_own_ops":
-            ops = dataclasses.replace(ops, D=1.5 * ops.D)
-        model = BergerForce(grid, kappa=5.0, gamma=30.0, load=load, ops=ops)
+            model.ops = dataclasses.replace(model.ops, D=1.5 * model.ops.D)
     else:
         q, r = (2.5, 1.0) if case == "kirchhoff_r1" else (2.0, 0.0)
         kappa = 0.0 if case == "kirchhoff_local" else 1.0

@@ -122,7 +122,7 @@ def test_trajectory_attracted_to_equilibrium(sys_forced, grid, berger):
     y_eq = equilibrium_state(sys_forced, gf_local, eq)
     # the equilibrium is a fixed point of the discrete dynamics
     from plateflow.dynamics import Stepper
-    y1, _ = Stepper(sys_forced, 1e-3, berger).step(y_eq)
+    y1 = Stepper(sys_forced, 1e-3, berger).step(y_eq)
     assert sys_forced.state_norm(y1 - y_eq) < 1e-10
 
 
