@@ -12,13 +12,12 @@ import argparse
 
 import numpy as np
 
-from plateflow.dynamics import energies
+from plateflow.dynamics import simulate
 from plateflow.forces import BergerForce
-from plateflow.galerkin import ForcingConfig, assemble, fluid_forcing_field
+from plateflow.galerkin import ForcingConfig, assemble
 from plateflow.mesh import GeometryConfig, build_grid
 from plateflow.modal import build_modal_basis
-from plateflow.steady import converge_to_equilibrium, pstar_mode_coeffs, \
-    stationary_flow_coefficients
+from plateflow.steady import distance_to_equilibrium
 
 
 def main():
@@ -29,22 +28,18 @@ def main():
 
     grid = build_grid(GeometryConfig(n_x=16, n_z=16))
     basis = build_modal_basis(grid, m=12, n=8)
-    forcing = ForcingConfig(fluid_kind="shear", fluid_amp=2.0)
-    sys_ = assemble(basis, nu=1.0, forcing=forcing)
-    gf = fluid_forcing_field(forcing, grid)
+    sys_ = assemble(basis, nu=1.0, forcing=ForcingConfig(fluid_kind="shear", fluid_amp=2.0))
     model = BergerForce(grid, kappa=5.0, gamma=0.0)
 
     rng = np.random.default_rng(args.seed)
     y0 = rng.standard_normal(sys_.m + 2 * sys_.n)
     y0 /= sys_.state_norm(y0)
 
-    dist, eq, traj = converge_to_equilibrium(sys_, y0, gf, T=args.T, dt=1e-3,
-                                             model=model, stride=50)
+    traj = simulate(sys_, y0, T=args.T, dt=1e-3, model=model, stride=50)
+    dist, eq = distance_to_equilibrium(sys_, traj.states, model)
     # the energy relative to the stationary flow, less the work of p* and the
     # plate load: the Lyapunov functional of the forced problem
-    load = pstar_mode_coeffs(sys_, gf) + sys_.f_plate
-    Estar = energies(sys_, traj.states.T, model, stationary_flow_coefficients(sys_, gf),
-                     load)[2]
+    Estar = traj.Estar
     print(f"equilibrium residual: {eq.residual:.3e}")
     print(f"equilibrium energy:   {eq.energy:.6e}")
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):

@@ -17,14 +17,13 @@ import numpy as np
 from . import verification
 from .config import ConfigError, ExperimentConfig, parse_config, validate
 from .dynamics import IntegratorError, energy_balance_residual, fit_decay_rate, simulate
-from .forces import BergerForce, KirchhoffForce
-from .galerkin import ForcingConfig, assemble, fluid_forcing_field
-from .mesh import build_grid, grad_inner, plate_mean
+from .forces import BergerForce, ForceModelError, KirchhoffForce
+from .galerkin import ForcingConfig, assemble
+from .mesh import GridError, build_grid, grad_inner, plate_mean
 from .modal import build_modal_basis
 from .spectrum import contraction_norm, generator_eigenvalues, semigroup_consistency, \
     spectral_abscissa
-from .steady import converge_to_equilibrium, find_equilibria, pstar_mode_coeffs, \
-    stationary_flow_coefficients
+from .steady import distance_to_equilibrium, find_equilibria
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +196,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     rows = []
     for k in range(len(tr.t)):
         alpha, beta, betadot = sys_.split(tr.states[k])
-        # the Estar column: the run is not shifted by a stationary state, so it is E
-        rows.append((tr.t[k], tr.E0[k], tr.E[k], tr.E[k],
+        rows.append((tr.t[k], tr.E0[k], tr.E[k], tr.Estar[k],
                      tr.dissipation_integral[k], tr.balance_residual[k],
                      float(np.linalg.norm(alpha)), float(np.linalg.norm(beta)),
                      float(np.linalg.norm(betadot)),
@@ -217,7 +215,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         "balance_residual": bal,
         "balance_ok": bool(bal <= 1e-5),
     }
-    unforced = cfg.physics.gf_kind == "none" and cfg.physics.gpl_kind == "none"
+    unforced = not (sys_.f_kin.any() or sys_.f_plate.any())
     if unforced and len(tr.t) >= 8:
         try:
             gam, fit_res = fit_decay_rate(tr.t, tr.E0)
@@ -232,15 +230,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 def cmd_stationary(cfg: ExperimentConfig) -> int:
     g, basis = _basis(cfg)
     sys_ = assemble(basis, cfg.physics.nu, _forcing(cfg))
-    gf = fluid_forcing_field(_forcing(cfg), g)
     model = _force_model(cfg, g)
-    pstar = pstar_mode_coeffs(sys_, gf)
-    alpha_star = stationary_flow_coefficients(sys_, gf)
-    eqs = find_equilibria(sys_, pstar, model, seed=cfg.probes.seed)
+    eqs = find_equilibria(sys_, model, seed=cfg.probes.seed)
     summary = {
         "count": len(eqs),
-        "alpha_star": alpha_star,
-        "pstar_coeffs": pstar,
+        "alpha_star": sys_.alpha_star,
+        "pstar_coeffs": sys_.pstar,
         "equilibria": [
             {"beta_star": e.beta_star, "residual": e.residual, "energy": e.energy}
             for e in eqs
@@ -253,12 +248,11 @@ def cmd_stationary(cfg: ExperimentConfig) -> int:
 def cmd_attract(cfg: ExperimentConfig) -> int:
     g, basis = _basis(cfg)
     sys_ = assemble(basis, cfg.physics.nu, _forcing(cfg))
-    gf = fluid_forcing_field(_forcing(cfg), g)
     model = _force_model(cfg, g)
     y0 = _seeded_state(sys_, cfg.probes.seed)
-    dist, eq, traj = converge_to_equilibrium(
-        sys_, y0, gf, cfg.integration.T, cfg.integration.dt, model,
-        stride=cfg.integration.stride)
+    traj = simulate(sys_, y0, cfg.integration.T, cfg.integration.dt, model,
+                    stride=cfg.integration.stride)
+    dist, eq = distance_to_equilibrium(sys_, traj.states, model)
     write_csv(os.path.join(cfg.output.dir, "attract.csv"), ("t", "distance"),
               list(zip(traj.t, dist)))
     summary = {
@@ -353,9 +347,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "forces":
-        return cmd_forces_verify(cfg)
-    return _COMMANDS[args.command](cfg)
+    try:
+        if args.command == "forces":
+            return cmd_forces_verify(cfg)
+        return _COMMANDS[args.command](cfg)
+    except (GridError, ForceModelError) as exc:   # a config value the models reject
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,10 +9,10 @@ one trajectory (N,) or B trajectories stepped as the columns of (N, B); each
 column runs its own fixed point, so a batch member is its solo run up to rounding.
 Stepper.step returns only the next state; simulate calls it once per step and
 keeps each block of steps in a buffer, from which it forms every step's
-midpoint.  The block's energy reports (E0, E, the power integrals) come from
-one call each of the GalerkinSystem energetics on its stacked columns.  The
-quasi-stability and attractor-regularity probes read a trajectory the caller
-runs, and only energies computes the energy shifted by a stationary state.
+midpoint.  The block's energy reports (E0, E, Estar shifted by the system's
+stationary state, the power integrals) come from one call each of energies
+and the power rates on its stacked columns.  The quasi-stability and
+attractor-regularity probes read a trajectory the caller runs.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ class Trajectory:
     states: np.ndarray                 # (samples, m+2n); a batch adds a trailing B axis to all
     E0: np.ndarray
     E: np.ndarray
+    Estar: np.ndarray
     dissipation_integral: np.ndarray
     balance_residual: np.ndarray
 
@@ -105,23 +106,13 @@ class Stepper:
         return y_next.reshape(y.shape)
 
 
-def energies(sys: GalerkinSystem, y: np.ndarray, model: ForceModel | None = None,
-             alpha_star: np.ndarray | None = None,
-             pstar_coeffs: np.ndarray | None = None):
+def energies(sys: GalerkinSystem, y: np.ndarray, model: ForceModel | None = None):
     """(E0, E, Estar) of the states y, (N,) or columns (N, k): E0 the quadratic
-    energy, E = E0 plus the plate potential, and Estar the energy of y less the
-    stationary flow alpha_star, plus the potential, less the work of pstar_coeffs
-    on the plate coefficients.  Both shifts default to zero (Estar = E)."""
-    m, n = sys.m, sys.n
-    y_star = sys.join(np.zeros(m) if alpha_star is None else alpha_star,
-                      np.zeros(n), np.zeros(n))
-    if y.ndim == 2:
-        y_star = y_star[:, None]
-    beta = y[m:m + n]
+    energy, E = E0 plus the plate potential, and Estar = E - ell . y + E0_star
+    the energy shifted by the system's stationary state (GalerkinSystem)."""
     E0 = sys.energy_quadratic(y)
-    pot = sys.potential(model, beta)
-    shift = 0.0 if pstar_coeffs is None else pstar_coeffs @ beta
-    return E0, E0 + pot, sys.energy_quadratic(y - y_star) + pot - shift
+    E = E0 + sys.potential(model, y[sys.m:sys.m + sys.n])
+    return E0, E, E - sys.ell @ y + sys.E0_star
 
 
 def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
@@ -145,16 +136,11 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
     n_steps = int(round(T / dt))
     y = np.array(y0, dtype=float).reshape(len(y0), -1)
     N, B = y.shape
-
-    def reports(y):
-        E0 = sys.energy_quadratic(y)
-        return E0, E0 + sys.potential(model, y[sys.m:sys.m + sys.n])
-
     n_samples = 1 + n_steps // stride + (n_steps % stride != 0)
     t = np.zeros(n_samples)
-    rep = np.zeros((n_samples, 4, B))               # E0, E, balance, dissipation
+    rep = np.zeros((n_samples, 5, B))               # E0, E, Estar, balance, dissipation
     states = np.zeros((n_samples, N, B)) if keep_states else None
-    rep[0, :2] = reports(y)
+    rep[0, :3] = energies(sys, y, model)
     E_0 = rep[0, 1]
     if keep_states:
         states[0] = y
@@ -174,11 +160,12 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
         if nb % stride:                             # the last step of the run
             js = np.append(js, nb)
         Ysamp = Ys[:, js]
-        E0, E = (e.reshape(len(js), B) for e in reports(Ysamp.reshape(N, -1)))
+        E0, E, Estar = (e.reshape(len(js), B)
+                        for e in energies(sys, Ysamp.reshape(N, -1), model))
         diss, work = acc[:, js]
         s = slice(i + 1, i + 1 + len(js))
         t[s] = (k0 + js) * dt
-        rep[s] = np.stack([E0, E, (E + diss - E_0 - work) / (np.abs(E_0) + 1.0), diss], 1)
+        rep[s] = np.stack([E0, E, Estar, (E + diss - E_0 - work) / (np.abs(E_0) + 1.0), diss], 1)
         if keep_states:
             states[s] = Ysamp.transpose(1, 0, 2)
         i += len(js)
@@ -186,8 +173,8 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
     if np.ndim(y0) == 1:
         rep = rep[..., 0]
         states = None if states is None else states[..., 0]
-    return Trajectory(t=t, states=states, E0=rep[:, 0], E=rep[:, 1],
-                      balance_residual=rep[:, 2], dissipation_integral=rep[:, 3])
+    return Trajectory(t=t, states=states, E0=rep[:, 0], E=rep[:, 1], Estar=rep[:, 2],
+                      balance_residual=rep[:, 3], dissipation_integral=rep[:, 4])
 
 
 def per_sample(fn, states: np.ndarray) -> np.ndarray:

@@ -7,8 +7,9 @@ carry the mass matrix M = Gram{psi, N0 xi} + plate identity.
 
 GalerkinSystem is the one place the reduced dynamics are derived:
 ydot = A y + c - B fc(beta), with fc the plate force projected on the plate
-modes, and E0 = 1/2 y^T H y the quadratic energy.  The energetics and the force
-map act on one state (N,) or column by column on B states (N, B).
+modes, and E0 = 1/2 y^T H y the quadratic energy; so is the stationary state
+of its loads.  The energetics and the force map act on one state (N,) or
+column by column on B states (N, B).
 """
 
 from __future__ import annotations
@@ -90,7 +91,10 @@ class GalerkinSystem:
 
     M, D, kappa and the loads are the assembled forms; A, c, B, H, kin and hXi
     are derived from them once, in __post_init__ (A, c and B by linear_parts,
-    with the single inverse of M).
+    with the single inverse of M), and so is the stationary state: the flow
+    alpha*_k = (G0, psi_k) / (nu mu_k) and the pressure load p*_j = (G0, N0 xi_j),
+    read off f_kin.  The forced problem's Lyapunov functional, with y* = (alpha*, 0, 0),
+    is E0(y - y*) + potential - (p* + f_plate) . beta = E - ell . y + E0_star.
     """
 
     basis: ModalBasis
@@ -108,6 +112,10 @@ class GalerkinSystem:
     H: np.ndarray = field(repr=False, init=False)         # (N,N) energy form
     kin: np.ndarray = field(repr=False, init=False)       # (m+n,) indices of w in y
     hXi: np.ndarray = field(repr=False, init=False)       # (n,n_plate) h_x xi: F -> (F, xi_j)_Omega
+    alpha_star: np.ndarray = field(repr=False, init=False)  # (m,) stationary flow coefficients
+    pstar: np.ndarray = field(repr=False, init=False)     # (n,) stationary pressure load
+    ell: np.ndarray = field(repr=False, init=False)       # (N,) H y* + (0, p* + f_plate, 0)
+    E0_star: float = field(repr=False, init=False)        # E0(y*)
 
     def __post_init__(self):
         m, n = self.m, self.n
@@ -118,6 +126,12 @@ class GalerkinSystem:
         self.H[np.ix_(self.kin, self.kin)] = self.M
         self.H[beta, beta] = self.kappa
         self.hXi = self.basis.grid.h_x * self.basis.xi
+        self.alpha_star = self.f_kin[:m] / (self.nu * self.basis.mu)
+        self.pstar = self.f_kin[m:]
+        y_star = self.join(self.alpha_star, np.zeros(n), np.zeros(n))
+        self.ell = self.H @ y_star
+        self.ell[beta] += self.pstar + self.f_plate
+        self.E0_star = float(self.energy_quadratic(y_star))
 
     def linear_parts(self):
         """(A, c, B) with ydot = A y + c - B fc(beta), from the one inverse of

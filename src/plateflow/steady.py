@@ -1,6 +1,7 @@
 """Stationary states: the driven Stokes flow, its pressure trace on the
 elastic face, the stationary plate problem as an energy minimization on mode
-coefficients, and long-run convergence of trajectories to equilibria."""
+coefficients, and the distance of trajectories to equilibria.  The stationary
+flow alpha* and the pressure load p* are read off the GalerkinSystem."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import scipy.linalg as la
 
 from .forces import ForceModel
 from .galerkin import GalerkinSystem
-from .mesh import Grid, VelocityField, inner_fluid
+from .mesh import Grid, VelocityField
 from .stokes import StokesSolver
 
 STAT_TOL = 1e-8
@@ -49,20 +50,10 @@ def solve_stationary_stokes(gf: VelocityField, g: Grid, nu: float = 1.0):
     return sol, solver.pressure_trace(sol, gf)
 
 
-def stationary_flow_coefficients(sys: GalerkinSystem, gf: VelocityField) -> np.ndarray:
-    """alpha*_k = (G0, psi_k) / (nu mu_k): the reduced stationary flow."""
-    return inner_fluid(gf, sys.basis.psi, sys.basis.grid) / (sys.nu * sys.basis.mu)
-
-
-def pstar_mode_coeffs(sys: GalerkinSystem, gf: VelocityField) -> np.ndarray:
-    """(p*, xi_j) computed as (G0, N0 xi_j): the duality route."""
-    return inner_fluid(gf, sys.basis.lift, sys.basis.grid)
-
-
 def stationary_residual(sys: GalerkinSystem, beta: np.ndarray,
-                        pstar_coeffs: np.ndarray, model: ForceModel | None = None) -> float:
+                        model: ForceModel | None = None) -> float:
     """Norm of the stationary plate equations over the plate mode basis."""
-    r = sys.kappa * beta + sys.force_map(model)(beta) - pstar_coeffs - sys.f_plate
+    r = sys.kappa * beta + sys.force_map(model)(beta) - sys.pstar - sys.f_plate
     return float(np.linalg.norm(r))
 
 
@@ -70,8 +61,7 @@ def _psi_value(sys: GalerkinSystem, beta, load, model):
     return 0.5 * float(sys.kappa @ beta ** 2) + sys.potential(model, beta) - float(load @ beta)
 
 
-def minimize_stationary(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
-                        model: ForceModel | None = None,
+def minimize_stationary(sys: GalerkinSystem, model: ForceModel | None = None,
                         beta_init: np.ndarray | None = None,
                         stat_tol: float = STAT_TOL, max_iter: int = 500) -> Equilibrium:
     """Descend the stationary plate functional Psi on zero-mean mode coefficients.
@@ -86,7 +76,7 @@ def minimize_stationary(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
     """
     beta = np.zeros(sys.n) if beta_init is None else np.array(beta_init, float)
     fc, jac = sys.force_map(model), sys.force_jacobian(model)
-    load = pstar_coeffs + sys.f_plate
+    load = sys.pstar + sys.f_plate
     norm = np.linalg.norm
     val = _psi_value(sys, beta, load, model)
     for _ in range(max_iter):
@@ -108,7 +98,7 @@ def minimize_stationary(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
         else:
             break
 
-    res = stationary_residual(sys, beta, pstar_coeffs, model)
+    res = stationary_residual(sys, beta, model)
     if res > stat_tol:
         raise StationaryError(
             f"stationary descent stagnated: residual {res:.3e} above {stat_tol:.1e}"
@@ -116,8 +106,7 @@ def minimize_stationary(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
     return Equilibrium(beta_star=beta, residual=res, energy=val)
 
 
-def find_equilibria(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
-                    model: ForceModel | None = None, starts: int = 8,
+def find_equilibria(sys: GalerkinSystem, model: ForceModel | None = None, starts: int = 8,
                     seed: int = 0) -> list[Equilibrium]:
     """Multi-start descent from the flat state and starts - 1 random ones of
     scale 0.5; returns distinct equilibria sorted by energy.  Energies equal to
@@ -128,7 +117,7 @@ def find_equilibria(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
     inits = [None] + [0.5 * rng.standard_normal(sys.n) for _ in range(starts - 1)]
     for b0 in inits:
         try:
-            eq = minimize_stationary(sys, pstar_coeffs, model, beta_init=b0)
+            eq = minimize_stationary(sys, model, beta_init=b0)
         except StationaryError:
             continue
         if not any(np.linalg.norm(eq.beta_star - e.beta_star) < 1e-6 for e in found):
@@ -141,38 +130,18 @@ def find_equilibria(sys: GalerkinSystem, pstar_coeffs: np.ndarray,
     return sorted(found, key=cmp_to_key(order))
 
 
-def equilibrium_state(sys: GalerkinSystem, gf: VelocityField, eq: Equilibrium) -> np.ndarray:
-    alpha_star = stationary_flow_coefficients(sys, gf)
-    return sys.join(alpha_star, eq.beta_star, np.zeros(sys.n))
+def equilibrium_state(sys: GalerkinSystem, eq: Equilibrium) -> np.ndarray:
+    return sys.join(sys.alpha_star, eq.beta_star, np.zeros(sys.n))
 
 
-def distance_to_equilibrium(sys: GalerkinSystem, states: np.ndarray, alpha_star: np.ndarray,
-                            pstar: np.ndarray, model: ForceModel | None = None):
+def distance_to_equilibrium(sys: GalerkinSystem, states: np.ndarray,
+                            model: ForceModel | None = None):
     """Distance of every sampled state (samples, N) to the equilibrium that descent
-    from the last sample's plate coefficients finds, with the stationary flow
-    alpha_star and the pressure coefficients pstar.
+    from the last sample's plate coefficients finds.
 
     Returns (distances over the samples, the Equilibrium).
     """
-    eq = minimize_stationary(sys, pstar, model, beta_init=states[-1][sys.m:sys.m + sys.n])
-    y_eq = sys.join(alpha_star, eq.beta_star, np.zeros(sys.n))
+    eq = minimize_stationary(sys, model, beta_init=states[-1][sys.m:sys.m + sys.n])
+    y_eq = equilibrium_state(sys, eq)
     dist = np.array([sys.state_norm(states[k] - y_eq) for k in range(len(states))])
     return dist, eq
-
-
-def converge_to_equilibrium(sys: GalerkinSystem, y0: np.ndarray, gf: VelocityField,
-                            T: float, dt: float, model: ForceModel | None = None,
-                            stride: int = 50):
-    """Run the dynamics and measure the distance to an independently found
-    equilibrium (seeded from the trajectory tail).  The Lyapunov functional of
-    the forced problem is dynamics.energies of the trajectory's states, shifted
-    by the stationary flow and by p* plus the plate load.
-
-    Returns (distances over time, matched Equilibrium, trajectory).
-    """
-    from .dynamics import simulate
-
-    traj = simulate(sys, y0, T, dt, model, stride=stride)
-    dist, eq = distance_to_equilibrium(sys, traj.states, stationary_flow_coefficients(sys, gf),
-                                       pstar_mode_coeffs(sys, gf), model)
-    return dist, eq, traj

@@ -168,3 +168,53 @@ def test_negative_seed_is_rejected_by_name(tmp_path, capsys, source):
         args = ["--seed", "-1"]
     assert main(["spectrum", "--out", str(tmp_path / "out"), *args]) == 2
     assert "error: probes.seed must be nonnegative" in capsys.readouterr().err
+
+
+def _trajectory(out):
+    lines = open(os.path.join(out, "trajectory.csv")).read().splitlines()
+    header = lines[0].split(",")
+    return {k: np.array([float(r.split(",")[i]) for r in lines[1:]]) for i, k in enumerate(header)}
+
+
+def test_cli_simulate_estar_column_is_the_lyapunov_functional(tmp_path):
+    # under the loads, Estar is the energy measured from the stationary state:
+    # it moves off E and does not increase
+    cfgp = _write(tmp_path, "[integration]\nT = 1.0\n[physics]\nforce = berger\n"
+                            "force_kappa = 5.0\ngf_kind = shear\ngf_amp = 2.0\n"
+                            "gpl_kind = sine\ngpl_amp = 0.5\n")
+    out = str(tmp_path / "o")
+    assert main(["simulate", "--config", cfgp, "--out", out]) == 0
+    tr = _trajectory(out)
+    assert np.max(np.abs(tr["Estar"] - tr["E"])) > 1e-5
+    assert np.all(np.diff(tr["Estar"]) <= 1e-10 * (1.0 + abs(tr["Estar"][0])))
+
+
+def test_cli_simulate_zero_amplitude_forcing_is_unforced(tmp_path):
+    # a forcing kind at zero amplitude assembles no load: the run is the
+    # unforced one, decay fit included
+    runs = {"none": "", "zero": "[physics]\ngf_kind = shear\ngf_amp = 0.0\n"}
+    for name, extra in runs.items():
+        cfgp = _write(tmp_path, "[integration]\nT = 0.1\n" + extra, f"{name}.ini")
+        assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / name)]) == 0
+    for name in ("trajectory.csv", "simulate.json"):
+        assert open(tmp_path / "none" / name, "rb").read() == \
+            open(tmp_path / "zero" / name, "rb").read()
+    assert "decay_rate" in json.load(open(tmp_path / "zero" / "simulate.json"))
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("simulate", "[modes]\nm = 500\n", "requested 500 flow modes"),
+    ("simulate", "[modes]\nn = 50\n", "requested 50 plate modes"),
+    ("simulate", "[physics]\nforce = berger\nforce_kappa = 0\n",
+     "berger coefficient kappa must be positive"),
+    ("simulate", "[physics]\nforce = kirchhoff\nforce_kappa = -1\n",
+     "kirchhoff coefficient kappa must be nonnegative"),
+    ("verify-all", "[modes]\nm = 500\n", "requested 500 flow modes"),
+    ("verify-all", "[modes]\nn = 50\n", "requested 50 plate modes"),
+], ids=["simulate-m", "simulate-n", "simulate-berger", "simulate-kirchhoff", "verify-all-m",
+        "verify-all-n"])
+def test_values_the_models_reject_exit_2(tmp_path, capsys, command, text, message):
+    # the constructors' own message, as a config error
+    path = _write(tmp_path, text)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err

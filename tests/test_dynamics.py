@@ -9,12 +9,10 @@ from plateflow.dynamics import (
     Trajectory,
     attractor_regularity_probe,
     continuous_dependence_probe,
-    energies,
     energy_balance_residual,
     fit_decay_rate,
     lyapunov_V,
     lyapunov_eps_scan,
-    per_sample,
     quasi_stability_probe,
     simulate,
 )
@@ -166,7 +164,7 @@ def test_attractor_regularity_probe_flags_growth(sys_free):
 
     def probe(rate):
         states = np.exp(rate * t)[:, None] * y1
-        return attractor_regularity_probe(Trajectory(t, states, zeros, zeros, zeros, zeros),
+        return attractor_regularity_probe(Trajectory(t, states, zeros, zeros, zeros, zeros, zeros),
                                           sys_free)
 
     grow, decay = probe(1.0), probe(-1.0)
@@ -316,19 +314,21 @@ def test_simulate_rejects_bad_stride_and_horizon(sys_free, bad, message):
         simulate(sys_free, _random_unit_state(sys_free, seed=70), **kw)
 
 
-def _per_step_reference(sys, y0, T, dt, model, stride, alpha_star, pstar_coeffs):
+def _per_step_reference(sys, y0, T, dt, model, stride):
     # simulate's reports one step at a time: power rates at each step's
     # midpoint, summed as it goes, and the energies at each sample, with the
-    # energy shifted by alpha_star and pstar_coeffs written out
+    # energy shifted by the system's stationary flow and by p* plus the plate
+    # load written out
     m, n = sys.m, sys.n
     stepper = Stepper(sys, dt, model)
-    y_star = sys.join(alpha_star, np.zeros(n), np.zeros(n))[:, None]
+    y_star = sys.join(sys.alpha_star, np.zeros(n), np.zeros(n))[:, None]
+    load = sys.pstar + sys.f_plate
 
     def reports(y):
         beta = y[m:m + n]
         E0 = sys.energy_quadratic(y)
         pot = sys.potential(model, beta)
-        return E0, E0 + pot, sys.energy_quadratic(y - y_star) + pot - pstar_coeffs @ beta
+        return E0, E0 + pot, sys.energy_quadratic(y - y_star) + pot - load @ beta
 
     y = y0.reshape(len(y0), -1)
     n_steps = int(round(T / dt))
@@ -363,23 +363,17 @@ def test_block_reports_match_per_step_reference(sys_forced, grid, B, stride, spa
     n_steps = {"short": L // 2 + 3, "whole": 2 * L, "long": 2 * L + 33}[span]
     dt = 1e-3
     model = _loaded_models(grid)["berger"]
-    m, n = sys_forced.m, sys_forced.n
     y0 = np.column_stack([_random_unit_state(sys_forced, seed=80 + j, scale=0.5 * (j + 1))
                           for j in range(B)])
     if B == 1:
         y0 = y0[:, 0]
-    rng = np.random.default_rng(7)
-    alpha_star, pstar = 0.1 * rng.standard_normal(m), 0.1 * rng.standard_normal(n)
     tr = simulate(sys_forced, y0, n_steps * dt, dt, model, stride=stride, keep_states=keep_states)
-    t, states, rep = _per_step_reference(sys_forced, y0, n_steps * dt, dt, model, stride,
-                                         alpha_star, pstar)
+    t, states, rep = _per_step_reference(sys_forced, y0, n_steps * dt, dt, model, stride)
     assert np.array_equal(tr.t, t)
     assert np.array_equal(tr.states, states) if keep_states else tr.states is None
     # stacking columns may reorder BLAS sums; measured worst drift 1.1e-16
     scale = 1.0 + np.abs(rep[0, 1])
-    # the shifted energy comes from energies on the stacked samples alone
-    Estar = per_sample(lambda y: energies(sys_forced, y, model, alpha_star, pstar)[2], states)
-    for col, (field, got) in enumerate((("E0", tr.E0), ("E", tr.E), ("Estar", Estar),
+    for col, (field, got) in enumerate((("E0", tr.E0), ("E", tr.E), ("Estar", tr.Estar),
                                         ("balance_residual", tr.balance_residual),
                                         ("dissipation_integral", tr.dissipation_integral))):
         assert got.shape == rep[:, col].shape
