@@ -59,10 +59,9 @@ class Stepper:
     def __init__(self, sys: GalerkinSystem, dt: float, model: ForceModel | None = None):
         if not (np.isfinite(dt) and dt > 0):
             raise IntegratorError(f"time step dt must be finite and positive, got {dt}")
-        self.sys = sys
-        self.dt = dt
         self.model = model
         self._fc = sys.force_map(model)
+        self._beta = slice(sys.m, sys.m + sys.n)
         N = sys.A.shape[0]
         S1 = la.lu_factor(np.eye(N) - 0.5 * dt * sys.A)
         self._P = la.lu_solve(S1, np.eye(N) + 0.5 * dt * sys.A)
@@ -73,37 +72,33 @@ class Stepper:
         """Advance one step; returns y_next, shaped like y.  A column converged
         to FP_TOL is frozen; a failure names its column."""
         Y = y.reshape(len(y), -1)
-        base = y_next = self._P @ Y + self._p
-        if self.model is not None:
-            sys, PB = self.sys, self._PB
-            beta = slice(sys.m, sys.m + sys.n)
-            y_next = base - PB @ self._fc(Y[beta])
-            live = np.arange(Y.shape[1])
-            cols = slice(None)             # live as a slice while every column is
-            last = np.full(Y.shape[1], np.nan)
-            failure = "did not converge"
-            for _ in range(FP_MAXIT):
-                y_old = y_next[:, cols]
-                mid = 0.5 * (Y[beta, cols] + y_old[beta])
-                y_new = base[:, cols] - PB @ self._fc(mid)
-                delta = np.abs(y_new - y_old).max(0)
-                finite = np.isfinite(delta)
-                if not finite.all():
-                    live, failure = live[~finite], "diverged (non-finite iterate)"
-                    break
-                y_next[:, cols] = y_new
-                last[cols] = delta
-                going = delta > FP_TOL * (1.0 + np.abs(y_new).max(0))
-                if not going.any():
-                    failure = None
-                    break
-                if not going.all():
-                    live = cols = live[going]
-            if failure:
-                raise IntegratorError(
-                    f"force fixed point {failure} in member {live[0]} (last update "
-                    f"{last[live[0]]:.3e}); reduce the time step")
-        return y_next.reshape(y.shape)
+        base = self._P @ Y + self._p
+        if self.model is None:
+            return base.reshape(y.shape)
+        beta, PB = self._beta, self._PB
+        y_next = base - PB @ self._fc(Y[beta])
+        cols = slice(None)                 # the live columns, a slice while every column is
+        last = None                        # each live column's last update
+        failure, k = "did not converge", 0
+        for _ in range(FP_MAXIT):
+            y_old = y_next[:, cols]
+            mid = 0.5 * (Y[beta, cols] + y_old[beta])
+            y_new = base[:, cols] - PB @ self._fc(mid)
+            delta = np.abs(y_new - y_old).max(0)
+            finite = np.isfinite(delta)
+            if not finite.all():
+                failure, k = "diverged (non-finite iterate)", np.flatnonzero(~finite)[0]
+                break
+            y_next[:, cols] = y_new
+            going = delta > FP_TOL * (1.0 + np.abs(y_new).max(0))
+            if not going.any():
+                return y_next.reshape(y.shape)
+            if not going.all():
+                cols, delta = np.arange(Y.shape[1])[cols][going], delta[going]
+            last = delta
+        raise IntegratorError(
+            f"force fixed point {failure} in member {np.arange(Y.shape[1])[cols][k]} (last update "
+            f"{np.nan if last is None else last[k]:.3e}); reduce the time step")
 
 
 def energies(sys: GalerkinSystem, y: np.ndarray, model: ForceModel | None = None):

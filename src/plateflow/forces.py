@@ -62,12 +62,11 @@ class KirchhoffForce(ForceModel):
             self.load = np.zeros(self.grid.n_plate)
         self.ops = beam_operators(self.grid)
 
-    def _flux(self, s):
-        return self.kappa * (np.abs(s) ** self.q * s - self.mu * np.abs(s) ** self.r * s)
-
     def force(self, u):
         s = self.ops.D @ u
-        return self.ops.D.T @ self._flux(s) + (u ** 3 - u) - per_column(self.load, u)
+        a = np.abs(s)
+        flux = self.kappa * (a ** self.q * s - self.mu * a ** self.r * s)
+        return self.ops.D.T @ flux + (u ** 3 - u) - per_column(self.load, u)
 
     def jacobian(self, u):
         """dF/du = D^T diag(phi'(D u)) D + diag(3u^2 - 1)."""

@@ -203,13 +203,15 @@ class GalerkinSystem:
         if model is None:
             return np.zeros_like
         if not isinstance(model, BergerForce):
-            return lambda beta: self.hXi @ model.force(self.plate_deflection(beta))
+            hXi, xiT = self.hXi, self.basis.xi.T
+            return lambda beta: hXi @ model.force(xiT @ beta)
         K, load, h_x = self._berger_gram(model), self.hXi @ model.load, self.basis.grid.h_x
+        h, kappa, gamma = model.grid.h_x, model.kappa, model.gamma
 
         def berger(beta):
             Kb = K @ beta
-            Q = model.grid.h_x * np.vecdot(beta, Kb, axis=0)
-            return (model.kappa * Q - model.gamma) * h_x * Kb - per_column(load, beta)
+            Q = h * np.vecdot(beta, Kb, axis=0)
+            return (kappa * Q - gamma) * h_x * Kb - per_column(load, beta)
         return berger
 
     def force_jacobian(self, model: ForceModel | None):

@@ -14,6 +14,8 @@ compatible with the incompressible cavity.
 from __future__ import annotations
 
 import os
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,12 +179,12 @@ class ModalBasis:
 def build_modal_basis(g: Grid, m: int, n: int, cache_dir: str | None = None) -> ModalBasis:
     """Assemble (or load from cache) the m flow and n plate modes with liftings.
 
-    A cache file of another format version, or whose arrays do not fit the grid
-    and mode counts, is rebuilt and overwritten.
+    A cache file that cannot be read, is of another format version, or whose
+    arrays do not fit the grid and mode counts, is rebuilt and overwritten.
     """
     if cache_dir is not None:
         path = os.path.join(cache_dir, f"modes_{g.grid_key()}_m{m}_n{n}.npz")
-        basis = _load_basis(path, g, m, n) if os.path.exists(path) else None
+        basis = _load_basis(path, g, m, n)
         if basis is not None:
             return basis
 
@@ -198,22 +200,33 @@ def build_modal_basis(g: Grid, m: int, n: int, cache_dir: str | None = None) -> 
 
 
 def _save_basis(path: str, b: ModalBasis):
-    np.savez_compressed(path, version=CACHE_VERSION, mu=b.mu, psi_u=b.psi.u, psi_w=b.psi.w,
-                        psi_res=b.psi_res, kappa=b.kappa, xi=b.xi, xi_res=b.xi_res,
-                        lift_u=b.lift.u, lift_w=b.lift.w, w0=b.w0)
+    """Write the basis uncompressed beside path, then move it there: no partial file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            np.savez(f, version=CACHE_VERSION, mu=b.mu, psi_u=b.psi.u, psi_w=b.psi.w,
+                     psi_res=b.psi_res, kappa=b.kappa, xi=b.xi, xi_res=b.xi_res,
+                     lift_u=b.lift.u, lift_w=b.lift.w, w0=b.w0)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _load_basis(path: str, g: Grid, m: int, n: int) -> ModalBasis | None:
-    """The cached basis, or None if the file is not of CACHE_VERSION or an
-    array is missing or has the wrong shape."""
+    """The cached basis, each array read once, or None if the file is missing or
+    unreadable, is not of CACHE_VERSION, or lacks an array or has one misshapen."""
     shapes = {"mu": (m,), "psi_u": (m,) + g.shape_u, "psi_w": (m,) + g.shape_w, "psi_res": (m,),
               "kappa": (n,), "xi": (n, g.n_plate), "xi_res": (n,), "lift_u": (n,) + g.shape_u,
               "lift_w": (n,) + g.shape_w, "w0": (g.n_plate,)}
-    with np.load(path) as f:
-        if "version" not in f.files or f["version"] != CACHE_VERSION \
-                or any(k not in f.files or f[k].shape != s for k, s in shapes.items()):
-            return None
-        d = {k: f[k] for k in shapes}
+    try:
+        with np.load(path) as f:
+            d = {k: f[k] for k in ("version", *shapes) if k in f.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error):
+        return None
+    if not np.array_equal(d.get("version"), CACHE_VERSION) \
+            or any(k not in d or d[k].shape != s for k, s in shapes.items()):
+        return None
     return ModalBasis(grid=g, mu=d["mu"], psi=VelocityField(g, d["psi_u"], d["psi_w"]),
                       psi_res=d["psi_res"], kappa=d["kappa"], xi=d["xi"], xi_res=d["xi_res"],
                       lift=VelocityField(g, d["lift_u"], d["lift_w"]), w0=d["w0"])

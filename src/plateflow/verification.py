@@ -65,7 +65,7 @@ class _Setup:
     """Shared grid/basis/system for the battery (built once)."""
 
     def __init__(self, cfg: ExperimentConfig, cache_dir=None):
-        self.cfg = cfg
+        self.cfg, self.cache_dir = cfg, cache_dir
         self.grid = build_grid(cfg.geometry)
         self.basis = build_modal_basis(self.grid, cfg.modes.m, cfg.modes.n, cache_dir)
         self.nu = cfg.physics.nu
@@ -100,9 +100,9 @@ def check_mass_matrix_positivity(s: _Setup):
     results = []
     for (m, n) in [(1, 1), (4, 4), (12, 8)]:
         if (m, n) == (s.cfg.modes.m, s.cfg.modes.n):
-            sysmn = s.sys_free                  # the set-up's own basis; the others are built here
+            sysmn = s.sys_free                  # the set-up's own basis; the others via its cache
         else:
-            sysmn = assemble(build_modal_basis(s.grid, m, n), s.nu)
+            sysmn = assemble(build_modal_basis(s.grid, m, n, s.cache_dir), s.nu)
         sym = float(np.max(np.abs(sysmn.M - sysmn.M.T)))
         min_eig = float(np.min(np.linalg.eigvalsh(sysmn.M)))
         results.append({"m": m, "n": n, "symmetry_error": sym, "min_eigenvalue": min_eig,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import plateflow.modal as modal
 from plateflow.config import ExperimentConfig
 from plateflow.dynamics import Stepper
 from plateflow.galerkin import ForcingConfig, assemble
@@ -61,3 +62,15 @@ def battery_run(tmp_path_factory):
         mp.setattr(Stepper, "step", counted_step)
         summary, _ = run_all(ExperimentConfig(), cache_dir=cache, report=lines.append)
     return summary, lines, cache, steppers
+
+
+@pytest.fixture
+def forbid_eigensolve(monkeypatch):
+    """forbid() makes the Stokes eigensolver raise from then on, so that every
+    later basis must come from the mode cache."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the Stokes eigenproblem was solved")
+
+    def forbid():
+        monkeypatch.setattr(modal, "solve_stokes_eigenmodes", fail)
+    return forbid

@@ -1,3 +1,6 @@
+import os
+import zipfile
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -14,6 +17,7 @@ from plateflow.mesh import (
     is_solenoidal,
     plate_mean,
 )
+import plateflow.modal as modal
 from plateflow.modal import (
     CACHE_VERSION,
     TIE_TOL,
@@ -229,11 +233,16 @@ def test_basis_cache_roundtrip(grid, basis, tmp_path):
     assert other.m == 2 and other.n == 2
 
 
+def _cache_arrays(b):
+    # the arrays of a cache file of CACHE_VERSION holding the basis b
+    return dict(version=CACHE_VERSION, mu=b.mu, psi_u=b.psi.u, psi_w=b.psi.w,
+                psi_res=b.psi_res, kappa=b.kappa, xi=b.xi, xi_res=b.xi_res,
+                lift_u=b.lift.u, lift_w=b.lift.w, w0=b.w0)
+
+
 def _stale_file(b, kind):
     # every array of the basis, each entry of mu doubled so that a load shows
-    arrays = dict(version=CACHE_VERSION, mu=2.0 * b.mu, psi_u=b.psi.u, psi_w=b.psi.w,
-                  psi_res=b.psi_res, kappa=b.kappa, xi=b.xi, xi_res=b.xi_res,
-                  lift_u=b.lift.u, lift_w=b.lift.w, w0=b.w0)
+    arrays = dict(_cache_arrays(b), mu=2.0 * b.mu)
     if kind == "no_version":
         del arrays["version"]
     elif kind == "other_version":
@@ -252,14 +261,81 @@ def test_basis_cache_rebuilds_stale_files(grid, basis, tmp_path, kind):
     path = tmp_path / f"modes_{grid.grid_key()}_m{b.m}_n{b.n}.npz"
     np.savez_compressed(path, **_stale_file(b, kind))
     for _ in range(2):
-        loaded = build_modal_basis(grid, b.m, b.n, cache_dir=str(tmp_path))
-        for name in ("mu", "kappa", "psi_res", "xi", "xi_res", "w0"):
-            assert np.array_equal(getattr(loaded, name), getattr(b, name))
-        for name in ("psi", "lift"):
-            assert np.array_equal(getattr(loaded, name).u, getattr(b, name).u)
-            assert np.array_equal(getattr(loaded, name).w, getattr(b, name).w)
+        _assert_same_basis(build_modal_basis(grid, b.m, b.n, cache_dir=str(tmp_path)), b)
         with np.load(path) as f:
             assert f["version"] == CACHE_VERSION
+
+
+def _assert_same_basis(got, want):
+    for name in ("mu", "kappa", "psi_res", "xi", "xi_res", "w0"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    for name in ("psi", "lift"):
+        assert np.array_equal(getattr(got, name).u, getattr(want, name).u)
+        assert np.array_equal(getattr(got, name).w, getattr(want, name).w)
+
+
+def test_basis_cache_file_is_stored_uncompressed(grid, basis, tmp_path):
+    build_modal_basis(grid, basis.m, basis.n, cache_dir=str(tmp_path))
+    # the file is written under a temporary name and moved into place: nothing else is left
+    name = f"modes_{grid.grid_key()}_m{basis.m}_n{basis.n}.npz"
+    assert os.listdir(tmp_path) == [name]
+    with zipfile.ZipFile(tmp_path / name) as z:
+        members = z.infolist()
+    assert len(members) == 11
+    assert all(info.compress_type == zipfile.ZIP_STORED for info in members)
+
+
+def test_basis_cache_loads_a_compressed_file(grid, basis, tmp_path, forbid_eigensolve):
+    # files written deflated, as the cache once wrote them, load without a rebuild
+    path = tmp_path / f"modes_{grid.grid_key()}_m{basis.m}_n{basis.n}.npz"
+    np.savez_compressed(path, **_cache_arrays(basis))
+    written = path.read_bytes()
+    forbid_eigensolve()
+    _assert_same_basis(build_modal_basis(grid, basis.m, basis.n, cache_dir=str(tmp_path)), basis)
+    assert path.read_bytes() == written
+
+
+def _damage(path, kind):
+    data = path.read_bytes()
+    if kind == "truncated":
+        path.write_bytes(data[:len(data) // 2])
+    elif kind == "not_zip":
+        path.write_bytes(b"x")
+    elif kind == "empty":
+        path.write_bytes(b"")
+    else:                               # a deflated member whose stream is corrupt
+        np.savez_compressed(path, version=CACHE_VERSION, mu=np.zeros(10000))
+        data = bytearray(path.read_bytes())
+        data[200:250] = bytes(b ^ 0xFF for b in data[200:250])
+        path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("kind", ["truncated", "not_zip", "empty", "corrupt_deflate"])
+def test_basis_cache_rebuilds_damaged_files(grid, tmp_path, forbid_eigensolve, kind):
+    # an unreadable cache file is rebuilt and overwritten, not raised; the next
+    # call loads the new file
+    fresh = build_modal_basis(grid, 2, 2)
+    build_modal_basis(grid, 2, 2, cache_dir=str(tmp_path))
+    path = tmp_path / f"modes_{grid.grid_key()}_m2_n2.npz"
+    _damage(path, kind)
+    _assert_same_basis(build_modal_basis(grid, 2, 2, cache_dir=str(tmp_path)), fresh)
+    forbid_eigensolve()
+    _assert_same_basis(build_modal_basis(grid, 2, 2, cache_dir=str(tmp_path)), fresh)
+
+
+def test_basis_cache_write_interrupted_leaves_the_old_file(grid, tmp_path, monkeypatch):
+    # a write that stops part way leaves neither a partial file nor its temporary
+    path = tmp_path / f"modes_{grid.grid_key()}_m2_n2.npz"
+    path.write_bytes(b"x")
+
+    def interrupted(f, **arrays):
+        f.write(b"PK\x03\x04 partial")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(modal.np, "savez", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        build_modal_basis(grid, 2, 2, cache_dir=str(tmp_path))
+    assert os.listdir(tmp_path) == [path.name] and path.read_bytes() == b"x"
 
 
 @pytest.mark.parametrize("form", [inner_fluid, grad_inner])

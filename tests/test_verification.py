@@ -16,6 +16,7 @@ from plateflow.verification import (
     _Run,
     _Setup,
     _simulate_group,
+    run_criterion,
 )
 
 REPORTS = ("E0", "E", "dissipation_integral", "balance_residual")
@@ -126,3 +127,15 @@ def test_battery_schedule_steps(battery_run):
     # exponential_stability's ensemble keeps no states and runs on its own
     assert free_linear == [{(N, 10): 4000}, {(N, 14): 6000}]
     assert type(summary["quasi_stability"]["linear_M"]) is float
+
+
+def test_mass_matrix_positivity_reads_its_bases_through_the_cache(tmp_path, forbid_eigensolve):
+    # criterion 1 builds its (1, 1) and (4, 4) bases through the set-up's mode
+    # cache: a second run solves no eigenproblem, and its cases equal those of
+    # a run with no cache
+    cfg = ExperimentConfig()
+    uncached = run_criterion("mass_matrix_positivity", cfg)
+    assert run_criterion("mass_matrix_positivity", cfg, str(tmp_path)) == uncached
+    forbid_eigensolve()
+    assert run_criterion("mass_matrix_positivity", cfg, str(tmp_path)) == uncached
+    assert [(c["m"], c["n"]) for c in uncached["cases"]] == [(1, 1), (4, 4), (12, 8)]
