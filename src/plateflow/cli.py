@@ -33,24 +33,9 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _to_plain(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, dict):
-        return {k: _to_plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_plain(v) for v in obj]
-    return obj
-
-
 def _dumps(obj) -> str:
-    obj = _to_plain(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -64,7 +49,7 @@ def _dumps(obj) -> str:
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
         return "{" + ",".join(json.dumps(str(k)) + ":" + _dumps(v) for k, v in items) + "}"
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .mesh import GeometryConfig
 
@@ -107,22 +107,17 @@ def parse_config(path: str) -> ExperimentConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-        cls = _SECTIONS[section]
-        known = {f.name: f.type for f in fields(cls)}
-        types = {f.name: type(getattr(getattr(cfg, section), f.name)) for f in fields(cls)}
+        current = getattr(cfg, section)
+        types = {f.name: type(getattr(current, f.name)) for f in fields(current)}
         values = {}
         for key, raw in parser.items(section):
-            if key not in known:
+            if key not in types:
                 raise ConfigError(f"unknown config key {section}.{key}")
             values[key] = _coerce(section, key, raw, types[key])
-        setattr(cfg, section, cls(**{**_asdict(getattr(cfg, section)), **values}))
+        setattr(cfg, section, replace(current, **values))
 
     validate(cfg)
     return cfg
-
-
-def _asdict(obj):
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def validate(cfg: ExperimentConfig):

@@ -5,6 +5,8 @@ F(u) that is the exact gradient of Pi with respect to the plate L2 product
 (h * F = grad_u Pi at the nodal level).  Exactness of this pairing is what
 makes the semidiscrete dynamics a gradient system, so the forces are built
 from the discrete derivative operators rather than from independent stencils.
+Each model also states how it acts on plate-mode coefficients (ForceModel.modal),
+so the reduced system never branches on the model's type.
 """
 
 from __future__ import annotations
@@ -26,13 +28,26 @@ def per_column(v: np.ndarray, like: np.ndarray) -> np.ndarray:
 
 
 class ForceModel:
-    """Interface: force(u) and potential(u) on nodal plate values."""
+    """Interface: force(u), potential(u) and jacobian(u) on nodal plate values,
+    and modal(xi, h_x), the force's action on plate-mode coefficients."""
 
     def force(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def potential(self, u: np.ndarray) -> float:
         raise NotImplementedError
+
+    def jacobian(self, u: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def modal(self, xi: np.ndarray, h_x: float):
+        """(fc, dfc) on the plate modes xi (n, n_plate) with node weight h_x:
+        fc(beta)_j = (F(u), xi_j)_Omega at u = xi^T beta, for beta (n,) or
+        columns (n, B), and dfc(beta) = dfc/dbeta (n, n) at one beta.  By
+        default the nodal force and Jacobian projected by hXi = h_x xi."""
+        hXi, xiT = h_x * xi, xi.T
+        return (lambda beta: hXi @ self.force(xiT @ beta),
+                lambda beta: hXi @ self.jacobian(xiT @ beta) @ xiT)
 
 
 @dataclass
@@ -116,6 +131,26 @@ class BergerForce(ForceModel):
         Q = self._Q(self.ops.D @ u)
         h = self.grid.h_x
         return 0.25 * self.kappa * Q ** 2 - 0.5 * self.gamma * Q - h * (self.load @ u)
+
+    def modal(self, xi, h_x):
+        """Exact n x n form from the model's own D and h: with K = (D xi^T)^T
+        (D xi^T) and Q = h beta^T K beta, fc = (kappa Q - gamma) h_x K beta -
+        hXi load and dfc = h_x [(kappa Q - gamma) K + 2 kappa h (K beta)(K beta)^T]."""
+        DX = self.ops.D @ xi.T
+        K = DX.T @ DX
+        load, h = (h_x * xi) @ self.load, self.grid.h_x
+        kappa, gamma = self.kappa, self.gamma
+
+        def fc(beta):
+            Kb = K @ beta
+            Q = h * np.vecdot(beta, Kb, axis=0)
+            return (kappa * Q - gamma) * h_x * Kb - per_column(load, beta)
+
+        def dfc(beta):
+            Kb = K @ beta
+            Q = h * (beta @ Kb)
+            return h_x * ((kappa * Q - gamma) * K + 2.0 * kappa * h * np.outer(Kb, Kb))
+        return fc, dfc
 
 
 def verify_gradient(model: ForceModel, u: np.ndarray, g: Grid, h_fd: float = 1e-5,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .forces import BergerForce, ForceModel, per_column
+from .forces import ForceModel
 from .mesh import (
     DIV_TOL,
     Grid,
@@ -190,47 +190,18 @@ class GalerkinSystem:
         """u = sum_j beta_j xi_j."""
         return self.basis.xi.T @ beta
 
-    def _berger_gram(self, model: BergerForce):
-        """K = (D xi^T)^T (D xi^T), from the model's own D."""
-        DX = model.ops.D @ self.basis.xi.T
-        return DX.T @ DX
-
     def force_map(self, model: ForceModel | None):
-        """beta -> fc, fc_j = (F(u), xi_j)_Omega, for the plate force model F (None: zero).
-        Berger exactly in n x n modal form, from the model's own D and h: with
-        K = (D xi^T)^T (D xi^T), Q = h beta^T K beta and fc = (kappa Q - gamma)
-        h_x K beta - hXi load."""
+        """beta -> fc, fc_j = (F(u), xi_j)_Omega, for the plate force model F
+        in the model's own modal form, ForceModel.modal (None: zero)."""
         if model is None:
             return np.zeros_like
-        if not isinstance(model, BergerForce):
-            hXi, xiT = self.hXi, self.basis.xi.T
-            return lambda beta: hXi @ model.force(xiT @ beta)
-        K, load, h_x = self._berger_gram(model), self.hXi @ model.load, self.basis.grid.h_x
-        h, kappa, gamma = model.grid.h_x, model.kappa, model.gamma
-
-        def berger(beta):
-            Kb = K @ beta
-            Q = h * np.vecdot(beta, Kb, axis=0)
-            return (kappa * Q - gamma) * h_x * Kb - per_column(load, beta)
-        return berger
+        return model.modal(self.basis.xi, self.basis.grid.h_x)[0]
 
     def force_jacobian(self, model: ForceModel | None):
-        """beta -> dfc/dbeta (n, n) at one beta, exact: for Berger
-        h_x [(kappa Q - gamma) K + 2 kappa h (K beta)(K beta)^T], otherwise
-        hXi F'(u) xi^T (None: zero)."""
+        """beta -> dfc/dbeta (n, n) at one beta, from ForceModel.modal (None: zero)."""
         if model is None:
             return lambda beta: np.zeros((self.n, self.n))
-        if not isinstance(model, BergerForce):
-            xi = self.basis.xi
-            return lambda beta: self.hXi @ model.jacobian(xi.T @ beta) @ xi.T
-        K, h, h_x = self._berger_gram(model), model.grid.h_x, self.basis.grid.h_x
-
-        def berger(beta):
-            Kb = K @ beta
-            Q = h * (beta @ Kb)
-            return h_x * ((model.kappa * Q - model.gamma) * K
-                          + 2.0 * model.kappa * h * np.outer(Kb, Kb))
-        return berger
+        return model.modal(self.basis.xi, self.basis.grid.h_x)[1]
 
     def potential(self, model: ForceModel | None, beta: np.ndarray):
         if model is None:

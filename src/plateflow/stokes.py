@@ -184,16 +184,18 @@ class StokesSolver:
                               p=ScalarField(g, (p - np.mean(p)).reshape(g.n_x, g.n_z)))
 
     def momentum_residual(self, sol: StokesSolution, gf: VelocityField) -> float:
-        """max |b - nu A v - Gr p| / (|b| + nu |A||v| + |Gr||p|) over the
+        """max |b - nu A v - Gr p| / max (|b| + nu |A||v| + |Gr||p|) over the
         interior faces: the momentum residual of a body-force solve, relative
-        to the size of its terms face by face."""
+        to the size of its terms on the largest face.  One scale for all
+        faces: a face whose terms are all at rounding level would otherwise
+        read its rounding as O(1)."""
         g, A, Gr = self.grid, self.blocks.A, self.blocks.Gr
         b = g.h_x * g.h_z * pack_interior(_one_field(gf))
         v, p = pack_interior(sol.v), sol.p.values.ravel()
         r = b - self.nu * (A @ v) - Gr @ p
         scale = np.abs(b) + self.nu * (abs(A) @ np.abs(v)) + abs(Gr) @ np.abs(p)
-        # every term is bounded by scale, so r is exactly 0 where scale is
-        return float(np.max(np.abs(r) / np.maximum(scale, np.finfo(float).tiny)))
+        # every term is bounded by scale, so r is exactly 0 when scale is
+        return float(np.max(np.abs(r)) / max(np.max(scale), np.finfo(float).tiny))
 
     def pressure_trace(self, sol: StokesSolution, gf: VelocityField | None = None) -> np.ndarray:
         """Duality-consistent trace of the pressure on Omega for a no-slip solve."""

@@ -68,6 +68,11 @@ def test_json_dumper_is_deterministic_and_parseable():
     assert abs(back["b"] - 1.0 / 3.0) < 1e-16
     # 17 significant digits survive a float round trip
     assert float("%.17g" % (1.0 / 3.0)) == 1.0 / 3.0
+    # numpy scalars and arrays, tuples and nan, byte for byte
+    obj = {"f": np.float64(0.1), "i": np.int64(-3), "t": np.bool_(True), "d0": np.array(2.5),
+           "d1": np.array([1.0, 0.5]), "tup": (1, np.float64(0.25)), "nan": float("nan")}
+    assert _dumps(obj) == ('{"d0":2.5,"d1":[1,0.5],"f":0.10000000000000001,"i":-3,'
+                           '"nan":nan,"t":true,"tup":[1,0.25]}')
 
 
 def test_csv_writer_format(tmp_path):
@@ -78,6 +83,11 @@ def test_csv_writer_format(tmp_path):
     lines = raw.decode("utf-8").split("\n")
     assert lines[0] == "a,b"
     assert float(lines[2].split(",")[1]) == 1.0 / 3.0
+    # numpy scalars, 0-d arrays and nan as cells, a tuple and a 1-d array as rows
+    rows = [(np.int64(2), np.float64(1.0 / 3.0), np.bool_(False)), np.array([0.25, np.nan, 3.0]),
+            (np.array(2.5), np.array(7), "s")]
+    write_csv(path, ("a", "b", "c"), rows)
+    assert open(path, "rb").read() == b"a,b,c\n2,0.33333333333333331,false\n0.25,nan,3\n2.5,7,s\n"
 
 
 # -- CLI --------------------------------------------------------------------

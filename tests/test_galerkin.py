@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plateflow.dynamics import lyapunov_V
-from plateflow.forces import BergerForce, KirchhoffForce
+from plateflow.dynamics import Stepper, lyapunov_V, simulate
+from plateflow.forces import BergerForce, ForceModel, KirchhoffForce
 from plateflow.galerkin import (
     AssemblyError,
     ForcingConfig,
@@ -22,6 +22,7 @@ from plateflow.mesh import (
     is_solenoidal,
     plate_mean,
 )
+from plateflow.steady import minimize_stationary
 
 
 def test_mass_matrix_symmetric_positive(sys_free):
@@ -236,3 +237,70 @@ def test_force_jacobian_matches_central_differences(sys_forced, grid, rng, case)
     fd = np.column_stack([(fc(beta + h * e) - fc(beta - h * e)) / (2 * h) for e in np.eye(n)])
     assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
     assert np.max(np.abs(J - J.T)) <= 1e-12 * np.max(np.abs(J))
+
+
+class LocalCubic(ForceModel):
+    """A plate law given by its nodal methods alone: F(u) = u^3 - u."""
+
+    def __init__(self, grid):
+        self.h = grid.h_x
+
+    def force(self, u):
+        return u ** 3 - u
+
+    def jacobian(self, u):
+        return np.diag(3.0 * u ** 2 - 1.0)
+
+    def potential(self, u):
+        return self.h * np.sum(0.25 * u ** 4 - 0.5 * u ** 2, axis=0)
+
+
+def test_a_new_force_model_runs_through_the_default_modal_form(sys_forced, grid, rng):
+    # a model that defines only force, potential and jacobian gets its modal
+    # form from ForceModel.modal, the nodal force and Jacobian projected by
+    # hXi, and runs simulate and minimize_stationary as Kirchhoff's local term
+    # (kappa = 0) does
+    model, kirchhoff = LocalCubic(grid), KirchhoffForce(grid, kappa=0.0)
+    fc, dfc = model.modal(sys_forced.basis.xi, grid.h_x)
+    beta = 0.7 * rng.standard_normal(sys_forced.n)
+    u = sys_forced.plate_deflection(beta)
+    assert np.array_equal(fc(beta), sys_forced.hXi @ model.force(u))
+    assert np.array_equal(dfc(beta), sys_forced.hXi @ model.jacobian(u) @ sys_forced.basis.xi.T)
+    y0 = 0.5 * rng.standard_normal(sys_forced.m + 2 * sys_forced.n)
+    runs = [simulate(sys_forced, y0, T=0.2, dt=1e-3, model=f, stride=10)
+            for f in (model, kirchhoff)]
+    assert np.max(np.abs(runs[0].states - runs[1].states)) <= 1e-13 * np.max(np.abs(runs[1].states))
+    assert np.max(np.abs(runs[0].balance_residual)) < 1e-5
+    eq, want = minimize_stationary(sys_forced, model), minimize_stationary(sys_forced, kirchhoff)
+    assert eq.residual < 1e-8
+    assert np.max(np.abs(eq.beta_star - want.beta_star)) <= 1e-10 * np.max(np.abs(want.beta_star))
+
+
+def test_stepper_and_descent_call_the_models_modal_form(sys_forced, grid, rng):
+    # a model that overrides modal is what stepping and stationary descent
+    # evaluate: every nodal force call comes from its fc, and descent calls its dfc
+    calls = {"fc": 0, "dfc": 0, "force": 0}
+
+    class Counted(LocalCubic):
+        def force(self, u):
+            calls["force"] += 1
+            return super().force(u)
+
+        def modal(self, xi, h_x):
+            fc, dfc = super().modal(xi, h_x)
+
+            def counted_fc(beta):
+                calls["fc"] += 1
+                return fc(beta)
+
+            def counted_dfc(beta):
+                calls["dfc"] += 1
+                return dfc(beta)
+            return counted_fc, counted_dfc
+
+    y = 0.5 * rng.standard_normal(sys_forced.m + 2 * sys_forced.n)
+    Stepper(sys_forced, 1e-3, Counted(grid)).step(y)
+    assert calls["fc"] > 0 and calls["force"] == calls["fc"] and calls["dfc"] == 0
+    calls.update(fc=0, force=0)
+    minimize_stationary(sys_forced, Counted(grid))
+    assert calls["fc"] > 0 and calls["force"] == calls["fc"] and calls["dfc"] > 0
