@@ -43,7 +43,8 @@ def _dumps(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt(obj)
+        # json.dumps spells the non-finite floats as json.loads reads them
+        return _fmt(obj) if np.isfinite(obj) else json.dumps(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -92,10 +93,13 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _cache_dir(cfg: ExperimentConfig) -> str:
+    return os.path.join(cfg.output.dir, "modes_cache")
+
+
 def _basis(cfg: ExperimentConfig):
     g = build_grid(cfg.geometry)
-    cache = os.path.join(cfg.output.dir, "modes_cache")
-    return g, build_modal_basis(g, cfg.modes.m, cfg.modes.n, cache_dir=cache)
+    return g, build_modal_basis(g, cfg.modes.m, cfg.modes.n, cache_dir=_cache_dir(cfg))
 
 
 def _forcing(cfg: ExperimentConfig) -> ForcingConfig:
@@ -112,6 +116,12 @@ def _force_model(cfg: ExperimentConfig, g):
         return KirchhoffForce(g, kappa=p.force_kappa, q=p.force_q, r=p.force_r,
                               mu=p.force_mu)
     return BergerForce(g, kappa=p.force_kappa, gamma=p.force_gamma)
+
+
+def _system(cfg: ExperimentConfig):
+    """The system of cfg, assembled with its forcing on its basis, and its force model."""
+    g, basis = _basis(cfg)
+    return assemble(basis, cfg.physics.nu, _forcing(cfg)), _force_model(cfg, g)
 
 
 def _seeded_state(sys, seed: int):
@@ -164,16 +174,13 @@ def cmd_assemble(cfg: ExperimentConfig) -> int:
 
 
 def cmd_forces_verify(cfg: ExperimentConfig) -> int:
-    result = verification.run_criterion("force_model_contracts", cfg,
-                                        os.path.join(cfg.output.dir, "modes_cache"))
+    result = verification.run_criterion("force_model_contracts", cfg, _cache_dir(cfg))
     write_json(os.path.join(cfg.output.dir, "forces_verify.json"), result)
     return 0 if result["pass"] else 1
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    g, basis = _basis(cfg)
-    sys_ = assemble(basis, cfg.physics.nu, _forcing(cfg))
-    model = _force_model(cfg, g)
+    sys_, model = _system(cfg)
     y0 = _seeded_state(sys_, cfg.probes.seed)
     tr = simulate(sys_, y0, cfg.integration.T, cfg.integration.dt, model,
                   stride=cfg.integration.stride)
@@ -185,7 +192,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                      tr.dissipation_integral[k], tr.balance_residual[k],
                      float(np.linalg.norm(alpha)), float(np.linalg.norm(beta)),
                      float(np.linalg.norm(betadot)),
-                     plate_mean(sys_.plate_deflection(beta), g)))
+                     plate_mean(sys_.plate_deflection(beta), sys_.basis.grid)))
     write_csv(os.path.join(cfg.output.dir, "trajectory.csv"),
               ("t", "E0", "E", "Estar", "dissipation_integral",
                "balance_residual", "norm_alpha", "norm_beta", "norm_betadot",
@@ -213,9 +220,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_stationary(cfg: ExperimentConfig) -> int:
-    g, basis = _basis(cfg)
-    sys_ = assemble(basis, cfg.physics.nu, _forcing(cfg))
-    model = _force_model(cfg, g)
+    sys_, model = _system(cfg)
     eqs = find_equilibria(sys_, model, seed=cfg.probes.seed)
     summary = {
         "count": len(eqs),
@@ -231,9 +236,7 @@ def cmd_stationary(cfg: ExperimentConfig) -> int:
 
 
 def cmd_attract(cfg: ExperimentConfig) -> int:
-    g, basis = _basis(cfg)
-    sys_ = assemble(basis, cfg.physics.nu, _forcing(cfg))
-    model = _force_model(cfg, g)
+    sys_, model = _system(cfg)
     y0 = _seeded_state(sys_, cfg.probes.seed)
     traj = simulate(sys_, y0, cfg.integration.T, cfg.integration.dt, model,
                     stride=cfg.integration.stride)
@@ -274,15 +277,13 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 
 
 def cmd_quasistability(cfg: ExperimentConfig) -> int:
-    result = verification.run_criterion("quasi_stability", cfg,
-                                        os.path.join(cfg.output.dir, "modes_cache"))
+    result = verification.run_criterion("quasi_stability", cfg, _cache_dir(cfg))
     write_json(os.path.join(cfg.output.dir, "quasistability.json"), result)
     return 0 if result["pass"] else 1
 
 
 def cmd_verify_all(cfg: ExperimentConfig) -> int:
-    cache = os.path.join(cfg.output.dir, "modes_cache")
-    summary, ok = verification.run_all(cfg, cache_dir=cache, report=print)
+    summary, ok = verification.run_all(cfg, cache_dir=_cache_dir(cfg), report=print)
     write_json(os.path.join(cfg.output.dir, "verify_all.json"), summary)
     return 0 if ok else 1
 

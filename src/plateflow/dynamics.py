@@ -241,35 +241,6 @@ def fit_decay_rate(t: np.ndarray, q: np.ndarray):
     return float(-coef[0]), float(np.max(np.abs(fit - logq)))
 
 
-def continuous_dependence_probe(sys: GalerkinSystem, y0: np.ndarray, delta: float,
-                                T: float, dt: float, model=None, rng=None):
-    """Perturbation response at sizes delta and delta/2.
-
-    Base, full and half runs are one batch.  Returns dict with sup-norm
-    differences and their ratio (2 means exactly first-order dependence).
-    """
-    if delta <= 0:
-        raise IntegratorError("perturbation size must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    W = rng.standard_normal(y0.shape)
-    W /= max(sys.state_norm(W), 1e-300)
-    runs = np.column_stack([y0, y0 + delta * W, y0 + (0.5 * delta) * W])
-    states = simulate(sys, runs, T, dt, model).states
-
-    def supdiff(j):
-        return float(np.max(per_sample(sys.state_norm, states[..., j] - states[..., 0])))
-
-    d_full = supdiff(1)
-    d_half = supdiff(2)
-    return {
-        "delta": delta,
-        "sup_full": d_full,
-        "sup_half": d_half,
-        "ratio": d_full / max(d_half, 1e-300),
-    }
-
-
 def quasi_stability_probe(sys: GalerkinSystem, tr: Trajectory, gamma_star: float,
                           M_cap: float):
     """Smallest M with ||Z(t)||^2 <= M e^{-g*t}||Z0||^2 + M int e^{-g*(t-s)}||du||^2.

@@ -20,19 +20,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .forces import ForceModel
-from .mesh import (
-    DIV_TOL,
-    Grid,
-    VelocityField,
-    discrete_div,
-    grad_inner,
-    inner_fluid,
-    inner_plate,
-    plate_mean,
-)
-from .modal import ModalBasis, project_zero_mean
-
-TRACE_TOL = 1e-8
+from .mesh import Grid, VelocityField, grad_inner, inner_fluid
+from .modal import ModalBasis
 
 
 class AssemblyError(RuntimeError):
@@ -208,19 +197,6 @@ class GalerkinSystem:
             return 0.0
         return model.potential(self.plate_deflection(beta))
 
-    # -- dynamics ---------------------------------------------------------
-    def rhs(self, y: np.ndarray, force_coeffs=None) -> np.ndarray:
-        """Time derivative of the state by a direct solve with M, independent
-        of (A, c, B); force_coeffs(beta) adds the projected plate force."""
-        _, beta, betadot = self.split(y)
-        w = y[self.kin]
-        load = self.f_kin.copy()
-        load[self.m:] += self.f_plate - self.kappa * beta
-        if force_coeffs is not None:
-            load[self.m:] -= force_coeffs(beta)
-        wdot = la.solve(self.M, load - self.D @ w, assume_a="pos")
-        return self.join(wdot[:self.m], betadot, wdot[self.m:])
-
 
 def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None) -> GalerkinSystem:
     if nu <= 0:
@@ -253,51 +229,6 @@ def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None)
 
     return GalerkinSystem(basis=basis, nu=nu, M=M, D=D, kappa=basis.kappa,
                           f_kin=f_kin, f_plate=f_plate, G_vl=G_vl, G_ll=G_ll)
-
-
-@dataclass
-class ProjectionReport:
-    y0: np.ndarray
-    fluid_residual: float
-    plate_residual: float
-    velocity_residual: float
-    mean_offset: float
-
-
-def project_initial(sys: GalerkinSystem, v0: VelocityField, u0: np.ndarray,
-                    u1: np.ndarray) -> ProjectionReport:
-    """Project compatible initial data onto the modal space.
-
-    Requires div v0 = 0 and the normal trace of v0 on Omega to equal u1.  The
-    mean of u0 is not representable (the cavity is incompressible); it is
-    removed by the bending-stable projection and reported as mean_offset.
-    """
-    g = sys.basis.grid
-    d = float(np.max(np.abs(discrete_div(v0, g).values)))
-    if d > DIV_TOL:
-        raise AssemblyError(f"initial velocity is not divergence free: max divergence {d:.3e}")
-    tr = float(np.max(np.abs(v0.w[:, -1] - u1)))
-    if tr > TRACE_TOL:
-        raise AssemblyError(
-            f"initial data incompatible: fluid normal trace differs from plate velocity by {tr:.3e}"
-        )
-    mean_off = plate_mean(u0, g) / g.L_x
-    u0p = project_zero_mean(u0, g, sys.basis.w0)
-    u1p = u1 - plate_mean(u1, g) / g.L_x  # trace of a solenoidal field; already zero mean
-
-    beta = sys.hXi @ u0p
-    betadot = sys.hXi @ u1p
-    r = u0p - sys.plate_deflection(beta)
-    plate_res = float(np.sqrt(max(inner_plate(r, r, g), 0.0)))
-
-    lift_dot = sys.basis.lift.combine(betadot)
-    alpha = inner_fluid(sys.basis.psi, v0 - lift_dot, g)
-    diff = v0 - (lift_dot + sys.basis.psi.combine(alpha))
-    vres = float(np.sqrt(max(inner_fluid(diff, diff, g), 0.0)))
-
-    y0 = sys.join(alpha, beta, betadot)
-    return ProjectionReport(y0=y0, fluid_residual=d, plate_residual=plate_res,
-                            velocity_residual=vres, mean_offset=mean_off)
 
 
 @dataclass

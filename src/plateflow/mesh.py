@@ -180,14 +180,6 @@ class ScalarField:
             raise GridError("scalar field shape mismatch with grid")
 
 
-def discrete_div(v: VelocityField, g: Grid) -> ScalarField:
-    """Cell-centered divergence; uses the stored boundary faces directly."""
-    if v.grid is not g and v.grid != g:
-        raise GridError("field/grid mismatch")
-    d = (v.u[..., 1:, :] - v.u[..., :-1, :]) / g.h_x + (v.w[..., 1:] - v.w[..., :-1]) / g.h_z
-    return ScalarField(g, d)
-
-
 def discrete_grad(p: ScalarField, g: Grid) -> VelocityField:
     """Face-centered gradient of a cell-centered scalar; zero on boundary faces."""
     out = VelocityField(g)
@@ -221,22 +213,8 @@ def inner_fluid(a: VelocityField, b: VelocityField, g: Grid):
     return _gram(a, b, (wu * a.u, ww * a.w), (b.u, b.w), (1.0, 1.0), g.h_x * g.h_z)
 
 
-def inner_plate(a: np.ndarray, b: np.ndarray, g: Grid) -> float:
-    if a.shape != (g.n_plate,) or b.shape != (g.n_plate,):
-        raise GridError("plate function shape mismatch with grid")
-    return g.h_x * float(np.dot(a, b))
-
-
 def plate_mean(a: np.ndarray, g: Grid) -> float:
     return g.h_x * float(np.sum(a))
-
-
-def inner_product(a, b, domain: str, g: Grid) -> float:
-    if domain == "fluid":
-        return inner_fluid(a, b, g)
-    if domain == "plate":
-        return inner_plate(a, b, g)
-    raise GridError(f"unknown inner product domain {domain!r}")
 
 
 def _grad_parts(v: VelocityField):
@@ -266,13 +244,6 @@ def grad_inner(a: VelocityField, b: VelocityField, g: Grid):
     cx, cz = 1.0 / g.h_x ** 2, 1.0 / g.h_z ** 2
     return _gram(a, b, _grad_parts(a), _grad_parts(b),
                  (cx, cz, 2.0 * cz, 2.0 * cz, cz, cx, 2.0 * cx, 2.0 * cx), g.h_x * g.h_z)
-
-
-DIV_TOL = 1e-10
-
-
-def is_solenoidal(v: VelocityField, g: Grid, tol: float = DIV_TOL) -> bool:
-    return float(np.max(np.abs(discrete_div(v, g).values))) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +276,3 @@ def beam_operators(g: Grid) -> BeamOperators:
     C[0, :3] = [15.0 / 8.0, -10.0 / 8.0, 3.0 / 8.0]
     C[1, -3:] = [3.0 / 8.0, -10.0 / 8.0, 15.0 / 8.0]
     return BeamOperators(grid=g, D=D, K=K, C=C)
-
-
-def beam_biharmonic(u: np.ndarray, g: Grid, ops: BeamOperators | None = None) -> np.ndarray:
-    """Pointwise fourth derivative of a clamped-compatible plate function.
-
-    Interior points use the classical five-point stencil (exact on quartics);
-    the two rows nearest each edge come from the symmetric energy form.
-    """
-    if ops is None:
-        ops = beam_operators(g)
-    if u.shape != (g.n_plate,):
-        raise GridError("plate function shape mismatch with grid")
-    return (ops.K @ u) / g.h_x
-
-
-def bending_inner(u: np.ndarray, v: np.ndarray, g: Grid, ops: BeamOperators | None = None) -> float:
-    """Discrete (Delta u, Delta v)_Omega for clamped plate functions."""
-    if ops is None:
-        ops = beam_operators(g)
-    return float(u @ ops.K @ v)

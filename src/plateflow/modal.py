@@ -16,13 +16,13 @@ from __future__ import annotations
 import os
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from .mesh import Grid, GridError, VelocityField, beam_operators, plate_mean
+from .mesh import Grid, GridError, VelocityField, beam_operators
 from .stokes import StokesSolver, unpack_interior
 
 EIG_TOL = 1e-8
@@ -127,31 +127,6 @@ def solve_plate_eigenmodes(g: Grid, n: int, zero_mean: bool = True):
     return kappa, xi, np.linalg.norm(Z @ (Z.T @ R), axis=0) / kappa
 
 
-def mean_shape(g: Grid) -> np.ndarray:
-    """The clamped deflection representing the mean functional in bending energy.
-
-    w0 minimizes bending energy among clamped shapes with a unit-mean load; it
-    is bending-orthogonal to every zero-mean clamped deflection, which makes
-    the induced projection energy-stable.
-    """
-    ops = beam_operators(g)
-    n = g.n_plate
-    KKT = np.zeros((n + 2, n + 2))
-    KKT[:n, :n] = ops.K
-    KKT[:n, n:] = ops.C.T
-    KKT[n:, :n] = ops.C
-    rhs = np.zeros(n + 2)
-    rhs[:n] = g.h_x
-    return np.linalg.solve(KKT, rhs)[:n]
-
-
-def project_zero_mean(u: np.ndarray, g: Grid, w0: np.ndarray | None = None) -> np.ndarray:
-    """Bending-orthogonal projection of a plate function onto zero mean."""
-    if w0 is None:
-        w0 = mean_shape(g)
-    return u - (plate_mean(u, g) / plate_mean(w0, g)) * w0
-
-
 @dataclass
 class ModalBasis:
     """The coupled trial space: m flow eigenmodes psi and n plate eigenmodes xi
@@ -165,7 +140,6 @@ class ModalBasis:
     xi: np.ndarray          # (n, n_plate) plate mode shapes
     xi_res: np.ndarray      # (n,) relative residuals of the plate modes
     lift: VelocityField     # stack of the n lifted modes N0 xi_k
-    w0: np.ndarray = field(repr=False, default=None)
 
     @property
     def m(self):
@@ -191,7 +165,7 @@ def build_modal_basis(g: Grid, m: int, n: int, cache_dir: str | None = None) -> 
     mu, psi, psi_res, lift = solve_stokes_eigenmodes(g, m)
     kappa, xi, xi_res = solve_plate_eigenmodes(g, n)
     basis = ModalBasis(grid=g, mu=mu, psi=psi, psi_res=psi_res, kappa=kappa, xi=xi,
-                       xi_res=xi_res, lift=lift(xi), w0=mean_shape(g))
+                       xi_res=xi_res, lift=lift(xi))
 
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
@@ -206,7 +180,7 @@ def _save_basis(path: str, b: ModalBasis):
         with open(tmp, "wb") as f:
             np.savez(f, version=CACHE_VERSION, mu=b.mu, psi_u=b.psi.u, psi_w=b.psi.w,
                      psi_res=b.psi_res, kappa=b.kappa, xi=b.xi, xi_res=b.xi_res,
-                     lift_u=b.lift.u, lift_w=b.lift.w, w0=b.w0)
+                     lift_u=b.lift.u, lift_w=b.lift.w)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -218,7 +192,7 @@ def _load_basis(path: str, g: Grid, m: int, n: int) -> ModalBasis | None:
     unreadable, is not of CACHE_VERSION, or lacks an array or has one misshapen."""
     shapes = {"mu": (m,), "psi_u": (m,) + g.shape_u, "psi_w": (m,) + g.shape_w, "psi_res": (m,),
               "kappa": (n,), "xi": (n, g.n_plate), "xi_res": (n,), "lift_u": (n,) + g.shape_u,
-              "lift_w": (n,) + g.shape_w, "w0": (g.n_plate,)}
+              "lift_w": (n,) + g.shape_w}
     try:
         with np.load(path) as f:
             d = {k: f[k] for k in ("version", *shapes) if k in f.files}
@@ -229,4 +203,4 @@ def _load_basis(path: str, g: Grid, m: int, n: int) -> ModalBasis | None:
         return None
     return ModalBasis(grid=g, mu=d["mu"], psi=VelocityField(g, d["psi_u"], d["psi_w"]),
                       psi_res=d["psi_res"], kappa=d["kappa"], xi=d["xi"], xi_res=d["xi_res"],
-                      lift=VelocityField(g, d["lift_u"], d["lift_w"]), w0=d["w0"])
+                      lift=VelocityField(g, d["lift_u"], d["lift_w"]))

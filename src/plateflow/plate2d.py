@@ -168,15 +168,3 @@ class VonKarmanForce(ForceModel):
         cross = -0.5 * g.h ** 2 * float(np.sum(vk_bracket(u, self.F0, g) * u))
         lin = -g.h ** 2 * float(np.sum(self.load * u))
         return quarter + cross + lin
-
-
-def plate2d_eigenmodes(g: PlateGrid2D, n_modes: int):
-    """Lowest clamped bending eigenpairs of the 2D plate (L2-normalized)."""
-    K = bending_form(g)
-    M = g.h ** 2 * sp.identity(g.size, format="csc")
-    vals, vecs = spla.eigsh(K, k=n_modes, M=M, sigma=0.0)
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
-    # M-orthonormal eigenvectors already have unit discrete L2 norm
-    return np.array(vals), vecs.T

@@ -241,20 +241,3 @@ class HarmonicLifter:
         grad = discrete_grad(q, g)
         grad.w[:, -1] = 2.0 * (r - q.values[:, -1]) / g.h_z
         return q, grad
-
-    def harmonic_residual(self, q: ScalarField, r: np.ndarray) -> float:
-        g = self.grid
-        vals = q.values
-        res = np.zeros((g.n_x, g.n_z))
-        hx2, hz2 = g.h_x ** 2, g.h_z ** 2
-        for i in range(g.n_x):
-            for j in range(g.n_z):
-                acc = 0.0
-                for di, dj, h2 in ((-1, 0, hx2), (1, 0, hx2), (0, -1, hz2), (0, 1, hz2)):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < g.n_x and 0 <= jj < g.n_z:
-                        acc += (vals[ii, jj] - vals[i, j]) / h2
-                    elif jj == g.n_z:
-                        acc += 2.0 * (r[i] - vals[i, j]) / h2
-                res[i, j] = acc
-        return float(np.max(np.abs(res)))

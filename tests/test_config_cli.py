@@ -72,7 +72,10 @@ def test_json_dumper_is_deterministic_and_parseable():
     obj = {"f": np.float64(0.1), "i": np.int64(-3), "t": np.bool_(True), "d0": np.array(2.5),
            "d1": np.array([1.0, 0.5]), "tup": (1, np.float64(0.25)), "nan": float("nan")}
     assert _dumps(obj) == ('{"d0":2.5,"d1":[1,0.5],"f":0.10000000000000001,"i":-3,'
-                           '"nan":nan,"t":true,"tup":[1,0.25]}')
+                           '"nan":NaN,"t":true,"tup":[1,0.25]}')
+    # non-finite floats are spelled as json.loads reads them
+    back = json.loads(_dumps({"nan": float("nan"), "inf": np.inf, "ninf": [-np.inf]}))
+    assert np.isnan(back["nan"]) and back["inf"] == np.inf and back["ninf"] == [-np.inf]
 
 
 def test_csv_writer_format(tmp_path):

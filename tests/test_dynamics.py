@@ -8,7 +8,6 @@ from plateflow.dynamics import (
     Stepper,
     Trajectory,
     attractor_regularity_probe,
-    continuous_dependence_probe,
     energy_balance_residual,
     fit_decay_rate,
     lyapunov_V,
@@ -17,6 +16,7 @@ from plateflow.dynamics import (
     simulate,
 )
 from plateflow.forces import BergerForce, KirchhoffForce
+from oracles import continuous_dependence_probe
 
 
 @pytest.fixture(scope="module")

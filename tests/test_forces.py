@@ -17,9 +17,9 @@ from plateflow.plate2d import (
     VonKarmanForce,
     _bracket_adjoint,
     clamped_laplacian_map,
-    plate2d_eigenmodes,
     vk_bracket,
 )
+from oracles import plate2d_eigenmodes
 
 
 @pytest.fixture(scope="module")

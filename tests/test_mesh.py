@@ -8,21 +8,17 @@ from plateflow.mesh import (
     GridError,
     ScalarField,
     VelocityField,
-    beam_biharmonic,
     beam_operators,
-    bending_inner,
     build_grid,
-    discrete_div,
     discrete_grad,
     grad_inner,
     inner_fluid,
-    inner_plate,
-    inner_product,
-    is_solenoidal,
     plate_mean,
 )
 from plateflow.modal import solve_plate_eigenmodes
 from plateflow.stokes import velocity_blocks
+from oracles import (beam_biharmonic, bending_inner, discrete_div, inner_plate, inner_product,
+                     is_solenoidal)
 
 
 def test_build_grid_rejects_coarse():

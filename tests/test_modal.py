@@ -8,13 +8,9 @@ import scipy.linalg as la
 from plateflow.mesh import (
     GeometryConfig,
     GridError,
-    bending_inner,
     build_grid,
-    discrete_div,
     grad_inner,
     inner_fluid,
-    inner_plate,
-    is_solenoidal,
     plate_mean,
 )
 import plateflow.modal as modal
@@ -25,12 +21,12 @@ from plateflow.modal import (
     _gauge,
     _vertex_weight,
     build_modal_basis,
-    mean_shape,
-    project_zero_mean,
     solve_plate_eigenmodes,
     solve_stokes_eigenmodes,
 )
 from plateflow.stokes import _streamfunction_basis, unpack_interior, velocity_blocks
+from oracles import (bending_inner, discrete_div, inner_plate, is_solenoidal, mean_shape,
+                     project_zero_mean)
 from saddle_stokes import SaddlePointStokesSolver
 
 GRIDS = {"16x16": GeometryConfig(n_x=16, n_z=16),
@@ -227,7 +223,6 @@ def test_basis_cache_roundtrip(grid, basis, tmp_path):
     assert np.array_equal(cached.xi, reloaded.xi)
     assert np.array_equal(cached.lift.u, reloaded.lift.u)
     assert np.array_equal(cached.lift.w, reloaded.lift.w)
-    assert np.array_equal(cached.w0, reloaded.w0)
     # the cache key includes the mode counts: a different request recomputes
     other = build_modal_basis(grid, 2, 2, cache_dir=str(tmp_path))
     assert other.m == 2 and other.n == 2
@@ -237,7 +232,7 @@ def _cache_arrays(b):
     # the arrays of a cache file of CACHE_VERSION holding the basis b
     return dict(version=CACHE_VERSION, mu=b.mu, psi_u=b.psi.u, psi_w=b.psi.w,
                 psi_res=b.psi_res, kappa=b.kappa, xi=b.xi, xi_res=b.xi_res,
-                lift_u=b.lift.u, lift_w=b.lift.w, w0=b.w0)
+                lift_u=b.lift.u, lift_w=b.lift.w)
 
 
 def _stale_file(b, kind):
@@ -267,7 +262,7 @@ def test_basis_cache_rebuilds_stale_files(grid, basis, tmp_path, kind):
 
 
 def _assert_same_basis(got, want):
-    for name in ("mu", "kappa", "psi_res", "xi", "xi_res", "w0"):
+    for name in ("mu", "kappa", "psi_res", "xi", "xi_res"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     for name in ("psi", "lift"):
         assert np.array_equal(getattr(got, name).u, getattr(want, name).u)
@@ -281,18 +276,27 @@ def test_basis_cache_file_is_stored_uncompressed(grid, basis, tmp_path):
     assert os.listdir(tmp_path) == [name]
     with zipfile.ZipFile(tmp_path / name) as z:
         members = z.infolist()
-    assert len(members) == 11
+    assert len(members) == 10
     assert all(info.compress_type == zipfile.ZIP_STORED for info in members)
 
 
 def test_basis_cache_loads_a_compressed_file(grid, basis, tmp_path, forbid_eigensolve):
-    # files written deflated, as the cache once wrote them, load without a rebuild
-    path = tmp_path / f"modes_{grid.grid_key()}_m{basis.m}_n{basis.n}.npz"
-    np.savez_compressed(path, **_cache_arrays(basis))
-    written = path.read_bytes()
+    # files the cache once wrote load without a rebuild and are left as they
+    # are: deflated, and stored with the mean shape w0 the basis used to carry
+    name = f"modes_{grid.grid_key()}_m{basis.m}_n{basis.n}.npz"
+    written = {}
+    for kind, save, arrays in (
+            ("deflated", np.savez_compressed, _cache_arrays(basis)),
+            ("with_w0", np.savez, dict(_cache_arrays(basis), w0=mean_shape(grid)))):
+        path = tmp_path / kind / name
+        path.parent.mkdir()
+        save(path, **arrays)
+        written[path] = path.read_bytes()
     forbid_eigensolve()
-    _assert_same_basis(build_modal_basis(grid, basis.m, basis.n, cache_dir=str(tmp_path)), basis)
-    assert path.read_bytes() == written
+    for path, data in written.items():
+        cache = str(path.parent)
+        _assert_same_basis(build_modal_basis(grid, basis.m, basis.n, cache_dir=cache), basis)
+        assert path.read_bytes() == data
 
 
 def _damage(path, kind):

@@ -4,7 +4,7 @@ import pytest
 from plateflow.dynamics import Stepper, energies, simulate
 from plateflow.forces import BergerForce
 from plateflow.galerkin import ForcingConfig, assemble, fluid_forcing_field
-from plateflow.mesh import GeometryConfig, ScalarField, build_grid, inner_fluid, inner_plate
+from plateflow.mesh import GeometryConfig, ScalarField, build_grid, inner_fluid
 from plateflow.modal import build_modal_basis
 from plateflow.steady import (
     STOKES_TOL,
@@ -17,6 +17,7 @@ from plateflow.steady import (
     stationary_residual,
 )
 from plateflow.stokes import StokesSolution, StokesSolver
+from oracles import inner_plate
 from saddle_stokes import assert_matches_saddle_point
 
 

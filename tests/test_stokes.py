@@ -7,14 +7,10 @@ from plateflow.mesh import (
     GridError,
     VelocityField,
     build_grid,
-    discrete_div,
     grad_inner,
     inner_fluid,
-    inner_plate,
-    is_solenoidal,
     plate_mean,
 )
-from plateflow.modal import project_zero_mean
 from plateflow.stokes import (
     HarmonicLifter,
     StokesSolveError,
@@ -23,6 +19,8 @@ from plateflow.stokes import (
     unpack_interior,
     velocity_blocks,
 )
+from oracles import (discrete_div, harmonic_residual, inner_plate, is_solenoidal,
+                     project_zero_mean)
 from saddle_stokes import assert_matches_saddle_point
 
 UNEQUAL = GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7)
@@ -161,7 +159,7 @@ def test_harmonic_lift_residual_and_boundary_pairing(grid, solver, rng):
     lifter = HarmonicLifter(grid)
     r = _zero_mean_trace(grid, rng)
     q, gradq = lifter.lift(r)
-    assert lifter.harmonic_residual(q, r) < 1e-10
+    assert harmonic_residual(grid, q, r) < 1e-10
     # (grad q, v)_O = (r, v.n)_Omega for solenoidal v with no-slip on S
     for _ in range(4):
         b = project_zero_mean(rng.standard_normal(grid.n_plate), grid)
