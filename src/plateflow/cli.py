@@ -89,7 +89,10 @@ def _load_config(args) -> ExperimentConfig:
     if args.seed is not None:
         cfg.probes.seed = args.seed
         validate(cfg)
-    os.makedirs(cfg.output.dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.output.dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {cfg.output.dir}: {exc.strerror}")
     return cfg
 
 
@@ -337,7 +340,8 @@ def main(argv=None) -> int:
         if args.command == "forces":
             return cmd_forces_verify(cfg)
         return _COMMANDS[args.command](cfg)
-    except (GridError, ForceModelError) as exc:   # a config value the models reject
+    # a config value the models reject, or a time step the integrator cannot take
+    except (GridError, ForceModelError, IntegratorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -120,8 +120,8 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
     every step.  Reports are computed per block of steps from the stacked
     columns: power rates at every step's midpoint, energies at the block's
     samples; the dissipation and work integrals add one step at a time, left
-    to right.  Raises IntegratorError for stride < 1 and for T negative or
-    not finite.
+    to right.  Raises IntegratorError for stride < 1, for T negative or not
+    finite, and for T not a whole number of steps dt (to 1e-9 of T).
     """
     if not stride >= 1:
         raise IntegratorError(f"sample stride must be at least 1, got {stride}")
@@ -129,6 +129,8 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
         raise IntegratorError(f"final time must be finite and nonnegative, got {T}")
     stepper = Stepper(sys, dt, model)
     n_steps = int(round(T / dt))
+    if abs(n_steps * dt - T) > 1e-9 * T:
+        raise IntegratorError(f"final time {T} is not a whole number of time steps {dt}")
     y = np.array(y0, dtype=float).reshape(len(y0), -1)
     N, B = y.shape
     n_samples = 1 + n_steps // stride + (n_steps % stride != 0)
@@ -193,14 +195,12 @@ def lyapunov_V(sys: GalerkinSystem, y: np.ndarray, eps: float):
     return sys.energy_quadratic(y) + eps * (cross + v_pair)
 
 
-def lyapunov_eps_scan(sys: GalerkinSystem, n_states: int = 100, rng=None):
+def lyapunov_eps_scan(sys: GalerkinSystem, n_states: int, rng):
     """For each eps = 2^-1, ..., 2^-10, the observed ratio range V/E0 over random states.
 
     Returns (table, eps_star): table rows (eps, a0, a1); eps_star is the
     largest eps with ratios inside [0.5, 1.5], or None.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     N = sys.m + 2 * sys.n
     states = rng.standard_normal((n_states, N)).T
     e0 = sys.energy_quadratic(states)

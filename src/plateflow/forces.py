@@ -22,11 +22,6 @@ class ForceModelError(ValueError):
     pass
 
 
-def per_column(v: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """v of shape (k,) shaped to broadcast against like, (k,) or (k, B)."""
-    return v.reshape(v.shape + (1,) * (like.ndim - 1))
-
-
 class ForceModel:
     """Interface: force(u), potential(u) and jacobian(u) on nodal plate values,
     and modal(xi, h_x), the force's action on plate-mode coefficients."""
@@ -54,10 +49,10 @@ class ForceModel:
 class KirchhoffForce(ForceModel):
     """Quasilinear gradient term plus a local (Nemytskii) feedback.
 
-    F(u) = -d/dx(phi(u')) + u^3 - u - load, with the flux phi(s) = kappa(|s|^q s
+    F(u) = -d/dx(phi(u')) + u^3 - u, with the flux phi(s) = kappa(|s|^q s
     - mu |s|^r s), the gradient of Pi(u) = integral of kappa(|u'|^{q+2}/(q+2)
-    - mu |u'|^{r+2}/(r+2)) + u^4/4 - u^2/2 - load*u.  force and potential take
-    u as (n_plate,) or as B columns (n_plate, B); jacobian takes (n_plate,).
+    - mu |u'|^{r+2}/(r+2)) + u^4/4 - u^2/2.  force and potential take u as
+    (n_plate,) or as B columns (n_plate, B); jacobian takes (n_plate,).
     """
 
     grid: Grid
@@ -65,7 +60,6 @@ class KirchhoffForce(ForceModel):
     q: float = 2.0
     r: float = 0.0
     mu: float = 0.0
-    load: np.ndarray = None
     ops: BeamOperators = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -73,15 +67,13 @@ class KirchhoffForce(ForceModel):
             raise ForceModelError("kirchhoff coefficient kappa must be nonnegative")
         if not self.q > self.r >= 0:
             raise ForceModelError("kirchhoff exponents must satisfy q > r >= 0")
-        if self.load is None:
-            self.load = np.zeros(self.grid.n_plate)
         self.ops = beam_operators(self.grid)
 
     def force(self, u):
         s = self.ops.D @ u
         a = np.abs(s)
         flux = self.kappa * (a ** self.q * s - self.mu * a ** self.r * s)
-        return self.ops.D.T @ flux + (u ** 3 - u) - per_column(self.load, u)
+        return self.ops.D.T @ flux + (u ** 3 - u)
 
     def jacobian(self, u):
         """dF/du = D^T diag(phi'(D u)) D + diag(3u^2 - 1)."""
@@ -97,26 +89,23 @@ class KirchhoffForce(ForceModel):
             np.abs(s) ** (self.q + 2) / (self.q + 2)
             - self.mu * np.abs(s) ** (self.r + 2) / (self.r + 2)
         )
-        local = 0.25 * u ** 4 - 0.5 * u ** 2 - per_column(self.load, u) * u
+        local = 0.25 * u ** 4 - 0.5 * u ** 2
         return h * np.sum(grad_part, axis=0) + h * np.sum(local, axis=0)
 
 
 @dataclass
 class BergerForce(ForceModel):
-    """Membrane-averaged stiffening: F(u) = (kappa*int|u'|^2 - gamma)(-u'') - load;
+    """Membrane-averaged stiffening: F(u) = (kappa*int|u'|^2 - gamma)(-u'');
     force and potential take u as (n_plate,) or as B columns (n_plate, B)."""
 
     grid: Grid
     kappa: float = 1.0
     gamma: float = 0.0
-    load: np.ndarray = None
     ops: BeamOperators = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kappa <= 0:
             raise ForceModelError("berger coefficient kappa must be positive")
-        if self.load is None:
-            self.load = np.zeros(self.grid.n_plate)
         self.ops = beam_operators(self.grid)
 
     def _Q(self, s):                   # h |s|^2 per column of the slopes s = D u
@@ -124,27 +113,25 @@ class BergerForce(ForceModel):
 
     def force(self, u):
         s = self.ops.D @ u
-        return (self.kappa * self._Q(s) - self.gamma) * (self.ops.D.T @ s) \
-            - per_column(self.load, u)
+        return (self.kappa * self._Q(s) - self.gamma) * (self.ops.D.T @ s)
 
     def potential(self, u):
         Q = self._Q(self.ops.D @ u)
-        h = self.grid.h_x
-        return 0.25 * self.kappa * Q ** 2 - 0.5 * self.gamma * Q - h * (self.load @ u)
+        return 0.25 * self.kappa * Q ** 2 - 0.5 * self.gamma * Q
 
     def modal(self, xi, h_x):
         """Exact n x n form from the model's own D and h: with K = (D xi^T)^T
-        (D xi^T) and Q = h beta^T K beta, fc = (kappa Q - gamma) h_x K beta -
-        hXi load and dfc = h_x [(kappa Q - gamma) K + 2 kappa h (K beta)(K beta)^T]."""
+        (D xi^T) and Q = h beta^T K beta, fc = (kappa Q - gamma) h_x K beta and
+        dfc = h_x [(kappa Q - gamma) K + 2 kappa h (K beta)(K beta)^T]."""
         DX = self.ops.D @ xi.T
         K = DX.T @ DX
-        load, h = (h_x * xi) @ self.load, self.grid.h_x
+        h = self.grid.h_x
         kappa, gamma = self.kappa, self.gamma
 
         def fc(beta):
             Kb = K @ beta
             Q = h * np.vecdot(beta, Kb, axis=0)
-            return (kappa * Q - gamma) * h_x * Kb - per_column(load, beta)
+            return (kappa * Q - gamma) * h_x * Kb
 
         def dfc(beta):
             Kb = K @ beta
@@ -153,20 +140,14 @@ class BergerForce(ForceModel):
         return fc, dfc
 
 
-def verify_gradient(model: ForceModel, u: np.ndarray, g: Grid, h_fd: float = 1e-5,
-                    rng=None, weight: float | None = None) -> float:
-    """Max relative error of the pairing (force(u), d) vs the potential slope,
-    over 10 random directions d.
+def verify_gradient(model: ForceModel, u: np.ndarray, weight: float, rng) -> float:
+    """Max relative error of the pairing (force(u), d) vs the potential slope
+    by central differences of step 1e-5, over 10 random directions d.
 
     weight is the quadrature weight of one plate node (h for the beam, cell
-    area for a 2D plate); defaults to g.h_x.
+    area for a 2D plate).
     """
-    if not 1e-7 <= h_fd <= 1e-3:
-        raise ForceModelError("finite-difference step must lie in [1e-7, 1e-3]")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if weight is None:
-        weight = g.h_x
+    h_fd = 1e-5
     worst = 0.0
     for _ in range(10):
         d = rng.standard_normal(u.shape)
@@ -206,16 +187,12 @@ class SurrogateNorms:
         return self.shapes.T @ c
 
 
-def verify_lipschitz(model: ForceModel, norms: SurrogateNorms, radius: float,
-                     trials: int = 20, rng=None) -> float:
-    """Estimated local Lipschitz constant of F from the strong into the weak norm."""
-    if trials < 10:
-        raise ForceModelError("need at least 10 trials")
-    if rng is None:
-        rng = np.random.default_rng(0)
+def verify_lipschitz(model: ForceModel, norms: SurrogateNorms, radius: float, rng) -> float:
+    """Estimated local Lipschitz constant of F from the strong into the weak
+    norm, over 20 random pairs."""
     n = len(norms.kappa)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         c1 = rng.standard_normal(n)
         c2 = rng.standard_normal(n)
         u1 = norms.from_coeffs(c1)
@@ -233,15 +210,13 @@ def verify_lipschitz(model: ForceModel, norms: SurrogateNorms, radius: float,
     return worst
 
 
-def verify_coercivity(model: ForceModel, norms: SurrogateNorms, g: Grid, rng=None):
+def verify_coercivity(model: ForceModel, norms: SurrogateNorms, g: Grid, rng):
     """Sweep eta*|bending(u)|^2 + Pi(u), eta = 1/4, over 20 sampled shapes at
     amplitudes 0.1 to 10, with the beam bending energy form.
 
     Returns (worst value, pass flag); passes when the quantity stays bounded
     below (it may be negative but must not run away as amplitude grows).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     K = beam_operators(g).K
     n = len(norms.kappa)
     worst = np.inf

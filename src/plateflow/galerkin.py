@@ -88,13 +88,13 @@ class GalerkinSystem:
 
     basis: ModalBasis
     nu: float
-    M: np.ndarray = field(repr=False, default=None)       # (m+n) kinetic mass
-    D: np.ndarray = field(repr=False, default=None)       # (m+n) viscous dissipation form
-    kappa: np.ndarray = field(repr=False, default=None)   # (n,) bending eigenvalues
-    f_kin: np.ndarray = field(repr=False, default=None)   # (m+n,) forcing on kinetic eqs
-    f_plate: np.ndarray = field(repr=False, default=None)  # (n,) transverse load coefficients
-    G_vl: np.ndarray = field(repr=False, default=None)    # (m,n) flow-mode / lifted-mode Gram
-    G_ll: np.ndarray = field(repr=False, default=None)    # (n,n) lifted-mode Gram
+    M: np.ndarray = field(repr=False)                     # (m+n) kinetic mass
+    D: np.ndarray = field(repr=False)                     # (m+n) viscous dissipation form
+    kappa: np.ndarray = field(repr=False)                 # (n,) bending eigenvalues
+    f_kin: np.ndarray = field(repr=False)                 # (m+n,) forcing on kinetic eqs
+    f_plate: np.ndarray = field(repr=False)               # (n,) transverse load coefficients
+    G_vl: np.ndarray = field(repr=False)                  # (m,n) flow-mode / lifted-mode Gram
+    G_ll: np.ndarray = field(repr=False)                  # (n,n) lifted-mode Gram
     A: np.ndarray = field(repr=False, init=False)         # (N,N) linear evolution matrix
     c: np.ndarray = field(repr=False, init=False)         # (N,) constant forcing term
     B: np.ndarray = field(repr=False, init=False)         # (N,n) plate-force input map

@@ -97,7 +97,7 @@ def solve_stokes_eigenmodes(g: Grid, m: int):
     return mu, unpack_interior(X, g), residual, solver.lift
 
 
-def solve_plate_eigenmodes(g: Grid, n: int, zero_mean: bool = True):
+def solve_plate_eigenmodes(g: Grid, n: int):
     """Clamped plate bending eigenmodes, restricted to zero-mean deflections.
 
     Returns (kappa, xi, residual) with row k of xi the k-th shape at the plate
@@ -109,11 +109,7 @@ def solve_plate_eigenmodes(g: Grid, n: int, zero_mean: bool = True):
     """
     ops = beam_operators(g)
     h = g.h_x
-    cons = [ops.C]
-    if zero_mean:
-        cons.append(h * np.ones((1, g.n_plate)))
-    Cmat = np.vstack(cons)
-    Z = la.null_space(Cmat)
+    Z = la.null_space(np.vstack([ops.C, h * np.ones((1, g.n_plate))]))
     if not 1 <= n <= Z.shape[1]:
         raise GridError(
             f"requested {n} plate modes but the constrained space has dimension {Z.shape[1]}"

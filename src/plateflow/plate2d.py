@@ -32,7 +32,6 @@ class PlateGrid2D:
     """Unit-square clamped plate, n cells per side, unknowns at interior nodes."""
 
     n: int = 32
-    L: float = 1.0
 
     def __post_init__(self):
         if self.n < 8:
@@ -40,7 +39,7 @@ class PlateGrid2D:
 
     @property
     def h(self):
-        return self.L / self.n
+        return 1.0 / self.n
 
     @property
     def n_int(self):
@@ -115,7 +114,7 @@ def bending_form(g: PlateGrid2D) -> sp.csc_matrix:
 
 @dataclass
 class VonKarmanForce(ForceModel):
-    """Large-deflection plate force F(u) = -[u, airy(u) + F0] - load.
+    """Large-deflection plate force F(u) = -[u, airy(u)].
 
     airy(u) solves the clamped biharmonic problem with right-hand side
     -[u, u]; the bracket terms in the force are the exact adjoint-derivative
@@ -124,18 +123,11 @@ class VonKarmanForce(ForceModel):
     """
 
     grid: PlateGrid2D
-    F0: np.ndarray = None
-    load: np.ndarray = None
     _K: sp.csc_matrix = field(init=False, repr=False)
     _lu: object = field(init=False, repr=False)
 
     def __post_init__(self):
-        g = self.grid
-        if self.F0 is None:
-            self.F0 = np.zeros((g.n_int, g.n_int))
-        if self.load is None:
-            self.load = np.zeros((g.n_int, g.n_int))
-        self._K = bending_form(g)
+        self._K = bending_form(self.grid)
         self._lu = spla.splu(self._K)
 
     def airy(self, u: np.ndarray) -> np.ndarray:
@@ -156,15 +148,10 @@ class VonKarmanForce(ForceModel):
         u = u.reshape(g.n_int, g.n_int)
         v = self.airy(u)
         # gradient of (1/4)||Delta airy(u)||^2 is -bracket_adjoint(airy(u), u)
-        t1 = -_bracket_adjoint(v, u, g)
-        t2 = -0.5 * (vk_bracket(u, self.F0, g) + _bracket_adjoint(u, self.F0, g))
-        return t1 + t2 - self.load
+        return -_bracket_adjoint(v, u, g)
 
     def potential(self, u: np.ndarray) -> float:
         g = self.grid
         u = u.reshape(g.n_int, g.n_int)
         v = self.airy(u)
-        quarter = 0.25 * float(v.ravel() @ (self._K @ v.ravel()))
-        cross = -0.5 * g.h ** 2 * float(np.sum(vk_bracket(u, self.F0, g) * u))
-        lin = -g.h ** 2 * float(np.sum(self.load * u))
-        return quarter + cross + lin
+        return 0.25 * float(v.ravel() @ (self._K @ v.ravel()))

@@ -63,8 +63,7 @@ def _psi_value(sys: GalerkinSystem, beta, load, model):
 
 
 def minimize_stationary(sys: GalerkinSystem, model: ForceModel | None = None,
-                        beta_init: np.ndarray | None = None,
-                        stat_tol: float = STAT_TOL, max_iter: int = 500) -> Equilibrium:
+                        beta_init: np.ndarray | None = None) -> Equilibrium:
     """Descend the stationary plate functional Psi on zero-mean mode coefficients.
 
     Each step is the Newton step on the exact Hessian diag(kappa) + dfc/dbeta
@@ -72,7 +71,8 @@ def minimize_stationary(sys: GalerkinSystem, model: ForceModel | None = None,
     1/kappa; both backtrack to the Armijo condition on Psi, so the iteration
     descends into minima, not saddles.  The Armijo test allows Psi a rounding
     of 1e-13 |Psi|, below which it cannot rank steps, and the loop stops once
-    the gradient is 1e-13 of its terms.  The zero-mean restriction is built
+    the gradient is 1e-13 of its terms or after 500 steps; it raises when the
+    residual is then above STAT_TOL.  The zero-mean restriction is built
     into the basis, which fixes the additive pressure constant.
     """
     beta = np.zeros(sys.n) if beta_init is None else np.array(beta_init, float)
@@ -80,7 +80,7 @@ def minimize_stationary(sys: GalerkinSystem, model: ForceModel | None = None,
     load = sys.pstar + sys.f_plate
     norm = np.linalg.norm
     val = _psi_value(sys, beta, load, model)
-    for _ in range(max_iter):
+    for _ in range(500):
         g = sys.kappa * beta + fc(beta) - load
         if norm(g) <= 1e-13 * (norm(load) + norm(sys.kappa * beta)):
             break
@@ -100,22 +100,22 @@ def minimize_stationary(sys: GalerkinSystem, model: ForceModel | None = None,
             break
 
     res = stationary_residual(sys, beta, model)
-    if res > stat_tol:
+    if res > STAT_TOL:
         raise StationaryError(
-            f"stationary descent stagnated: residual {res:.3e} above {stat_tol:.1e}"
+            f"stationary descent stagnated: residual {res:.3e} above {STAT_TOL:.1e}"
         )
     return Equilibrium(beta_star=beta, residual=res, energy=val)
 
 
-def find_equilibria(sys: GalerkinSystem, model: ForceModel | None = None, starts: int = 8,
+def find_equilibria(sys: GalerkinSystem, model: ForceModel | None = None,
                     seed: int = 0) -> list[Equilibrium]:
-    """Multi-start descent from the flat state and starts - 1 random ones of
+    """Multi-start descent from the flat state and 7 random ones of
     scale 0.5; returns distinct equilibria sorted by energy.  Energies equal to
     1e-12 relative (the +-beta pair of a symmetric plate) tie and are ordered
     by the first plate coefficient, larger first."""
     rng = np.random.default_rng(seed)
     found = []
-    inits = [None] + [0.5 * rng.standard_normal(sys.n) for _ in range(starts - 1)]
+    inits = [None] + [0.5 * rng.standard_normal(sys.n) for _ in range(7)]
     for b0 in inits:
         try:
             eq = minimize_stationary(sys, model, beta_init=b0)

@@ -197,10 +197,10 @@ class StokesSolver:
         # every term is bounded by scale, so r is exactly 0 when scale is
         return float(np.max(np.abs(r)) / max(np.max(scale), np.finfo(float).tiny))
 
-    def pressure_trace(self, sol: StokesSolution, gf: VelocityField | None = None) -> np.ndarray:
+    def pressure_trace(self, sol: StokesSolution, gf: VelocityField) -> np.ndarray:
         """Duality-consistent trace of the pressure on Omega for a no-slip solve."""
         g = self.grid
-        top = np.zeros(g.n_plate) if gf is None else _one_field(gf).w[:, g.n_z]
+        top = _one_field(gf).w[:, g.n_z]
         r = self.nu * sol.v.w[:, g.n_z - 1] / g.h_z + sol.p.values[:, g.n_z - 1] + 0.5 * g.h_z * top
         return r - np.mean(r)
 

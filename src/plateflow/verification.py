@@ -183,9 +183,9 @@ def check_force_models(s: _Setup):
     u2 = 0.2 * np.sin(np.pi * xx) * np.sin(np.pi * yy)
 
     grad_errs = {
-        "kirchhoff": verify_gradient(kirch, u, g, rng=rng),
-        "berger": verify_gradient(berger, u, g, rng=rng),
-        "von_karman": verify_gradient(vk, u2, None, rng=rng, weight=g2.h ** 2),
+        "kirchhoff": verify_gradient(kirch, u, g.h_x, rng),
+        "berger": verify_gradient(berger, u, g.h_x, rng),
+        "von_karman": verify_gradient(vk, u2, g2.h ** 2, rng),
     }
     norms = SurrogateNorms(kappa=s.basis.kappa, shapes=s.basis.xi,
                            weight=g.h_x)

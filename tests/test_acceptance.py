@@ -5,7 +5,6 @@ battery verdict.  The battery itself is shared with the `verify-all` command
 so the CLI and the suite can never drift apart.
 """
 
-import numpy as np
 import pytest
 
 from plateflow.verification import CRITERIA

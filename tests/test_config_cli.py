@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from plateflow.cli import _dumps, main, write_csv, write_json
-from plateflow.config import _SECTIONS, ConfigError, ExperimentConfig, parse_config
+from plateflow.config import _SECTIONS, ConfigError, parse_config
 
 
 def _write(tmp_path, text, name="cfg.ini"):
@@ -224,10 +224,21 @@ def test_cli_simulate_zero_amplitude_forcing_is_unforced(tmp_path):
      "kirchhoff coefficient kappa must be nonnegative"),
     ("verify-all", "[modes]\nm = 500\n", "requested 500 flow modes"),
     ("verify-all", "[modes]\nn = 50\n", "requested 50 plate modes"),
+    ("simulate", "[physics]\nforce = berger\nforce_kappa = 1e6\n[integration]\ndt = 0.1\n",
+     "force fixed point"),
+    ("simulate", "[integration]\nT = 1.0\ndt = 0.3\n",
+     "final time 1.0 is not a whole number of time steps 0.3"),
 ], ids=["simulate-m", "simulate-n", "simulate-berger", "simulate-kirchhoff", "verify-all-m",
-        "verify-all-n"])
+        "verify-all-n", "simulate-fixed-point", "simulate-horizon"])
 def test_values_the_models_reject_exit_2(tmp_path, capsys, command, text, message):
     # the constructors' own message, as a config error
     path = _write(tmp_path, text)
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_out_that_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "file"
+    out.write_text("")
+    assert main(["modes", "--out", str(out)]) == 2
+    assert f"error: cannot make output directory {out}: File exists" in capsys.readouterr().err

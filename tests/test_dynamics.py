@@ -187,18 +187,17 @@ def test_fixed_point_failure_is_reported(sys_free, grid):
 
 
 def _loaded_models(grid):
-    load = 0.4 * np.sin(2.0 * np.pi * grid.plate_x() / grid.L_x)
     return {
         "linear": None,
-        "berger": BergerForce(grid, kappa=5.0, gamma=30.0, load=load),
-        "kirchhoff": KirchhoffForce(grid, kappa=1.0, q=2.0, r=0.0, mu=0.5, load=load),
+        "berger": BergerForce(grid, kappa=5.0, gamma=30.0),
+        "kirchhoff": KirchhoffForce(grid, kappa=1.0, q=2.0, r=0.0, mu=0.5),
     }
 
 
 @pytest.mark.parametrize("name", ["linear", "berger", "kirchhoff"])
 def test_batched_simulate_matches_solo_runs(sys_forced, grid, name):
     # each column of one (N, B) run against its own (N,) run, states and
-    # every energy report, on a forced system with a loaded plate force
+    # every energy report, on a forced system with a sine plate load (f_plate)
     model = _loaded_models(grid)[name]
     y0 = np.column_stack([_random_unit_state(sys_forced, seed=30 + j, scale=0.5 * (j + 1))
                           for j in range(3)])
@@ -307,7 +306,8 @@ def test_quasi_stability_identical_pair_has_zero_M(sys_free, berger):
 @pytest.mark.parametrize("bad, message", [
     ({"stride": 0}, "stride .* got 0"), ({"stride": -3}, "stride .* got -3"),
     ({"T": -1.0}, "time .* got -1.0"), ({"T": float("nan")}, "time .* got nan"),
-    ({"T": float("inf")}, "time .* got inf")])
+    ({"T": float("inf")}, "time .* got inf"),
+    ({"T": 1.0, "dt": 0.3}, "1.0 is not a whole number of time steps 0.3")])
 def test_simulate_rejects_bad_stride_and_horizon(sys_free, bad, message):
     kw = {"T": 0.1, "dt": 1e-3, "stride": 10} | bad
     with pytest.raises(IntegratorError, match=message):

@@ -45,25 +45,17 @@ def test_parameter_validation(grid):
 def test_kirchhoff_force_is_exact_gradient(grid, rng):
     model = KirchhoffForce(grid, kappa=1.0, q=2.0, r=0.0, mu=0.5)
     u = 0.3 * rng.standard_normal(grid.n_plate)
-    assert verify_gradient(model, u, grid, rng=rng) < 1e-8
+    assert verify_gradient(model, u, grid.h_x, rng) < 1e-8
 
 
 def test_berger_force_is_exact_gradient(grid, rng):
-    model = BergerForce(grid, kappa=5.0, gamma=1.0,
-                        load=rng.standard_normal(grid.n_plate))
+    model = BergerForce(grid, kappa=5.0, gamma=1.0)
     u = 0.3 * rng.standard_normal(grid.n_plate)
-    assert verify_gradient(model, u, grid, rng=rng) < 1e-8
-
-
-def test_verify_gradient_rejects_silly_step(grid, rng):
-    model = BergerForce(grid, kappa=1.0)
-    u = rng.standard_normal(grid.n_plate)
-    with pytest.raises(ForceModelError):
-        verify_gradient(model, u, grid, h_fd=1.0)
+    assert verify_gradient(model, u, grid.h_x, rng) < 1e-8
 
 
 def test_berger_potential_scaling_oracle(grid, rng):
-    # with gamma = 0 and no load the potential is quartic: Pi(a u) = a^4 Pi(u)
+    # with gamma = 0 the potential is quartic: Pi(a u) = a^4 Pi(u)
     model = BergerForce(grid, kappa=3.0, gamma=0.0)
     u = rng.standard_normal(grid.n_plate)
     p1 = model.potential(u)
@@ -77,11 +69,10 @@ def test_berger_potential_scaling_oracle(grid, rng):
 
 def test_kirchhoff_local_term_condition(grid, basis, rng):
     # the local term is the fixed cubic f(s) = s^3 - s: at kappa = 0 it is the
-    # whole force, less the load
+    # whole force
     u = rng.standard_normal((grid.n_plate, 3))
-    load = rng.standard_normal(grid.n_plate)
-    model = KirchhoffForce(grid, kappa=0.0, q=2.0, load=load)
-    assert np.array_equal(model.force(u), u ** 3 - u - load[:, None])
+    model = KirchhoffForce(grid, kappa=0.0, q=2.0)
+    assert np.array_equal(model.force(u), u ** 3 - u)
     # so liminf f(s)/s > -lambda_1: f(s)/s = s^2 - 1 >= -1 > -lambda_1, with
     # lambda_1 the smallest bending eigenvalue of the basis
     s = np.linspace(-30.0, 30.0, 20 * grid.n_plate).reshape(grid.n_plate, 20)   # no s = 0
@@ -103,8 +94,6 @@ def test_lipschitz_estimate_grows_superlinearly(basis, grid, norms, rng):
     c1 = verify_lipschitz(model, norms, 1.0, rng=np.random.default_rng(3))
     c2 = verify_lipschitz(model, norms, 2.0, rng=np.random.default_rng(3))
     assert c2 > 1.5 * c1
-    with pytest.raises(ForceModelError):
-        verify_lipschitz(model, norms, 1.0, trials=3)
 
 
 def test_coercivity_sweep(grid, norms, rng):
@@ -191,11 +180,9 @@ def test_bracket_adjoint_is_the_transpose(g2, rng):
 
 def test_von_karman_force_is_exact_gradient(g2, rng):
     xx, yy = g2.interior_coords()
-    F0 = 0.3 * np.sin(2 * np.pi * xx) * np.sin(np.pi * yy)
-    load = 0.1 * np.cos(np.pi * xx) * np.sin(np.pi * yy)
-    model = VonKarmanForce(g2, F0=F0, load=load)
+    model = VonKarmanForce(g2)
     u = 0.2 * np.sin(np.pi * xx) * np.sin(np.pi * yy)
-    assert verify_gradient(model, u, None, rng=rng, weight=g2.h ** 2) < 1e-7
+    assert verify_gradient(model, u, g2.h ** 2, rng) < 1e-7
 
 
 def test_airy_solve_is_consistent(g2, rng):
@@ -217,11 +204,10 @@ def test_plate2d_eigenmodes_ordered_normalized(g2):
 @pytest.mark.parametrize("name", ["kirchhoff", "berger"])
 def test_force_model_acts_column_by_column(grid, rng, name):
     # force and potential on (n_plate, B) equal the single-column calls
-    load = rng.standard_normal(grid.n_plate)
     if name == "kirchhoff":
-        model = KirchhoffForce(grid, kappa=1.0, q=2.0, r=0.0, mu=0.5, load=load)
+        model = KirchhoffForce(grid, kappa=1.0, q=2.0, r=0.0, mu=0.5)
     else:
-        model = BergerForce(grid, kappa=5.0, gamma=30.0, load=load)
+        model = BergerForce(grid, kappa=5.0, gamma=30.0)
     U = 0.4 * rng.standard_normal((grid.n_plate, 3))
     F, P = model.force(U), model.potential(U)
     assert F.shape == U.shape and P.shape == (3,)

@@ -164,8 +164,7 @@ def test_modal_berger_matches_nodal_force(sys_forced, grid, rng, own_ops):
     # force_map (modal for Berger) and potential against the nodal force
     # projected by hXi, for one state and for a batch of columns; the modal
     # form follows a model given its own beam operators
-    load = rng.standard_normal(grid.n_plate)
-    model = BergerForce(grid, kappa=5.0, gamma=30.0, load=load)
+    model = BergerForce(grid, kappa=5.0, gamma=30.0)
     if own_ops:
         model.ops = dataclasses.replace(model.ops, D=1.5 * model.ops.D)
     fcs = sys_forced.force_map(model)
@@ -216,15 +215,14 @@ def test_force_jacobian_matches_central_differences(sys_forced, grid, rng, case)
     # the exact dfc/dbeta against central differences of force_map, column by
     # column; the Jacobian of a gradient is symmetric.  kirchhoff_local has
     # kappa = 0, so its local term u^3 - u is not swamped by the flux term
-    load = rng.standard_normal(grid.n_plate)
     if case.startswith("berger"):
-        model = BergerForce(grid, kappa=5.0, gamma=30.0, load=load)
+        model = BergerForce(grid, kappa=5.0, gamma=30.0)
         if case == "berger_own_ops":
             model.ops = dataclasses.replace(model.ops, D=1.5 * model.ops.D)
     else:
         q, r = (2.5, 1.0) if case == "kirchhoff_r1" else (2.0, 0.0)
         kappa = 0.0 if case == "kirchhoff_local" else 1.0
-        model = KirchhoffForce(grid, kappa=kappa, q=q, r=r, mu=0.5, load=load)
+        model = KirchhoffForce(grid, kappa=kappa, q=q, r=r, mu=0.5)
     fc, jac = sys_forced.force_map(model), sys_forced.force_jacobian(model)
     n, h = sys_forced.n, 1e-6
     beta = 0.7 * rng.standard_normal(n)

@@ -1,11 +1,14 @@
 """src/plateflow holds only what plateflow runs: every definition there is
 used by the package itself, its scripts or its benchmark, not only by the
-tests.  Definitions that only tests use live in tests/oracles.py."""
+tests, and so is every parameter with a default.  Definitions that only tests
+use live in tests/oracles.py.  No module imports a name it does not use."""
 
 import ast
 import re
 from collections import Counter
 from pathlib import Path
+
+from plateflow import config
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "plateflow").glob("*.py"))
@@ -44,3 +47,98 @@ def test_every_definition_in_src_is_used_outside_the_tests():
     assert not unused, ("defined in src/plateflow but named nowhere else in src/plateflow, "
                         "scripts or perfbench (move it to tests/oracles.py or delete it):\n"
                         + "\n".join(unused))
+
+
+def _parameters(call_name, func, method):
+    """(call name, parameter, position) of each parameter of func with a default;
+    positions count from the first argument a call passes, after a method's
+    self or cls, and a keyword-only parameter has none."""
+    args = func.args
+    positional = (args.posonlyargs + args.args)[1 if method else 0:]
+    first = len(positional) - len(args.defaults)
+    for i, a in enumerate(positional[first:], first):
+        yield call_name, a.arg, i
+    for a, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield call_name, a.arg, float("inf")
+
+
+def _fields(cls):
+    """(class name, field, position) of each dataclass field of cls with a
+    default that its __init__ takes."""
+    position = 0
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value, keywords = item.value, {}
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            value = keywords.get("default", keywords.get("default_factory"))
+        init = keywords.get("init")
+        if isinstance(init, ast.Constant) and init.value is False:
+            continue
+        if value is not None:
+            yield cls.name, item.target.id, position
+        position += 1
+
+
+def _defaulted(tree, skip):
+    """Every parameter of a module-level function or method, and every
+    dataclass field, with a default, outside the classes named in skip; a
+    method is called by its name, __init__ and the fields by the class name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from _parameters(node.name, node, method=False)
+        elif isinstance(node, ast.ClassDef) and node.name not in skip:
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                yield from _fields(node)
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = node.name if item.name == "__init__" else item.name
+                    yield from _parameters(name, item, method=True)
+
+
+def _calls(tree):
+    """(name, positional argument count, keyword names) of every call f(...)
+    or x.f(...); a *args counts as every position and a **kwargs as every
+    keyword (None)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            kw = {k.arg for k in node.keywords}
+            yield name, float("inf") if starred else len(node.args), None if None in kw else kw
+
+
+def test_every_defaulted_parameter_in_src_is_set_outside_the_tests():
+    # the classes parse_config fills from the experiment file take every
+    # field from there, not from a call
+    skip = {c.__name__ for c in (*config._SECTIONS.values(), config.ExperimentConfig)}
+    calls = [c for p in USERS for c in _calls(ast.parse(p.read_text(encoding="utf-8")))]
+    unset = [f"{path.relative_to(ROOT)}: {name}({param})"
+             for path in SRC
+             for name, param, position in _defaulted(ast.parse(path.read_text(encoding="utf-8")),
+                                                     skip)
+             if not any(c == name and (position < n or kw is None or param in kw)
+                        for c, n, kw in calls)]
+    assert not unset, ("parameters with a default in src/plateflow that no call in src/plateflow, "
+                       "scripts or perfbench sets (make each the constant the program uses):\n"
+                       + "\n".join(unset))
+
+
+IMPORTERS = SRC + sorted(p for d in ("tests", "scripts", "perfbench", "perfbench/tests")
+                         for p in (ROOT / d).glob("*.py"))
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in IMPORTERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                unused += [f"{path.relative_to(ROOT)}: {name}"
+                           for name in (a.asname or a.name.split(".")[0] for a in node.names)
+                           if name not in used]
+    assert not unused, "imported but never used:\n" + "\n".join(unused)

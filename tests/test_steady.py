@@ -6,6 +6,7 @@ from plateflow.forces import BergerForce
 from plateflow.galerkin import ForcingConfig, assemble, fluid_forcing_field
 from plateflow.mesh import GeometryConfig, ScalarField, build_grid, inner_fluid
 from plateflow.modal import build_modal_basis
+from plateflow import steady
 from plateflow.steady import (
     STOKES_TOL,
     StationaryError,
@@ -133,7 +134,7 @@ def test_minimize_stationary_nonlinear(sys_shear, berger):
 
 
 def test_find_equilibria_dedupes(sys_shear, berger):
-    eqs = find_equilibria(sys_shear, berger, starts=4)
+    eqs = find_equilibria(sys_shear, berger)
     assert len(eqs) >= 1
     energies = [e.energy for e in eqs]
     assert energies == sorted(energies)
@@ -215,9 +216,10 @@ def test_distance_to_equilibrium_matches_its_parts(sys_forced, grid, berger):
     assert np.array_equal(dist, [sys_forced.state_norm(y - y_eq) for y in tr.states])
 
 
-def test_minimize_reports_stagnation(sys_shear, berger):
+def test_minimize_reports_stagnation(sys_shear, berger, monkeypatch):
+    monkeypatch.setattr(steady, "STAT_TOL", 1e-300)
     with pytest.raises(StationaryError):
-        minimize_stationary(sys_shear, berger, max_iter=0, stat_tol=1e-300)
+        minimize_stationary(sys_shear, berger)
 
 
 def test_minimize_stationary_reaches_rounding_residual(basis, berger):
