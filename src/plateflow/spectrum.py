@@ -16,9 +16,12 @@ from .stokes import HarmonicLifter
 
 
 def generator_eigenvalues(sys: GalerkinSystem) -> np.ndarray:
-    """Eigenvalues of A (the evolution matrix), sorted by real part."""
+    """Eigenvalues of A (the evolution matrix), sorted by real part, the
+    member of each conjugate pair with +im first."""
     ev = la.eigvals(sys.A)
-    return ev[np.argsort(-ev.real)]
+    # the members of a pair have equal real parts: an unstable sort on the
+    # real part alone orders them by rounding
+    return ev[np.lexsort((-ev.imag, -ev.real))]
 
 
 def spectral_abscissa(sys: GalerkinSystem) -> float:

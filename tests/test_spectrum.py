@@ -30,6 +30,13 @@ def test_eigenvalues_conjugate_symmetric(sys_free):
             assert np.min(np.abs(ev - np.conj(z))) < 1e-7 * max(1.0, abs(z))
 
 
+def test_each_conjugate_pair_lists_plus_im_first(sys_free):
+    ev = generator_eigenvalues(sys_free)
+    assert np.count_nonzero(ev.imag) >= 4
+    for a, b in zip(ev[:-1], ev[1:]):
+        assert a.real > b.real or (a.real == b.real and a.imag >= b.imag)
+
+
 def test_semigroup_contracts_in_energy_norm(sys_free):
     for T in (0.25, 1.0, 4.0):
         assert contraction_norm(sys_free, T) <= 1.0 + 1e-10
