@@ -11,6 +11,7 @@ is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -153,97 +154,93 @@ class VelocityField:
         """sum_k c_k self[k] for a stack."""
         return VelocityField(self.grid, np.tensordot(c, self.u, 1), np.tensordot(c, self.w, 1))
 
-    def copy(self):
-        return VelocityField(self.grid, self.u.copy(), self.w.copy())
-
     def __add__(self, other):
         return VelocityField(self.grid, self.u + other.u, self.w + other.w)
 
-    def __sub__(self, other):
-        return VelocityField(self.grid, self.u - other.u, self.w - other.w)
 
-    def __mul__(self, c: float):
-        return VelocityField(self.grid, c * self.u, c * self.w)
+# ---------------------------------------------------------------------------
+# The interior faces and the Dirichlet form on them.  Every field the program
+# forms (modes, lifts, forcings, harmonic gradients) is zero on the wall S, so
+# a field is its packed interior faces plus its Omega row, the top w-row, and
+# both fluid inner products read these.
+# ---------------------------------------------------------------------------
 
-    __rmul__ = __mul__
-
-
-@dataclass
-class ScalarField:
-    grid: Grid
-    values: np.ndarray = None
-
-    def __post_init__(self):
-        if self.values is None:
-            self.values = np.zeros(self.grid.shape_p)
-        if self.values.shape[-2:] != self.grid.shape_p:
-            raise GridError("scalar field shape mismatch with grid")
+def pack_interior(v: VelocityField) -> np.ndarray:
+    """The interior-face values of a field, packed [u-faces row-major in
+    (i, j); w-faces row-major in (i, j)]; a stack gives one row per field."""
+    lead = v.u.shape[:-2]
+    return np.concatenate([v.u[..., 1:-1, :].reshape(lead + (-1,)),
+                           v.w[..., 1:-1].reshape(lead + (-1,))], axis=-1)
 
 
-def discrete_grad(p: ScalarField, g: Grid) -> VelocityField:
-    """Face-centered gradient of a cell-centered scalar; zero on boundary faces."""
-    out = VelocityField(g)
-    out.u[1:-1, :] = (p.values[1:, :] - p.values[:-1, :]) / g.h_x
-    out.w[:, 1:-1] = (p.values[:, 1:] - p.values[:, :-1]) / g.h_z
-    return out
+def unpack_interior(X: np.ndarray, g: Grid) -> VelocityField:
+    """Packed interior-face vectors (one per row of X) to velocity fields whose
+    boundary faces are zero: the inverse of pack_interior."""
+    n_u = (g.n_x - 1) * g.n_z
+    lead = X.shape[:-1]
+    v = VelocityField(g, np.zeros(lead + g.shape_u), np.zeros(lead + g.shape_w))
+    v.u[..., 1:-1, :] = X[..., :n_u].reshape(lead + (g.n_x - 1, g.n_z))
+    v.w[..., 1:-1] = X[..., n_u:].reshape(lead + (g.n_x, g.n_z - 1))
+    return v
 
 
-def _face_weights(g: Grid):
-    """Quadrature weights for the fluid L2 product: 1/2 on boundary faces."""
-    wu = np.ones(g.shape_u)
-    wu[0, :] = wu[-1, :] = 0.5
-    ww = np.ones(g.shape_w)
-    ww[:, 0] = ww[:, -1] = 0.5
-    return wu, ww
+@lru_cache(maxsize=8)
+def dirichlet_form(g: Grid) -> sp.csr_matrix:
+    """vol * (-Lap) on the packed interior faces of fields that vanish on the
+    whole boundary: the symmetric positive definite MAC Dirichlet form.  Each
+    tangential wall closes its end row by the half-cell ghost.  Built once per
+    grid and shared, so callers must not modify it."""
+    hx, hz = g.h_x, g.h_z
+    vol = hx * hz
+
+    def wall(n, h):
+        # second difference across the tangential walls: the half-cell ghost
+        # closes the end rows with 3/h^2
+        d = np.full(n, 2.0 / h ** 2)
+        d[[0, -1]] = 3.0 / h ** 2
+        return d
+
+    def laplacian(nx, nz, diag):
+        # vol * (-Lap) on an nx x nz block of faces, row-major in (i, j)
+        return (kron(offdiag(nx, -vol / hx ** 2), np.eye(nz))
+                + kron(np.eye(nx), offdiag(nz, -vol / hz ** 2)) + sp.diags(vol * diag))
+
+    # u rows: tangential walls top and bottom; w rows: left and right
+    return sp.block_diag([
+        laplacian(g.n_x - 1, g.n_z, np.tile(2.0 / hx ** 2 + wall(g.n_z, hz), g.n_x - 1)),
+        laplacian(g.n_x, g.n_z - 1, np.repeat(2.0 / hz ** 2 + wall(g.n_x, hx), g.n_z - 1)),
+    ], format="csr")
 
 
-def _gram(a: VelocityField, b: VelocityField, pa, pb, coef, scale: float):
-    """scale * sum_t coef_t <pa_t, pb_t>, each pair of parts contracted over its
-    grid axes: a float for two fields, the table over the modes for a stack on
-    either side."""
-    la, lb = a.u.shape[:-2], b.u.shape[:-2]
-    s = scale * sum(c * (x.reshape(la + (-1,)) @ y.reshape(lb + (-1,)).T)
-                    for c, x, y in zip(coef, pa, pb))
+def _table(s):
+    """A float for two fields, the table over the modes for a stack on either side."""
     return float(s) if np.ndim(s) == 0 else s
 
 
 def inner_fluid(a: VelocityField, b: VelocityField, g: Grid):
-    """Discrete (a, b)_O; a stack on either side gives the Gram table."""
-    wu, ww = _face_weights(g)
-    return _gram(a, b, (wu * a.u, ww * a.w), (b.u, b.w), (1.0, 1.0), g.h_x * g.h_z)
+    """Discrete (a, b)_O of fields zero on S: full weight on the interior
+    faces, half on the Omega row.  A stack on either side gives the Gram table."""
+    ta, tb = a.w[..., -1], b.w[..., -1]
+    return _table(g.h_x * g.h_z * (pack_interior(a) @ pack_interior(b).T + 0.5 * (ta @ tb.T)))
 
 
 def plate_mean(a: np.ndarray, g: Grid) -> float:
     return g.h_x * float(np.sum(a))
 
 
-def _grad_parts(v: VelocityField):
-    """The face differences and wall values whose weighted products make grad_inner."""
-    u, w = v.u, v.w
-    ui, wi = u[..., 1:-1, :], w[..., 1:-1]
-    return (
-        # u: d/dx at cell centers (boundary u-faces are zero by no-slip)
-        u[..., 1:, :] - u[..., :-1, :],
-        # u: d/dz at interior horizontal positions, then the half-cell wall terms
-        ui[..., 1:] - ui[..., :-1], ui[..., 0], ui[..., -1],
-        # w: d/dz at cell centers (the top row carries the plate trace)
-        w[..., 1:] - w[..., :-1],
-        # w: d/dx at interior vertical positions, then the half-cell wall terms
-        wi[..., 1:, :] - wi[..., :-1, :], wi[..., 0, :], wi[..., -1, :],
-    )
-
-
 def grad_inner(a: VelocityField, b: VelocityField, g: Grid):
-    """Discrete (grad a, grad b)_O, exactly matching the ghost-closed Laplacian form.
+    """Discrete (grad a, grad b)_O of fields zero on S: the Dirichlet form on
+    the interior faces plus the Omega-trace terms
 
-    The normal traces on Omega are the stored top w-rows; tangential boundary
-    values are zero throughout.  Near-wall tangential derivatives use the
-    half-cell ghost rule, which makes this form the exact bilinear form of the
-    assembled Stokes operator.  A stack on either side gives the Gram table.
+        (h_x / h_z) (t_a . t_b - t_a . w_b - w_a . t_b),
+
+    t the Omega row (the normal trace) and w the w-row below it.  This is the
+    exact bilinear form of the assembled Stokes operator with the trace as the
+    Dirichlet value across Omega.  A stack on either side gives the Gram table.
     """
-    cx, cz = 1.0 / g.h_x ** 2, 1.0 / g.h_z ** 2
-    return _gram(a, b, _grad_parts(a), _grad_parts(b),
-                 (cx, cz, 2.0 * cz, 2.0 * cz, cz, cx, 2.0 * cx, 2.0 * cx), g.h_x * g.h_z)
+    ta, tb = a.w[..., -1], b.w[..., -1]
+    return _table(pack_interior(a) @ (dirichlet_form(g) @ pack_interior(b).T)
+                  + (g.h_x / g.h_z) * (ta @ tb.T - ta @ b.w[..., -2].T - a.w[..., -2] @ tb.T))
 
 
 # ---------------------------------------------------------------------------

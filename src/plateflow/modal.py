@@ -22,8 +22,8 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from .mesh import Grid, GridError, VelocityField, beam_operators
-from .stokes import StokesSolver, unpack_interior
+from .mesh import Grid, GridError, VelocityField, beam_operators, unpack_interior
+from .stokes import StokesSolver
 
 EIG_TOL = 1e-8
 # two eigenvalues, or two entry magnitudes of a flow mode, closer than this

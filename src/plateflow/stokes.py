@@ -7,8 +7,8 @@ the mode basis (modal.solve_stokes_eigenmodes), the lifts N0 of plate traces
 (prescribed normal trace on Omega), and the stationary flow of a body force
 with its pressure, recovered from the momentum residual, and the pressure
 trace on Omega.  HarmonicLifter extends pressure traces to discrete harmonic
-fields, with the face gradient of mesh.discrete_grad and the Omega row closed
-by the half-cell ghost.
+fields on the pressure gradient Gr, with the Omega row closed by the
+half-cell ghost.  Pressures are (n_x, n_z) arrays of cell values.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import (Grid, GridError, ScalarField, VelocityField, discrete_grad, forward_diff, kron,
-                   offdiag)
+from .mesh import (Grid, GridError, VelocityField, dirichlet_form, forward_diff, kron,
+                   pack_interior, unpack_interior)
 
 # a plate trace whose mean exceeds this, relative to 1 + its largest entry,
 # has no solenoidal extension
@@ -41,18 +41,18 @@ def _one_field(v: VelocityField) -> VelocityField:
 @dataclass
 class StokesSolution:
     v: VelocityField
-    p: ScalarField
+    p: np.ndarray
 
 
 @dataclass(frozen=True)
 class VelocityBlocks:
     """Interior-face operator blocks of the MAC Stokes system.
 
-    Dofs are packed [interior u-faces (row-major in i,j); interior w-faces],
-    pressures cell by cell.  A is the vector Laplacian energy form scaled by
-    the cell volume (symmetric positive definite, viscosity-free); Gr is the
-    pressure-gradient coupling, whose transpose is the negative volume-scaled
-    divergence.
+    Dofs are packed as mesh.pack_interior packs them, pressures cell by
+    cell.  A is mesh.dirichlet_form, the vector Laplacian energy form scaled
+    by the cell volume (symmetric positive definite, viscosity-free); Gr is
+    the volume-scaled pressure gradient, whose transpose is the negative
+    volume-scaled divergence.
     """
 
     grid: Grid
@@ -62,48 +62,11 @@ class VelocityBlocks:
     n_w: int
 
 
-def unpack_interior(X: np.ndarray, g: Grid) -> VelocityField:
-    """Packed interior-face vectors (one per row of X) to velocity fields whose
-    boundary faces are zero."""
-    n_u = (g.n_x - 1) * g.n_z
-    lead = X.shape[:-1]
-    v = VelocityField(g, np.zeros(lead + g.shape_u), np.zeros(lead + g.shape_w))
-    v.u[..., 1:-1, :] = X[..., :n_u].reshape(lead + (g.n_x - 1, g.n_z))
-    v.w[..., 1:-1] = X[..., n_u:].reshape(lead + (g.n_x, g.n_z - 1))
-    return v
-
-
-def pack_interior(v: VelocityField) -> np.ndarray:
-    """The interior-face values of one velocity field, packed as the rows of
-    VelocityBlocks are: the inverse of unpack_interior."""
-    return np.concatenate([v.u[1:-1, :].ravel(), v.w[:, 1:-1].ravel()])
-
-
 def velocity_blocks(grid: Grid) -> VelocityBlocks:
     g = grid
-    hx, hz = g.h_x, g.h_z
-    vol = hx * hz
-
-    def wall(n, h):
-        # second difference across the tangential walls: the half-cell ghost
-        # closes the end rows with 3/h^2
-        d = np.full(n, 2.0 / h ** 2)
-        d[[0, -1]] = 3.0 / h ** 2
-        return d
-
-    def laplacian(nx, nz, diag):
-        # vol * (-Lap) on an nx x nz block of faces, row-major in (i, j)
-        return (kron(offdiag(nx, -vol / hx ** 2), np.eye(nz))
-                + kron(np.eye(nx), offdiag(nz, -vol / hz ** 2)) + sp.diags(vol * diag))
-
-    # u rows: tangential walls top and bottom; w rows: left and right
-    A = sp.block_diag([
-        laplacian(g.n_x - 1, g.n_z, np.tile(2.0 / hx ** 2 + wall(g.n_z, hz), g.n_x - 1)),
-        laplacian(g.n_x, g.n_z - 1, np.repeat(2.0 / hz ** 2 + wall(g.n_x, hx), g.n_z - 1)),
-    ], format="csr")
-    Gr = sp.vstack([kron(forward_diff(g.n_x, hz), np.eye(g.n_z)),
-                    kron(np.eye(g.n_x), forward_diff(g.n_z, hx))], format="csr")
-    return VelocityBlocks(grid=grid, A=A, Gr=Gr, n_u=(g.n_x - 1) * g.n_z,
+    Gr = sp.vstack([kron(forward_diff(g.n_x, g.h_z), np.eye(g.n_z)),
+                    kron(np.eye(g.n_x), forward_diff(g.n_z, g.h_x))], format="csr")
+    return VelocityBlocks(grid=grid, A=dirichlet_form(g), Gr=Gr, n_u=(g.n_x - 1) * g.n_z,
                           n_w=g.n_x * (g.n_z - 1))
 
 
@@ -180,8 +143,7 @@ class StokesSolver:
         # Gr 1 = 0, so the pinned cell's equation is minus the sum of the others
         p = np.zeros(g.n_x * g.n_z)
         p[1:] = spla.spsolve((Gr.T @ Gr)[1:, 1:].tocsc(), (Gr.T @ (b - self.nu * (A @ v)))[1:])
-        return StokesSolution(v=unpack_interior(v, g),
-                              p=ScalarField(g, (p - np.mean(p)).reshape(g.n_x, g.n_z)))
+        return StokesSolution(v=unpack_interior(v, g), p=(p - np.mean(p)).reshape(g.shape_p))
 
     def momentum_residual(self, sol: StokesSolution, gf: VelocityField) -> float:
         """max |b - nu A v - Gr p| / max (|b| + nu |A||v| + |Gr||p|) over the
@@ -191,7 +153,7 @@ class StokesSolver:
         read its rounding as O(1)."""
         g, A, Gr = self.grid, self.blocks.A, self.blocks.Gr
         b = g.h_x * g.h_z * pack_interior(_one_field(gf))
-        v, p = pack_interior(sol.v), sol.p.values.ravel()
+        v, p = pack_interior(sol.v), sol.p.ravel()
         r = b - self.nu * (A @ v) - Gr @ p
         scale = np.abs(b) + self.nu * (abs(A) @ np.abs(v)) + abs(Gr) @ np.abs(p)
         # every term is bounded by scale, so r is exactly 0 when scale is
@@ -201,7 +163,7 @@ class StokesSolver:
         """Duality-consistent trace of the pressure on Omega for a no-slip solve."""
         g = self.grid
         top = _one_field(gf).w[:, g.n_z]
-        r = self.nu * sol.v.w[:, g.n_z - 1] / g.h_z + sol.p.values[:, g.n_z - 1] + 0.5 * g.h_z * top
+        r = self.nu * sol.v.w[:, g.n_z - 1] / g.h_z + sol.p[:, g.n_z - 1] + 0.5 * g.h_z * top
         return r - np.mean(r)
 
 
@@ -217,27 +179,22 @@ class HarmonicLifter:
     def __init__(self, grid: Grid):
         self.grid = grid
         g = grid
-        hx2, hz2 = g.h_x ** 2, g.h_z ** 2
-        # Neumann walls (mirror ghost) drop the missing neighbour from an end
-        # row; the Dirichlet ghost across Omega adds 2/hz^2 to the top row
-        x_part = np.full(g.n_x, 2.0 / hx2)
-        x_part[[0, -1]] = 1.0 / hx2
-        below = np.full(g.n_z, 1.0 / hz2)
-        below[0] = 0.0
-        above = np.full(g.n_z, 1.0 / hz2)
-        above[-1] = 2.0 / hz2
-        diag = (x_part[:, None] + below) + above
-        K = (kron(offdiag(g.n_x, -1.0 / hx2), np.eye(g.n_z))
-             + kron(np.eye(g.n_x), offdiag(g.n_z, -1.0 / hz2)) + sp.diags(diag.ravel())).tocsc()
-        self._lu = spla.splu(K)
+        # the face gradient Gr / vol is zero across the walls, so its normal
+        # form Gr^T Gr / vol^2 is -Lap with Neumann walls; the Dirichlet ghost
+        # across Omega adds 2/hz^2 to the top row
+        self._grad = velocity_blocks(g).Gr / (g.h_x * g.h_z)
+        top = np.zeros(g.shape_p)
+        top[:, -1] = 2.0 / g.h_z ** 2
+        self._lu = spla.splu((self._grad.T @ self._grad + sp.diags(top.ravel())).tocsc())
 
-    def lift(self, r: np.ndarray) -> tuple[ScalarField, VelocityField]:
+    def lift(self, r: np.ndarray) -> tuple[np.ndarray, VelocityField]:
         g = self.grid
         if r.shape != (g.n_plate,):
             raise GridError("plate trace shape mismatch with grid")
-        rhs = np.zeros(g.n_x * g.n_z)
-        rhs.reshape(g.n_x, g.n_z)[:, g.n_z - 1] = 2.0 * r / g.h_z ** 2
-        q = ScalarField(g, self._lu.solve(rhs).reshape(g.n_x, g.n_z))
-        grad = discrete_grad(q, g)
-        grad.w[:, -1] = 2.0 * (r - q.values[:, -1]) / g.h_z
+        rhs = np.zeros(g.shape_p)
+        rhs[:, -1] = 2.0 * r / g.h_z ** 2
+        q = self._lu.solve(rhs.ravel())
+        grad = unpack_interior(self._grad @ q, g)
+        q = q.reshape(g.shape_p)
+        grad.w[:, -1] = 2.0 * (r - q[:, -1]) / g.h_z
         return q, grad

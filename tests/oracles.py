@@ -3,8 +3,9 @@
 plateflow keeps what its commands, battery and scripts run.  The definitions
 here are the independent routes the tests check it against (a direct solve
 of the reduced dynamics with M, a loop-by-loop harmonic residual, the 2D
-plate's eigensolve) and the checks of discrete properties the solvers
-guarantee by construction (divergence, zero mean, the bending form).
+plate's eigensolve, the fluid inner products summed face by face) and the
+checks of discrete properties the solvers guarantee by construction
+(divergence, zero mean, the bending form).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import scipy.sparse.linalg as spla
 
 from plateflow.dynamics import IntegratorError, per_sample, simulate
 from plateflow.galerkin import AssemblyError, GalerkinSystem
-from plateflow.mesh import (BeamOperators, Grid, GridError, ScalarField, VelocityField,
-                            beam_operators, inner_fluid, plate_mean)
+from plateflow.mesh import (BeamOperators, Grid, GridError, VelocityField, beam_operators,
+                            inner_fluid, plate_mean)
 from plateflow.plate2d import PlateGrid2D, bending_form
 
 # ---------------------------------------------------------------------------
@@ -28,16 +29,68 @@ from plateflow.plate2d import PlateGrid2D, bending_form
 DIV_TOL = 1e-10
 
 
-def discrete_div(v: VelocityField, g: Grid) -> ScalarField:
+def discrete_div(v: VelocityField, g: Grid) -> np.ndarray:
     """Cell-centered divergence; uses the stored boundary faces directly."""
     if v.grid is not g and v.grid != g:
         raise GridError("field/grid mismatch")
-    d = (v.u[..., 1:, :] - v.u[..., :-1, :]) / g.h_x + (v.w[..., 1:] - v.w[..., :-1]) / g.h_z
-    return ScalarField(g, d)
+    return (v.u[..., 1:, :] - v.u[..., :-1, :]) / g.h_x + (v.w[..., 1:] - v.w[..., :-1]) / g.h_z
 
 
 def is_solenoidal(v: VelocityField, g: Grid, tol: float = DIV_TOL) -> bool:
-    return float(np.max(np.abs(discrete_div(v, g).values))) <= tol
+    return float(np.max(np.abs(discrete_div(v, g)))) <= tol
+
+
+def _face_weights(g: Grid):
+    """Quadrature weights for the fluid L2 product: 1/2 on boundary faces."""
+    wu = np.ones(g.shape_u)
+    wu[0, :] = wu[-1, :] = 0.5
+    ww = np.ones(g.shape_w)
+    ww[:, 0] = ww[:, -1] = 0.5
+    return wu, ww
+
+
+def _gram(a: VelocityField, b: VelocityField, pa, pb, coef, scale: float):
+    """scale * sum_t coef_t <pa_t, pb_t>, each pair of parts contracted over its
+    grid axes: a float for two fields, the table over the modes for a stack on
+    either side."""
+    la, lb = a.u.shape[:-2], b.u.shape[:-2]
+    s = scale * sum(c * (x.reshape(la + (-1,)) @ y.reshape(lb + (-1,)).T)
+                    for c, x, y in zip(coef, pa, pb))
+    return float(s) if np.ndim(s) == 0 else s
+
+
+def inner_fluid_by_faces(a: VelocityField, b: VelocityField, g: Grid):
+    """(a, b)_O by the trapezoidal rule over every stored face, boundary faces
+    at half weight: the reference for mesh.inner_fluid."""
+    wu, ww = _face_weights(g)
+    return _gram(a, b, (wu * a.u, ww * a.w), (b.u, b.w), (1.0, 1.0), g.h_x * g.h_z)
+
+
+def _grad_parts(v: VelocityField):
+    """The face differences and wall values whose weighted products make
+    grad_inner_by_faces."""
+    u, w = v.u, v.w
+    ui, wi = u[..., 1:-1, :], w[..., 1:-1]
+    return (
+        # u: d/dx at cell centers (boundary u-faces are zero by no-slip)
+        u[..., 1:, :] - u[..., :-1, :],
+        # u: d/dz at interior horizontal positions, then the half-cell wall terms
+        ui[..., 1:] - ui[..., :-1], ui[..., 0], ui[..., -1],
+        # w: d/dz at cell centers (the top row carries the plate trace)
+        w[..., 1:] - w[..., :-1],
+        # w: d/dx at interior vertical positions, then the half-cell wall terms
+        wi[..., 1:, :] - wi[..., :-1, :], wi[..., 0, :], wi[..., -1, :],
+    )
+
+
+def grad_inner_by_faces(a: VelocityField, b: VelocityField, g: Grid):
+    """(grad a, grad b)_O difference by difference: the face differences at
+    their positions, tangential walls by the half-cell ghost rule (a wall
+    value at twice the weight), the normal traces on Omega the stored top
+    w-rows.  The reference for mesh.grad_inner."""
+    cx, cz = 1.0 / g.h_x ** 2, 1.0 / g.h_z ** 2
+    return _gram(a, b, _grad_parts(a), _grad_parts(b),
+                 (cx, cz, 2.0 * cz, 2.0 * cz, cz, cx, 2.0 * cx, 2.0 * cx), g.h_x * g.h_z)
 
 
 def inner_plate(a: np.ndarray, b: np.ndarray, g: Grid) -> float:
@@ -105,10 +158,9 @@ def project_zero_mean(u: np.ndarray, g: Grid, w0: np.ndarray | None = None) -> n
 # ---------------------------------------------------------------------------
 # the harmonic pressure lift (plateflow.stokes.HarmonicLifter)
 
-def harmonic_residual(g: Grid, q: ScalarField, r: np.ndarray) -> float:
-    """max |Lap q| over the cells, neighbour by neighbour, with the Neumann
-    walls and the Dirichlet ghost q = r across Omega."""
-    vals = q.values
+def harmonic_residual(g: Grid, vals: np.ndarray, r: np.ndarray) -> float:
+    """max |Lap q| over the cells of q = vals, neighbour by neighbour, with the
+    Neumann walls and the Dirichlet ghost q = r across Omega."""
     res = np.zeros((g.n_x, g.n_z))
     hx2, hz2 = g.h_x ** 2, g.h_z ** 2
     for i in range(g.n_x):
@@ -161,7 +213,7 @@ def project_initial(sys: GalerkinSystem, v0: VelocityField, u0: np.ndarray,
     removed by the bending-stable projection and reported as mean_offset.
     """
     g = sys.basis.grid
-    d = float(np.max(np.abs(discrete_div(v0, g).values)))
+    d = float(np.max(np.abs(discrete_div(v0, g))))
     if d > DIV_TOL:
         raise AssemblyError(f"initial velocity is not divergence free: max divergence {d:.3e}")
     tr = float(np.max(np.abs(v0.w[:, -1] - u1)))
@@ -179,8 +231,9 @@ def project_initial(sys: GalerkinSystem, v0: VelocityField, u0: np.ndarray,
     plate_res = float(np.sqrt(max(inner_plate(r, r, g), 0.0)))
 
     lift_dot = sys.basis.lift.combine(betadot)
-    alpha = inner_fluid(sys.basis.psi, v0 - lift_dot, g)
-    diff = v0 - (lift_dot + sys.basis.psi.combine(alpha))
+    alpha = inner_fluid(sys.basis.psi, VelocityField(g, v0.u - lift_dot.u, v0.w - lift_dot.w), g)
+    fit = lift_dot + sys.basis.psi.combine(alpha)
+    diff = VelocityField(g, v0.u - fit.u, v0.w - fit.w)
     vres = float(np.sqrt(max(inner_fluid(diff, diff, g), 0.0)))
 
     y0 = sys.join(alpha, beta, betadot)

@@ -12,9 +12,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from plateflow.mesh import Grid, GridError, ScalarField, VelocityField, plate_mean
-from plateflow.stokes import (StokesSolution, StokesSolveError, _one_field, unpack_interior,
-                              velocity_blocks)
+from plateflow.mesh import Grid, GridError, VelocityField, plate_mean, unpack_interior
+from plateflow.stokes import StokesSolution, StokesSolveError, _one_field, velocity_blocks
 
 
 class SaddlePointStokesSolver:
@@ -76,7 +75,7 @@ class SaddlePointStokesSolver:
             v.w[:, -1] = w_top
         p = x[self.nu_int + self.nw_int: -1].reshape(g.n_x, g.n_z)
         p = p - np.mean(p)
-        return StokesSolution(v=v, p=ScalarField(g, p))
+        return StokesSolution(v=v, p=p)
 
     # -- public solves ----------------------------------------------------
     def solve_body_force(self, gf: VelocityField) -> StokesSolution:
@@ -109,7 +108,7 @@ class SaddlePointStokesSolver:
         """Duality-consistent trace of the pressure on Omega for a no-slip solve."""
         g = self.grid
         top = np.zeros(g.n_plate) if gf is None else _one_field(gf).w[:, g.n_z]
-        r = self.nu * sol.v.w[:, g.n_z - 1] / g.h_z + sol.p.values[:, g.n_z - 1] + 0.5 * g.h_z * top
+        r = self.nu * sol.v.w[:, g.n_z - 1] / g.h_z + sol.p[:, g.n_z - 1] + 0.5 * g.h_z * top
         return r - np.mean(r)
 
 
@@ -121,6 +120,6 @@ def assert_matches_saddle_point(sol, trace, gf, g, nu):
     v_scale = max(np.max(np.abs(ref.v.u)), np.max(np.abs(ref.v.w)))
     assert np.max(np.abs(sol.v.u - ref.v.u)) < 1e-11 * v_scale
     assert np.max(np.abs(sol.v.w - ref.v.w)) < 1e-11 * v_scale
-    assert np.max(np.abs(sol.p.values - ref.p.values)) < 1e-11 * np.max(np.abs(ref.p.values))
+    assert np.max(np.abs(sol.p - ref.p)) < 1e-11 * np.max(np.abs(ref.p))
     ref_trace = oracle.pressure_trace(ref, gf)
     assert np.max(np.abs(trace - ref_trace)) < 1e-11 * np.max(np.abs(ref_trace))

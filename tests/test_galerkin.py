@@ -14,7 +14,7 @@ from plateflow.galerkin import (
     plate_forcing_profile,
     reconstruct,
 )
-from plateflow.mesh import inner_fluid, plate_mean
+from plateflow.mesh import VelocityField, inner_fluid, plate_mean
 from plateflow.steady import minimize_stationary
 import oracles
 
@@ -131,7 +131,7 @@ def test_projection_rejects_incompatible_data(sys_free, grid, rng):
     y_ref = rng.standard_normal(sys_free.m + 2 * sys_free.n)
     rec = reconstruct(sys_free, y_ref)
     with pytest.raises(AssemblyError, match="divergence"):
-        bad = rec.v.copy()
+        bad = VelocityField(grid, rec.v.u.copy(), rec.v.w.copy())
         bad.u[3, 3] += 1.0
         oracles.project_initial(sys_free, bad, rec.u, rec.u_t)
     with pytest.raises(AssemblyError, match="trace"):

@@ -7,18 +7,17 @@ from scipy.optimize import brentq
 from plateflow.mesh import (
     GeometryConfig,
     GridError,
-    ScalarField,
     VelocityField,
     beam_operators,
     build_grid,
-    discrete_grad,
     grad_inner,
     inner_fluid,
     plate_mean,
+    unpack_interior,
 )
 from plateflow.stokes import velocity_blocks
-from oracles import (beam_biharmonic, bending_inner, discrete_div, inner_plate, inner_product,
-                     is_solenoidal)
+from oracles import (beam_biharmonic, bending_inner, discrete_div, grad_inner_by_faces,
+                     inner_fluid_by_faces, inner_plate, inner_product, is_solenoidal)
 
 
 def test_build_grid_rejects_coarse():
@@ -40,13 +39,13 @@ def test_grad_div_duality(grid, rng):
     # (grad p, v) = -(p, div v) for v vanishing on all boundary faces:
     # summation by parts with no boundary contribution
     g = grid
-    p = ScalarField(g, rng.standard_normal(g.shape_p))
+    p = rng.standard_normal(g.shape_p)
     v = VelocityField(g)
     v.u[1:-1, :] = rng.standard_normal((g.n_x - 1, g.n_z))
     v.w[:, 1:-1] = rng.standard_normal((g.n_x, g.n_z - 1))
-    lhs = inner_fluid(discrete_grad(p, g), v, g)
     vol = g.h_x * g.h_z
-    rhs = -vol * float(np.sum(p.values * discrete_div(v, g).values))
+    lhs = inner_fluid(unpack_interior(velocity_blocks(g).Gr @ p.ravel() / vol, g), v, g)
+    rhs = -vol * float(np.sum(p * discrete_div(v, g)))
     assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(lhs))
 
 
@@ -79,27 +78,46 @@ def test_grad_inner_nonnegative(grid, rng):
     assert abs(grad_inner(v, w, g) - grad_inner(w, v, g)) < 1e-12 * (1 + q)
 
 
-def test_grad_inner_is_stokes_form_plus_trace_terms(rng):
-    # grad_inner(a, b) = x_a^T A x_b + (vol/h_z^2)(psi_a.psi_b - w_a.psi_b - psi_a.w_b),
-    # A the assembled Stokes form on packed interior faces, psi the top w-rows
-    # (traces on Omega) and w the w-rows below them; walls carry zero
-    g = build_grid(GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
-    A = velocity_blocks(g).A
-    k = 4
+# 16x16, a non-square 12x9 cell grid on a 1.3 x 0.7 cavity, and 64x64
+FORM_GRIDS = ((16, 16, 1.0, 1.0), (12, 9, 1.3, 0.7), (64, 64, 1.0, 1.0))
+
+
+def _velocity_space_stack(g, k, rng):
+    """k random fields of the velocity space: zero on S, random on the
+    interior faces and the Omega row."""
     u = np.zeros((k,) + g.shape_u)
     w = np.zeros((k,) + g.shape_w)
     u[:, 1:-1, :] = rng.standard_normal((k, g.n_x - 1, g.n_z))
     w[:, :, 1:] = rng.standard_normal((k, g.n_x, g.n_z))
-    stack = VelocityField(g, u, w)
-    X = np.concatenate([u[:, 1:-1, :].reshape(k, -1), w[:, :, 1:-1].reshape(k, -1)], axis=1)
-    psi, below = w[:, :, -1], w[:, :, -2]
-    vol = g.h_x * g.h_z
-    want = X @ (A @ X.T) + (vol / g.h_z ** 2) * (psi @ psi.T - below @ psi.T - psi @ below.T)
-    scale = np.max(np.abs(want))
-    assert np.max(np.abs(grad_inner(stack, stack, g) - want)) < 1e-12 * scale
-    for i in range(k):
-        for j in range(k):
-            assert abs(grad_inner(stack[i], stack[j], g) - want[i, j]) < 1e-12 * scale
+    return VelocityField(g, u, w)
+
+
+def _assert_form_matches_reference(form, reference, rng):
+    for n_x, n_z, L_x, L_z in FORM_GRIDS:
+        g = build_grid(GeometryConfig(n_x=n_x, n_z=n_z, L_x=L_x, L_z=L_z))
+        k = 4
+        stack = _velocity_space_stack(g, k, rng)
+        want = reference(stack, stack, g)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(form(stack, stack, g) - want)) < 1e-12 * scale
+        for i in range(k):
+            assert np.max(np.abs(form(stack[i], stack, g) - want[i])) < 1e-12 * scale
+            for j in range(k):
+                got = form(stack[i], stack[j], g)
+                assert isinstance(got, float)
+                assert abs(got - want[i, j]) < 1e-12 * scale
+
+
+def test_grad_inner_is_stokes_form_plus_trace_terms(rng):
+    # grad_inner reads the assembled Stokes form on packed interior faces plus
+    # the Omega-trace terms; the reference sums the face differences one by one
+    _assert_form_matches_reference(grad_inner, grad_inner_by_faces, rng)
+
+
+def test_inner_fluid_is_packed_faces_plus_half_omega_row(rng):
+    # inner_fluid reads the packed interior faces and half the Omega row; the
+    # reference weighs every stored face by the trapezoidal rule
+    _assert_form_matches_reference(inner_fluid, inner_fluid_by_faces, rng)
 
 
 @settings(max_examples=20, deadline=None)
@@ -110,7 +128,7 @@ def test_inner_fluid_bilinear(c1, c2):
     a = VelocityField(g, rng.standard_normal(g.shape_u), rng.standard_normal(g.shape_w))
     b = VelocityField(g, rng.standard_normal(g.shape_u), rng.standard_normal(g.shape_w))
     c = VelocityField(g, rng.standard_normal(g.shape_u), rng.standard_normal(g.shape_w))
-    lhs = inner_fluid(a * c1 + b * c2, c, g)
+    lhs = inner_fluid(VelocityField(g, c1 * a.u + c2 * b.u, c1 * a.w + c2 * b.w), c, g)
     rhs = c1 * inner_fluid(a, c, g) + c2 * inner_fluid(b, c, g)
     assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(lhs))
 
@@ -119,10 +137,10 @@ def test_divergence_of_a_stack_is_taken_field_by_field(grid, rng):
     g = grid
     stack = VelocityField(g, rng.standard_normal((3,) + g.shape_u),
                           rng.standard_normal((3,) + g.shape_w))
-    div = discrete_div(stack, g).values
+    div = discrete_div(stack, g)
     assert div.shape == (3,) + g.shape_p
     for k in range(3):
-        assert np.array_equal(div[k], discrete_div(stack[k], g).values)
+        assert np.array_equal(div[k], discrete_div(stack[k], g))
 
 
 def test_is_solenoidal_flags_compressible(grid):

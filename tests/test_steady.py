@@ -4,7 +4,7 @@ import pytest
 from plateflow.dynamics import Stepper, energies, simulate
 from plateflow.forces import BergerForce
 from plateflow.galerkin import ForcingConfig, assemble, fluid_forcing_field
-from plateflow.mesh import GeometryConfig, ScalarField, build_grid, inner_fluid
+from plateflow.mesh import GeometryConfig, build_grid, inner_fluid
 from plateflow.modal import build_modal_basis
 from plateflow import steady
 from plateflow.steady import (
@@ -66,7 +66,7 @@ def assert_rejects_a_perturbed_pressure(gf, g, monkeypatch):
 
     def perturbed(self, f):
         sol = solve(self, f)
-        return StokesSolution(v=sol.v, p=ScalarField(sol.p.grid, sol.p.values * (1.0 + 1e-6)))
+        return StokesSolution(v=sol.v, p=sol.p * (1.0 + 1e-6))
 
     monkeypatch.setattr(StokesSolver, "solve_body_force", perturbed)
     with pytest.raises(StationaryError, match=r"residual \d\.\d{3}e-\d+ above 1\.0e-09"):
