@@ -38,8 +38,7 @@ def main():
         abscissa = spectral_abscissa(sys_)
         rates = []
         for _ in range(args.ensemble):
-            y0 = rng.standard_normal(sys_.m + 2 * sys_.n)
-            y0 /= sys_.state_norm(y0)
+            y0 = sys_.random_state(rng)
             tr = simulate(sys_, y0, T=4.0, dt=1e-3, stride=10)
             gam, _ = fit_decay_rate(tr.t, tr.E0)
             rates.append(0.5 * gam)

@@ -16,14 +16,15 @@ import numpy as np
 
 from . import verification
 from .config import ConfigError, ExperimentConfig, parse_config, validate
-from .dynamics import IntegratorError, energy_balance_residual, fit_decay_rate, simulate
+from .dynamics import BALANCE_TOL, IntegratorError, energy_balance_residual, fit_decay_rate, \
+    simulate
 from .forces import BergerForce, ForceModelError, KirchhoffForce
 from .galerkin import ForcingConfig, assemble
 from .mesh import GridError, build_grid, grad_inner, plate_mean
 from .modal import build_modal_basis
-from .spectrum import contraction_norm, generator_eigenvalues, semigroup_consistency, \
-    spectral_abscissa
-from .steady import distance_to_equilibrium, find_equilibria
+from .spectrum import CONTRACTION_TOL, contraction_norm, generator_eigenvalues, \
+    semigroup_consistency, spectral_abscissa
+from .steady import DISTANCE_TOL, distance_to_equilibrium, find_equilibria
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +128,6 @@ def _system(cfg: ExperimentConfig):
     return assemble(basis, cfg.physics.nu, _forcing(cfg)), _force_model(cfg, g)
 
 
-def _seeded_state(sys, seed: int):
-    rng = np.random.default_rng(seed)
-    y = rng.standard_normal(sys.m + 2 * sys.n)
-    return y / sys.state_norm(y)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -184,7 +179,7 @@ def cmd_forces_verify(cfg: ExperimentConfig) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     sys_, model = _system(cfg)
-    y0 = _seeded_state(sys_, cfg.probes.seed)
+    y0 = sys_.random_state(np.random.default_rng(cfg.probes.seed))
     tr = simulate(sys_, y0, cfg.integration.T, cfg.integration.dt, model,
                   stride=cfg.integration.stride)
 
@@ -208,7 +203,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         "final_E0": float(tr.E0[-1]),
         "final_E": float(tr.E[-1]),
         "balance_residual": bal,
-        "balance_ok": bool(bal <= 1e-5),
+        "balance_ok": bool(bal <= BALANCE_TOL),
     }
     unforced = not (sys_.f_kin.any() or sys_.f_plate.any())
     if unforced and len(tr.t) >= 8:
@@ -240,7 +235,7 @@ def cmd_stationary(cfg: ExperimentConfig) -> int:
 
 def cmd_attract(cfg: ExperimentConfig) -> int:
     sys_, model = _system(cfg)
-    y0 = _seeded_state(sys_, cfg.probes.seed)
+    y0 = sys_.random_state(np.random.default_rng(cfg.probes.seed))
     traj = simulate(sys_, y0, cfg.integration.T, cfg.integration.dt, model,
                     stride=cfg.integration.stride)
     dist, eq = distance_to_equilibrium(sys_, traj.states, model)
@@ -250,7 +245,7 @@ def cmd_attract(cfg: ExperimentConfig) -> int:
         "final_distance": float(dist[-1]),
         "equilibrium_residual": eq.residual,
         "equilibrium_energy": eq.energy,
-        "converged": bool(dist[-1] <= 1e-4),
+        "converged": bool(dist[-1] <= DISTANCE_TOL),
     }
     write_json(os.path.join(cfg.output.dir, "attract.json"), summary)
     return 0 if summary["converged"] else 1
@@ -262,7 +257,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     ev = generator_eigenvalues(sys_)
     write_csv(os.path.join(cfg.output.dir, "spectrum.csv"), ("re", "im"),
               [(z.real, z.imag) for z in ev])
-    y0 = _seeded_state(sys_, cfg.probes.seed)
+    y0 = sys_.random_state(np.random.default_rng(cfg.probes.seed))
     abscissa = spectral_abscissa(sys_)
     contr = contraction_norm(sys_, 1.0)
     dt = cfg.integration.dt
@@ -272,7 +267,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
         "abscissa": abscissa,
         "stable": bool(abscissa < 0),
         "contraction_norm_T1": contr,
-        "contractive": bool(contr <= 1.0 + 1e-10),
+        "contractive": bool(contr <= 1.0 + CONTRACTION_TOL),
         "semigroup_deviation": dev,
     }
     write_json(os.path.join(cfg.output.dir, "spectrum.json"), summary)

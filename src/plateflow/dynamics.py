@@ -145,27 +145,31 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
     Ys = np.empty((N, min(L, n_steps) + 1, B))      # block start and its steps, step-major columns
     acc = np.zeros((2, 1, B))                       # dissipation and work integrals so far
     i = 0
-    for k0 in range(0, n_steps, L):
-        nb = min(L, n_steps - k0)
-        Ys[:, 0] = y
-        for j in range(1, nb + 1):
-            y = Ys[:, j] = stepper.step(y)
-        mid = 0.5 * (Ys[:, :nb] + Ys[:, 1:nb + 1])  # each step's midpoint
-        rates = np.stack(sys.power_rates(mid.reshape(N, -1))).reshape(2, nb, B)
-        acc = np.add.accumulate(np.concatenate([acc[:, -1:], dt * rates], axis=1), axis=1)
-        js = np.arange(stride, nb + 1, stride)
-        if nb % stride:                             # the last step of the run
-            js = np.append(js, nb)
-        Ysamp = Ys[:, js]
-        E0, E, Estar = (e.reshape(len(js), B)
-                        for e in energies(sys, Ysamp.reshape(N, -1), model))
-        diss, work = acc[:, js]
-        s = slice(i + 1, i + 1 + len(js))
-        t[s] = (k0 + js) * dt
-        rep[s] = np.stack([E0, E, Estar, (E + diss - E_0 - work) / (np.abs(E_0) + 1.0), diss], 1)
-        if keep_states:
-            states[s] = Ysamp.transpose(1, 0, 2)
-        i += len(js)
+    # a diverging fixed-point iterate overflows before Stepper.step names it in
+    # its IntegratorError; entered once per call, not once per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, n_steps, L):
+            nb = min(L, n_steps - k0)
+            Ys[:, 0] = y
+            for j in range(1, nb + 1):
+                y = Ys[:, j] = stepper.step(y)
+            mid = 0.5 * (Ys[:, :nb] + Ys[:, 1:nb + 1])      # each step's midpoint
+            rates = np.stack(sys.power_rates(mid.reshape(N, -1))).reshape(2, nb, B)
+            acc = np.add.accumulate(np.concatenate([acc[:, -1:], dt * rates], axis=1), axis=1)
+            js = np.arange(stride, nb + 1, stride)
+            if nb % stride:                                 # the last step of the run
+                js = np.append(js, nb)
+            Ysamp = Ys[:, js]
+            E0, E, Estar = (e.reshape(len(js), B)
+                            for e in energies(sys, Ysamp.reshape(N, -1), model))
+            diss, work = acc[:, js]
+            s = slice(i + 1, i + 1 + len(js))
+            t[s] = (k0 + js) * dt
+            rep[s] = np.stack([E0, E, Estar, (E + diss - E_0 - work) / (np.abs(E_0) + 1.0),
+                               diss], 1)
+            if keep_states:
+                states[s] = Ysamp.transpose(1, 0, 2)
+            i += len(js)
 
     if np.ndim(y0) == 1:
         rep = rep[..., 0]
@@ -180,8 +184,22 @@ def per_sample(fn, states: np.ndarray) -> np.ndarray:
     return fn(np.moveaxis(states, 1, 0).reshape(N, -1)).reshape((K,) + states.shape[2:])
 
 
+# the energy balance holds to this residual (criterion 2)
+BALANCE_TOL = 1e-5
+
+
 def energy_balance_residual(traj: Trajectory) -> float:
     return float(np.max(np.abs(traj.balance_residual)))
+
+
+# Estar rises by at most this, relative to 1 + |Estar at t = 0|, from one
+# sample to the next (criterion 7)
+ESTAR_TOL = 1e-10
+
+
+def estar_monotone(Estar: np.ndarray) -> bool:
+    """Whether the shifted energy Estar of a trajectory is nonincreasing to ESTAR_TOL."""
+    return bool(np.all(np.diff(Estar) <= ESTAR_TOL * (1.0 + abs(Estar[0]))))
 
 
 def lyapunov_V(sys: GalerkinSystem, y: np.ndarray, eps: float):

@@ -168,6 +168,11 @@ class GalerkinSystem:
         """Energy norm of the coupled state: sqrt of twice the quadratic energy."""
         return np.sqrt(np.maximum(2.0 * self.energy_quadratic(y), 0.0))
 
+    def random_state(self, rng, scale: float = 1.0) -> np.ndarray:
+        """A standard normal state drawn from rng, scaled to energy norm scale."""
+        y = rng.standard_normal(self.m + 2 * self.n)
+        return scale * y / self.state_norm(y)
+
     def power_rates(self, y: np.ndarray):
         """(dissipation rate w^T D w, forcing power (f, w)) from one gather of w."""
         w = y[self.kin]

@@ -39,6 +39,10 @@ def assemble_generator(sys: GalerkinSystem):
     return V @ np.diag(np.sqrt(w)) @ V.T, V @ np.diag(1.0 / np.sqrt(w)) @ V.T
 
 
+# the energy norm of exp(T A) exceeds 1 by at most this (criterion 9)
+CONTRACTION_TOL = 1e-10
+
+
 def contraction_norm(sys: GalerkinSystem, T: float) -> float:
     """Operator norm of exp(T A) in the energy inner product."""
     S, Sinv = assemble_generator(sys)

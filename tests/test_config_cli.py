@@ -215,6 +215,7 @@ def test_cli_simulate_zero_amplitude_forcing_is_unforced(tmp_path):
     assert "decay_rate" in json.load(open(tmp_path / "zero" / "simulate.json"))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, text, message", [
     ("simulate", "[modes]\nm = 500\n", "requested 500 flow modes"),
     ("simulate", "[modes]\nn = 50\n", "requested 50 plate modes"),
@@ -231,7 +232,7 @@ def test_cli_simulate_zero_amplitude_forcing_is_unforced(tmp_path):
 ], ids=["simulate-m", "simulate-n", "simulate-berger", "simulate-kirchhoff", "verify-all-m",
         "verify-all-n", "simulate-fixed-point", "simulate-horizon"])
 def test_values_the_models_reject_exit_2(tmp_path, capsys, command, text, message):
-    # the constructors' own message, as a config error
+    # the constructors' own message, as a config error, with no warning before it
     path = _write(tmp_path, text)
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"error: {message}" in capsys.readouterr().err
