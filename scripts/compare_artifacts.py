@@ -4,7 +4,9 @@ Walks every .csv and .json file under DIR_A and DIR_B (the mode cache,
 ``modes_cache``, is skipped) and prints, per file, the worst relative and
 absolute difference between matching numbers.  Two numbers match when their
 relative difference is at most 1e-6 or their absolute difference at most
-1e-12; other values (strings, booleans, nulls) must be equal.
+1e-12, or, under a JSON key of BOUNDS (the finite-difference noise of
+``gradient_errors``), when both are at most that key's bound; other values
+(strings, booleans, nulls) must be equal.
 
 Exits 1 when a file is missing on one side, a key, header or shape differs,
 or some number does not match; 0 otherwise.
@@ -19,9 +21,13 @@ import math
 import os
 import sys
 
+from plateflow.forces import GRADIENT_TOL
+
 REL_TOL = 1e-6
 ABS_TOL = 1e-12
 SKIP_DIR = "modes_cache"
+# JSON keys whose numbers are judged against the program's bound, not each other
+BOUNDS = {"gradient_errors": GRADIENT_TOL}
 
 
 class Mismatch(Exception):
@@ -46,7 +52,7 @@ class Diff:
         self.abs = (0.0, "")
         self.bad = []
 
-    def numbers(self, a: float, b: float, where: str):
+    def numbers(self, a: float, b: float, where: str, bound=None):
         if a == b or (math.isnan(a) and math.isnan(b)):
             return
         d = abs(a - b)
@@ -55,7 +61,8 @@ class Diff:
             self.rel = (rel, where)
         if not d <= self.abs[0]:
             self.abs = (d, where)
-        if not (rel <= REL_TOL or d <= ABS_TOL):
+        within = bound is not None and a <= bound and b <= bound
+        if not (rel <= REL_TOL or d <= ABS_TOL or within):
             self.bad.append(f"{where}: {a!r} vs {b!r}")
 
 
@@ -63,19 +70,19 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def compare_json(a, b, diff: Diff, where="$"):
+def compare_json(a, b, diff: Diff, where="$", bound=None):
     if isinstance(a, dict) and isinstance(b, dict):
         if set(a) != set(b):
             raise Mismatch(f"{where}: keys differ: {sorted(set(a) ^ set(b))}")
         for k in sorted(a):
-            compare_json(a[k], b[k], diff, f"{where}.{k}")
+            compare_json(a[k], b[k], diff, f"{where}.{k}", BOUNDS.get(k, bound))
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             raise Mismatch(f"{where}: length {len(a)} vs {len(b)}")
         for i, (x, y) in enumerate(zip(a, b)):
-            compare_json(x, y, diff, f"{where}[{i}]")
+            compare_json(x, y, diff, f"{where}[{i}]", bound)
     elif _is_number(a) and _is_number(b):
-        diff.numbers(float(a), float(b), where)
+        diff.numbers(float(a), float(b), where, bound)
     elif a != b or type(a) is not type(b):
         raise Mismatch(f"{where}: {a!r} vs {b!r}")
 

@@ -30,8 +30,12 @@ from .steady import DISTANCE_TOL, distance_to_equilibrium, find_equilibria
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
+# every float of every artifact, JSON and CSV alike
+FLOAT_FORMAT = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+    return FLOAT_FORMAT % float(x)
 
 
 def _dumps(obj) -> str:
@@ -71,10 +75,14 @@ def write_csv(path: str, header, rows) -> None:
             return str(int(x))
         return _fmt(x)
 
+    floats = ",".join([FLOAT_FORMAT] * len(header)) + "\n"    # a whole row of Python floats
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(cell(x) for x in row) + "\n")
+            if all(type(x) is float for x in row):
+                fh.write(floats % tuple(row))
+            else:
+                fh.write(",".join(cell(x) for x in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +191,17 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     tr = simulate(sys_, y0, cfg.integration.T, cfg.integration.dt, model,
                   stride=cfg.integration.stride)
 
-    rows = []
-    for k in range(len(tr.t)):
-        alpha, beta, betadot = sys_.split(tr.states[k])
-        rows.append((tr.t[k], tr.E0[k], tr.E[k], tr.Estar[k],
-                     tr.dissipation_integral[k], tr.balance_residual[k],
-                     float(np.linalg.norm(alpha)), float(np.linalg.norm(beta)),
-                     float(np.linalg.norm(betadot)),
-                     plate_mean(sys_.plate_deflection(beta), sys_.basis.grid)))
+    # each column from the whole trajectory; mean_u sample by sample, as
+    # plate_mean sums it
+    parts = sys_.split(tr.states.T)
+    mean_u = [plate_mean(sys_.plate_deflection(beta), sys_.basis.grid) for beta in parts[1].T]
+    columns = [c.tolist() for c in (tr.t, tr.E0, tr.E, tr.Estar, tr.dissipation_integral,
+                                    tr.balance_residual)]
+    columns += [np.sqrt(np.vecdot(p, p, axis=0)).tolist() for p in parts]
     write_csv(os.path.join(cfg.output.dir, "trajectory.csv"),
               ("t", "E0", "E", "Estar", "dissipation_integral",
                "balance_residual", "norm_alpha", "norm_beta", "norm_betadot",
-               "mean_u"), rows)
+               "mean_u"), zip(*columns, mean_u))
 
     bal = energy_balance_residual(tr)
     summary = {

@@ -75,29 +75,36 @@ class Stepper:
         base = self._P @ Y + self._p
         if self.model is None:
             return base.reshape(y.shape)
-        beta, PB = self._beta, self._PB
-        y_next = base - PB @ self._fc(Y[beta])
-        cols = slice(None)                 # the live columns, a slice while every column is
+        beta, PB, fc = self._beta, self._PB, self._fc
+        Yb = Y[beta]
+        y_old = base - PB @ fc(Yb)         # base, Yb and y_old hold the live columns only
+        y_next = live = None               # once a column froze: the whole state, the live indices
         last = None                        # each live column's last update
         failure, k = "did not converge", 0
         for _ in range(FP_MAXIT):
-            y_old = y_next[:, cols]
-            mid = 0.5 * (Y[beta, cols] + y_old[beta])
-            y_new = base[:, cols] - PB @ self._fc(mid)
-            delta = np.abs(y_new - y_old).max(0)
-            finite = np.isfinite(delta)
-            if not finite.all():
+            y_new = base - PB @ fc(0.5 * (Yb + y_old[beta]))
+            delta = np.maximum.reduce(np.abs(y_new - y_old))
+            # an overflowed iterate reads inf - inf = nan here, so it is never done
+            done = delta - FP_TOL * (1.0 + np.maximum.reduce(np.abs(y_new))) <= 0.0
+            n_done = np.count_nonzero(done)
+            if live is not None:
+                y_next[:, live] = y_new
+            if n_done == len(done):
+                return (y_new if live is None else y_next).reshape(y.shape)
+            finite = np.isfinite(delta)    # a done column is finite
+            if np.count_nonzero(finite) < len(finite):
                 failure, k = "diverged (non-finite iterate)", np.flatnonzero(~finite)[0]
                 break
-            y_next[:, cols] = y_new
-            going = delta > FP_TOL * (1.0 + np.abs(y_new).max(0))
-            if not going.any():
-                return y_next.reshape(y.shape)
-            if not going.all():
-                cols, delta = np.arange(Y.shape[1])[cols][going], delta[going]
-            last = delta
+            if n_done:                     # freeze the done columns
+                going = ~done
+                if live is None:
+                    y_next, live = y_new, np.flatnonzero(going)
+                else:
+                    live = live[going]
+                base, Yb, delta = base[:, going], Yb[:, going], delta[going]
+            y_old, last = (y_new if live is None else y_next[:, live]), delta
         raise IntegratorError(
-            f"force fixed point {failure} in member {np.arange(Y.shape[1])[cols][k]} (last update "
+            f"force fixed point {failure} in member {k if live is None else live[k]} (last update "
             f"{np.nan if last is None else last[k]:.3e}); reduce the time step")
 
 

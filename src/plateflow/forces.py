@@ -122,22 +122,25 @@ class BergerForce(ForceModel):
     def modal(self, xi, h_x):
         """Exact n x n form from the model's own D and h: with K = (D xi^T)^T
         (D xi^T) and Q = h beta^T K beta, fc = (kappa Q - gamma) h_x K beta and
-        dfc = h_x [(kappa Q - gamma) K + 2 kappa h (K beta)(K beta)^T]."""
+        dfc = h_x [(kappa Q - gamma) K + 2 kappa h (K beta)(K beta)^T], read
+        through hK = h_x K and c = kappa h / h_x as fc = (c beta.hKb - gamma) hKb
+        and dfc = (c beta.hKb - gamma) hK + 2c hKb hKb^T with hKb = hK beta."""
         DX = self.ops.D @ xi.T
-        K = DX.T @ DX
-        h = self.grid.h_x
-        kappa, gamma = self.kappa, self.gamma
+        hK = h_x * (DX.T @ DX)
+        c, gamma = self.kappa * (self.grid.h_x / h_x), self.gamma
 
         def fc(beta):
-            Kb = K @ beta
-            Q = h * np.vecdot(beta, Kb, axis=0)
-            return (kappa * Q - gamma) * h_x * Kb
+            hKb = hK @ beta
+            return (c * np.vecdot(beta, hKb, axis=0) - gamma) * hKb
 
         def dfc(beta):
-            Kb = K @ beta
-            Q = h * (beta @ Kb)
-            return h_x * ((kappa * Q - gamma) * K + 2.0 * kappa * h * np.outer(Kb, Kb))
+            hKb = hK @ beta
+            return (c * (beta @ hKb) - gamma) * hK + 2.0 * c * np.outer(hKb, hKb)
         return fc, dfc
+
+
+# the force is the potential's gradient to this relative error (criterion 6)
+GRADIENT_TOL = 1e-4
 
 
 def verify_gradient(model: ForceModel, u: np.ndarray, weight: float, rng) -> float:

@@ -42,6 +42,7 @@ from .dynamics import (
     simulate,
 )
 from .forces import (
+    GRADIENT_TOL,
     BergerForce,
     ForceModel,
     KirchhoffForce,
@@ -206,7 +207,7 @@ def check_force_models(s: _Setup):
     interior = np.s_[2:-2, 2:-2]
     bracket_err = max(float(np.max(np.abs(br1[interior] - 4.0))),
                       float(np.max(np.abs(br2[interior] + 2.0))))
-    ok = (max(grad_errs.values()) <= 1e-4
+    ok = (max(grad_errs.values()) <= GRADIENT_TOL
           and all(c[1] for c in coerc.values())
           and airy_res <= 1e-8
           and bracket_err <= 1e-9)

@@ -17,7 +17,8 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from plateflow.dynamics import IntegratorError, per_sample, simulate
+from plateflow import dynamics
+from plateflow.dynamics import IntegratorError, Stepper, per_sample, simulate
 from plateflow.galerkin import AssemblyError, GalerkinSystem
 from plateflow.mesh import (BeamOperators, Grid, GridError, VelocityField, beam_operators,
                             inner_fluid, plate_mean)
@@ -258,6 +259,40 @@ def plate2d_eigenmodes(g: PlateGrid2D, n_modes: int):
 
 # ---------------------------------------------------------------------------
 # trajectories (plateflow.dynamics)
+
+def midpoint_step(stepper: Stepper, y: np.ndarray) -> np.ndarray:
+    """Stepper.step's fixed point in its first form: every iteration checks
+    each live column for a non-finite update, writes the live columns into
+    y_next, then tests them against FP_TOL and freezes the converged ones."""
+    Y = y.reshape(len(y), -1)
+    base = stepper._P @ Y + stepper._p
+    if stepper.model is None:
+        return base.reshape(y.shape)
+    beta, PB = stepper._beta, stepper._PB
+    y_next = base - PB @ stepper._fc(Y[beta])
+    cols = slice(None)
+    last = None
+    failure, k = "did not converge", 0
+    for _ in range(dynamics.FP_MAXIT):
+        y_old = y_next[:, cols]
+        mid = 0.5 * (Y[beta, cols] + y_old[beta])
+        y_new = base[:, cols] - PB @ stepper._fc(mid)
+        delta = np.abs(y_new - y_old).max(0)
+        finite = np.isfinite(delta)
+        if not finite.all():
+            failure, k = "diverged (non-finite iterate)", np.flatnonzero(~finite)[0]
+            break
+        y_next[:, cols] = y_new
+        going = delta > dynamics.FP_TOL * (1.0 + np.abs(y_new).max(0))
+        if not going.any():
+            return y_next.reshape(y.shape)
+        if not going.all():
+            cols, delta = np.arange(Y.shape[1])[cols][going], delta[going]
+        last = delta
+    raise IntegratorError(
+        f"force fixed point {failure} in member {np.arange(Y.shape[1])[cols][k]} (last update "
+        f"{np.nan if last is None else last[k]:.3e}); reduce the time step")
+
 
 def continuous_dependence_probe(sys: GalerkinSystem, y0: np.ndarray, delta: float,
                                 T: float, dt: float, model=None, rng=None):

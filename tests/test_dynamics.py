@@ -16,7 +16,7 @@ from plateflow.dynamics import (
     simulate,
 )
 from plateflow.forces import BergerForce, KirchhoffForce
-from oracles import continuous_dependence_probe
+from oracles import continuous_dependence_probe, midpoint_step
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +255,53 @@ def test_batched_step_failure_names_the_member(sys_free, grid, monkeypatch):
     monkeypatch.setattr("plateflow.dynamics.FP_MAXIT", 3)
     with pytest.raises(IntegratorError, match=r"did not converge in member 1 \(last update"):
         stepper.step(np.column_stack([small, slow, slow]))
+
+
+def test_step_is_the_first_fixed_point_bit_for_bit(sys_free, sys_forced, grid, monkeypatch):
+    # Stepper.step against the fixed point as first written
+    # (oracles.midpoint_step): twenty Kirchhoff steps and twenty linear steps
+    # of one state, and a stiff Berger batch whose columns freeze after
+    # different iteration counts
+    for model in (_loaded_models(grid)["kirchhoff"], None):
+        stepper = Stepper(sys_forced, 1e-3, model)
+        y = _random_unit_state(sys_forced, seed=80, scale=0.8)
+        for _ in range(20):
+            want = midpoint_step(stepper, y)
+            y = stepper.step(y)
+            assert np.array_equal(y, want)
+    stepper = Stepper(sys_free, 0.05, BergerForce(grid, kappa=1e6))
+    widths, fc = [], stepper._fc
+    monkeypatch.setattr(stepper, "_fc", lambda beta: widths.append(beta.shape[1]) or fc(beta))
+    batch = np.column_stack([_random_unit_state(sys_free, seed=s, scale=a)
+                             for s, a in ((50, 1e-6), (51, 0.2), (53, 0.05), (54, 1e-3))])
+    got = stepper.step(batch)
+    assert len(set(widths)) >= 3                  # two freezes, at different iterations
+    assert np.array_equal(got, midpoint_step(stepper, batch))
+
+
+def test_step_fails_as_the_first_fixed_point(sys_free, grid, monkeypatch):
+    # a diverging column, alone or after others froze, and a run out of
+    # iterations raise with the member and the last update of the first form
+    small = _random_unit_state(sys_free, seed=50, scale=1e-6)
+    slow = _random_unit_state(sys_free, seed=51, scale=0.2)
+    big = _random_unit_state(sys_free, seed=52, scale=10.0)
+    stepper = Stepper(sys_free, 0.05, BergerForce(grid, kappa=1e6))
+
+    def messages(y):
+        out = []
+        for step in (lambda y: midpoint_step(stepper, y), stepper.step):
+            with pytest.raises(IntegratorError) as exc:
+                step(y)
+            out.append(str(exc.value))
+        return out
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y in (big, np.column_stack([small, slow, small, big]), np.column_stack([big, small])):
+            want, got = messages(y)
+            assert got == want and "diverged" in got
+    monkeypatch.setattr("plateflow.dynamics.FP_MAXIT", 3)
+    want, got = messages(np.column_stack([small, slow, slow]))
+    assert got == want and "did not converge in member 1" in got
 
 
 def _trapezoid_conv(t, du2, gamma_star):

@@ -54,6 +54,20 @@ def test_compare_artifacts(tmp_path, energy, rows, code):
     assert proc.returncode == code, proc.stdout + proc.stderr
 
 
+@pytest.mark.parametrize("key, a, b, code", [
+    ("gradient_errors", 2e-11, 4e-11, 0),      # finite-difference noise, both under the bound
+    ("gradient_errors", 2e-11, 2e-4, 1),       # one side over the bound
+    ("lipschitz", 2e-11, 4e-11, 1),            # other keys compare the numbers
+])
+def test_compare_artifacts_judges_gradient_errors_by_their_bound(tmp_path, key, a, b, code):
+    for side, x in (("a", a), ("b", b)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "forces_verify.json").write_text(
+            json.dumps({key: {"von_karman": x}, "pass": True}))
+    proc = _run("compare_artifacts.py", str(tmp_path / "a"), str(tmp_path / "b"), cwd=tmp_path)
+    assert proc.returncode == code, proc.stdout + proc.stderr
+
+
 def test_compare_artifacts_rejects_key_and_file_mismatches(tmp_path):
     _write_artifacts(tmp_path / "a", 0.5, [(0.0, 0.5)])
     _write_artifacts(tmp_path / "b", 0.5, [(0.0, 0.5)])

@@ -2,6 +2,7 @@ import numpy as np
 
 from plateflow.dynamics import simulate
 from plateflow.spectrum import (
+    CONTRACTION_TOL,
     contraction_norm,
     gamma_operator_checks,
     generator_eigenvalues,
@@ -39,7 +40,7 @@ def test_each_conjugate_pair_lists_plus_im_first(sys_free):
 
 def test_semigroup_contracts_in_energy_norm(sys_free):
     for T in (0.25, 1.0, 4.0):
-        assert contraction_norm(sys_free, T) <= 1.0 + 1e-10
+        assert contraction_norm(sys_free, T) <= 1.0 + CONTRACTION_TOL
     # and strictly decays for long horizons
     assert contraction_norm(sys_free, 4.0) < contraction_norm(sys_free, 0.25)
 
