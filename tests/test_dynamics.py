@@ -280,8 +280,9 @@ def test_step_is_the_first_fixed_point_bit_for_bit(sys_free, sys_forced, grid, m
 
 
 def test_step_fails_as_the_first_fixed_point(sys_free, grid, monkeypatch):
-    # a diverging column, alone or after others froze, and a run out of
-    # iterations raise with the member and the last update of the first form
+    # a diverging column, alone or after others froze, a run out of
+    # iterations and an update that overflows to inf raise with the member
+    # and the last update of the first form
     small = _random_unit_state(sys_free, seed=50, scale=1e-6)
     slow = _random_unit_state(sys_free, seed=51, scale=0.2)
     big = _random_unit_state(sys_free, seed=52, scale=10.0)
@@ -302,6 +303,19 @@ def test_step_fails_as_the_first_fixed_point(sys_free, grid, monkeypatch):
     monkeypatch.setattr("plateflow.dynamics.FP_MAXIT", 3)
     want, got = messages(np.column_stack([small, slow, slow]))
     assert got == want and "did not converge in member 1" in got
+    # a force that overflows past the start state makes every entry of the
+    # update +-inf and none nan, so the relative test alone would pass it
+    start = small[stepper._beta, None]
+
+    def overflow(beta):
+        f = np.zeros_like(beta)
+        f[0] = 0.0 if np.array_equal(beta, start) else np.inf
+        return f
+    assert np.all(stepper._PB[:, 0] != 0.0)
+    monkeypatch.setattr(stepper, "_fc", overflow)
+    with np.errstate(invalid="ignore"):
+        want, got = messages(small)
+    assert got == want and "diverged" in got
 
 
 def _trapezoid_conv(t, du2, gamma_star):
