@@ -247,7 +247,7 @@ def cmd_attract(cfg: ExperimentConfig) -> int:
                     stride=cfg.integration.stride)
     dist, eq = distance_to_equilibrium(sys_, traj.states, model)
     write_csv(os.path.join(cfg.output.dir, "attract.csv"), ("t", "distance"),
-              list(zip(traj.t, dist)))
+              zip(traj.t.tolist(), dist.tolist()))
     summary = {
         "final_distance": float(dist[-1]),
         "equilibrium_residual": eq.residual,
@@ -263,7 +263,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     sys_ = assemble(basis, cfg.physics.nu)
     ev = generator_eigenvalues(sys_)
     write_csv(os.path.join(cfg.output.dir, "spectrum.csv"), ("re", "im"),
-              [(z.real, z.imag) for z in ev])
+              zip(ev.real.tolist(), ev.imag.tolist()))
     y0 = sys_.random_state(np.random.default_rng(cfg.probes.seed))
     abscissa = spectral_abscissa(sys_)
     contr = contraction_norm(sys_, 1.0)

@@ -41,7 +41,7 @@ class ForceModel:
         columns (n, B), and dfc(beta) = dfc/dbeta (n, n) at one beta.  By
         default the nodal force and Jacobian projected by hXi = h_x xi."""
         hXi, xiT = h_x * xi, xi.T
-        return (lambda beta: hXi @ self.force(xiT @ beta),
+        return (lambda beta: hXi.dot(self.force(xiT.dot(beta))),
                 lambda beta: hXi @ self.jacobian(xiT @ beta) @ xiT)
 
 
@@ -56,10 +56,10 @@ class KirchhoffForce(ForceModel):
     """
 
     grid: Grid
-    kappa: float = 0.0
-    q: float = 2.0
-    r: float = 0.0
-    mu: float = 0.0
+    kappa: float
+    q: float
+    r: float
+    mu: float
     ops: BeamOperators = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -70,10 +70,10 @@ class KirchhoffForce(ForceModel):
         self.ops = beam_operators(self.grid)
 
     def force(self, u):
-        s = self.ops.D @ u
+        s = self.ops.D.dot(u)
         a = np.abs(s)
         flux = self.kappa * (a ** self.q * s - self.mu * a ** self.r * s)
-        return self.ops.D.T @ flux + (u ** 3 - u)
+        return self.ops.D.T.dot(flux) + (u ** 3 - u)
 
     def jacobian(self, u):
         """dF/du = D^T diag(phi'(D u)) D + diag(3u^2 - 1)."""
@@ -99,8 +99,8 @@ class BergerForce(ForceModel):
     force and potential take u as (n_plate,) or as B columns (n_plate, B)."""
 
     grid: Grid
-    kappa: float = 1.0
-    gamma: float = 0.0
+    kappa: float
+    gamma: float
     ops: BeamOperators = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -130,7 +130,7 @@ class BergerForce(ForceModel):
         c, gamma = self.kappa * (self.grid.h_x / h_x), self.gamma
 
         def fc(beta):
-            hKb = hK @ beta
+            hKb = hK.dot(beta)
             return (c * np.vecdot(beta, hKb, axis=0) - gamma) * hKb
 
         def dfc(beta):

@@ -258,9 +258,9 @@ class BeamOperators:
     """
 
     grid: Grid
-    D: np.ndarray = field(repr=False, default=None)
-    K: np.ndarray = field(repr=False, default=None)
-    C: np.ndarray = field(repr=False, default=None)
+    D: np.ndarray = field(repr=False)
+    K: np.ndarray = field(repr=False)
+    C: np.ndarray = field(repr=False)
 
 
 def beam_operators(g: Grid) -> BeamOperators:

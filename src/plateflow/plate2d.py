@@ -31,7 +31,7 @@ from .mesh import kron, offdiag
 class PlateGrid2D:
     """Unit-square clamped plate, n cells per side, unknowns at interior nodes."""
 
-    n: int = 32
+    n: int
 
     def __post_init__(self):
         if self.n < 8:

@@ -34,7 +34,7 @@ class Equilibrium:
     energy: float                   # value of the stationary functional Psi
 
 
-def solve_stationary_stokes(gf: VelocityField, g: Grid, nu: float = 1.0):
+def solve_stationary_stokes(gf: VelocityField, g: Grid, nu: float):
     """Stationary flow for body force gf with no-slip walls.
 
     Returns (solution, p_star_trace).  Raises StationaryError when the
@@ -51,8 +51,7 @@ def solve_stationary_stokes(gf: VelocityField, g: Grid, nu: float = 1.0):
     return sol, solver.pressure_trace(sol, gf)
 
 
-def stationary_residual(sys: GalerkinSystem, beta: np.ndarray,
-                        model: ForceModel | None = None) -> float:
+def stationary_residual(sys: GalerkinSystem, beta: np.ndarray, model: ForceModel | None) -> float:
     """Norm of the stationary plate equations over the plate mode basis."""
     r = sys.kappa * beta + sys.force_map(model)(beta) - sys.pstar - sys.f_plate
     return float(np.linalg.norm(r))
@@ -62,8 +61,8 @@ def _psi_value(sys: GalerkinSystem, beta, load, model):
     return 0.5 * float(sys.kappa @ beta ** 2) + sys.potential(model, beta) - float(load @ beta)
 
 
-def minimize_stationary(sys: GalerkinSystem, model: ForceModel | None = None,
-                        beta_init: np.ndarray | None = None) -> Equilibrium:
+def minimize_stationary(sys: GalerkinSystem, model: ForceModel | None,
+                        beta_init: np.ndarray) -> Equilibrium:
     """Descend the stationary plate functional Psi on zero-mean mode coefficients.
 
     Each step is the Newton step on the exact Hessian diag(kappa) + dfc/dbeta
@@ -75,7 +74,7 @@ def minimize_stationary(sys: GalerkinSystem, model: ForceModel | None = None,
     residual is then above STAT_TOL.  The zero-mean restriction is built
     into the basis, which fixes the additive pressure constant.
     """
-    beta = np.zeros(sys.n) if beta_init is None else np.array(beta_init, float)
+    beta = np.array(beta_init, float)
     fc, jac = sys.force_map(model), sys.force_jacobian(model)
     load = sys.pstar + sys.f_plate
     norm = np.linalg.norm
@@ -107,15 +106,14 @@ def minimize_stationary(sys: GalerkinSystem, model: ForceModel | None = None,
     return Equilibrium(beta_star=beta, residual=res, energy=val)
 
 
-def find_equilibria(sys: GalerkinSystem, model: ForceModel | None = None,
-                    seed: int = 0) -> list[Equilibrium]:
+def find_equilibria(sys: GalerkinSystem, model: ForceModel | None, seed: int) -> list[Equilibrium]:
     """Multi-start descent from the flat state and 7 random ones of
     scale 0.5; returns distinct equilibria sorted by energy.  Energies equal to
     1e-12 relative (the +-beta pair of a symmetric plate) tie and are ordered
     by the first plate coefficient, larger first."""
     rng = np.random.default_rng(seed)
     found = []
-    inits = [None] + [0.5 * rng.standard_normal(sys.n) for _ in range(7)]
+    inits = [np.zeros(sys.n)] + [0.5 * rng.standard_normal(sys.n) for _ in range(7)]
     for b0 in inits:
         try:
             eq = minimize_stationary(sys, model, beta_init=b0)
@@ -139,8 +137,7 @@ def equilibrium_state(sys: GalerkinSystem, eq: Equilibrium) -> np.ndarray:
 DISTANCE_TOL = 1e-4
 
 
-def distance_to_equilibrium(sys: GalerkinSystem, states: np.ndarray,
-                            model: ForceModel | None = None):
+def distance_to_equilibrium(sys: GalerkinSystem, states: np.ndarray, model: ForceModel | None):
     """Distance of every sampled state (samples, N) to the equilibrium that descent
     from the last sample's plate coefficients finds.
 

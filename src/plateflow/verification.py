@@ -68,7 +68,7 @@ from .steady import DISTANCE_TOL, distance_to_equilibrium, solve_stationary_stok
 class _Setup:
     """Shared grid/basis/system for the battery (built once)."""
 
-    def __init__(self, cfg: ExperimentConfig, cache_dir=None):
+    def __init__(self, cfg: ExperimentConfig, cache_dir):
         self.cfg, self.cache_dir = cfg, cache_dir
         self.grid = build_grid(cfg.geometry)
         self.basis = build_modal_basis(self.grid, cfg.modes.m, cfg.modes.n, cache_dir)
@@ -393,12 +393,12 @@ def _run_checks(s: _Setup, names: list[str], report=None) -> dict:
     return {name: results[name] for name in names}
 
 
-def run_criterion(name: str, cfg: ExperimentConfig, cache_dir=None):
+def run_criterion(name: str, cfg: ExperimentConfig, cache_dir):
     """Run one criterion of the battery on its own set-up; returns its result dict."""
     return _run_checks(_Setup(cfg, cache_dir), [name])[name]
 
 
-def run_all(cfg: ExperimentConfig, cache_dir=None, report=print):
+def run_all(cfg: ExperimentConfig, cache_dir, report):
     """Run the whole battery; returns (summary dict, all passed)."""
     summary = _run_checks(_Setup(cfg, cache_dir), CRITERIA, report)
     return summary, all(result["pass"] for result in summary.values())

@@ -19,6 +19,7 @@ import scipy.sparse.linalg as spla
 
 from plateflow import dynamics
 from plateflow.dynamics import IntegratorError, Stepper, per_sample, simulate
+from plateflow.forces import BergerForce, KirchhoffForce
 from plateflow.galerkin import AssemblyError, GalerkinSystem
 from plateflow.mesh import (BeamOperators, Grid, GridError, VelocityField, beam_operators,
                             inner_fluid, plate_mean)
@@ -258,6 +259,36 @@ def plate2d_eigenmodes(g: PlateGrid2D, n_modes: int):
 
 
 # ---------------------------------------------------------------------------
+# force maps (plateflow.forces) with their products written as @
+
+def kirchhoff_force(model: KirchhoffForce, u: np.ndarray) -> np.ndarray:
+    """KirchhoffForce.force."""
+    D = model.ops.D
+    s = D @ u
+    a = np.abs(s)
+    flux = model.kappa * (a ** model.q * s - model.mu * a ** model.r * s)
+    return D.T @ flux + (u ** 3 - u)
+
+
+def projected_fc(force, xi: np.ndarray, h_x: float):
+    """The fc of the default ForceModel.modal for the nodal force map force."""
+    hXi, xiT = h_x * xi, xi.T
+    return lambda beta: hXi @ force(xiT @ beta)
+
+
+def berger_fc(model: BergerForce, xi: np.ndarray, h_x: float):
+    """The fc of BergerForce.modal."""
+    DX = model.ops.D @ xi.T
+    hK = h_x * (DX.T @ DX)
+    c = model.kappa * (model.grid.h_x / h_x)
+
+    def fc(beta):
+        hKb = hK @ beta
+        return (c * np.vecdot(beta, hKb, axis=0) - model.gamma) * hKb
+    return fc
+
+
+# ---------------------------------------------------------------------------
 # trajectories (plateflow.dynamics)
 
 def midpoint_step(stepper: Stepper, y: np.ndarray) -> np.ndarray:
@@ -308,7 +339,7 @@ def continuous_dependence_probe(sys: GalerkinSystem, y0: np.ndarray, delta: floa
     W = rng.standard_normal(y0.shape)
     W /= max(sys.state_norm(W), 1e-300)
     runs = np.column_stack([y0, y0 + delta * W, y0 + (0.5 * delta) * W])
-    states = simulate(sys, runs, T, dt, model).states
+    states = simulate(sys, runs, T, dt, model, stride=10).states
 
     def supdiff(j):
         return float(np.max(per_sample(sys.state_norm, states[..., j] - states[..., 0])))

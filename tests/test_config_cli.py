@@ -109,6 +109,23 @@ def test_csv_row_of_floats_matches_cells(tmp_path, monkeypatch):
     assert open(path, "rb").read() == cells
 
 
+def test_attract_and_spectrum_write_rows_of_python_floats(tmp_path, monkeypatch):
+    # so both tables take write_csv's whole-row path
+    seen = {}
+
+    def record(path, header, rows):
+        seen[os.path.basename(path)] = rows = list(rows)
+        write_csv(path, header, rows)
+    monkeypatch.setattr("plateflow.cli.write_csv", record)
+    out = str(tmp_path / "out")
+    assert main(["attract", "--config", _write(tmp_path, "[integration]\nT = 0.1\n"),
+                 "--out", out]) == 1
+    assert main(["spectrum", "--out", out]) == 0
+    assert sorted(seen) == ["attract.csv", "spectrum.csv"]
+    assert len(seen["attract.csv"]) == 11 and len(seen["spectrum.csv"]) == 12 + 2 * 8
+    assert all(type(x) is float for rows in seen.values() for row in rows for x in row)
+
+
 # -- CLI --------------------------------------------------------------------
 
 def test_cli_bad_config_exits_2(tmp_path):

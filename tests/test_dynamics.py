@@ -33,9 +33,9 @@ def _random_unit_state(sys, seed=0, scale=1.0):
 def test_stepper_rejects_bad_dt(sys_free):
     for dt in (0.0, -1e-3, np.nan, np.inf):
         with pytest.raises(IntegratorError, match=f"dt must be finite and positive, got {dt}"):
-            Stepper(sys_free, dt=dt)
+            Stepper(sys_free, dt=dt, model=None)
     with pytest.raises(IntegratorError, match="dt must be finite and positive, got inf"):
-        simulate(sys_free, _random_unit_state(sys_free, seed=70), T=0.1, dt=np.inf)
+        simulate(sys_free, _random_unit_state(sys_free, seed=70), T=0.1, dt=np.inf, stride=10)
 
 
 def test_midpoint_matches_scalar_formula_per_mode(sys_free):
@@ -43,7 +43,7 @@ def test_midpoint_matches_scalar_formula_per_mode(sys_free):
     dt = 1e-3
     A, c = sys_free.A, sys_free.c
     y0 = _random_unit_state(sys_free, seed=1)
-    y1 = Stepper(sys_free, dt).step(y0)
+    y1 = Stepper(sys_free, dt, None).step(y0)
     want = np.linalg.solve(np.eye(len(y0)) - 0.5 * dt * A,
                            (np.eye(len(y0)) + 0.5 * dt * A) @ y0 + dt * c)
     assert np.max(np.abs(y1 - want)) < 1e-13
@@ -75,7 +75,7 @@ def test_energy_monotone_unforced(sys_free, berger):
 
 def test_simulate_zero_horizon(sys_free):
     y0 = _random_unit_state(sys_free, seed=5)
-    tr = simulate(sys_free, y0, T=0.0, dt=1e-3)
+    tr = simulate(sys_free, y0, T=0.0, dt=1e-3, stride=10)
     assert len(tr.t) == 1 and tr.t[0] == 0.0
     assert np.array_equal(tr.states[0], y0)
 
@@ -179,11 +179,11 @@ def test_attractor_regularity_probe_flags_growth(sys_free):
 
 def test_fixed_point_failure_is_reported(sys_free, grid):
     # an enormous force with a huge step cannot contract
-    wild = BergerForce(grid, kappa=1e12)
+    wild = BergerForce(grid, kappa=1e12, gamma=0.0)
     y0 = _random_unit_state(sys_free, seed=13, scale=10.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegratorError, match="converge|diverge"):
-            simulate(sys_free, y0, T=1.0, dt=0.5, model=wild)
+            simulate(sys_free, y0, T=1.0, dt=0.5, model=wild, stride=10)
 
 
 def _loaded_models(grid):
@@ -242,7 +242,7 @@ def test_batched_step_failure_names_the_member(sys_free, grid, monkeypatch):
     # column 1 converges slowly while column 3 diverges: the error names
     # column 3 with its last finite update; when the iterations run out, it
     # names the first column still iterating
-    stiff = BergerForce(grid, kappa=1e6)
+    stiff = BergerForce(grid, kappa=1e6, gamma=0.0)
     small = _random_unit_state(sys_free, seed=50, scale=1e-6)
     slow = _random_unit_state(sys_free, seed=51, scale=0.2)
     big = _random_unit_state(sys_free, seed=52, scale=10.0)
@@ -260,8 +260,9 @@ def test_batched_step_failure_names_the_member(sys_free, grid, monkeypatch):
 def test_step_is_the_first_fixed_point_bit_for_bit(sys_free, sys_forced, grid, monkeypatch):
     # Stepper.step against the fixed point as first written
     # (oracles.midpoint_step): twenty Kirchhoff steps and twenty linear steps
-    # of one state, and a stiff Berger batch whose columns freeze after
-    # different iteration counts
+    # of one state, twenty steps of a Berger batch as wide as quasi_stability's
+    # ensemble, and a stiff Berger batch whose columns freeze after different
+    # iteration counts
     for model in (_loaded_models(grid)["kirchhoff"], None):
         stepper = Stepper(sys_forced, 1e-3, model)
         y = _random_unit_state(sys_forced, seed=80, scale=0.8)
@@ -269,7 +270,13 @@ def test_step_is_the_first_fixed_point_bit_for_bit(sys_free, sys_forced, grid, m
             want = midpoint_step(stepper, y)
             y = stepper.step(y)
             assert np.array_equal(y, want)
-    stepper = Stepper(sys_free, 0.05, BergerForce(grid, kappa=1e6))
+    stepper = Stepper(sys_forced, 1e-3, _loaded_models(grid)["berger"])
+    y = np.column_stack([_random_unit_state(sys_forced, seed=s, scale=0.8) for s in range(80, 100)])
+    for _ in range(20):
+        want = midpoint_step(stepper, y)
+        y = stepper.step(y)
+        assert np.array_equal(y, want)
+    stepper = Stepper(sys_free, 0.05, BergerForce(grid, kappa=1e6, gamma=0.0))
     widths, fc = [], stepper._fc
     monkeypatch.setattr(stepper, "_fc", lambda beta: widths.append(beta.shape[1]) or fc(beta))
     batch = np.column_stack([_random_unit_state(sys_free, seed=s, scale=a)
@@ -286,7 +293,7 @@ def test_step_fails_as_the_first_fixed_point(sys_free, grid, monkeypatch):
     small = _random_unit_state(sys_free, seed=50, scale=1e-6)
     slow = _random_unit_state(sys_free, seed=51, scale=0.2)
     big = _random_unit_state(sys_free, seed=52, scale=10.0)
-    stepper = Stepper(sys_free, 0.05, BergerForce(grid, kappa=1e6))
+    stepper = Stepper(sys_free, 0.05, BergerForce(grid, kappa=1e6, gamma=0.0))
 
     def messages(y):
         out = []

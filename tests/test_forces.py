@@ -19,7 +19,7 @@ from plateflow.plate2d import (
     clamped_laplacian_map,
     vk_bracket,
 )
-from oracles import plate2d_eigenmodes
+from oracles import berger_fc, kirchhoff_force, plate2d_eigenmodes, projected_fc
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +35,11 @@ def g2():
 
 def test_parameter_validation(grid):
     with pytest.raises(ForceModelError):
-        KirchhoffForce(grid, kappa=-1.0)
+        KirchhoffForce(grid, kappa=-1.0, q=2.0, r=0.0, mu=0.0)
     with pytest.raises(ForceModelError):
-        KirchhoffForce(grid, q=1.0, r=2.0)
+        KirchhoffForce(grid, kappa=0.0, q=1.0, r=2.0, mu=0.0)
     with pytest.raises(ForceModelError):
-        BergerForce(grid, kappa=0.0)
+        BergerForce(grid, kappa=0.0, gamma=0.0)
 
 
 def test_kirchhoff_force_is_exact_gradient(grid, rng):
@@ -71,14 +71,33 @@ def test_kirchhoff_local_term_condition(grid, basis, rng):
     # the local term is the fixed cubic f(s) = s^3 - s: at kappa = 0 it is the
     # whole force
     u = rng.standard_normal((grid.n_plate, 3))
-    model = KirchhoffForce(grid, kappa=0.0, q=2.0)
+    model = KirchhoffForce(grid, kappa=0.0, q=2.0, r=0.0, mu=0.0)
     assert np.array_equal(model.force(u), u ** 3 - u)
     # so liminf f(s)/s > -lambda_1: f(s)/s = s^2 - 1 >= -1 > -lambda_1, with
     # lambda_1 the smallest bending eigenvalue of the basis
     s = np.linspace(-30.0, 30.0, 20 * grid.n_plate).reshape(grid.n_plate, 20)   # no s = 0
-    ratio = KirchhoffForce(grid, kappa=0.0, q=2.0).force(s) / s
+    ratio = KirchhoffForce(grid, kappa=0.0, q=2.0, r=0.0, mu=0.0).force(s) / s
     assert np.max(np.abs(ratio - (s ** 2 - 1.0)) / (s ** 2 + 1.0)) < 1e-14
     assert np.min(ratio) >= -1.0 > -basis.kappa[0]
+
+
+def test_force_maps_equal_their_matmul_forms_bit_for_bit(grid, basis, rng):
+    # the per-step products call ndarray.dot; written with @ they give the
+    # same bytes, for single states and for batches
+    kirchhoff = KirchhoffForce(grid, kappa=1.0, q=2.0, r=0.0, mu=0.5)
+    berger = BergerForce(grid, kappa=5.0, gamma=30.0)
+    for shape in ((grid.n_plate,), (grid.n_plate, 4)):
+        u = rng.standard_normal(shape)
+        assert np.array_equal(kirchhoff.force(u), kirchhoff_force(kirchhoff, u))
+    xi, h_x = basis.xi, grid.h_x
+    maps = [(kirchhoff.modal(xi, h_x)[0],
+             projected_fc(lambda u: kirchhoff_force(kirchhoff, u), xi, h_x)),
+            (berger.modal(xi, h_x)[0], berger_fc(berger, xi, h_x))]
+    n = len(basis.kappa)
+    for shape in ((n,), (n, 1), (n, 4), (n, 20)):
+        beta = rng.standard_normal(shape)
+        for fc, want in maps:
+            assert np.array_equal(fc(beta), want(beta))
 
 
 def test_surrogate_norm_ordering(norms, rng):
@@ -97,7 +116,7 @@ def test_lipschitz_estimate_grows_superlinearly(basis, grid, norms, rng):
 
 
 def test_coercivity_sweep(grid, norms, rng):
-    good = KirchhoffForce(grid, kappa=1.0, q=2.0)
+    good = KirchhoffForce(grid, kappa=1.0, q=2.0, r=0.0, mu=0.0)
     _, ok = verify_coercivity(good, norms, grid, rng=np.random.default_rng(5))
     assert ok
     # a strongly destabilizing local term, potential -2.5e5 u^4, blows the

@@ -253,7 +253,7 @@ def test_a_new_force_model_runs_through_the_default_modal_form(sys_forced, grid,
     # form from ForceModel.modal, the nodal force and Jacobian projected by
     # hXi, and runs simulate and minimize_stationary as Kirchhoff's local term
     # (kappa = 0) does
-    model, kirchhoff = LocalCubic(grid), KirchhoffForce(grid, kappa=0.0)
+    model, kirchhoff = LocalCubic(grid), KirchhoffForce(grid, kappa=0.0, q=2.0, r=0.0, mu=0.0)
     fc, dfc = model.modal(sys_forced.basis.xi, grid.h_x)
     beta = 0.7 * rng.standard_normal(sys_forced.n)
     u = sys_forced.plate_deflection(beta)
@@ -264,7 +264,9 @@ def test_a_new_force_model_runs_through_the_default_modal_form(sys_forced, grid,
             for f in (model, kirchhoff)]
     assert np.max(np.abs(runs[0].states - runs[1].states)) <= 1e-13 * np.max(np.abs(runs[1].states))
     assert np.max(np.abs(runs[0].balance_residual)) < 1e-5
-    eq, want = minimize_stationary(sys_forced, model), minimize_stationary(sys_forced, kirchhoff)
+    flat = np.zeros(sys_forced.n)
+    eq, want = (minimize_stationary(sys_forced, model, flat),
+                minimize_stationary(sys_forced, kirchhoff, flat))
     assert eq.residual < 1e-8
     assert np.max(np.abs(eq.beta_star - want.beta_star)) <= 1e-10 * np.max(np.abs(want.beta_star))
 
@@ -295,5 +297,5 @@ def test_stepper_and_descent_call_the_models_modal_form(sys_forced, grid, rng):
     Stepper(sys_forced, 1e-3, Counted(grid)).step(y)
     assert calls["fc"] > 0 and calls["force"] == calls["fc"] and calls["dfc"] == 0
     calls.update(fc=0, force=0)
-    minimize_stationary(sys_forced, Counted(grid))
+    minimize_stationary(sys_forced, Counted(grid), np.zeros(sys_forced.n))
     assert calls["fc"] > 0 and calls["force"] == calls["fc"] and calls["dfc"] > 0

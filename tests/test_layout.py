@@ -110,20 +110,36 @@ def _calls(tree):
             yield name, float("inf") if starred else len(node.args), None if None in kw else kw
 
 
-def test_every_defaulted_parameter_in_src_is_set_outside_the_tests():
-    # the classes parse_config fills from the experiment file take every
-    # field from there, not from a call
-    skip = {c.__name__ for c in (*config._SECTIONS.values(), config.ExperimentConfig)}
+# the classes parse_config fills from the experiment file take every field
+# from there, not from a call
+SKIP = {c.__name__ for c in (*config._SECTIONS.values(), config.ExperimentConfig)}
+
+
+def _defaults_and_calls():
+    """(path, name, parameter, whether a call sets it) of each defaulted
+    parameter in src/plateflow, per call of that name in src/plateflow,
+    scripts and perfbench."""
     calls = [c for p in USERS for c in _calls(ast.parse(p.read_text(encoding="utf-8")))]
+    for path in SRC:
+        for name, param, position in _defaulted(ast.parse(path.read_text(encoding="utf-8")), SKIP):
+            yield path, name, param, [position < n or kw is None or param in kw
+                                      for c, n, kw in calls if c == name]
+
+
+def test_every_defaulted_parameter_in_src_is_set_outside_the_tests():
     unset = [f"{path.relative_to(ROOT)}: {name}({param})"
-             for path in SRC
-             for name, param, position in _defaulted(ast.parse(path.read_text(encoding="utf-8")),
-                                                     skip)
-             if not any(c == name and (position < n or kw is None or param in kw)
-                        for c, n, kw in calls)]
+             for path, name, param, sets in _defaults_and_calls() if not any(sets)]
     assert not unset, ("parameters with a default in src/plateflow that no call in src/plateflow, "
                        "scripts or perfbench sets (make each the constant the program uses):\n"
                        + "\n".join(unset))
+
+
+def test_every_default_in_src_is_relied_on_outside_the_tests():
+    unused = [f"{path.relative_to(ROOT)}: {name}({param})"
+              for path, name, param, sets in _defaults_and_calls() if all(sets)]
+    assert not unused, ("parameters with a default in src/plateflow that every call in "
+                        "src/plateflow, scripts and perfbench sets (drop the default):\n"
+                        + "\n".join(unused))
 
 
 IMPORTERS = SRC + sorted(p for d in ("tests", "scripts", "perfbench", "perfbench/tests")

@@ -134,7 +134,7 @@ def test_mass_matrix_positivity_reads_its_bases_through_the_cache(tmp_path, forb
     # cache: a second run solves no eigenproblem, and its cases equal those of
     # a run with no cache
     cfg = ExperimentConfig()
-    uncached = run_criterion("mass_matrix_positivity", cfg)
+    uncached = run_criterion("mass_matrix_positivity", cfg, None)
     assert run_criterion("mass_matrix_positivity", cfg, str(tmp_path)) == uncached
     forbid_eigensolve()
     assert run_criterion("mass_matrix_positivity", cfg, str(tmp_path)) == uncached
