@@ -73,7 +73,7 @@ class Stepper:
         to FP_TOL is frozen; a failure names its column."""
         Y = y.reshape(len(y), -1)
         # per-step products, here and in the force maps' fc, call ndarray.dot: @'s BLAS call
-        # and bytes without the matmul gufunc's dispatch, a third of a small product's cost
+        # and bytes without the matmul gufunc's dispatch, about half of a small @'s time
         base = self._P.dot(Y) + self._p
         if self.model is None:
             return base.reshape(y.shape)

@@ -270,10 +270,10 @@ def kirchhoff_force(model: KirchhoffForce, u: np.ndarray) -> np.ndarray:
     return D.T @ flux + (u ** 3 - u)
 
 
-def projected_fc(force, xi: np.ndarray, h_x: float):
-    """The fc of the default ForceModel.modal for the nodal force map force."""
+def kirchhoff_fc(model: KirchhoffForce, xi: np.ndarray, h_x: float):
+    """The fc of the default ForceModel.modal, which KirchhoffForce takes."""
     hXi, xiT = h_x * xi, xi.T
-    return lambda beta: hXi @ force(xiT @ beta)
+    return lambda beta: hXi @ kirchhoff_force(model, xiT @ beta)
 
 
 def berger_fc(model: BergerForce, xi: np.ndarray, h_x: float):
