@@ -12,12 +12,13 @@ import argparse
 
 import numpy as np
 
-from plateflow.dynamics import estar_monotone, simulate
+from plateflow.dynamics import simulate
 from plateflow.forces import BergerForce
 from plateflow.galerkin import ForcingConfig, assemble
 from plateflow.mesh import GeometryConfig, build_grid
 from plateflow.modal import build_modal_basis
 from plateflow.steady import distance_to_equilibrium
+from plateflow.verification import estar_monotone
 
 
 def main():

@@ -49,8 +49,6 @@ class IntegrationConfig:
 @dataclass
 class ProbesConfig:
     seed: int = 0
-    radius: float = 1.0
-    m_cap: float = 1e4
 
 
 @dataclass
@@ -148,10 +146,5 @@ def validate(cfg: ExperimentConfig):
         raise ConfigError("integration.T must be nonnegative")
     if i.stride < 1:
         raise ConfigError("integration.stride must be at least 1")
-    pr = cfg.probes
-    if pr.seed < 0:
+    if cfg.probes.seed < 0:
         raise ConfigError("probes.seed must be nonnegative")
-    if pr.radius <= 0:
-        raise ConfigError("probes.radius must be positive")
-    if pr.m_cap <= 0:
-        raise ConfigError("probes.m_cap must be positive")

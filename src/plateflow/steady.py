@@ -133,10 +133,6 @@ def equilibrium_state(sys: GalerkinSystem, eq: Equilibrium) -> np.ndarray:
     return sys.join(sys.alpha_star, eq.beta_star, np.zeros(sys.n))
 
 
-# a trajectory's last sample lies this close to its equilibrium (criterion 7)
-DISTANCE_TOL = 1e-4
-
-
 def distance_to_equilibrium(sys: GalerkinSystem, states: np.ndarray, model: ForceModel | None):
     """Distance of every sampled state (samples, N) to the equilibrium that descent
     from the last sample's plate coefficients finds.

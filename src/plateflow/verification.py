@@ -1,9 +1,9 @@
 """The full property-verification battery at desk scale.
 
-Each check ends in a dict with a boolean "pass" plus the measured numbers, so
-the CLI can print one line per criterion and the test suite can assert on the
-same data.  All tolerances are fixed here, not configurable: they encode the
-claims being verified.
+Each check returns its result dict and its measured values; judge holds them
+against BOUNDS, the one table of the bounds, which encode the claims being
+verified and are not configurable, and sets the result's boolean "pass".  The
+CLI prints one line per criterion and the tests assert on the same data.
 
 The battery runs as one schedule.  A check that integrates trajectories is a
 generator: it draws its random states, yields its run requests (_Run) and
@@ -28,7 +28,6 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .dynamics import (
-    BALANCE_TOL,
     IntegratorError,
     Trajectory,
     energy_balance_residual,
@@ -38,11 +37,9 @@ from .dynamics import (
     per_sample,
     quasi_stability_probe,
     attractor_regularity_probe,
-    estar_monotone,
     simulate,
 )
 from .forces import (
-    GRADIENT_TOL,
     BergerForce,
     ForceModel,
     KirchhoffForce,
@@ -56,13 +53,12 @@ from .mesh import build_grid, plate_mean
 from .modal import build_modal_basis
 from .plate2d import PlateGrid2D, VonKarmanForce, vk_bracket
 from .spectrum import (
-    CONTRACTION_TOL,
     contraction_norm,
     gamma_operator_checks,
     semigroup_consistency,
     spectral_abscissa,
 )
-from .steady import DISTANCE_TOL, distance_to_equilibrium, solve_stationary_stokes
+from .steady import distance_to_equilibrium, solve_stationary_stokes
 
 
 class _Setup:
@@ -100,17 +96,16 @@ class _Run(NamedTuple):
 
 
 def check_mass_matrix_positivity(s: _Setup):
-    results = []
+    cases = []
     for (m, n) in [(1, 1), (4, 4), (12, 8)]:
         if (m, n) == (s.cfg.modes.m, s.cfg.modes.n):
             sysmn = s.sys_free                  # the set-up's own basis; the others via its cache
         else:
             sysmn = assemble(build_modal_basis(s.grid, m, n, s.cache_dir), s.nu)
-        sym = float(np.max(np.abs(sysmn.M - sysmn.M.T)))
-        min_eig = float(np.min(np.linalg.eigvalsh(sysmn.M)))
-        results.append({"m": m, "n": n, "symmetry_error": sym, "min_eigenvalue": min_eig,
-                        "pass": sym <= 1e-12 and min_eig > 0})
-    return {"cases": results, "pass": all(r["pass"] for r in results)}
+        cases.append({"m": m, "n": n, "symmetry_error": float(np.max(np.abs(sysmn.M - sysmn.M.T))),
+                      "min_eigenvalue": float(np.min(np.linalg.eigvalsh(sysmn.M)))})
+    return {"cases": cases}, {q: {("cases", i, "pass"): c[q] for i, c in enumerate(cases)}
+                              for q in ("symmetry_error", "min_eigenvalue")}
 
 
 def check_energy_balance(s: _Setup):
@@ -120,41 +115,41 @@ def check_energy_balance(s: _Setup):
                            _Run(s.sys_forced, y0, T=2.0, dt=5e-4, model=s.berger, stride=20)]
     res_lin = energy_balance_residual(lin)
     res1, res2 = energy_balance_residual(nl1), energy_balance_residual(nl2)
-    ratio = res1 / max(res2, 1e-300)
-    ok = res_lin <= BALANCE_TOL and res1 <= BALANCE_TOL and 3.4 <= ratio <= 4.6
-    return {"linear_residual": res_lin, "berger_residual_dt": res1,
-            "berger_residual_half_dt": res2, "halving_ratio": ratio, "pass": ok}
+    return ({"linear_residual": res_lin, "berger_residual_dt": res1,
+             "berger_residual_half_dt": res2, "halving_ratio": res1 / max(res2, 1e-300)},
+            {"balance_residual": {"linear_residual": res_lin, "berger_residual_dt": res1}})
 
 
 def check_exponential_stability(s: _Setup):
     members = []
-    ok = True
     y0 = np.column_stack([s.random_state() for _ in range(10)])
     (tr,) = yield [_Run(s.sys_free, y0, T=4.0, dt=1e-3, stride=1, keep_states=False)]
     for E0 in tr.E0.T:
-        mono = bool(np.all(np.diff(E0) <= 1e-12))
         gam, fit_res = fit_decay_rate(tr.t, E0)
         rate = 0.5 * gam
-        rel = abs(rate - abs(s.abscissa)) / abs(s.abscissa)
-        members.append({"monotone": mono, "rate": rate, "fit_residual": fit_res,
-                        "abscissa_rel_error": rel})
-        ok = ok and mono and gam > 0 and rel <= 0.10
-    return {"abscissa": s.abscissa, "members": members, "pass": ok}
+        members.append({"rate": rate, "fit_residual": fit_res,
+                        "abscissa_rel_error": abs(rate - abs(s.abscissa)) / abs(s.abscissa)})
+    rise = np.max(np.diff(tr.E0, axis=0), axis=0).tolist()
+    return ({"abscissa": s.abscissa, "members": members},
+            {"E0_rise": {("members", i, "monotone"): r for i, r in enumerate(rise)},
+             **{q: [m[q] for m in members] for q in ("rate", "abscissa_rel_error")}})
 
 
 def check_lyapunov(s: _Setup):
-    table, eps_star = lyapunov_eps_scan(s.sys_free, n_states=100,
-                                        rng=np.random.default_rng(s.cfg.probes.seed + 1))
-    if eps_star is None:
-        return {"eps_star": None, "pass": False}
+    table = lyapunov_eps_scan(s.sys_free, n_states=100,
+                              rng=np.random.default_rng(s.cfg.probes.seed + 1))
+    # eps_star is the largest eps whose ratio range [a0, a1] meets the bounds;
+    # with none, the range at the smallest eps, which fails them, is measured
+    eps_star, a0, a1 = next((row for row in table if holds("lyapunov_construction", "a0", row[1])
+                             and holds("lyapunov_construction", "a1", row[2])),
+                            (None, *table[-1][1:]))
+    if eps_star is None:                        # no V to measure; an a0 or a1 row fails
+        return {"eps_star": None}, {"a0": a0, "a1": a1, "V_rise": {}}
     y0 = np.column_stack([s.random_state() for _ in range(10)])
     (tr,) = yield [_Run(s.sys_free, y0, T=3.0, dt=1e-3)]
     V = per_sample(lambda y: lyapunov_V(s.sys_free, y, eps_star), tr.states)
-    mono_ok = bool(np.all(np.diff(V, axis=0) <= 1e-12))
-    row = next(r for r in table if r[0] == eps_star)
-    # eps_star is the scan's pick because its ratio range lies in [0.5, 1.5]
-    return {"eps_star": eps_star, "a0": row[1], "a1": row[2],
-            "v_monotone": mono_ok, "pass": mono_ok}
+    return ({"eps_star": eps_star, "a0": a0, "a1": a1},
+            {"V_rise": {("v_monotone",): float(np.max(np.diff(V, axis=0)))}})
 
 
 def check_mean_preservation(s: _Setup):
@@ -171,8 +166,7 @@ def check_mean_preservation(s: _Setup):
             means.append(plate_mean(rec.u, g))
             worst_trace = max(worst_trace, float(np.max(np.abs(rec.v.w[:, -1] - rec.u_t))))
         worst_drift = max(worst_drift, float(np.max(np.abs(np.array(means) - means[0]))))
-    ok = worst_drift <= 1e-10 and worst_trace == 0.0
-    return {"mean_drift": worst_drift, "trace_mismatch": worst_trace, "pass": ok}
+    return {"mean_drift": worst_drift, "trace_mismatch": worst_trace}, {}
 
 
 def check_force_models(s: _Setup):
@@ -201,18 +195,17 @@ def check_force_models(s: _Setup):
         "berger_R1": verify_lipschitz(berger, norms, 1.0, rng=rng),
         "berger_R2": verify_lipschitz(berger, norms, 2.0, rng=rng),
     }
-    airy_res = vk.airy_residual(u2)
     br1 = vk_bracket((xx ** 2).ravel(), (yy ** 2).ravel(), g2)
     br2 = vk_bracket((xx * yy).ravel(), (xx * yy).ravel(), g2)
     interior = np.s_[2:-2, 2:-2]
     bracket_err = max(float(np.max(np.abs(br1[interior] - 4.0))),
                       float(np.max(np.abs(br2[interior] + 2.0))))
-    ok = (max(grad_errs.values()) <= GRADIENT_TOL
-          and all(c[1] for c in coerc.values())
-          and airy_res <= 1e-8
-          and bracket_err <= 1e-9)
-    return {"gradient_errors": grad_errs, "coercivity": coerc, "lipschitz": lips,
-            "airy_residual": airy_res, "bracket_identity_error": bracket_err, "pass": ok}
+    # each coercivity entry is [worst value, verdict on the drop]
+    return ({"gradient_errors": grad_errs,
+             "coercivity": {k: [worst, None] for k, (worst, _) in coerc.items()},
+             "lipschitz": lips, "airy_residual": vk.airy_residual(u2),
+             "bracket_identity_error": bracket_err},
+            {"coercivity_drop": {("coercivity", k, 1): drop for k, (_, drop) in coerc.items()}})
 
 
 def check_gradient_structure(s: _Setup):
@@ -225,16 +218,15 @@ def check_gradient_structure(s: _Setup):
     # Estar is shifted by the stationary flow and by p* plus the plate load, so
     # it is the Lyapunov functional of the forced problem
     dist, eq = distance_to_equilibrium(sysf, tr.states, s.berger)
-    estar_mono = estar_monotone(tr.Estar)
-    ok = estar_mono and dist[-1] <= DISTANCE_TOL and eq.residual <= 1e-8 and pstar_err <= 1e-8
-    return {"estar_monotone": estar_mono, "tail_distance": dist[-1],
-            "stationary_residual": eq.residual, "pstar_identity_error": pstar_err, "pass": ok}
+    return ({"tail_distance": dist[-1], "stationary_residual": eq.residual,
+             "pstar_identity_error": pstar_err},
+            {"Estar_rise": {("estar_monotone",): _estar_rise(tr.Estar)}})
 
 
 def check_quasi_stability(s: _Setup):
     y_rate = s.random_state()
-    pairs = [(s.random_state(s.cfg.probes.radius), s.random_state(s.cfg.probes.radius))
-             for _ in range(10)]
+    # the pairs start at unit energy norm, as every state the set-up draws by default
+    pairs = [(s.random_state(), s.random_state()) for _ in range(10)]
     ya, yb = (np.column_stack(side) for side in zip(*pairs))
     lin_a, lin_b = s.random_state(), s.random_state()
     rate, berger, linear = yield [
@@ -244,12 +236,10 @@ def check_quasi_stability(s: _Setup):
     # half the decay rate of the unforced linear flow's state norm, which is
     # itself half the fitted rate of E0
     gamma_star = 0.25 * fit_decay_rate(rate.t, rate.E0)[0]
-    passed, Ms = quasi_stability_probe(s.sys_free, berger, gamma_star, s.cfg.probes.m_cap)
-    passed_lin, M_lin = quasi_stability_probe(s.sys_free, linear, gamma_star,
-                                              s.cfg.probes.m_cap)
-    ok = bool(np.all(passed) and passed_lin[0])
-    return {"gamma_star": gamma_star, "berger_M": Ms.tolist(), "linear_M": float(M_lin[0]),
-            "pass": ok}
+    Ms = quasi_stability_probe(s.sys_free, berger, gamma_star).tolist()
+    M_lin = float(quasi_stability_probe(s.sys_free, linear, gamma_star)[0])
+    return ({"gamma_star": gamma_star, "berger_M": Ms, "linear_M": M_lin},
+            {"M": {**{f"berger_M.{i}": M for i, M in enumerate(Ms)}, "linear_M": M_lin}})
 
 
 def check_trace_operator_identities(s: _Setup):
@@ -258,25 +248,21 @@ def check_trace_operator_identities(s: _Setup):
     trs = yield [_Run(s.sys_free, y0, T=1.0, dt=dt, stride=int(round(1.0 / dt)) // 20)
                  for dt in (1e-3, 5e-4)]
     dev1, dev2 = (semigroup_consistency(s.sys_free, tr) for tr in trs)
-    ratio = dev1 / max(dev2, 1e-300)
     gc = gamma_operator_checks(s.basis)
-    contr = max(contraction_norm(s.sys_free, T) for T in (0.5, 1.0, 2.0))
-    ok = (gc["symmetry_error"] <= 1e-12
-          and gc["min_eigenvalue"] >= -1e-9
-          and gc["gram_identity_error"] <= 1e-7
-          and 3.0 <= ratio <= 5.0
-          and contr <= 1.0 + CONTRACTION_TOL)
-    return {"gamma_symmetry": gc["symmetry_error"],
-            "gamma_min_eigenvalue": gc["min_eigenvalue"],
-            "gamma_gram_error": gc["gram_identity_error"],
-            "expm_deviation_ratio": ratio, "contraction_norm": contr, "pass": ok}
+    return ({"gamma_symmetry": gc["symmetry_error"],
+             "gamma_min_eigenvalue": gc["min_eigenvalue"],
+             "gamma_gram_error": gc["gram_identity_error"],
+             "expm_deviation_ratio": dev1 / max(dev2, 1e-300),
+             "contraction_norm": max(contraction_norm(s.sys_free, T) for T in (0.5, 1.0, 2.0))},
+            {})
 
 
 def check_attractor_regularity(s: _Setup):
     (tr,) = yield [_Run(s.sys_forced, s.random_state(0.5), T=20.0, dt=1e-3, model=s.berger,
                         stride=20)]
     probe = attractor_regularity_probe(tr, s.sys_forced)
-    return {**{k: v for k, v in probe.items() if k != "pass"}, "pass": probe["pass"]}
+    return probe, {"sup_second": {(k, "non_growing"): (p["sup_second"], p["sup_first"])
+                                  for k, p in probe.items()}}
 
 
 _CHECKS = {
@@ -293,6 +279,108 @@ _CHECKS = {
 }
 
 CRITERIA = list(_CHECKS)
+
+# Every bound a verdict reads: (criterion, measured quantity, comparison, bound).
+# A row holds when each member (case, trajectory, pair, force model) of its
+# quantity meets the bound.  A *_rise is the largest increase from one sample
+# to the next; a bound (relative, absolute) judges a (value, reference) pair.
+BOUNDS = (
+    ("mass_matrix_positivity", "symmetry_error", "<=", 1e-12),
+    ("mass_matrix_positivity", "min_eigenvalue", ">", 0.0),
+    ("energy_balance", "balance_residual", "<=", 1e-5),
+    ("energy_balance", "halving_ratio", ">=", 3.4),
+    ("energy_balance", "halving_ratio", "<=", 4.6),
+    ("exponential_stability", "E0_rise", "<=", 1e-12),
+    ("exponential_stability", "rate", ">", 0.0),
+    ("exponential_stability", "abscissa_rel_error", "<=", 0.10),
+    ("lyapunov_construction", "a0", ">=", 0.5),
+    ("lyapunov_construction", "a1", "<=", 1.5),
+    ("lyapunov_construction", "V_rise", "<=", 1e-12),
+    ("mean_preservation", "mean_drift", "<=", 1e-10),
+    ("mean_preservation", "trace_mismatch", "<=", 0.0),
+    ("force_model_contracts", "gradient_errors", "<=", 1e-4),
+    ("force_model_contracts", "coercivity_drop", "<=", 1.0),
+    ("force_model_contracts", "airy_residual", "<=", 1e-8),
+    ("force_model_contracts", "bracket_identity_error", "<=", 1e-9),
+    ("gradient_structure_equilibria", "Estar_rise", "<=", (1e-10, 0.0)),
+    ("gradient_structure_equilibria", "tail_distance", "<=", 1e-4),
+    ("gradient_structure_equilibria", "stationary_residual", "<=", 1e-8),
+    ("gradient_structure_equilibria", "pstar_identity_error", "<=", 1e-8),
+    ("quasi_stability", "M", "<=", 1e4),
+    ("trace_operator_identities", "gamma_symmetry", "<=", 1e-12),
+    ("trace_operator_identities", "gamma_min_eigenvalue", ">=", -1e-9),
+    ("trace_operator_identities", "gamma_gram_error", "<=", 1e-7),
+    ("trace_operator_identities", "expm_deviation_ratio", ">=", 3.0),
+    ("trace_operator_identities", "expm_deviation_ratio", "<=", 5.0),
+    ("trace_operator_identities", "contraction_norm", "<=", 1.0 + 1e-10),
+    ("attractor_regularity", "sup_second", "<=", (1.05, 1e-12)),
+)
+
+
+def _margin(op: str, bound, value):
+    """(value, bound, margin) of one value against one row's bound, relative *
+    reference + absolute for a pair.  The margin is >= 0 exactly when the value
+    meets the bound: a strict comparison measures it from the float past the bound."""
+    if isinstance(bound, tuple):
+        value, reference = value
+        bound = bound[0] * reference + bound[1]
+    edge = bound if op[-1] == "=" else math.nextafter(bound, math.inf if op == ">" else -math.inf)
+    return value, bound, edge - value if op[0] == "<" else value - edge
+
+
+def holds(criterion: str, quantity: str, value) -> bool:
+    """Whether one measured value of quantity meets every row of criterion that bounds it."""
+    margins = [_margin(op, bound, value)[2]
+               for crit, q, op, bound in BOUNDS if (crit, q) == (criterion, quantity)]
+    if not margins:
+        raise KeyError(f"no bound on {criterion} {quantity}")
+    return all(m >= 0 for m in margins)
+
+
+def judge(criterion: str, result: dict, measured: dict) -> str:
+    """Judge a check's measured values against the rows of criterion and set
+    the result's "pass"; returns the tightest row as verify-all prints it.
+
+    A row reads its quantity from measured, else from the result's own key: a
+    value, or a list or dict of members.  A member keyed by a path (a tuple of
+    keys into the result) sets the boolean there, true when it meets every row.
+    The tightest row is the member furthest past its bound, else the nearest to
+    it relative to the larger of bound and value.
+    """
+    rows, flags = [], {}
+    for crit, quantity, op, bound in BOUNDS:
+        if crit != criterion:
+            continue
+        value = measured.get(quantity, result.get(quantity))
+        members = (value.items() if isinstance(value, dict)
+                   else enumerate(value) if isinstance(value, list) else [(None, value)])
+        for key, v in members:
+            v, shown, margin = _margin(op, bound, v)
+            ok = bool(margin >= 0)
+            if isinstance(key, tuple):                  # labelled by the flag's owner
+                flags[key] = flags.get(key, True) and ok
+                key = ".".join(map(str, key[:-1])) or None
+            label = quantity if key is None else f"{quantity}[{key}]"
+            scale = max(abs(shown), abs(v))
+            rows.append((ok, margin / scale if scale else margin,
+                         f"{label} {v:.6g} {op} {shown:.6g}, margin {margin:.3g}"))
+    for (*parents, last), ok in flags.items():
+        node = result
+        for k in parents:
+            node = node[k]
+        node[last] = ok
+    result["pass"] = all(row[0] for row in rows)
+    return min(rows, key=lambda row: row[:2])[2]
+
+
+def _estar_rise(Estar: np.ndarray):
+    """The largest rise of the shifted energy Estar, with its reference 1 + |Estar at t = 0|."""
+    return float(np.max(np.diff(Estar), initial=-np.inf)), 1.0 + abs(Estar[0])
+
+
+def estar_monotone(Estar: np.ndarray) -> bool:
+    """Whether the shifted energy Estar of a trajectory is nonincreasing to criterion 7's bound."""
+    return holds("gradient_structure_equilibria", "Estar_rise", _estar_rise(Estar))
 
 
 def _groups(runs: list[_Run]) -> list[list[int]]:
@@ -347,8 +435,8 @@ def _run_checks(s: _Setup, names: list[str], report=None) -> dict:
     Each check is started, and advanced to its run requests, before the next one
     starts.  Each group of requests is then one simulate; its arrays are dropped
     once handed out, and a check resumes as soon as all its runs are served.
-    report gets one line per check, in the order of names, once that check and
-    every one before it are done.
+    Once a check and every one before it are done, it is judged, and report
+    gets its line: name, PASS or FAIL, and the tightest row.
     """
     results, waiting, requests = {}, {}, []
     unreported = list(names)
@@ -356,8 +444,10 @@ def _run_checks(s: _Setup, names: list[str], report=None) -> dict:
     def report_done():
         while unreported and unreported[0] in results:
             name = unreported.pop(0)
+            results[name], measured = results[name]
+            tightest = judge(name, results[name], measured)
             if report is not None:
-                report(f"{name}: {'PASS' if results[name]['pass'] else 'FAIL'}")
+                report(f"{name}: {'PASS' if results[name]['pass'] else 'FAIL'}  {tightest}")
 
     for name in names:
         check = _CHECKS[name](s)

@@ -1,13 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
 
 import plateflow.modal as modal
+import plateflow.verification as verification
 from plateflow.config import ExperimentConfig
 from plateflow.dynamics import Stepper
 from plateflow.galerkin import ForcingConfig, assemble
 from plateflow.mesh import GeometryConfig, build_grid
 from plateflow.modal import build_modal_basis
-from plateflow.verification import run_all
 
 
 @pytest.fixture(scope="session")
@@ -40,12 +42,13 @@ def rng():
 @pytest.fixture(scope="session")
 def battery_run(tmp_path_factory):
     """run_all on the default config: (summary, reported lines, mode-cache dir,
-    steppers).  steppers lists each Stepper the battery builds, in order, as a
-    dict of its system, model and dt and the number of steps it took per state
-    shape."""
+    steppers, judged).  steppers lists each Stepper the battery builds, in
+    order, as a dict of its system, model and dt and the number of steps it
+    took per state shape; judged maps each criterion to the (result, measured)
+    its check returned, the result as it was before judge set its verdicts."""
     cache = str(tmp_path_factory.mktemp("modes_cache"))
-    lines, steppers = [], []
-    init, step = Stepper.__init__, Stepper.step
+    lines, steppers, judged = [], [], {}
+    init, step, judge = Stepper.__init__, Stepper.step, verification.judge
 
     def counted_init(self, sys, dt, model=None):
         self.record = {"sys": sys, "model": model, "dt": dt, "steps": {}}
@@ -57,11 +60,17 @@ def battery_run(tmp_path_factory):
         steps[y.shape] = steps.get(y.shape, 0) + 1
         return step(self, y)
 
+    def recorded_judge(name, result, measured):
+        judged[name] = (copy.deepcopy(result), measured)
+        return judge(name, result, measured)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Stepper, "__init__", counted_init)
         mp.setattr(Stepper, "step", counted_step)
-        summary, _ = run_all(ExperimentConfig(), cache_dir=cache, report=lines.append)
-    return summary, lines, cache, steppers
+        mp.setattr(verification, "judge", recorded_judge)
+        summary, _ = verification.run_all(ExperimentConfig(), cache_dir=cache,
+                                          report=lines.append)
+    return summary, lines, cache, steppers, judged
 
 
 @pytest.fixture

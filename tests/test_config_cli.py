@@ -7,7 +7,8 @@ import pytest
 
 from plateflow.cli import _dumps, main, write_csv, write_json
 from plateflow.config import _SECTIONS, ConfigError, parse_config
-from plateflow.dynamics import estar_monotone
+from plateflow.spectrum import semigroup_consistency
+from plateflow.verification import estar_monotone
 
 
 def _write(tmp_path, text, name="cfg.ini"):
@@ -184,6 +185,24 @@ def test_cli_spectrum_uses_cache_transparently(tmp_path):
     assert os.path.isdir(os.path.join(out, "modes_cache"))
 
 
+def test_cli_spectrum_steps_the_whole_number_of_dt_nearest_t_1(tmp_path, monkeypatch):
+    # 1.0 is not a whole number of steps 3e-3: the semigroup check runs 333 of
+    # them, where simulate runs the config's T = 3.0
+    seen = []
+
+    def record(sys, tr):
+        seen.append(tr.t)
+        return semigroup_consistency(sys, tr)
+    monkeypatch.setattr("plateflow.cli.semigroup_consistency", record)
+    cfgp = _write(tmp_path, "[integration]\ndt = 3e-3\nT = 3.0\n")
+    out = str(tmp_path / "o")
+    assert main(["simulate", "--config", cfgp, "--out", out]) == 0
+    assert main(["spectrum", "--config", cfgp, "--out", out]) == 0
+    (t,) = seen
+    assert round(t[-1] / 3e-3) == 333 and t[1] == 16 * 3e-3
+    assert json.load(open(os.path.join(out, "spectrum.json")))["contractive"] is True
+
+
 def test_write_json_trailing_newline(tmp_path):
     path = str(tmp_path / "x.json")
     write_json(path, {"x": 1})
@@ -262,8 +281,10 @@ def test_cli_simulate_zero_amplitude_forcing_is_unforced(tmp_path):
      "force fixed point"),
     ("simulate", "[integration]\nT = 1.0\ndt = 0.3\n",
      "final time 1.0 is not a whole number of time steps 0.3"),
+    ("attract", "[physics]\nforce = berger\nforce_kappa = 1e-9\nforce_gamma = 1e6\n"
+                "[integration]\nT = 0\n", "stationary descent stagnated"),
 ], ids=["simulate-m", "simulate-n", "simulate-berger", "simulate-kirchhoff", "verify-all-m",
-        "verify-all-n", "simulate-fixed-point", "simulate-horizon"])
+        "verify-all-n", "simulate-fixed-point", "simulate-horizon", "attract-stationary"])
 def test_values_the_models_reject_exit_2(tmp_path, capsys, command, text, message):
     # the constructors' own message, as a config error, with no warning before it
     path = _write(tmp_path, text)

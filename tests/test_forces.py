@@ -19,6 +19,7 @@ from plateflow.plate2d import (
     clamped_laplacian_map,
     vk_bracket,
 )
+from plateflow.verification import holds
 from oracles import berger_fc, kirchhoff_fc, kirchhoff_force, plate2d_eigenmodes
 
 
@@ -115,18 +116,18 @@ def test_lipschitz_estimate_grows_superlinearly(basis, grid, norms, rng):
 
 
 def test_coercivity_sweep(grid, norms, rng):
-    good = KirchhoffForce(grid, kappa=1.0, q=2.0, r=0.0, mu=0.0)
-    _, ok = verify_coercivity(good, norms, grid, rng=np.random.default_rng(5))
-    assert ok
+    def bounded_below(model):
+        _, drop = verify_coercivity(model, norms, grid, rng=np.random.default_rng(5))
+        return holds("force_model_contracts", "coercivity_drop", drop)
+
+    assert bounded_below(KirchhoffForce(grid, kappa=1.0, q=2.0, r=0.0, mu=0.0))
     # a strongly destabilizing local term, potential -2.5e5 u^4, blows the
     # functional down
     class Destabilizing(ForceModel):
         def potential(self, u):
             return grid.h_x * np.sum(-2.5e5 * u ** 4, axis=0)
 
-    bad = Destabilizing()
-    _, ok = verify_coercivity(bad, norms, grid, rng=np.random.default_rng(5))
-    assert not ok
+    assert not bounded_below(Destabilizing())
 
 
 # -- 2D plate ---------------------------------------------------------------

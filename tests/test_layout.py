@@ -8,7 +8,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
-from plateflow import config
+from plateflow import config, verification
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "plateflow").glob("*.py"))
@@ -158,3 +158,44 @@ def test_every_module_level_import_is_used():
                            for name in (a.asname or a.name.split(".")[0] for a in node.names)
                            if name not in used]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+# the probes whose values the battery's checks judge, by module
+PROBES = {
+    "dynamics": ("energy_balance_residual", "lyapunov_eps_scan", "quasi_stability_probe",
+                 "attractor_regularity_probe"),
+    "forces": ("verify_gradient", "verify_coercivity"),
+    "spectrum": ("semigroup_consistency", "gamma_operator_checks", "contraction_norm"),
+    "steady": ("distance_to_equilibrium",),
+}
+
+
+def _numeric_literals(node) -> list:
+    """The numeric literals in an expression, other than in a subscript's index."""
+    if isinstance(node, ast.Subscript):
+        return _numeric_literals(node.value)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return [node.value]
+    return [c for child in ast.iter_child_nodes(node) for c in _numeric_literals(child)]
+
+
+def test_no_check_or_probe_states_a_bound():
+    # verification.BOUNDS is the one place a verdict's bound is stated: no
+    # comparison in a check, or in a probe it calls, has a numeric literal in
+    # an operand, except in the test of an if that only raises (a precondition)
+    checks = tuple(check.__name__ for check in verification._CHECKS.values())
+    functions = {"verification": checks, **PROBES}
+    found = []
+    for module, names in functions.items():
+        tree = ast.parse((ROOT / "src" / "plateflow" / f"{module}.py").read_text(encoding="utf-8"))
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert set(names) <= set(defs), f"{module}: no function {set(names) - set(defs)}"
+        for name in names:
+            guards = {id(n) for node in ast.walk(defs[name]) if isinstance(node, ast.If)
+                      and all(isinstance(b, ast.Raise) for b in node.body)
+                      for n in ast.walk(node.test)}
+            found += [f"{module}.{name}: {ast.unparse(node)}" for node in ast.walk(defs[name])
+                      if isinstance(node, ast.Compare) and id(node) not in guards
+                      and any(_numeric_literals(o) for o in [node.left, *node.comparators])]
+    assert not found, "comparisons that state a bound outside verification.BOUNDS:\n" + \
+        "\n".join(found)

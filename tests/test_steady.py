@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plateflow.dynamics import Stepper, energies, estar_monotone, simulate
+from plateflow.dynamics import Stepper, energies, simulate
 from plateflow.forces import BergerForce
 from plateflow.galerkin import ForcingConfig, assemble, fluid_forcing_field
 from plateflow.mesh import GeometryConfig, build_grid, inner_fluid
@@ -18,6 +18,7 @@ from plateflow.steady import (
     stationary_residual,
 )
 from plateflow.stokes import StokesSolution, StokesSolver
+from plateflow.verification import estar_monotone
 from oracles import inner_plate
 from saddle_stokes import assert_matches_saddle_point
 

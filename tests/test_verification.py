@@ -1,21 +1,28 @@
 """The battery's schedule: grouped runs equal their solo runs, and the
-scheduled battery equals its checks run one after another."""
+scheduled battery equals its checks run one after another; and its bound
+table: each row decides its own criterion's verdict."""
 
+import copy
+import math
+import re
 from collections.abc import Generator
 
 import numpy as np
 import pytest
 
+from plateflow import verification
 from plateflow.config import ExperimentConfig
 from plateflow.dynamics import IntegratorError, simulate
 from plateflow.forces import BergerForce
 from plateflow.verification import (
+    BOUNDS,
     CRITERIA,
     _CHECKS,
     _groups,
     _Run,
     _Setup,
     _simulate_group,
+    judge,
     run_criterion,
 )
 
@@ -73,7 +80,8 @@ def test_group_rejects_a_run_off_its_stride(sys_free):
 
 
 def _run_in_sequence(s):
-    """Every check run to completion before the next starts, its runs solo."""
+    """Every check run to completion, and judged, before the next starts, its
+    runs solo."""
     out = {}
     for name in CRITERIA:
         check = _CHECKS[name](s)
@@ -82,7 +90,8 @@ def _run_in_sequence(s):
                 check.send([_solo(run) for run in next(check)])
             except StopIteration as stop:
                 check = stop.value
-        out[name] = check
+        out[name], measured = check
+        judge(name, out[name], measured)
     return out
 
 
@@ -104,9 +113,14 @@ def _assert_same(got, want, where=""):
 
 def test_schedule_equals_the_checks_run_in_sequence(battery_run):
     # run_all at seed 0, the default config's seed
-    summary, lines, cache, _ = battery_run
-    assert lines == [f"{name}: {'PASS' if summary[name]['pass'] else 'FAIL'}"
-                     for name in CRITERIA]
+    summary, lines, cache, _, _ = battery_run
+    # one line per criterion, in order: its verdict, then its tightest row as
+    # measured value, comparison, bound and margin, which is >= 0 on a pass
+    line = re.compile(r"(\w+): (PASS|FAIL)  (\S+) (\S+) (<=|>=|>) (\S+), margin (\S+)")
+    parsed = [line.fullmatch(text).groups() for text in lines]
+    assert [(name, verdict) for name, verdict, *_ in parsed] == \
+        [(name, "PASS" if summary[name]["pass"] else "FAIL") for name in CRITERIA]
+    assert all(float(margin) >= 0 for *_, margin in parsed)
     _assert_same(summary, _run_in_sequence(_Setup(ExperimentConfig(), cache)))
 
 
@@ -115,7 +129,7 @@ def test_battery_schedule_steps(battery_run):
     # 14,000 linear steps (a batched step counts once); every free linear run
     # at dt = 1e-3 that keeps its states, the quasi-stability pair and the
     # semigroup run included, is one (N, 14) run to T = 6
-    summary, _, _, steppers = battery_run
+    summary, _, _, steppers, _ = battery_run
     assert len(steppers) == 7
     steps = {"berger": 0, "linear": 0}
     for st in steppers:
@@ -139,3 +153,31 @@ def test_mass_matrix_positivity_reads_its_bases_through_the_cache(tmp_path, forb
     forbid_eigensolve()
     assert run_criterion("mass_matrix_positivity", cfg, str(tmp_path)) == uncached
     assert [(c["m"], c["n"]) for c in uncached["cases"]] == [(1, 1), (4, 4), (12, 8)]
+
+
+@pytest.mark.parametrize("row", BOUNDS, ids=[f"{c}-{q}-{op}" for c, q, op, _ in BOUNDS])
+def test_a_bound_moved_past_its_seed_0_value_fails_its_criterion_alone(battery_run, monkeypatch,
+                                                                       row):
+    # every criterion passes at seed 0; a row's bound moved just past its worst
+    # member's value (the value itself for a strict comparison) fails that
+    # criterion, with a negative margin on that row, and no other
+    summary, _, _, _, judged = battery_run
+    criterion, quantity, op, bound = row
+    result, measured = judged[criterion]
+    value = measured.get(quantity, result.get(quantity))
+    members = list(value.values()) if isinstance(value, dict) else \
+        value if isinstance(value, list) else [value]
+    if isinstance(bound, tuple):    # judged as (value, reference): moved to (0, past)
+        members = [v for v, _ in members]
+    worst = max(members) if op[0] == "<" else min(members)
+    past = worst if op in ("<", ">") else \
+        math.nextafter(worst, -math.inf if op[0] == "<" else math.inf)
+    moved = (criterion, quantity, op, (0.0, past) if isinstance(bound, tuple) else past)
+    monkeypatch.setattr(verification, "BOUNDS", tuple(moved if r == row else r for r in BOUNDS))
+    for name, (result, measured) in judged.items():
+        result = copy.deepcopy(result)
+        label, *_, margin = judge(name, result, measured).split()
+        assert summary[name]["pass"] is True
+        assert result["pass"] is (name != criterion), name
+        if name == criterion:
+            assert label.split("[")[0] == quantity and float(margin) < 0
