@@ -274,7 +274,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     dev = semigroup_consistency(sys_, simulate(sys_, y0, n * dt, dt, stride=max(n // 20, 1)))
     summary = {
         "abscissa": abscissa,
-        "stable": bool(abscissa < 0),
+        "stable": verification.holds("exponential_stability", "abscissa", abscissa),
         "contraction_norm_T1": contr,
         "contractive": verification.holds("trace_operator_identities", "contraction_norm", contr),
         "semigroup_deviation": dev,

@@ -198,14 +198,12 @@ def energy_balance_residual(traj: Trajectory) -> float:
 
 
 def lyapunov_V(sys: GalerkinSystem, y: np.ndarray, eps: float):
-    """E0 perturbed by eps[(u, u_t) + (v, N0 u)], from the Gram blocks; y is (N,) or (N, B)."""
+    """E0 perturbed by eps[(u, u_t) + (v, N0 u)]; y is (N,) or (N, B).  The kinetic
+    variables w pair with u through the mass: w . M[:, m:] beta is that bracket."""
     if eps < 0:
         raise IntegratorError("lyapunov weight must be nonnegative")
-    alpha, beta, betadot = sys.split(y)
-    cross = np.vecdot(beta, betadot, axis=0)
-    v_pair = (np.einsum("i...,ij,j...->...", alpha, sys.G_vl, beta)
-              + np.einsum("i...,ij,j...->...", betadot, sys.G_ll, beta))
-    return sys.energy_quadratic(y) + eps * (cross + v_pair)
+    pair = np.vecdot(y[sys.kin], sys.M[:, sys.m:] @ sys.split(y)[1], axis=0)
+    return sys.energy_quadratic(y) + eps * pair
 
 
 def lyapunov_eps_scan(sys: GalerkinSystem, n_states: int, rng):

@@ -81,9 +81,11 @@ class GalerkinSystem:
     M, D, kappa and the loads are the assembled forms; A, c, B, H, kin and hXi
     are derived from them once, in __post_init__ (A, c and B by linear_parts,
     with the single inverse of M), and so is the stationary state: the flow
-    alpha*_k = (G0, psi_k) / (nu mu_k) and the pressure load p*_j = (G0, N0 xi_j),
-    read off f_kin.  The forced problem's Lyapunov functional, with y* = (alpha*, 0, 0),
-    is E0(y - y*) + potential - (p* + f_plate) . beta = E - ell . y + E0_star.
+    alpha* solves D_vv alpha* = ((G0, psi_k))_k, and the pressure load is
+    p*_j = (G0, N0 xi_j), read off f_kin, since the lifts are Dirichlet-orthogonal
+    to every zero-trace solenoidal field.  The forced problem's Lyapunov functional,
+    with y* = (alpha*, 0, 0), is E0(y - y*) + potential - (p* + f_plate) . beta
+    = E - ell . y + E0_star.
     """
 
     basis: ModalBasis
@@ -93,8 +95,6 @@ class GalerkinSystem:
     kappa: np.ndarray = field(repr=False)                 # (n,) bending eigenvalues
     f_kin: np.ndarray = field(repr=False)                 # (m+n,) forcing on kinetic eqs
     f_plate: np.ndarray = field(repr=False)               # (n,) transverse load coefficients
-    G_vl: np.ndarray = field(repr=False)                  # (m,n) flow-mode / lifted-mode Gram
-    G_ll: np.ndarray = field(repr=False)                  # (n,n) lifted-mode Gram
     A: np.ndarray = field(repr=False, init=False)         # (N,N) linear evolution matrix
     c: np.ndarray = field(repr=False, init=False)         # (N,) constant forcing term
     B: np.ndarray = field(repr=False, init=False)         # (N,n) plate-force input map
@@ -115,7 +115,7 @@ class GalerkinSystem:
         self.H[np.ix_(self.kin, self.kin)] = self.M
         self.H[beta, beta] = self.kappa
         self.hXi = self.basis.grid.h_x * self.basis.xi
-        self.alpha_star = self.f_kin[:m] / (self.nu * self.basis.mu)
+        self.alpha_star = la.solve(self.D[:m, :m], self.f_kin[:m], assume_a="pos")
         self.pstar = self.f_kin[m:]
         y_star = self.join(self.alpha_star, np.zeros(n), np.zeros(n))
         self.ell = self.H @ y_star
@@ -212,9 +212,13 @@ def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None)
         forcing = ForcingConfig()
     psi, lift = basis.psi, basis.lift
 
-    G_vl = inner_fluid(psi, lift, g)
-    G_ll = inner_fluid(lift, lift, g)
-    M = np.block([[np.eye(m), G_vl], [G_vl.T, np.eye(n) + G_ll]])
+    def gram(form):
+        """The table of form over the trial space (psi, N0 xi), block by block."""
+        vl = form(psi, lift, g)
+        return np.block([[form(psi, psi, g), vl], [vl.T, form(lift, lift, g)]])
+
+    M = gram(inner_fluid)
+    M[m:, m:] += np.eye(n)
     M = 0.5 * (M + M.T)
 
     ev = la.eigvalsh(M)
@@ -223,9 +227,7 @@ def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None)
             f"kinetic mass matrix is not positive definite: smallest eigenvalue {ev[0]:.6e}"
         )
 
-    Gd_vl = grad_inner(psi, lift, g)
-    Gd_ll = grad_inner(lift, lift, g)
-    D = nu * np.block([[np.diag(basis.mu), Gd_vl], [Gd_vl.T, Gd_ll]])
+    D = nu * gram(grad_inner)
     D = 0.5 * (D + D.T)
 
     gf = fluid_forcing_field(forcing, g)
@@ -233,7 +235,7 @@ def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None)
     f_plate = g.h_x * basis.xi @ plate_forcing_profile(forcing, g)
 
     return GalerkinSystem(basis=basis, nu=nu, M=M, D=D, kappa=basis.kappa,
-                          f_kin=f_kin, f_plate=f_plate, G_vl=G_vl, G_ll=G_ll)
+                          f_kin=f_kin, f_plate=f_plate)
 
 
 @dataclass

@@ -58,21 +58,15 @@ def gamma_operator_checks(basis: ModalBasis):
     """Pairing matrix of harmonically lifted traces against the lifted modes.
 
     Builds Gamma_hat[i, j] = (grad q_i, phi_j)_O where q_i extends the trace
-    of the i-th lifted mode; checks symmetry, near-nonnegativity, and equality
-    with the plate Gram matrix.
+    of the i-th lifted mode; measures its asymmetry, its smallest eigenvalue,
+    and its distance from the plate Gram matrix, as criterion 9 bounds them.
     """
     g = basis.grid
     lifter = HarmonicLifter(g)
     grads = VelocityField.stack(lifter.lift(x)[1] for x in basis.xi)
     Gam = inner_fluid(grads, basis.lift, g)
-    plate_gram = g.h_x * basis.xi @ basis.xi.T
-    sym_err = float(np.max(np.abs(Gam - Gam.T)))
-    min_eig = float(np.min(la.eigvalsh(0.5 * (Gam + Gam.T))))
-    gram_err = float(np.max(np.abs(Gam - plate_gram)))
     return {
-        "gamma_matrix": Gam,
-        "plate_gram": plate_gram,
-        "symmetry_error": sym_err,
-        "min_eigenvalue": min_eig,
-        "gram_identity_error": gram_err,
+        "gamma_symmetry": float(np.max(np.abs(Gam - Gam.T))),
+        "gamma_min_eigenvalue": float(np.min(la.eigvalsh(0.5 * (Gam + Gam.T)))),
+        "gamma_gram_error": float(np.max(np.abs(Gam - g.h_x * basis.xi @ basis.xi.T))),
     }

@@ -15,6 +15,7 @@ from plateflow.galerkin import (
     reconstruct,
 )
 from plateflow.mesh import VelocityField, inner_fluid, plate_mean
+from plateflow.spectrum import generator_eigenvalues
 from plateflow.steady import minimize_stationary
 import oracles
 
@@ -33,6 +34,37 @@ def test_dissipation_matrix_block_structure(sys_free, basis):
     assert np.max(np.abs(D[:m, :m] - np.diag(basis.mu))) < 1e-9
     assert np.max(np.abs(D[:m, m:])) < 1e-10
     assert np.min(np.linalg.eigvalsh(0.5 * (D + D.T))) > 0
+
+
+def test_assembly_does_not_depend_on_the_basis_of_the_flow_space(basis):
+    # psi -> S psi spans the same flow space, so with the battery's forcing the
+    # generator's spectrum, the stationary flow and its energy stay, and the
+    # coefficients of the stationary flow go to S^-T alpha*
+    forcing = ForcingConfig(fluid_kind="shear", fluid_amp=1.0, plate_kind="sine", plate_amp=0.5)
+    S = np.eye(basis.m) + 0.3 * np.random.default_rng(0).standard_normal((basis.m, basis.m))
+    sys_, mixed = (assemble(b, 1.0, forcing)
+                   for b in (basis, dataclasses.replace(basis, psi=basis.psi.combine(S))))
+    ev, ev_mixed = generator_eigenvalues(sys_), generator_eigenvalues(mixed)
+    assert np.max(np.abs(ev - ev_mixed)) <= 1e-12 * np.max(np.abs(ev))
+    alpha = S.T @ mixed.alpha_star
+    assert np.max(np.abs(sys_.alpha_star - alpha)) <= 1e-12 * np.max(np.abs(sys_.alpha_star))
+    assert abs(sys_.E0_star - mixed.E0_star) <= 1e-12 * sys_.E0_star
+
+
+def test_lyapunov_V_is_its_field_definition(sys_forced, grid, rng):
+    # V = E0 + eps [(u, u_t)_Omega + (v, N0 u)_O], the fields reconstructed
+    # from one state and from each of a batch of columns
+    eps = 0.25
+    Y = rng.standard_normal((sys_forced.m + 2 * sys_forced.n, 3))
+
+    def field_V(y):
+        rec = reconstruct(sys_forced, y)
+        N0u = sys_forced.basis.lift.combine(sys_forced.split(y)[1])
+        return sys_forced.energy_quadratic(y) + eps * (grid.h_x * np.sum(rec.u * rec.u_t)
+                                                       + inner_fluid(rec.v, N0u, grid))
+    want = np.array([field_V(y) for y in Y.T])
+    assert np.max(np.abs(lyapunov_V(sys_forced, Y, eps) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert abs(lyapunov_V(sys_forced, Y[:, 0], eps) - want[0]) <= 1e-12 * abs(want[0])
 
 
 def test_assemble_rejects_bad_viscosity(basis):

@@ -18,6 +18,11 @@ def _run(script, *args, cwd):
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
 
 
+# the start of a line each script must print
+PRINTED = {"convergence_study.py": ("\ncontinuum mu0 = 52.344691 (Bjorstad and Tjostheim 1999), "
+                                    "richardson - continuum = ",)}
+
+
 @pytest.mark.parametrize("script, args", [
     ("decay_rate_study.py", ("--ensemble", "1", "--out", "decay")),
     ("attractor_demo.py", ("--T", "2")),
@@ -26,6 +31,8 @@ def _run(script, *args, cwd):
 def test_script_exits_cleanly(script, args, tmp_path):
     proc = _run(script, *args, cwd=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    for line in PRINTED.get(script, ()):
+        assert line in proc.stdout, line
 
 
 def _write_artifacts(root, energy, rows):

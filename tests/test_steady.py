@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from plateflow.dynamics import Stepper, energies, simulate
 from plateflow.forces import BergerForce
@@ -97,15 +98,16 @@ def test_stationary_flow_solves_reduced_equations(sys_shear, gf, basis):
 
 
 def test_stationary_data_off_unit_viscosity():
-    # alpha* carries its 1/nu: at nu = 0.7 on an unequal grid, the system's
-    # stationary data are the projections of the forcing, p* is the pressure
+    # alpha* carries its 1/nu through D: at nu = 0.7 on an unequal grid, the
+    # system's stationary data solve for the projections of the forcing, p* is the pressure
     # trace of the stationary Stokes solve, and without loads Estar is E
     g = build_grid(GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
     basis = build_modal_basis(g, m=6, n=4)
     forcing = ForcingConfig(fluid_kind="bump", fluid_amp=1.5)
     gf = fluid_forcing_field(forcing, g)
     sys_ = assemble(basis, 0.7, forcing)
-    assert np.array_equal(sys_.alpha_star, inner_fluid(gf, basis.psi, g) / (0.7 * basis.mu))
+    assert np.array_equal(sys_.alpha_star, la.solve(sys_.D[:basis.m, :basis.m],
+                                                    inner_fluid(gf, basis.psi, g), assume_a="pos"))
     assert np.array_equal(sys_.pstar, inner_fluid(gf, basis.lift, g))
     # the trace of the gated stationary Stokes solve
     _, p_trace = solve_stationary_stokes(gf, g, nu=0.7)
@@ -170,7 +172,8 @@ def _forced_start(sys_forced, grid):
     rng = np.random.default_rng(2)
     y0 = rng.standard_normal(sys_forced.m + 2 * sys_forced.n)
     y0 *= 0.5 / sys_forced.state_norm(y0)
-    return y0, inner_fluid(gf, basis.psi, grid) / (sys_forced.nu * basis.mu), \
+    D_vv = sys_forced.D[:basis.m, :basis.m]
+    return y0, la.solve(D_vv, inner_fluid(gf, basis.psi, grid), assume_a="pos"), \
         inner_fluid(gf, basis.lift, grid)
 
 
