@@ -175,7 +175,7 @@ def cmd_assemble(cfg: ExperimentConfig) -> int:
         "mass_symmetry_error": float(np.max(np.abs(sys_.M - sys_.M.T))),
     }
     write_json(os.path.join(cfg.output.dir, "assemble.json"), summary)
-    return 0 if eigs[0] > 0 else 1
+    return 0 if verification.holds("mass_matrix_positivity", "min_eigenvalue", eigs[0]) else 1
 
 
 def _criterion(cfg: ExperimentConfig, name: str, artifact: str) -> int:

@@ -257,6 +257,7 @@ def quasi_stability_probe(sys: GalerkinSystem, tr: Trajectory, gamma_star: float
     m, n = sys.m, sys.n
     t = tr.t
     a, b = tr.states[..., :B], tr.states[..., B:]
+    plate_mass = sys.hXi @ sys.basis.xi.T
     Z2, du2 = np.empty((2, len(t), B))
     rows = max(1, _BLOCK_COLUMNS // B)          # samples per block of pair differences
     for k in range(0, len(t), rows):
@@ -264,7 +265,7 @@ def quasi_stability_probe(sys: GalerkinSystem, tr: Trajectory, gamma_star: float
         # 2 E0(diff), and the squared plate L2 norm of du
         Z2[k:k + rows] = np.maximum(np.einsum("kib,ij,kjb->kb", diff, sys.H, diff), 0.0)
         du = diff[:, m:m + n]
-        du2[k:k + rows] = np.einsum("kib,kib->kb", du, du)
+        du2[k:k + rows] = np.einsum("kib,ij,kjb->kb", du, plate_mass, du)
     # integral term by trapezoid on the sample grid, as a recursion in k
     conv = np.zeros_like(du2)
     for k in range(1, len(t)):
@@ -281,9 +282,9 @@ def attractor_regularity_probe(traj: Trajectory, sys: GalerkinSystem):
     """Sup norms of time-derivative surrogates over the trajectory tail.
 
     Central differences of the sampled coefficients give surrogates for the
-    fluid acceleration, the bending-weighted plate velocity, and the plate
-    acceleration.  Returns, for each, its sup over the earlier and over the
-    later half of the tail.
+    fluid acceleration in the kinetic mass, the plate velocity in the bending
+    table and the plate acceleration in the plate mass.  Returns, for each,
+    its sup over the earlier and over the later half of the tail.
     """
     nsamp = len(traj.t)
     if nsamp < 9 or traj.t[-1] < 1.0:
@@ -293,10 +294,9 @@ def attractor_regularity_probe(traj: Trajectory, sys: GalerkinSystem):
     dts = traj.t[1] - traj.t[0]
     states = traj.states[start - 1:]
     dstate = (states[2:] - states[:-2]) / (2 * dts)       # at samples start .. nsamp-2
-    w = dstate[:, sys.kin]
-    vt = np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", w, sys.M, w), 0.0))
-    ut_bend = np.sqrt(np.sum(sys.kappa * states[1:-1, m + n:] ** 2, axis=1))
-    utt = np.linalg.norm(dstate[:, m + n:], axis=1)
+    vt, ut_bend, utt = (np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", x, form, x), 0.0))
+                        for x, form in ((dstate[:, sys.kin], sys.M), (states[1:-1, m + n:], sys.K),
+                                        (dstate[:, m + n:], sys.hXi @ sys.basis.xi.T)))
     half = len(vt) // 2
     return {name: {"sup_first": float(np.max(a[:half])), "sup_second": float(np.max(a[half:]))}
             for name, a in (("v_t", vt), ("u_t_bending", ut_bend), ("u_tt", utt))}

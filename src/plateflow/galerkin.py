@@ -3,7 +3,8 @@
 State layout: y = (alpha[0:m], beta[0:n], betadot[0:n]).  The fluid velocity
 is v = sum_k alpha_k psi_k + N0(u_t) and the plate deflection u = sum_j
 beta_j xi_j, so the kinetic variables are w = y[kin] = (alpha, betadot) and
-carry the mass matrix M = Gram{psi, N0 xi} + plate identity.
+carry the mass matrix M = Gram{psi, N0 xi} + the plate mass Gram{xi}, and the
+bending energy is the table K of the bending form over the plate modes.
 
 GalerkinSystem is the one place the reduced dynamics are derived:
 ydot = A y + c - B fc(beta), with fc the plate force projected on the plate
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .forces import ForceModel
-from .mesh import Grid, VelocityField, grad_inner, inner_fluid
+from .mesh import Grid, VelocityField, beam_operators, grad_inner, inner_fluid
 from .modal import ModalBasis
 
 
@@ -78,7 +79,7 @@ def plate_forcing_profile(cfg: ForcingConfig, g: Grid) -> np.ndarray:
 class GalerkinSystem:
     """Assembled reduced system: ydot = A y + c - B fc(beta), E0 = 1/2 y^T H y.
 
-    M, D, kappa and the loads are the assembled forms; A, c, B, H, kin and hXi
+    M, D, K and the loads are the assembled forms; A, c, B, H, kin and hXi
     are derived from them once, in __post_init__ (A, c and B by linear_parts,
     with the single inverse of M), and so is the stationary state: the flow
     alpha* solves D_vv alpha* = ((G0, psi_k))_k, and the pressure load is
@@ -92,7 +93,7 @@ class GalerkinSystem:
     nu: float
     M: np.ndarray = field(repr=False)                     # (m+n) kinetic mass
     D: np.ndarray = field(repr=False)                     # (m+n) viscous dissipation form
-    kappa: np.ndarray = field(repr=False)                 # (n,) bending eigenvalues
+    K: np.ndarray = field(repr=False)                     # (n,n) plate bending table
     f_kin: np.ndarray = field(repr=False)                 # (m+n,) forcing on kinetic eqs
     f_plate: np.ndarray = field(repr=False)               # (n,) transverse load coefficients
     A: np.ndarray = field(repr=False, init=False)         # (N,N) linear evolution matrix
@@ -113,7 +114,7 @@ class GalerkinSystem:
         beta = np.arange(m, m + n)
         self.H = np.zeros((m + 2 * n, m + 2 * n))
         self.H[np.ix_(self.kin, self.kin)] = self.M
-        self.H[beta, beta] = self.kappa
+        self.H[np.ix_(beta, beta)] = self.K
         self.hXi = self.basis.grid.h_x * self.basis.xi
         self.alpha_star = la.solve(self.D[:m, :m], self.f_kin[:m], assume_a="pos")
         self.pstar = self.f_kin[m:]
@@ -129,11 +130,11 @@ class GalerkinSystem:
         N = m + 2 * n
         beta = np.arange(m, m + n)
         Minv = la.inv(self.M)
-        # beta' = betadot;  w' = -Minv (D w + [0; kappa beta] - f) - Minv [0; fc]
+        # beta' = betadot;  w' = -Minv (D w + [0; K beta] - f) - Minv [0; fc]
         A = np.zeros((N, N))
         A[beta, m + n + np.arange(n)] = 1.0
         A[np.ix_(self.kin, self.kin)] = -Minv @ self.D
-        A[np.ix_(self.kin, beta)] = -Minv[:, m:] * self.kappa
+        A[np.ix_(self.kin, beta)] = -Minv[:, m:] @ self.K
         load = self.f_kin.copy()
         load[m:] += self.f_plate
         c = np.zeros(N)
@@ -160,9 +161,7 @@ class GalerkinSystem:
     # -- energetics -------------------------------------------------------
     def energy_quadratic(self, y: np.ndarray):
         """E0: kinetic energy of (v, u_t) plus linear bending energy."""
-        w = y[self.kin]
-        beta = y[self.m:self.m + self.n]
-        return 0.5 * np.vecdot(w, self.M @ w, axis=0) + 0.5 * (self.kappa @ beta ** 2)
+        return 0.5 * np.vecdot(y, self.H @ y, axis=0)
 
     def state_norm(self, y: np.ndarray):
         """Energy norm of the coupled state: sqrt of twice the quadratic energy."""
@@ -218,7 +217,7 @@ def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None)
         return np.block([[form(psi, psi, g), vl], [vl.T, form(lift, lift, g)]])
 
     M = gram(inner_fluid)
-    M[m:, m:] += np.eye(n)
+    M[m:, m:] += g.h_x * basis.xi @ basis.xi.T
     M = 0.5 * (M + M.T)
 
     ev = la.eigvalsh(M)
@@ -229,12 +228,14 @@ def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None)
 
     D = nu * gram(grad_inner)
     D = 0.5 * (D + D.T)
+    K = basis.xi @ beam_operators(g).K @ basis.xi.T
+    K = 0.5 * (K + K.T)
 
     gf = fluid_forcing_field(forcing, g)
     f_kin = np.concatenate([inner_fluid(gf, psi, g), inner_fluid(gf, lift, g)])
     f_plate = g.h_x * basis.xi @ plate_forcing_profile(forcing, g)
 
-    return GalerkinSystem(basis=basis, nu=nu, M=M, D=D, kappa=basis.kappa,
+    return GalerkinSystem(basis=basis, nu=nu, M=M, D=D, K=K,
                           f_kin=f_kin, f_plate=f_plate)
 
 

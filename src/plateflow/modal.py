@@ -139,11 +139,11 @@ class ModalBasis:
 
     @property
     def m(self):
-        return len(self.mu)
+        return len(self.psi.u)
 
     @property
     def n(self):
-        return len(self.kappa)
+        return len(self.xi)
 
 
 def build_modal_basis(g: Grid, m: int, n: int, cache_dir: str | None = None) -> ModalBasis:

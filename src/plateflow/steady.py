@@ -53,26 +53,26 @@ def solve_stationary_stokes(gf: VelocityField, g: Grid, nu: float):
 
 def stationary_residual(sys: GalerkinSystem, beta: np.ndarray, model: ForceModel | None) -> float:
     """Norm of the stationary plate equations over the plate mode basis."""
-    r = sys.kappa * beta + sys.force_map(model)(beta) - sys.pstar - sys.f_plate
+    r = sys.K @ beta + sys.force_map(model)(beta) - sys.pstar - sys.f_plate
     return float(np.linalg.norm(r))
 
 
 def _psi_value(sys: GalerkinSystem, beta, load, model):
-    return 0.5 * float(sys.kappa @ beta ** 2) + sys.potential(model, beta) - float(load @ beta)
+    return 0.5 * float(beta @ sys.K @ beta) + sys.potential(model, beta) - float(load @ beta)
 
 
 def minimize_stationary(sys: GalerkinSystem, model: ForceModel | None,
                         beta_init: np.ndarray) -> Equilibrium:
     """Descend the stationary plate functional Psi on zero-mean mode coefficients.
 
-    Each step is the Newton step on the exact Hessian diag(kappa) + dfc/dbeta
-    where that is positive definite, else the gradient preconditioned by
-    1/kappa; both backtrack to the Armijo condition on Psi, so the iteration
-    descends into minima, not saddles.  The Armijo test allows Psi a rounding
-    of 1e-13 |Psi|, below which it cannot rank steps, and the loop stops once
-    the gradient is 1e-13 of its terms or after 500 steps; it raises when the
-    residual is then above STAT_TOL.  The zero-mean restriction is built
-    into the basis, which fixes the additive pressure constant.
+    Each step is the Newton step on the exact Hessian K + dfc/dbeta, K the
+    bending table, where that is positive definite, else the gradient
+    preconditioned by K^-1; both backtrack to the Armijo condition on Psi, so
+    the iteration descends into minima, not saddles.  The Armijo test allows
+    Psi a rounding of 1e-13 |Psi|, below which it cannot rank steps, and the
+    loop stops once the gradient is 1e-13 of its terms or after 500 steps; it
+    raises when the residual is then above STAT_TOL.  The basis holds the
+    zero-mean restriction, which fixes the additive pressure constant.
     """
     beta = np.array(beta_init, float)
     fc, jac = sys.force_map(model), sys.force_jacobian(model)
@@ -80,13 +80,14 @@ def minimize_stationary(sys: GalerkinSystem, model: ForceModel | None,
     norm = np.linalg.norm
     val = _psi_value(sys, beta, load, model)
     for _ in range(500):
-        g = sys.kappa * beta + fc(beta) - load
-        if norm(g) <= 1e-13 * (norm(load) + norm(sys.kappa * beta)):
+        Kb = sys.K @ beta
+        g = Kb + fc(beta) - load
+        if norm(g) <= 1e-13 * (norm(load) + norm(Kb)):
             break
         try:
-            d = -la.cho_solve(la.cho_factor(np.diag(sys.kappa) + jac(beta)), g)
+            d = -la.cho_solve(la.cho_factor(sys.K + jac(beta)), g)
         except la.LinAlgError:
-            d = -g / sys.kappa
+            d = -la.solve(sys.K, g, assume_a="pos")
         slope, step = 1e-4 * float(g @ d), 1.0
         for _ in range(40):
             trial = beta + step * d

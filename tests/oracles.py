@@ -10,7 +10,7 @@ checks of discrete properties the solvers guarantee by construction
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
@@ -22,8 +22,10 @@ from plateflow.dynamics import IntegratorError, Stepper, per_sample, simulate
 from plateflow.forces import BergerForce, KirchhoffForce
 from plateflow.galerkin import AssemblyError, GalerkinSystem
 from plateflow.mesh import (BeamOperators, Grid, GridError, VelocityField, beam_operators,
-                            inner_fluid, plate_mean)
+                            inner_fluid, plate_mean, unpack_interior)
+from plateflow.modal import ModalBasis
 from plateflow.plate2d import PlateGrid2D, bending_form
+from plateflow.stokes import StokesSolver
 
 # ---------------------------------------------------------------------------
 # grid calculus (plateflow.mesh)
@@ -184,13 +186,22 @@ def harmonic_residual(g: Grid, vals: np.ndarray, r: np.ndarray) -> float:
 TRACE_TOL = 1e-8
 
 
+def full_order_basis(basis: ModalBasis) -> ModalBasis:
+    """basis with the whole discretely solenoidal space as its flow trial
+    space, with no eigensolve: the velocities of the interior-vertex
+    streamfunctions, the columns of StokesSolver's Z.  mu and psi_res stay
+    those of basis's m eigenmodes; the flow mode count is read off psi."""
+    g = basis.grid
+    return replace(basis, psi=unpack_interior(StokesSolver(g).Z.T.toarray(), g))
+
+
 def rhs(sys: GalerkinSystem, y: np.ndarray, force_coeffs=None) -> np.ndarray:
     """Time derivative of the state by a direct solve with M, independent
     of (A, c, B); force_coeffs(beta) adds the projected plate force."""
     _, beta, betadot = sys.split(y)
     w = y[sys.kin]
     load = sys.f_kin.copy()
-    load[sys.m:] += sys.f_plate - sys.kappa * beta
+    load[sys.m:] += sys.f_plate - sys.K @ beta
     if force_coeffs is not None:
         load[sys.m:] -= force_coeffs(beta)
     wdot = la.solve(sys.M, load - sys.D @ w, assume_a="pos")

@@ -14,9 +14,9 @@ from plateflow.galerkin import (
     plate_forcing_profile,
     reconstruct,
 )
-from plateflow.mesh import VelocityField, inner_fluid, plate_mean
-from plateflow.spectrum import generator_eigenvalues
-from plateflow.steady import minimize_stationary
+from plateflow.mesh import VelocityField, grad_inner, inner_fluid, plate_mean
+from plateflow.spectrum import generator_eigenvalues, spectral_abscissa
+from plateflow.steady import minimize_stationary, solve_stationary_stokes
 import oracles
 
 
@@ -36,19 +36,54 @@ def test_dissipation_matrix_block_structure(sys_free, basis):
     assert np.min(np.linalg.eigvalsh(0.5 * (D + D.T))) > 0
 
 
-def test_assembly_does_not_depend_on_the_basis_of_the_flow_space(basis):
-    # psi -> S psi spans the same flow space, so with the battery's forcing the
-    # generator's spectrum, the stationary flow and its energy stay, and the
-    # coefficients of the stationary flow go to S^-T alpha*
+@pytest.mark.parametrize("side", ["flow", "plate"])
+def test_assembly_does_not_depend_on_the_basis_of_the_trial_space(basis, grid, side):
+    # psi -> S psi spans the same flow space, and xi -> S xi with N0 xi -> S N0 xi
+    # the same plate space, so with the battery's forcing the generator's
+    # spectrum, the stationary flow and its energy stay, the coefficients of
+    # the stationary flow go to S^-T alpha* and the pressure load to S p*, and
+    # the forced Berger plate rests in the same deflection
     forcing = ForcingConfig(fluid_kind="shear", fluid_amp=1.0, plate_kind="sine", plate_amp=0.5)
-    S = np.eye(basis.m) + 0.3 * np.random.default_rng(0).standard_normal((basis.m, basis.m))
-    sys_, mixed = (assemble(b, 1.0, forcing)
-                   for b in (basis, dataclasses.replace(basis, psi=basis.psi.combine(S))))
+    k = basis.m if side == "flow" else basis.n
+    S = np.eye(k) + 0.3 * np.random.default_rng(0).standard_normal((k, k))
+    other = (dataclasses.replace(basis, psi=basis.psi.combine(S)) if side == "flow" else
+             dataclasses.replace(basis, xi=S @ basis.xi, lift=basis.lift.combine(S)))
+    sys_, mixed = (assemble(b, 1.0, forcing) for b in (basis, other))
     ev, ev_mixed = generator_eigenvalues(sys_), generator_eigenvalues(mixed)
     assert np.max(np.abs(ev - ev_mixed)) <= 1e-12 * np.max(np.abs(ev))
-    alpha = S.T @ mixed.alpha_star
+    alpha = S.T @ mixed.alpha_star if side == "flow" else mixed.alpha_star
     assert np.max(np.abs(sys_.alpha_star - alpha)) <= 1e-12 * np.max(np.abs(sys_.alpha_star))
     assert abs(sys_.E0_star - mixed.E0_star) <= 1e-12 * sys_.E0_star
+    pstar = sys_.pstar if side == "flow" else S @ sys_.pstar
+    assert np.max(np.abs(mixed.pstar - pstar)) <= 1e-12 * np.max(np.abs(pstar))
+    model = BergerForce(grid, kappa=5.0, gamma=30.0)
+    u, u_mixed = (s.plate_deflection(minimize_stationary(s, model, np.zeros(s.n)).beta_star)
+                  for s in (sys_, mixed))
+    assert np.max(np.abs(u - u_mixed)) <= 1e-12 * np.max(np.abs(u))
+
+
+def test_full_order_flow_space(basis, grid, sys_forced, rng):
+    # every discretely solenoidal field, with no eigensolve: the reduced model
+    # is the discrete PDE's, so its stationary flow is the stationary Stokes
+    # solve and the m = 12 stationary flow is the Galerkin projection of it
+    full = oracles.full_order_basis(basis)
+    assert full.m == (grid.n_x - 1) * (grid.n_z - 1)
+    forcing = ForcingConfig(fluid_kind="shear", fluid_amp=1.0, plate_kind="sine", plate_amp=0.5)
+    gf = fluid_forcing_field(forcing, grid)
+    for nu, abscissa in ((1.0, -5.17623), (0.1, -0.994168), (0.01, -0.148496)):
+        sys_ = assemble(full, nu, forcing)
+        assert np.max(np.abs(sys_.M - sys_.M.T)) == 0.0 and np.linalg.eigvalsh(sys_.M)[0] > 0
+        assert abs(spectral_abscissa(sys_) - abscissa) <= 1e-5 * abs(abscissa)
+        v = full.psi.combine(sys_.alpha_star)
+        want = solve_stationary_stokes(gf, grid, nu)[0].v
+        scale = max(np.max(np.abs(want.u)), np.max(np.abs(want.w)))
+        assert max(np.max(np.abs(v.u - want.u)), np.max(np.abs(v.w - want.w))) <= 1e-12 * scale
+        if nu == 1.0:
+            v_m = basis.psi.combine(sys_forced.alpha_star)
+            gap = grad_inner(VelocityField(grid, v.u - v_m.u, v.w - v_m.w), basis.psi, grid)
+            assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(grad_inner(v, basis.psi, grid)))
+        rec = reconstruct(sys_, rng.standard_normal(full.m + 2 * full.n))
+        assert np.array_equal(rec.v.w[:, -1], rec.u_t)
 
 
 def test_lyapunov_V_is_its_field_definition(sys_forced, grid, rng):
@@ -73,13 +108,13 @@ def test_assemble_rejects_bad_viscosity(basis):
 
 
 def test_energy_derivative_identity(sys_free, rng):
-    # analytic chain rule: dE0/dt = w . M wdot + kappa beta . betadot
+    # analytic chain rule: dE0/dt = w . M wdot + K beta . betadot
     y = rng.standard_normal(sys_free.m + 2 * sys_free.n)
     ydot = oracles.rhs(sys_free, y)
     m, n = sys_free.m, sys_free.n
     w = np.concatenate([y[:m], y[m + n:]])
     wdot = np.concatenate([ydot[:m], ydot[m + n:]])
-    dE = float(w @ sys_free.M @ wdot) + float(sys_free.kappa @ (y[m:m + n] * y[m + n:]))
+    dE = float(w @ sys_free.M @ wdot) + float(y[m:m + n] @ sys_free.K @ y[m + n:])
     assert abs(dE + sys_free.power_rates(y)[0]) < 1e-9 * (1.0 + abs(dE))
 
 

@@ -199,3 +199,20 @@ def test_no_check_or_probe_states_a_bound():
                       and any(_numeric_literals(o) for o in [node.left, *node.comparators])]
     assert not found, "comparisons that state a bound outside verification.BOUNDS:\n" + \
         "\n".join(found)
+
+
+# the eigen-data of a modal basis: modal.py makes them, and only cli.py's
+# reports and the SurrogateNorms of criterion 6 read them
+EIGEN_DATA = {"mu", "kappa", "psi_res", "xi_res"}
+
+
+def test_the_reduced_system_reads_no_eigen_data():
+    # the reduced system, its stationary states, dynamics and spectrum read the
+    # Gram tables of the trial space, so any basis of it serves: none of them
+    # may read which eigenvalues its modes have
+    found = [f"{module}.py:{node.lineno}: {ast.unparse(node)}"
+             for module in ("galerkin", "steady", "dynamics", "spectrum")
+             for node in ast.walk(ast.parse((ROOT / "src" / "plateflow" / f"{module}.py")
+                                            .read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in EIGEN_DATA]
+    assert not found, "eigen-data read outside modal.py:\n" + "\n".join(found)

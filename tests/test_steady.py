@@ -119,9 +119,9 @@ def test_stationary_data_off_unit_viscosity():
 
 
 def test_minimize_stationary_linear_case(sys_shear):
-    # no nonlinear force: beta* = pstar / kappa in closed form
+    # no nonlinear force: beta* = K^-1 pstar in closed form
     eq = minimize_stationary(sys_shear, model=None, beta_init=np.zeros(sys_shear.n))
-    assert np.max(np.abs(eq.beta_star - sys_shear.pstar / sys_shear.kappa)) < 1e-10
+    assert np.max(np.abs(eq.beta_star - la.solve(sys_shear.K, sys_shear.pstar))) < 1e-10
     assert eq.residual < 1e-8
 
 
@@ -259,4 +259,4 @@ def test_minimize_stationary_converges_from_every_start_on_buckled_plate(sys_fre
         eq = minimize_stationary(sys_free, buckled,
                                  beta_init=0.5 * rng.standard_normal(sys_free.n))
         assert eq.energy < 0
-        assert eq.residual <= 1e-12 * np.linalg.norm(sys_free.kappa * eq.beta_star)
+        assert eq.residual <= 1e-12 * np.linalg.norm(sys_free.K @ eq.beta_star)
