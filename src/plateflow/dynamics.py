@@ -257,7 +257,6 @@ def quasi_stability_probe(sys: GalerkinSystem, tr: Trajectory, gamma_star: float
     m, n = sys.m, sys.n
     t = tr.t
     a, b = tr.states[..., :B], tr.states[..., B:]
-    plate_mass = sys.hXi @ sys.basis.xi.T
     Z2, du2 = np.empty((2, len(t), B))
     rows = max(1, _BLOCK_COLUMNS // B)          # samples per block of pair differences
     for k in range(0, len(t), rows):
@@ -265,7 +264,7 @@ def quasi_stability_probe(sys: GalerkinSystem, tr: Trajectory, gamma_star: float
         # 2 E0(diff), and the squared plate L2 norm of du
         Z2[k:k + rows] = np.maximum(np.einsum("kib,ij,kjb->kb", diff, sys.H, diff), 0.0)
         du = diff[:, m:m + n]
-        du2[k:k + rows] = np.einsum("kib,ij,kjb->kb", du, plate_mass, du)
+        du2[k:k + rows] = np.einsum("kib,ij,kjb->kb", du, sys.Mp, du)
     # integral term by trapezoid on the sample grid, as a recursion in k
     conv = np.zeros_like(du2)
     for k in range(1, len(t)):
@@ -296,7 +295,7 @@ def attractor_regularity_probe(traj: Trajectory, sys: GalerkinSystem):
     dstate = (states[2:] - states[:-2]) / (2 * dts)       # at samples start .. nsamp-2
     vt, ut_bend, utt = (np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", x, form, x), 0.0))
                         for x, form in ((dstate[:, sys.kin], sys.M), (states[1:-1, m + n:], sys.K),
-                                        (dstate[:, m + n:], sys.hXi @ sys.basis.xi.T)))
+                                        (dstate[:, m + n:], sys.Mp)))
     half = len(vt) // 2
     return {name: {"sup_first": float(np.max(a[:half])), "sup_second": float(np.max(a[half:]))}
             for name, a in (("v_t", vt), ("u_t_bending", ut_bend), ("u_tt", utt))}

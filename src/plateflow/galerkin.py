@@ -79,23 +79,25 @@ def plate_forcing_profile(cfg: ForcingConfig, g: Grid) -> np.ndarray:
 class GalerkinSystem:
     """Assembled reduced system: ydot = A y + c - B fc(beta), E0 = 1/2 y^T H y.
 
-    M, D, K and the loads are the assembled forms; A, c, B, H, kin and hXi
-    are derived from them once, in __post_init__ (A, c and B by linear_parts,
-    with the single inverse of M), and so is the stationary state: the flow
-    alpha* solves D_vv alpha* = ((G0, psi_k))_k, and the pressure load is
-    p*_j = (G0, N0 xi_j), read off f_kin, since the lifts are Dirichlet-orthogonal
-    to every zero-trace solenoidal field.  The forced problem's Lyapunov functional,
-    with y* = (alpha*, 0, 0), is E0(y - y*) + potential - (p* + f_plate) . beta
-    = E - ell . y + E0_star.
+    M, D, Mp, K and the loads are the assembled forms; M's spectrum, A, c, B,
+    H, kin and hXi are derived from them once, in __post_init__ (A, c and B by
+    linear_parts, inverting M once its spectrum is positive), and so is the
+    stationary state: the flow alpha* solves D_vv alpha* = ((G0, psi_k))_k, and
+    the pressure load is p*_j = (G0, N0 xi_j), read off f_kin, since the lifts are
+    Dirichlet-orthogonal to every zero-trace solenoidal field.  The forced
+    problem's Lyapunov functional, with y* = (alpha*, 0, 0), is E0(y - y*) +
+    potential - plate_load . beta = E - ell . y + E0_star.
     """
 
     basis: ModalBasis
     nu: float
     M: np.ndarray = field(repr=False)                     # (m+n) kinetic mass
     D: np.ndarray = field(repr=False)                     # (m+n) viscous dissipation form
+    Mp: np.ndarray = field(repr=False)                    # (n,n) plate mass table h_x xi xi^T
     K: np.ndarray = field(repr=False)                     # (n,n) plate bending table
     f_kin: np.ndarray = field(repr=False)                 # (m+n,) forcing on kinetic eqs
     f_plate: np.ndarray = field(repr=False)               # (n,) transverse load coefficients
+    M_eigenvalues: np.ndarray = field(repr=False, init=False)  # (m+n,) M's, ascending
     A: np.ndarray = field(repr=False, init=False)         # (N,N) linear evolution matrix
     c: np.ndarray = field(repr=False, init=False)         # (N,) constant forcing term
     B: np.ndarray = field(repr=False, init=False)         # (N,n) plate-force input map
@@ -104,12 +106,19 @@ class GalerkinSystem:
     hXi: np.ndarray = field(repr=False, init=False)       # (n,n_plate) h_x xi: F -> (F, xi_j)_Omega
     alpha_star: np.ndarray = field(repr=False, init=False)  # (m,) stationary flow coefficients
     pstar: np.ndarray = field(repr=False, init=False)     # (n,) stationary pressure load
-    ell: np.ndarray = field(repr=False, init=False)       # (N,) H y* + (0, p* + f_plate, 0)
+    plate_load: np.ndarray = field(repr=False, init=False)  # (n,) p* + f_plate
+    ell: np.ndarray = field(repr=False, init=False)       # (N,) H y* + (0, plate_load, 0)
     E0_star: float = field(repr=False, init=False)        # E0(y*)
 
     def __post_init__(self):
         m, n = self.m, self.n
+        self.M_eigenvalues = np.linalg.eigvalsh(self.M)
+        if self.M_eigenvalues[0] <= 0:
+            raise AssemblyError("kinetic mass matrix is not positive definite: smallest "
+                                f"eigenvalue {self.M_eigenvalues[0]:.6e}")
         self.kin = np.concatenate([np.arange(m), m + n + np.arange(n)])
+        self.pstar = self.f_kin[m:]
+        self.plate_load = self.pstar + self.f_plate
         self.A, self.c, self.B = self.linear_parts()
         beta = np.arange(m, m + n)
         self.H = np.zeros((m + 2 * n, m + 2 * n))
@@ -117,10 +126,9 @@ class GalerkinSystem:
         self.H[np.ix_(beta, beta)] = self.K
         self.hXi = self.basis.grid.h_x * self.basis.xi
         self.alpha_star = la.solve(self.D[:m, :m], self.f_kin[:m], assume_a="pos")
-        self.pstar = self.f_kin[m:]
         y_star = self.join(self.alpha_star, np.zeros(n), np.zeros(n))
         self.ell = self.H @ y_star
-        self.ell[beta] += self.pstar + self.f_plate
+        self.ell[beta] += self.plate_load
         self.E0_star = float(self.energy_quadratic(y_star))
 
     def linear_parts(self):
@@ -135,10 +143,8 @@ class GalerkinSystem:
         A[beta, m + n + np.arange(n)] = 1.0
         A[np.ix_(self.kin, self.kin)] = -Minv @ self.D
         A[np.ix_(self.kin, beta)] = -Minv[:, m:] @ self.K
-        load = self.f_kin.copy()
-        load[m:] += self.f_plate
         c = np.zeros(N)
-        c[self.kin] = Minv @ load
+        c[self.kin] = Minv @ np.concatenate([self.f_kin[:m], self.plate_load])
         B = np.zeros((N, n))
         B[self.kin] = Minv[:, m:]
         return A, c, B
@@ -216,16 +222,10 @@ def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None)
         vl = form(psi, lift, g)
         return np.block([[form(psi, psi, g), vl], [vl.T, form(lift, lift, g)]])
 
+    Mp = g.h_x * basis.xi @ basis.xi.T
     M = gram(inner_fluid)
-    M[m:, m:] += g.h_x * basis.xi @ basis.xi.T
+    M[m:, m:] += Mp
     M = 0.5 * (M + M.T)
-
-    ev = la.eigvalsh(M)
-    if ev[0] <= 0:
-        raise AssemblyError(
-            f"kinetic mass matrix is not positive definite: smallest eigenvalue {ev[0]:.6e}"
-        )
-
     D = nu * gram(grad_inner)
     D = 0.5 * (D + D.T)
     K = basis.xi @ beam_operators(g).K @ basis.xi.T
@@ -235,7 +235,7 @@ def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None)
     f_kin = np.concatenate([inner_fluid(gf, psi, g), inner_fluid(gf, lift, g)])
     f_plate = g.h_x * basis.xi @ plate_forcing_profile(forcing, g)
 
-    return GalerkinSystem(basis=basis, nu=nu, M=M, D=D, K=K,
+    return GalerkinSystem(basis=basis, nu=nu, M=M, D=D, Mp=Mp, K=K,
                           f_kin=f_kin, f_plate=f_plate)
 
 

@@ -53,7 +53,7 @@ def solve_stationary_stokes(gf: VelocityField, g: Grid, nu: float):
 
 def stationary_residual(sys: GalerkinSystem, beta: np.ndarray, model: ForceModel | None) -> float:
     """Norm of the stationary plate equations over the plate mode basis."""
-    r = sys.K @ beta + sys.force_map(model)(beta) - sys.pstar - sys.f_plate
+    r = sys.K @ beta + sys.force_map(model)(beta) - sys.plate_load
     return float(np.linalg.norm(r))
 
 
@@ -76,7 +76,7 @@ def minimize_stationary(sys: GalerkinSystem, model: ForceModel | None,
     """
     beta = np.array(beta_init, float)
     fc, jac = sys.force_map(model), sys.force_jacobian(model)
-    load = sys.pstar + sys.f_plate
+    load = sys.plate_load
     norm = np.linalg.norm
     val = _psi_value(sys, beta, load, model)
     for _ in range(500):

@@ -238,13 +238,15 @@ def project_initial(sys: GalerkinSystem, v0: VelocityField, u0: np.ndarray,
     u0p = project_zero_mean(u0, g)
     u1p = u1 - plate_mean(u1, g) / g.L_x  # trace of a solenoidal field; already zero mean
 
-    beta = sys.hXi @ u0p
-    betadot = sys.hXi @ u1p
+    # L2 projections: the plate data onto the plate modes in the plate mass
+    # table, the rest of v0 onto the flow modes in M's vv block
+    beta, betadot = la.solve(sys.Mp, sys.hXi @ np.column_stack([u0p, u1p]), assume_a="pos").T
     r = u0p - sys.plate_deflection(beta)
     plate_res = float(np.sqrt(max(inner_plate(r, r, g), 0.0)))
 
     lift_dot = sys.basis.lift.combine(betadot)
-    alpha = inner_fluid(sys.basis.psi, VelocityField(g, v0.u - lift_dot.u, v0.w - lift_dot.w), g)
+    rest = VelocityField(g, v0.u - lift_dot.u, v0.w - lift_dot.w)
+    alpha = la.solve(sys.M[:sys.m, :sys.m], inner_fluid(sys.basis.psi, rest, g), assume_a="pos")
     fit = lift_dot + sys.basis.psi.combine(alpha)
     diff = VelocityField(g, v0.u - fit.u, v0.w - fit.w)
     vres = float(np.sqrt(max(inner_fluid(diff, diff, g), 0.0)))

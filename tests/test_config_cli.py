@@ -1,12 +1,14 @@
 import json
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from plateflow import modal
 from plateflow.cli import _dumps, main, write_csv, write_json
 from plateflow.config import _SECTIONS, ConfigError, parse_config
+from plateflow.mesh import VelocityField
 from plateflow.spectrum import semigroup_consistency
 from plateflow.verification import estar_monotone
 
@@ -290,6 +292,23 @@ def test_values_the_models_reject_exit_2(tmp_path, capsys, command, text, messag
     path = _write(tmp_path, text)
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["assemble", "simulate"])
+def test_a_degenerate_cached_basis_exits_2(tmp_path, capsys, basis, command):
+    # a well-shaped cache of the default grid whose flow stack holds mode 0
+    # twice loads, and assembling it reports the singular kinetic mass
+    u, w = basis.psi.u.copy(), basis.psi.w.copy()
+    u[1], w[1] = u[0], w[0]
+    out = tmp_path / "out"
+    (out / "modes_cache").mkdir(parents=True)
+    g = basis.grid
+    modal._save_basis(str(out / "modes_cache" / f"modes_{g.grid_key()}_m12_n8.npz"),
+                      replace(basis, psi=VelocityField(g, u, w)))
+    assert main([command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: kinetic mass matrix is not positive definite")
 
 
 def test_out_that_is_a_file_exits_2(tmp_path, capsys):

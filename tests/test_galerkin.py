@@ -26,6 +26,22 @@ def test_mass_matrix_symmetric_positive(sys_free):
     assert np.min(np.linalg.eigvalsh(M)) > 0
 
 
+def test_the_system_forms_its_derived_forms_once(sys_forced, basis):
+    # the plate mass table is the block M adds on ll, M's spectrum is read in
+    # ascending order, and the plate load is p* + f_plate, as ell carries it
+    m, n = sys_forced.m, sys_forced.n
+    assert np.array_equal(sys_forced.Mp, basis.grid.h_x * basis.xi @ basis.xi.T)
+    ll = inner_fluid(basis.lift, basis.lift, basis.grid) + sys_forced.Mp
+    assert np.max(np.abs(sys_forced.M[m:, m:] - 0.5 * (ll + ll.T))) <= 1e-15
+    assert np.array_equal(sys_forced.M_eigenvalues, np.linalg.eigvalsh(sys_forced.M))
+    assert np.array_equal(sys_forced.plate_load, sys_forced.pstar + sys_forced.f_plate)
+    assert np.any(sys_forced.f_plate) and np.any(sys_forced.pstar)
+    assert np.array_equal(sys_forced.ell[m:m + n],
+                          (sys_forced.H @ sys_forced.join(sys_forced.alpha_star, np.zeros(n),
+                                                          np.zeros(n)))[m:m + n]
+                          + sys_forced.plate_load)
+
+
 def test_dissipation_matrix_block_structure(sys_free, basis):
     D = sys_free.D
     m = sys_free.m
@@ -176,11 +192,20 @@ def test_forcing_fields(grid):
     assert np.max(np.abs(none.u)) == 0 and np.max(np.abs(none.w)) == 0
 
 
-def test_projection_roundtrip(sys_free, grid, rng):
-    # build compatible data from known coefficients, project, and compare
-    y_ref = rng.standard_normal(sys_free.m + 2 * sys_free.n)
-    rec = reconstruct(sys_free, y_ref)
-    rep = oracles.project_initial(sys_free, rec.v, rec.u, rec.u_t)
+@pytest.mark.parametrize("trial", ["eigen", "plate", "full"])
+def test_projection_roundtrip(basis, rng, trial):
+    # build compatible data from known coefficients, project, and compare: on
+    # the eigenbasis, on the [plate] case's mixed plate basis of the invariance
+    # test and on the full-order flow space, whose stacks are not orthonormal
+    if trial == "plate":
+        S = np.eye(basis.n) + 0.3 * np.random.default_rng(0).standard_normal((basis.n, basis.n))
+        basis = dataclasses.replace(basis, xi=S @ basis.xi, lift=basis.lift.combine(S))
+    elif trial == "full":
+        basis = oracles.full_order_basis(basis)
+    sys_ = assemble(basis, 1.0)
+    y_ref = rng.standard_normal(sys_.m + 2 * sys_.n)
+    rec = reconstruct(sys_, y_ref)
+    rep = oracles.project_initial(sys_, rec.v, rec.u, rec.u_t)
     assert np.max(np.abs(rep.y0 - y_ref)) < 1e-12 * (1.0 + np.max(np.abs(y_ref)))
     assert rep.plate_residual < 1e-12
     assert rep.velocity_residual < 1e-10

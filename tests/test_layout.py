@@ -1,14 +1,16 @@
 """src/plateflow holds only what plateflow runs: every definition there is
 used by the package itself, its scripts or its benchmark, not only by the
 tests, and so is every parameter with a default.  Definitions that only tests
-use live in tests/oracles.py.  No module imports a name it does not use."""
+use live in tests/oracles.py.  No module imports a name it does not use, and
+every error class of the package reaches the user of the CLI as an error line."""
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
 
-from plateflow import config, verification
+from plateflow import cli, config, verification
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "plateflow").glob("*.py"))
@@ -216,3 +218,51 @@ def test_the_reduced_system_reads_no_eigen_data():
                                             .read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr in EIGEN_DATA]
     assert not found, "eigen-data read outside modal.py:\n" + "\n".join(found)
+
+
+def test_every_error_class_reaches_the_user_as_an_error_line():
+    # cli.main prints ConfigError and each class in its except tuple as one
+    # "error:" line with exit 2; any other error class in src/plateflow would
+    # reach the user as a traceback
+    main = next(node for node in ast.parse((ROOT / "src" / "plateflow" / "cli.py")
+                                           .read_text(encoding="utf-8")).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = tuple(getattr(cli, name.id) for node in ast.walk(main)
+                   if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple)
+                   for name in node.type.elts)
+    assert caught, "cli.main has no except tuple"
+    uncaught = [f"{path.stem}.{name}"
+                for path in SRC
+                for name, obj in vars(importlib.import_module(f"plateflow.{path.stem}")).items()
+                if isinstance(obj, type) and issubclass(obj, BaseException)
+                and obj.__module__ == f"plateflow.{path.stem}"
+                and obj is not config.ConfigError and not issubclass(obj, caught)]
+    assert not uncaught, ("error classes that cli.main does not report (add each to its except "
+                          "tuple):\n" + "\n".join(uncaught))
+
+
+def _forms_a_derived_table(node) -> bool:
+    """Whether node forms one of GalerkinSystem's derived tables: the plate
+    mass table (h_x xi or hXi times xi.T), M's eigenvalues, or the plate load
+    (pstar with f_plate)."""
+    names = {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
+             if isinstance(n, (ast.Attribute, ast.Name))}
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        right = node.right
+        return (isinstance(right, ast.Attribute) and right.attr == "T"
+                and "xi" in ast.unparse(right.value) and bool({"h_x", "hXi"} & names))
+    if isinstance(node, ast.BinOp):
+        return {"pstar", "f_plate"} <= names
+    return (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1].startswith("eig")
+            and any(isinstance(a, ast.Attribute) and a.attr == "M" for a in node.args))
+
+
+def test_only_galerkin_forms_the_systems_derived_tables():
+    # GalerkinSystem forms its plate mass table Mp, M's spectrum M_eigenvalues
+    # and its plate_load once; every other module reads the system's copies
+    found = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+             for path in SRC if path.stem != "galerkin"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if _forms_a_derived_table(node)]
+    assert not found, "derived tables of GalerkinSystem formed outside galerkin.py:\n" + \
+        "\n".join(found)

@@ -55,11 +55,12 @@ def test_integrator_consistent_with_expm(sys_free, rng):
     assert 3.0 < d1 / d2 < 5.0
 
 
-def test_gamma_operator_identities(basis):
-    out = gamma_operator_checks(basis)
+def test_gamma_operator_identities(sys_free, basis):
+    out = gamma_operator_checks(sys_free)
     assert list(out) == ["gamma_symmetry", "gamma_min_eigenvalue", "gamma_gram_error"]
     for quantity, value in out.items():
         assert holds("trace_operator_identities", quantity, value), quantity
-    # traces are L2-orthonormal, so the pairing matrix is the identity
-    plate_gram = basis.grid.h_x * basis.xi @ basis.xi.T
-    assert np.max(np.abs(plate_gram - np.eye(basis.n))) < 1e-10
+    # the pairing matrix is read against the system's plate mass table; the
+    # eigenmode traces are L2-orthonormal, so that table is the identity
+    assert np.array_equal(sys_free.Mp, basis.grid.h_x * basis.xi @ basis.xi.T)
+    assert np.max(np.abs(sys_free.Mp - np.eye(basis.n))) < 1e-10
