@@ -54,13 +54,14 @@ class Trajectory:
 class Stepper:
     """One-step implicit midpoint map S1 y+ = S0 y + dt c - dt B fc(beta_mid),
     S1 = I - dt A/2 and S0 = I + dt A/2, through the propagator P = S1^-1 S0,
-    p = dt S1^-1 c, PB = dt S1^-1 B: base = P y + p, each iterate y+ = base - PB fc."""
+    p = dt S1^-1 c, PB = dt S1^-1 B: base = P y + p, each iterate y+ = base - PB fc.
+    fc and potential are the model's GalerkinSystem.plate_force, built once."""
 
     def __init__(self, sys: GalerkinSystem, dt: float, model: ForceModel | None):
         if not (np.isfinite(dt) and dt > 0):
             raise IntegratorError(f"time step dt must be finite and positive, got {dt}")
         self.model = model
-        self._fc = sys.force_map(model)
+        self._fc, _, self.potential = sys.plate_force(model)
         self._beta = slice(sys.m, sys.m + sys.n)
         N = sys.A.shape[0]
         S1 = la.lu_factor(np.eye(N) - 0.5 * dt * sys.A)
@@ -110,12 +111,12 @@ class Stepper:
             f"{np.nan if last is None else last[k]:.3e}); reduce the time step")
 
 
-def energies(sys: GalerkinSystem, y: np.ndarray, model: ForceModel | None):
+def energies(sys: GalerkinSystem, y: np.ndarray, potential):
     """(E0, E, Estar) of the states y, (N,) or columns (N, k): E0 the quadratic
-    energy, E = E0 plus the plate potential, and Estar = E - ell . y + E0_star
-    the energy shifted by the system's stationary state (GalerkinSystem)."""
+    energy, E = E0 + potential(beta), the plate potential of plate_force, and
+    Estar = E - ell . y + E0_star, shifted by the system's stationary state."""
     E0 = sys.energy_quadratic(y)
-    E = E0 + sys.potential(model, y[sys.m:sys.m + sys.n])
+    E = E0 + potential(y[sys.m:sys.m + sys.n])
     return E0, E, E - sys.ell @ y + sys.E0_star
 
 
@@ -146,7 +147,7 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
     t = np.zeros(n_samples)
     rep = np.zeros((n_samples, 5, B))               # E0, E, Estar, balance, dissipation
     states = np.zeros((n_samples, N, B)) if keep_states else None
-    rep[0, :3] = energies(sys, y, model)
+    rep[0, :3] = energies(sys, y, stepper.potential)
     E_0 = rep[0, 1]
     if keep_states:
         states[0] = y
@@ -170,7 +171,7 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
                 js = np.append(js, nb)
             Ysamp = Ys[:, js]
             E0, E, Estar = (e.reshape(len(js), B)
-                            for e in energies(sys, Ysamp.reshape(N, -1), model))
+                            for e in energies(sys, Ysamp.reshape(N, -1), stepper.potential))
             diss, work = acc[:, js]
             s = slice(i + 1, i + 1 + len(js))
             t[s] = (k0 + js) * dt

@@ -24,7 +24,7 @@ class ForceModelError(ValueError):
 
 class ForceModel:
     """Interface: force(u), potential(u) and jacobian(u) on nodal plate values,
-    and modal(xi, h_x), the force's action on plate-mode coefficients."""
+    and modal(xi, hXi), the force's action on plate-mode coefficients."""
 
     def force(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -35,14 +35,16 @@ class ForceModel:
     def jacobian(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def modal(self, xi: np.ndarray, h_x: float):
-        """(fc, dfc) on the plate modes xi (n, n_plate) with node weight h_x:
-        fc(beta)_j = (F(u), xi_j)_Omega at u = xi^T beta, for beta (n,) or
-        columns (n, B), and dfc(beta) = dfc/dbeta (n, n) at one beta.  By
-        default the nodal force and Jacobian projected by hXi = h_x xi."""
-        hXi, xiT = h_x * xi, xi.T
+    def modal(self, xi: np.ndarray, hXi: np.ndarray):
+        """(fc, dfc, potential) on the plate modes xi (n, n_plate), hXi their
+        plate quadrature ((F, xi_j)_Omega = hXi_j . F): fc(beta)_j = (F(u),
+        xi_j)_Omega at u = xi^T beta and potential(beta) = Pi(u), for beta (n,)
+        or columns (n, B), and dfc(beta) = dfc/dbeta (n, n) at one beta.  By
+        default the nodal force and Jacobian projected by hXi."""
+        xiT = xi.T
         return (lambda beta: hXi.dot(self.force(xiT.dot(beta))),
-                lambda beta: hXi @ self.jacobian(xiT @ beta) @ xiT)
+                lambda beta: hXi @ self.jacobian(xiT @ beta) @ xiT,
+                lambda beta: self.potential(xiT @ beta))
 
 
 @dataclass
@@ -119,24 +121,24 @@ class BergerForce(ForceModel):
         Q = self._Q(self.ops.D @ u)
         return 0.25 * self.kappa * Q ** 2 - 0.5 * self.gamma * Q
 
-    def modal(self, xi, h_x):
-        """Exact n x n form from the model's own D and h: with K = (D xi^T)^T
-        (D xi^T) and Q = h beta^T K beta, fc = (kappa Q - gamma) h_x K beta and
-        dfc = h_x [(kappa Q - gamma) K + 2 kappa h (K beta)(K beta)^T], read
-        through hK = h_x K and c = kappa h / h_x as fc = (c beta.hKb - gamma) hKb
-        and dfc = (c beta.hKb - gamma) hK + 2c hKb hKb^T with hKb = hK beta."""
-        DX = self.ops.D @ xi.T
-        hK = h_x * (DX.T @ DX)
-        c, gamma = self.kappa * (self.grid.h_x / h_x), self.gamma
+    def modal(self, xi, hXi):
+        """Exact n x n form from the model's own D and h: with hK = h (D xi^T)^T
+        (D xi^T), hKb = hK beta and Q = beta.hKb, fc = (kappa Q - gamma) hKb
+        and dfc = (kappa Q - gamma) hK + 2 kappa hKb hKb^T; potential(beta) is
+        Pi(xi^T beta), as by default."""
+        xiT = xi.T
+        DX = self.ops.D @ xiT
+        hK = self.grid.h_x * (DX.T @ DX)
+        kappa, gamma = self.kappa, self.gamma
 
         def fc(beta):
             hKb = hK.dot(beta)
-            return (c * np.vecdot(beta, hKb, axis=0) - gamma) * hKb
+            return (kappa * np.vecdot(beta, hKb, axis=0) - gamma) * hKb
 
         def dfc(beta):
             hKb = hK @ beta
-            return (c * (beta @ hKb) - gamma) * hK + 2.0 * c * np.outer(hKb, hKb)
-        return fc, dfc
+            return (kappa * (beta @ hKb) - gamma) * hK + 2.0 * kappa * np.outer(hKb, hKb)
+        return fc, dfc, lambda beta: self.potential(xiT @ beta)
 
 
 def verify_gradient(model: ForceModel, u: np.ndarray, weight: float, rng) -> float:

@@ -9,7 +9,7 @@ bending energy is the table K of the bending form over the plate modes.
 GalerkinSystem is the one place the reduced dynamics are derived:
 ydot = A y + c - B fc(beta), with fc the plate force projected on the plate
 modes, and E0 = 1/2 y^T H y the quadratic energy; so is the stationary state
-of its loads.  The energetics and the force map act on one state (N,) or
+of its loads.  The energetics and the plate force act on one state (N,) or
 column by column on B states (N, B).
 """
 
@@ -79,8 +79,8 @@ def plate_forcing_profile(cfg: ForcingConfig, g: Grid) -> np.ndarray:
 class GalerkinSystem:
     """Assembled reduced system: ydot = A y + c - B fc(beta), E0 = 1/2 y^T H y.
 
-    M, D, Mp, K and the loads are the assembled forms; M's spectrum, A, c, B,
-    H, kin and hXi are derived from them once, in __post_init__ (A, c and B by
+    M, D, Mp, K, hXi and the loads are the assembled forms; M's spectrum, A, c,
+    B, H and kin are derived from them once, in __post_init__ (A, c and B by
     linear_parts, inverting M once its spectrum is positive), and so is the
     stationary state: the flow alpha* solves D_vv alpha* = ((G0, psi_k))_k, and
     the pressure load is p*_j = (G0, N0 xi_j), read off f_kin, since the lifts are
@@ -93,8 +93,9 @@ class GalerkinSystem:
     nu: float
     M: np.ndarray = field(repr=False)                     # (m+n) kinetic mass
     D: np.ndarray = field(repr=False)                     # (m+n) viscous dissipation form
-    Mp: np.ndarray = field(repr=False)                    # (n,n) plate mass table h_x xi xi^T
+    Mp: np.ndarray = field(repr=False)                    # (n,n) plate mass table hXi xi^T
     K: np.ndarray = field(repr=False)                     # (n,n) plate bending table
+    hXi: np.ndarray = field(repr=False)                   # (n,n_plate) h_x xi: F -> (F, xi_j)_Omega
     f_kin: np.ndarray = field(repr=False)                 # (m+n,) forcing on kinetic eqs
     f_plate: np.ndarray = field(repr=False)               # (n,) transverse load coefficients
     M_eigenvalues: np.ndarray = field(repr=False, init=False)  # (m+n,) M's, ascending
@@ -103,7 +104,6 @@ class GalerkinSystem:
     B: np.ndarray = field(repr=False, init=False)         # (N,n) plate-force input map
     H: np.ndarray = field(repr=False, init=False)         # (N,N) energy form
     kin: np.ndarray = field(repr=False, init=False)       # (m+n,) indices of w in y
-    hXi: np.ndarray = field(repr=False, init=False)       # (n,n_plate) h_x xi: F -> (F, xi_j)_Omega
     alpha_star: np.ndarray = field(repr=False, init=False)  # (m,) stationary flow coefficients
     pstar: np.ndarray = field(repr=False, init=False)     # (n,) stationary pressure load
     plate_load: np.ndarray = field(repr=False, init=False)  # (n,) p* + f_plate
@@ -124,7 +124,6 @@ class GalerkinSystem:
         self.H = np.zeros((m + 2 * n, m + 2 * n))
         self.H[np.ix_(self.kin, self.kin)] = self.M
         self.H[np.ix_(beta, beta)] = self.K
-        self.hXi = self.basis.grid.h_x * self.basis.xi
         self.alpha_star = la.solve(self.D[:m, :m], self.f_kin[:m], assume_a="pos")
         y_star = self.join(self.alpha_star, np.zeros(n), np.zeros(n))
         self.ell = self.H @ y_star
@@ -184,28 +183,19 @@ class GalerkinSystem:
         diss = np.vecdot(w, self.D @ w, axis=0)
         return diss, self.f_kin @ w + self.f_plate @ y[self.m + self.n:]
 
-    # -- modal force map --------------------------------------------------
+    # -- modal plate force -----------------------------------------------
     def plate_deflection(self, beta: np.ndarray) -> np.ndarray:
         """u = sum_j beta_j xi_j."""
         return self.basis.xi.T @ beta
 
-    def force_map(self, model: ForceModel | None):
-        """beta -> fc, fc_j = (F(u), xi_j)_Omega, for the plate force model F
-        in the model's own modal form, ForceModel.modal (None: zero)."""
+    def plate_force(self, model: ForceModel | None):
+        """(fc, dfc, potential) of the plate force model F on the plate modes,
+        in the model's own modal form, ForceModel.modal on (xi, hXi):
+        fc(beta)_j = (F(u), xi_j)_Omega and potential(beta) = Pi(u) at
+        u = xi^T beta, and dfc = dfc/dbeta.  None is the absent force: zero."""
         if model is None:
-            return np.zeros_like
-        return model.modal(self.basis.xi, self.basis.grid.h_x)[0]
-
-    def force_jacobian(self, model: ForceModel | None):
-        """beta -> dfc/dbeta (n, n) at one beta, from ForceModel.modal (None: zero)."""
-        if model is None:
-            return lambda beta: np.zeros((self.n, self.n))
-        return model.modal(self.basis.xi, self.basis.grid.h_x)[1]
-
-    def potential(self, model: ForceModel | None, beta: np.ndarray):
-        if model is None:
-            return 0.0
-        return model.potential(self.plate_deflection(beta))
+            return np.zeros_like, lambda beta: np.zeros((self.n, self.n)), lambda beta: 0.0
+        return model.modal(self.basis.xi, self.hXi)
 
 
 def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None) -> GalerkinSystem:
@@ -222,7 +212,8 @@ def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None)
         vl = form(psi, lift, g)
         return np.block([[form(psi, psi, g), vl], [vl.T, form(lift, lift, g)]])
 
-    Mp = g.h_x * basis.xi @ basis.xi.T
+    hXi = g.h_x * basis.xi
+    Mp = hXi @ basis.xi.T
     M = gram(inner_fluid)
     M[m:, m:] += Mp
     M = 0.5 * (M + M.T)
@@ -233,9 +224,9 @@ def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None)
 
     gf = fluid_forcing_field(forcing, g)
     f_kin = np.concatenate([inner_fluid(gf, psi, g), inner_fluid(gf, lift, g)])
-    f_plate = g.h_x * basis.xi @ plate_forcing_profile(forcing, g)
+    f_plate = hXi @ plate_forcing_profile(forcing, g)
 
-    return GalerkinSystem(basis=basis, nu=nu, M=M, D=D, Mp=Mp, K=K,
+    return GalerkinSystem(basis=basis, nu=nu, M=M, D=D, Mp=Mp, K=K, hXi=hXi,
                           f_kin=f_kin, f_plate=f_plate)
 
 

@@ -125,8 +125,10 @@ def solve_plate_eigenmodes(g: Grid, n: int):
 
 @dataclass
 class ModalBasis:
-    """The coupled trial space: m flow eigenmodes psi and n plate eigenmodes xi
-    with their liftings N0 xi, each family stacked along axis 0."""
+    """The coupled trial space: a stack psi of m flow modes and a stack xi of
+    n plate modes with their liftings N0 xi, each along axis 0.  assemble
+    takes any stacks of the two spaces; mu, psi_res, kappa and xi_res describe
+    an eigenbasis only, the one build_modal_basis makes."""
 
     grid: Grid
     mu: np.ndarray          # (m,) Stokes eigenvalues

@@ -51,14 +51,15 @@ def solve_stationary_stokes(gf: VelocityField, g: Grid, nu: float):
     return sol, solver.pressure_trace(sol, gf)
 
 
-def stationary_residual(sys: GalerkinSystem, beta: np.ndarray, model: ForceModel | None) -> float:
-    """Norm of the stationary plate equations over the plate mode basis."""
-    r = sys.K @ beta + sys.force_map(model)(beta) - sys.plate_load
+def stationary_residual(sys: GalerkinSystem, beta: np.ndarray, fc) -> float:
+    """Norm of the stationary plate equations over the plate mode basis, fc
+    the modal plate force of GalerkinSystem.plate_force."""
+    r = sys.K @ beta + fc(beta) - sys.plate_load
     return float(np.linalg.norm(r))
 
 
-def _psi_value(sys: GalerkinSystem, beta, load, model):
-    return 0.5 * float(beta @ sys.K @ beta) + sys.potential(model, beta) - float(load @ beta)
+def _psi_value(sys: GalerkinSystem, beta, potential):
+    return 0.5 * float(beta @ sys.K @ beta) + potential(beta) - float(sys.plate_load @ beta)
 
 
 def minimize_stationary(sys: GalerkinSystem, model: ForceModel | None,
@@ -75,10 +76,10 @@ def minimize_stationary(sys: GalerkinSystem, model: ForceModel | None,
     zero-mean restriction, which fixes the additive pressure constant.
     """
     beta = np.array(beta_init, float)
-    fc, jac = sys.force_map(model), sys.force_jacobian(model)
+    fc, jac, potential = sys.plate_force(model)
     load = sys.plate_load
     norm = np.linalg.norm
-    val = _psi_value(sys, beta, load, model)
+    val = _psi_value(sys, beta, potential)
     for _ in range(500):
         Kb = sys.K @ beta
         g = Kb + fc(beta) - load
@@ -91,7 +92,7 @@ def minimize_stationary(sys: GalerkinSystem, model: ForceModel | None,
         slope, step = 1e-4 * float(g @ d), 1.0
         for _ in range(40):
             trial = beta + step * d
-            tval = _psi_value(sys, trial, load, model)
+            tval = _psi_value(sys, trial, potential)
             if tval <= val + step * slope + 1e-13 * abs(val):
                 beta, val = trial, tval
                 break
@@ -99,7 +100,7 @@ def minimize_stationary(sys: GalerkinSystem, model: ForceModel | None,
         else:
             break
 
-    res = stationary_residual(sys, beta, model)
+    res = stationary_residual(sys, beta, fc)
     if res > STAT_TOL:
         raise StationaryError(
             f"stationary descent stagnated: residual {res:.3e} above {STAT_TOL:.1e}"

@@ -283,21 +283,20 @@ def kirchhoff_force(model: KirchhoffForce, u: np.ndarray) -> np.ndarray:
     return D.T @ flux + (u ** 3 - u)
 
 
-def kirchhoff_fc(model: KirchhoffForce, xi: np.ndarray, h_x: float):
+def kirchhoff_fc(model: KirchhoffForce, xi: np.ndarray, hXi: np.ndarray):
     """The fc of the default ForceModel.modal, which KirchhoffForce takes."""
-    hXi, xiT = h_x * xi, xi.T
+    xiT = xi.T
     return lambda beta: hXi @ kirchhoff_force(model, xiT @ beta)
 
 
-def berger_fc(model: BergerForce, xi: np.ndarray, h_x: float):
+def berger_fc(model: BergerForce, xi: np.ndarray):
     """The fc of BergerForce.modal."""
     DX = model.ops.D @ xi.T
-    hK = h_x * (DX.T @ DX)
-    c = model.kappa * (model.grid.h_x / h_x)
+    hK = model.grid.h_x * (DX.T @ DX)
 
     def fc(beta):
         hKb = hK @ beta
-        return (c * np.vecdot(beta, hKb, axis=0) - model.gamma) * hKb
+        return (model.kappa * np.vecdot(beta, hKb, axis=0) - model.gamma) * hKb
     return fc
 
 

@@ -230,7 +230,7 @@ def test_propagator_step_matches_lu_solve_midpoint(sys_forced, grid):
     S1 = la.lu_factor(np.eye(N) - 0.5 * dt * sys_forced.A)
     S0 = np.eye(N) + 0.5 * dt * sys_forced.A
     for stepper_model in (None, model):
-        fc = sys_forced.force_map(stepper_model)
+        fc = sys_forced.plate_force(stepper_model)[0]
         y = _random_unit_state(sys_forced, seed=40, scale=0.8)
         base = S0 @ y + dt * sys_forced.c
         want = la.lu_solve(S1, base)
@@ -394,13 +394,14 @@ def _per_step_reference(sys, y0, T, dt, model, stride):
     # load written out
     m, n = sys.m, sys.n
     stepper = Stepper(sys, dt, model)
+    potential = sys.plate_force(model)[2]
     y_star = sys.join(sys.alpha_star, np.zeros(n), np.zeros(n))[:, None]
     load = sys.pstar + sys.f_plate
 
     def reports(y):
         beta = y[m:m + n]
         E0 = sys.energy_quadratic(y)
-        pot = sys.potential(model, beta)
+        pot = potential(beta)
         return E0, E0 + pot, sys.energy_quadratic(y - y_star) + pot - load @ beta
 
     y = y0.reshape(len(y0), -1)

@@ -82,7 +82,7 @@ def test_kirchhoff_local_term_condition(grid, basis, rng):
     assert np.min(ratio) >= -1.0 > -basis.kappa[0]
 
 
-def test_force_maps_equal_their_matmul_forms_bit_for_bit(grid, basis, rng):
+def test_force_maps_equal_their_matmul_forms_bit_for_bit(grid, basis, sys_free, rng):
     # the per-step products call ndarray.dot; written with @ they give the
     # same bytes, for single states and for batches
     kirchhoff = KirchhoffForce(grid, kappa=1.0, q=2.0, r=0.0, mu=0.5)
@@ -90,9 +90,9 @@ def test_force_maps_equal_their_matmul_forms_bit_for_bit(grid, basis, rng):
     for shape in ((grid.n_plate,), (grid.n_plate, 4)):
         u = rng.standard_normal(shape)
         assert np.array_equal(kirchhoff.force(u), kirchhoff_force(kirchhoff, u))
-    xi, h_x = basis.xi, grid.h_x
-    maps = [(kirchhoff.modal(xi, h_x)[0], kirchhoff_fc(kirchhoff, xi, h_x)),
-            (berger.modal(xi, h_x)[0], berger_fc(berger, xi, h_x))]
+    xi, hXi = basis.xi, sys_free.hXi
+    maps = [(sys_free.plate_force(kirchhoff)[0], kirchhoff_fc(kirchhoff, xi, hXi)),
+            (sys_free.plate_force(berger)[0], berger_fc(berger, xi))]
     n = len(basis.kappa)
     for shape in ((n,), (n, 1), (n, 4), (n, 20)):
         beta = rng.standard_normal(shape)

@@ -58,7 +58,8 @@ def test_assembly_does_not_depend_on_the_basis_of_the_trial_space(basis, grid, s
     # the same plate space, so with the battery's forcing the generator's
     # spectrum, the stationary flow and its energy stay, the coefficients of
     # the stationary flow go to S^-T alpha* and the pressure load to S p*, and
-    # the forced Berger plate rests in the same deflection
+    # the forced Berger and Kirchhoff plates rest in the same deflections (the
+    # Kirchhoff force through the default modal form, projected by hXi)
     forcing = ForcingConfig(fluid_kind="shear", fluid_amp=1.0, plate_kind="sine", plate_amp=0.5)
     k = basis.m if side == "flow" else basis.n
     S = np.eye(k) + 0.3 * np.random.default_rng(0).standard_normal((k, k))
@@ -72,10 +73,11 @@ def test_assembly_does_not_depend_on_the_basis_of_the_trial_space(basis, grid, s
     assert abs(sys_.E0_star - mixed.E0_star) <= 1e-12 * sys_.E0_star
     pstar = sys_.pstar if side == "flow" else S @ sys_.pstar
     assert np.max(np.abs(mixed.pstar - pstar)) <= 1e-12 * np.max(np.abs(pstar))
-    model = BergerForce(grid, kappa=5.0, gamma=30.0)
-    u, u_mixed = (s.plate_deflection(minimize_stationary(s, model, np.zeros(s.n)).beta_star)
-                  for s in (sys_, mixed))
-    assert np.max(np.abs(u - u_mixed)) <= 1e-12 * np.max(np.abs(u))
+    for model in (BergerForce(grid, kappa=5.0, gamma=30.0),
+                  KirchhoffForce(grid, kappa=1.0, q=2.0, r=0.0, mu=0.5)):
+        u, u_mixed = (s.plate_deflection(minimize_stationary(s, model, np.zeros(s.n)).beta_star)
+                      for s in (sys_, mixed))
+        assert np.max(np.abs(u - u_mixed)) <= 1e-12 * np.max(np.abs(u))
 
 
 def test_full_order_flow_space(basis, grid, sys_forced, rng):
@@ -140,7 +142,7 @@ def test_rhs_matches_linear_parts(sys_forced, grid, rng):
     A, c, B = sys_forced.A, sys_forced.c, sys_forced.B
     berger = BergerForce(grid, kappa=5.0, gamma=0.0)
 
-    fc = sys_forced.force_map(berger)
+    fc = sys_forced.plate_force(berger)[0]
     m, n = sys_forced.m, sys_forced.n
     for _ in range(3):
         y = rng.standard_normal(m + 2 * n)
@@ -253,13 +255,13 @@ def test_state_norm_matches_energy(sys_free, grid, rng):
 
 @pytest.mark.parametrize("own_ops", [False, True])
 def test_modal_berger_matches_nodal_force(sys_forced, grid, rng, own_ops):
-    # force_map (modal for Berger) and potential against the nodal force
-    # projected by hXi, for one state and for a batch of columns; the modal
-    # form follows a model given its own beam operators
+    # plate_force's fc (modal for Berger) and potential against the nodal
+    # force projected by hXi, for one state and for a batch of columns; the
+    # modal form follows a model given its own beam operators
     model = BergerForce(grid, kappa=5.0, gamma=30.0)
     if own_ops:
         model.ops = dataclasses.replace(model.ops, D=1.5 * model.ops.D)
-    fcs = sys_forced.force_map(model)
+    fcs, _, potential = sys_forced.plate_force(model)
     n = sys_forced.n
     betas = 0.7 * rng.standard_normal((n, 4))
     for j in range(4):
@@ -268,12 +270,12 @@ def test_modal_berger_matches_nodal_force(sys_forced, grid, rng, own_ops):
         want_fc = sys_forced.hXi @ model.force(u)
         want_pot = model.potential(u)
         fc = fcs(beta)
-        pot = sys_forced.potential(model, beta)
+        pot = potential(beta)
         assert fc.shape == (n,) and np.ndim(pot) == 0
         assert np.max(np.abs(fc - want_fc)) <= 1e-14 * np.max(np.abs(want_fc))
         assert abs(pot - want_pot) <= 1e-14 * abs(want_pot)
         fc_cols = fcs(betas)
-        pot_cols = sys_forced.potential(model, betas)
+        pot_cols = potential(betas)
         assert fc_cols.shape == (n, 4) and pot_cols.shape == (4,)
         assert np.max(np.abs(fc_cols[:, j] - want_fc)) <= 1e-14 * np.max(np.abs(want_fc))
         assert abs(pot_cols[j] - want_pot) <= 1e-14 * abs(want_pot)
@@ -296,15 +298,16 @@ def test_none_model_gives_zero_force(sys_forced, rng):
     # model=None is the absent plate force: zero force, Jacobian and potential
     n = sys_forced.n
     beta = rng.standard_normal(n)
-    assert np.array_equal(sys_forced.force_map(None)(beta), np.zeros(n))
-    assert np.array_equal(sys_forced.force_jacobian(None)(beta), np.zeros((n, n)))
-    assert sys_forced.potential(None, beta) == 0.0
+    fc, dfc, potential = sys_forced.plate_force(None)
+    assert np.array_equal(fc(beta), np.zeros(n))
+    assert np.array_equal(dfc(beta), np.zeros((n, n)))
+    assert potential(beta) == 0.0
 
 
 @pytest.mark.parametrize("case", ["berger", "berger_own_ops", "kirchhoff_r0", "kirchhoff_r1",
                                   "kirchhoff_local"])
 def test_force_jacobian_matches_central_differences(sys_forced, grid, rng, case):
-    # the exact dfc/dbeta against central differences of force_map, column by
+    # the exact dfc/dbeta against central differences of fc, column by
     # column; the Jacobian of a gradient is symmetric.  kirchhoff_local has
     # kappa = 0, so its local term u^3 - u is not swamped by the flux term
     if case.startswith("berger"):
@@ -315,7 +318,7 @@ def test_force_jacobian_matches_central_differences(sys_forced, grid, rng, case)
         q, r = (2.5, 1.0) if case == "kirchhoff_r1" else (2.0, 0.0)
         kappa = 0.0 if case == "kirchhoff_local" else 1.0
         model = KirchhoffForce(grid, kappa=kappa, q=q, r=r, mu=0.5)
-    fc, jac = sys_forced.force_map(model), sys_forced.force_jacobian(model)
+    fc, jac, _ = sys_forced.plate_force(model)
     n, h = sys_forced.n, 1e-6
     beta = 0.7 * rng.standard_normal(n)
     J = jac(beta)
@@ -346,7 +349,7 @@ def test_a_new_force_model_runs_through_the_default_modal_form(sys_forced, grid,
     # hXi, and runs simulate and minimize_stationary as Kirchhoff's local term
     # (kappa = 0) does
     model, kirchhoff = LocalCubic(grid), KirchhoffForce(grid, kappa=0.0, q=2.0, r=0.0, mu=0.0)
-    fc, dfc = model.modal(sys_forced.basis.xi, grid.h_x)
+    fc, dfc, _ = model.modal(sys_forced.basis.xi, sys_forced.hXi)
     beta = 0.7 * rng.standard_normal(sys_forced.n)
     u = sys_forced.plate_deflection(beta)
     assert np.array_equal(fc(beta), sys_forced.hXi @ model.force(u))
@@ -365,16 +368,19 @@ def test_a_new_force_model_runs_through_the_default_modal_form(sys_forced, grid,
 
 def test_stepper_and_descent_call_the_models_modal_form(sys_forced, grid, rng):
     # a model that overrides modal is what stepping and stationary descent
-    # evaluate: every nodal force call comes from its fc, and descent calls its dfc
-    calls = {"fc": 0, "dfc": 0, "force": 0}
+    # evaluate: every nodal force call comes from its fc, and descent calls its
+    # dfc; each builds the modal form once, a Stepper for all its steps and a
+    # descent for its loop and its closing residual
+    calls = {"modal": 0, "fc": 0, "dfc": 0, "force": 0}
 
     class Counted(LocalCubic):
         def force(self, u):
             calls["force"] += 1
             return super().force(u)
 
-        def modal(self, xi, h_x):
-            fc, dfc = super().modal(xi, h_x)
+        def modal(self, xi, hXi):
+            calls["modal"] += 1
+            fc, dfc, potential = super().modal(xi, hXi)
 
             def counted_fc(beta):
                 calls["fc"] += 1
@@ -383,11 +389,14 @@ def test_stepper_and_descent_call_the_models_modal_form(sys_forced, grid, rng):
             def counted_dfc(beta):
                 calls["dfc"] += 1
                 return dfc(beta)
-            return counted_fc, counted_dfc
+            return counted_fc, counted_dfc, potential
 
     y = 0.5 * rng.standard_normal(sys_forced.m + 2 * sys_forced.n)
-    Stepper(sys_forced, 1e-3, Counted(grid)).step(y)
+    stepper = Stepper(sys_forced, 1e-3, Counted(grid))
+    stepper.step(stepper.step(y))
+    assert calls["modal"] == 1
     assert calls["fc"] > 0 and calls["force"] == calls["fc"] and calls["dfc"] == 0
-    calls.update(fc=0, force=0)
+    calls.update(modal=0, fc=0, force=0)
     minimize_stationary(sys_forced, Counted(grid), np.zeros(sys_forced.n))
+    assert calls["modal"] == 1
     assert calls["fc"] > 0 and calls["force"] == calls["fc"] and calls["dfc"] > 0

@@ -266,3 +266,27 @@ def test_only_galerkin_forms_the_systems_derived_tables():
              if _forms_a_derived_table(node)]
     assert not found, "derived tables of GalerkinSystem formed outside galerkin.py:\n" + \
         "\n".join(found)
+
+
+def _binds_a_force_to_the_plate_modes(node) -> bool:
+    """Whether node forms the plate quadrature (h_x times xi) or calls a force
+    model's modal form (.modal(...))."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        left, right = ({n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(side)
+                        if isinstance(n, (ast.Attribute, ast.Name))}
+                       for side in (node.left, node.right))
+        return ("h_x" in left and "xi" in right) or ("xi" in left and "h_x" in right)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "modal")
+
+
+def test_only_galerkin_binds_a_force_model_to_the_plate_modes():
+    # assemble forms the plate quadrature hXi = h_x xi once, and
+    # GalerkinSystem.plate_force hands it to the model's modal form; every
+    # other module reads the system's hXi and its plate_force
+    found = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+             for path in SRC if path.stem != "galerkin"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if _binds_a_force_to_the_plate_modes(node)]
+    assert not found, "plate quadrature or modal force formed outside galerkin.py:\n" + \
+        "\n".join(found)

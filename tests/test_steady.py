@@ -128,12 +128,13 @@ def test_minimize_stationary_linear_case(sys_shear):
 def test_minimize_stationary_nonlinear(sys_shear, berger):
     eq = minimize_stationary(sys_shear, berger, np.zeros(sys_shear.n))
     assert eq.residual < 1e-8
-    assert stationary_residual(sys_shear, eq.beta_star, berger) < 1e-8
+    fc = sys_shear.plate_force(berger)[0]
+    assert stationary_residual(sys_shear, eq.beta_star, fc) < 1e-8
     # the minimizer beats nearby perturbations of the stationary functional
     rng = np.random.default_rng(0)
     for _ in range(5):
         pert = eq.beta_star + 1e-3 * rng.standard_normal(sys_shear.n)
-        assert stationary_residual(sys_shear, pert, berger) > eq.residual
+        assert stationary_residual(sys_shear, pert, fc) > eq.residual
 
 
 def test_find_equilibria_dedupes(sys_shear, berger):
@@ -182,24 +183,25 @@ def _written_out_estar(sys, states, model, alpha_star, load):
     # potential, less the work of the load on the plate coefficients
     y_star = sys.join(alpha_star, np.zeros(sys.n), np.zeros(sys.n))
     beta = states[:, sys.m:sys.m + sys.n]
-    return (sys.energy_quadratic((states - y_star).T) + sys.potential(model, beta.T)
+    return (sys.energy_quadratic((states - y_star).T) + sys.plate_force(model)[2](beta.T)
             - beta @ load)
 
 
 def test_shifted_energy_matches_its_formula(sys_forced, sys_free, grid, berger):
     y0, alpha_star, pstar = _forced_start(sys_forced, grid)
     tr = simulate(sys_forced, y0, T=1.0, dt=1e-3, model=berger, stride=50)
-    E0, E, Estar = energies(sys_forced, tr.states.T, berger)
+    potential = sys_forced.plate_force(berger)[2]
+    E0, E, Estar = energies(sys_forced, tr.states.T, potential)
     want_Estar = _written_out_estar(sys_forced, tr.states, berger, alpha_star,
                                     pstar + sys_forced.f_plate)
     for got, want in ((E0, tr.E0), (E, tr.E), (Estar, want_Estar), (tr.Estar, want_Estar)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # a single state gives the same numbers as a column
-    assert np.allclose(energies(sys_forced, tr.states[-1], berger)[2],
+    assert np.allclose(energies(sys_forced, tr.states[-1], potential)[2],
                        Estar[-1], rtol=1e-14, atol=0.0)
     # the shift moves Estar off E; on the unforced system, Estar is E
     assert np.max(np.abs(Estar - E)) > 1e-5
-    plain = energies(sys_free, tr.states.T, berger)
+    plain = energies(sys_free, tr.states.T, sys_free.plate_force(berger)[2])
     assert np.array_equal(plain[2], plain[1])
 
 
