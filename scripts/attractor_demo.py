@@ -28,7 +28,7 @@ def main():
     args = ap.parse_args()
 
     grid = build_grid(GeometryConfig(n_x=16, n_z=16))
-    basis = build_modal_basis(grid, m=12, n=8)
+    basis = build_modal_basis(grid, m=12, n=8)[0]
     sys_ = assemble(basis, nu=1.0, forcing=ForcingConfig(fluid_kind="shear", fluid_amp=2.0))
     model = BergerForce(grid, kappa=5.0, gamma=0.0)
 

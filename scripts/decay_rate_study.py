@@ -30,7 +30,7 @@ def main():
     os.makedirs(args.out, exist_ok=True)
 
     grid = build_grid(GeometryConfig(n_x=16, n_z=16))
-    basis = build_modal_basis(grid, m=12, n=8)
+    basis = build_modal_basis(grid, m=12, n=8)[0]
     rng = np.random.default_rng(args.seed)
 
     rows = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 
 from .mesh import BeamOperators, Grid, beam_operators
 
@@ -162,27 +163,28 @@ def verify_gradient(model: ForceModel, u: np.ndarray, weight: float, rng) -> flo
 
 @dataclass
 class SurrogateNorms:
-    """Spectral surrogate norms on plate-mode coefficients.
+    """Spectral surrogate norms on the bending modes of a plate span: strong weights lam_j^{0.75}
+    (a stand-in for a slightly-below-H2 space), weak lam_j^{-1/8} (a stand-in for a
+    negative-order space); exponents follow the fourth-order growth of the plate spectrum."""
 
-    Strong norm weights kappa_j^{0.75} (a stand-in for a slightly-below-H2
-    space), weak norm weights kappa_j^{-1/8} (a stand-in for a negative-order
-    space); exponents follow the fourth-order growth of the plate spectrum.
-    """
+    lam: np.ndarray         # (n,) bending eigenvalues of the plate span
+    proj: np.ndarray        # (n, n_points) u -> its bending-mode coefficients
+    shapes: np.ndarray      # (n, n_points) the bending modes
 
-    kappa: np.ndarray
-    shapes: np.ndarray      # (n_modes, n_points), L2-orthonormal rows
-    weight: float           # nodal quadrature weight
-
-    def coeffs(self, u: np.ndarray) -> np.ndarray:
-        return self.weight * self.shapes @ u
+    @classmethod
+    def of(cls, sys):
+        """The norms of GalerkinSystem sys's plate span, which only its tables fix: (lam, V) =
+        eigh(K, Mp), each column of V made positive at its largest-magnitude entry (so a
+        shape's sign follows sys's basis), proj = V^T hXi and shapes = V^T xi."""
+        lam, V = la.eigh(sys.K, sys.Mp)
+        V *= np.where(V[np.argmax(np.abs(V), axis=0), np.arange(len(lam))] < 0, -1.0, 1.0)
+        return cls(lam, V.T @ sys.hXi, V.T @ sys.basis.xi)
 
     def strong(self, u: np.ndarray) -> float:
-        c = self.coeffs(u)
-        return float(np.sqrt(np.sum(self.kappa ** 0.75 * c ** 2)))
+        return float(np.sqrt(np.sum(self.lam ** 0.75 * (self.proj @ u) ** 2)))
 
     def weak(self, u: np.ndarray) -> float:
-        c = self.coeffs(u)
-        return float(np.sqrt(np.sum(self.kappa ** (-0.125) * c ** 2)))
+        return float(np.sqrt(np.sum(self.lam ** (-0.125) * (self.proj @ u) ** 2)))
 
     def from_coeffs(self, c: np.ndarray) -> np.ndarray:
         return self.shapes.T @ c
@@ -191,7 +193,7 @@ class SurrogateNorms:
 def verify_lipschitz(model: ForceModel, norms: SurrogateNorms, radius: float, rng) -> float:
     """Estimated local Lipschitz constant of F from the strong into the weak
     norm, over 20 random pairs."""
-    n = len(norms.kappa)
+    n = len(norms.lam)
     worst = 0.0
     for _ in range(20):
         c1 = rng.standard_normal(n)
@@ -221,7 +223,7 @@ def verify_coercivity(model: ForceModel, norms: SurrogateNorms, g: Grid, rng):
     finite (the quantity may be negative).
     """
     K = beam_operators(g).K
-    n = len(norms.kappa)
+    n = len(norms.lam)
     worst, drop = np.inf, -np.inf
     for _ in range(20):
         c = rng.standard_normal(n)

@@ -125,18 +125,13 @@ def solve_plate_eigenmodes(g: Grid, n: int):
 
 @dataclass
 class ModalBasis:
-    """The coupled trial space: a stack psi of m flow modes and a stack xi of
-    n plate modes with their liftings N0 xi, each along axis 0.  assemble
-    takes any stacks of the two spaces; mu, psi_res, kappa and xi_res describe
-    an eigenbasis only, the one build_modal_basis makes."""
+    """The coupled trial space: stacks psi of m flow modes and xi of n plate modes,
+    with the liftings N0 xi, each along axis 0.  Any stacks spanning the two spaces
+    serve: the model reads their Gram tables, not whether they are eigenvectors."""
 
     grid: Grid
-    mu: np.ndarray          # (m,) Stokes eigenvalues
     psi: VelocityField      # stack of the m flow modes
-    psi_res: np.ndarray     # (m,) relative operator residuals of the flow modes
-    kappa: np.ndarray       # (n,) bending eigenvalues
     xi: np.ndarray          # (n, n_plate) plate mode shapes
-    xi_res: np.ndarray      # (n,) relative residuals of the plate modes
     lift: VelocityField     # stack of the n lifted modes N0 xi_k
 
     @property
@@ -148,36 +143,36 @@ class ModalBasis:
         return len(self.xi)
 
 
-def build_modal_basis(g: Grid, m: int, n: int, cache_dir: str | None = None) -> ModalBasis:
-    """Assemble (or load from cache) the m flow and n plate modes with liftings.
-
-    A cache file that cannot be read, is of another format version, or whose
-    arrays do not fit the grid and mode counts, is rebuilt and overwritten.
-    """
+def build_modal_basis(g: Grid, m: int, n: int, cache_dir: str | None = None):
+    """(basis, (mu, psi_res, kappa, xi_res)): the m flow and n plate eigenmodes
+    with liftings, built or loaded from cache, and their eigenvalues and
+    residuals.  A cache file that cannot be read, is of another format version,
+    or whose arrays do not fit the grid and mode counts or are not finite, is
+    rebuilt and overwritten."""
     if cache_dir is not None:
         path = os.path.join(cache_dir, f"modes_{g.grid_key()}_m{m}_n{n}.npz")
-        basis = _load_basis(path, g, m, n)
-        if basis is not None:
-            return basis
+        built = _load_basis(path, g, m, n)
+        if built is not None:
+            return built
 
     mu, psi, psi_res, lift = solve_stokes_eigenmodes(g, m)
     kappa, xi, xi_res = solve_plate_eigenmodes(g, n)
-    basis = ModalBasis(grid=g, mu=mu, psi=psi, psi_res=psi_res, kappa=kappa, xi=xi,
-                       xi_res=xi_res, lift=lift(xi))
+    built = ModalBasis(grid=g, psi=psi, xi=xi, lift=lift(xi)), (mu, psi_res, kappa, xi_res)
 
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
-        _save_basis(path, basis)
-    return basis
+        _save_basis(path, built)
+    return built
 
 
-def _save_basis(path: str, b: ModalBasis):
-    """Write the basis uncompressed beside path, then move it there: no partial file."""
+def _save_basis(path: str, built):
+    """Write (basis, eigen-data) uncompressed beside path, then move it there: no partial file."""
+    b, (mu, psi_res, kappa, xi_res) = built
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            np.savez(f, version=CACHE_VERSION, mu=b.mu, psi_u=b.psi.u, psi_w=b.psi.w,
-                     psi_res=b.psi_res, kappa=b.kappa, xi=b.xi, xi_res=b.xi_res,
+            np.savez(f, version=CACHE_VERSION, mu=mu, psi_u=b.psi.u, psi_w=b.psi.w,
+                     psi_res=psi_res, kappa=kappa, xi=b.xi, xi_res=xi_res,
                      lift_u=b.lift.u, lift_w=b.lift.w)
         os.replace(tmp, path)
     finally:
@@ -185,9 +180,10 @@ def _save_basis(path: str, b: ModalBasis):
             os.remove(tmp)
 
 
-def _load_basis(path: str, g: Grid, m: int, n: int) -> ModalBasis | None:
-    """The cached basis, each array read once, or None if the file is missing or
-    unreadable, is not of CACHE_VERSION, or lacks an array or has one misshapen."""
+def _load_basis(path: str, g: Grid, m: int, n: int):
+    """The cached (basis, eigen-data), each array read once, or None if the file
+    is missing or unreadable, is not of CACHE_VERSION, or lacks an array or has
+    one misshapen, not of floats or not finite."""
     shapes = {"mu": (m,), "psi_u": (m,) + g.shape_u, "psi_w": (m,) + g.shape_w, "psi_res": (m,),
               "kappa": (n,), "xi": (n, g.n_plate), "xi_res": (n,), "lift_u": (n,) + g.shape_u,
               "lift_w": (n,) + g.shape_w}
@@ -196,9 +192,10 @@ def _load_basis(path: str, g: Grid, m: int, n: int) -> ModalBasis | None:
             d = {k: f[k] for k in ("version", *shapes) if k in f.files}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error):
         return None
-    if not np.array_equal(d.get("version"), CACHE_VERSION) \
-            or any(k not in d or d[k].shape != s for k, s in shapes.items()):
+    if not np.array_equal(d.get("version"), CACHE_VERSION) or any(   # np.shape(None) is ()
+            np.shape(d.get(k)) != s or d[k].dtype != float or not np.isfinite(d[k]).all()
+            for k, s in shapes.items()):
         return None
-    return ModalBasis(grid=g, mu=d["mu"], psi=VelocityField(g, d["psi_u"], d["psi_w"]),
-                      psi_res=d["psi_res"], kappa=d["kappa"], xi=d["xi"], xi_res=d["xi_res"],
-                      lift=VelocityField(g, d["lift_u"], d["lift_w"]))
+    return (ModalBasis(grid=g, psi=VelocityField(g, d["psi_u"], d["psi_w"]), xi=d["xi"],
+                       lift=VelocityField(g, d["lift_u"], d["lift_w"])),
+            (d["mu"], d["psi_res"], d["kappa"], d["xi_res"]))

@@ -67,7 +67,7 @@ class _Setup:
     def __init__(self, cfg: ExperimentConfig, cache_dir):
         self.cfg, self.cache_dir = cfg, cache_dir
         self.grid = build_grid(cfg.geometry)
-        self.basis = build_modal_basis(self.grid, cfg.modes.m, cfg.modes.n, cache_dir)
+        self.basis = build_modal_basis(self.grid, cfg.modes.m, cfg.modes.n, cache_dir)[0]
         self.nu = cfg.physics.nu
         self.sys_free = assemble(self.basis, self.nu)
         self.forcing = ForcingConfig(fluid_kind="shear", fluid_amp=1.0,
@@ -101,7 +101,7 @@ def check_mass_matrix_positivity(s: _Setup):
         if (m, n) == (s.cfg.modes.m, s.cfg.modes.n):
             sysmn = s.sys_free                  # the set-up's own basis; the others via its cache
         else:
-            sysmn = assemble(build_modal_basis(s.grid, m, n, s.cache_dir), s.nu)
+            sysmn = assemble(build_modal_basis(s.grid, m, n, s.cache_dir)[0], s.nu)
         cases.append({"m": m, "n": n, "symmetry_error": float(np.max(np.abs(sysmn.M - sysmn.M.T))),
                       "min_eigenvalue": float(sysmn.M_eigenvalues[0])})
     return {"cases": cases}, {q: {("cases", i, "pass"): c[q] for i, c in enumerate(cases)}
@@ -185,8 +185,7 @@ def check_force_models(s: _Setup):
         "berger": verify_gradient(berger, u, g.h_x, rng),
         "von_karman": verify_gradient(vk, u2, g2.h ** 2, rng),
     }
-    norms = SurrogateNorms(kappa=s.basis.kappa, shapes=s.basis.xi,
-                           weight=g.h_x)
+    norms = SurrogateNorms.of(s.sys_free)
     coerc = {
         "kirchhoff": verify_coercivity(kirch, norms, g, rng=rng),
         "berger": verify_coercivity(berger, norms, g, rng=rng),

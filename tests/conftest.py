@@ -18,8 +18,20 @@ def grid():
 
 
 @pytest.fixture(scope="session")
-def basis(grid):
+def built(grid):
+    """build_modal_basis's (basis, (mu, psi_res, kappa, xi_res)) at m = 12, n = 8."""
     return build_modal_basis(grid, m=12, n=8)
+
+
+@pytest.fixture(scope="session")
+def basis(built):
+    return built[0]
+
+
+@pytest.fixture(scope="session")
+def eigen(built):
+    """The eigen-data of basis: (mu, psi_res, kappa, xi_res)."""
+    return built[1]
 
 
 @pytest.fixture(scope="session")

@@ -189,8 +189,7 @@ TRACE_TOL = 1e-8
 def full_order_basis(basis: ModalBasis) -> ModalBasis:
     """basis with the whole discretely solenoidal space as its flow trial
     space, with no eigensolve: the velocities of the interior-vertex
-    streamfunctions, the columns of StokesSolver's Z.  mu and psi_res stay
-    those of basis's m eigenmodes; the flow mode count is read off psi."""
+    streamfunctions, the columns of StokesSolver's Z; only psi is replaced."""
     g = basis.grid
     return replace(basis, psi=unpack_interior(StokesSolver(g).Z.T.toarray(), g))
 

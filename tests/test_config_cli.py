@@ -295,7 +295,7 @@ def test_values_the_models_reject_exit_2(tmp_path, capsys, command, text, messag
 
 
 @pytest.mark.parametrize("command", ["assemble", "simulate"])
-def test_a_degenerate_cached_basis_exits_2(tmp_path, capsys, basis, command):
+def test_a_degenerate_cached_basis_exits_2(tmp_path, capsys, basis, eigen, command):
     # a well-shaped cache of the default grid whose flow stack holds mode 0
     # twice loads, and assembling it reports the singular kinetic mass
     u, w = basis.psi.u.copy(), basis.psi.w.copy()
@@ -304,7 +304,7 @@ def test_a_degenerate_cached_basis_exits_2(tmp_path, capsys, basis, command):
     (out / "modes_cache").mkdir(parents=True)
     g = basis.grid
     modal._save_basis(str(out / "modes_cache" / f"modes_{g.grid_key()}_m12_n8.npz"),
-                      replace(basis, psi=VelocityField(g, u, w)))
+                      (replace(basis, psi=VelocityField(g, u, w)), eigen))
     assert main([command, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1

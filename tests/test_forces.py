@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import plateflow.verification as verification
+from plateflow.config import ExperimentConfig
 from plateflow.forces import (
     BergerForce,
     ForceModel,
@@ -12,6 +16,7 @@ from plateflow.forces import (
     verify_gradient,
     verify_lipschitz,
 )
+from plateflow.galerkin import assemble
 from plateflow.plate2d import (
     PlateGrid2D,
     VonKarmanForce,
@@ -24,9 +29,8 @@ from oracles import berger_fc, kirchhoff_fc, kirchhoff_force, plate2d_eigenmodes
 
 
 @pytest.fixture(scope="module")
-def norms(basis, grid):
-    return SurrogateNorms(kappa=basis.kappa, shapes=basis.xi,
-                          weight=grid.h_x)
+def norms(sys_free):
+    return SurrogateNorms.of(sys_free)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +72,7 @@ def test_berger_potential_scaling_oracle(grid, rng):
     assert abs(p1 - 0.25 * 3.0 * Q ** 2) < 1e-10 * (1.0 + abs(p1))
 
 
-def test_kirchhoff_local_term_condition(grid, basis, rng):
+def test_kirchhoff_local_term_condition(grid, eigen, rng):
     # the local term is the fixed cubic f(s) = s^3 - s: at kappa = 0 it is the
     # whole force
     u = rng.standard_normal((grid.n_plate, 3))
@@ -79,7 +83,7 @@ def test_kirchhoff_local_term_condition(grid, basis, rng):
     s = np.linspace(-30.0, 30.0, 20 * grid.n_plate).reshape(grid.n_plate, 20)   # no s = 0
     ratio = KirchhoffForce(grid, kappa=0.0, q=2.0, r=0.0, mu=0.0).force(s) / s
     assert np.max(np.abs(ratio - (s ** 2 - 1.0)) / (s ** 2 + 1.0)) < 1e-14
-    assert np.min(ratio) >= -1.0 > -basis.kappa[0]
+    assert np.min(ratio) >= -1.0 > -eigen[2][0]
 
 
 def test_force_maps_equal_their_matmul_forms_bit_for_bit(grid, basis, sys_free, rng):
@@ -93,7 +97,7 @@ def test_force_maps_equal_their_matmul_forms_bit_for_bit(grid, basis, sys_free, 
     xi, hXi = basis.xi, sys_free.hXi
     maps = [(sys_free.plate_force(kirchhoff)[0], kirchhoff_fc(kirchhoff, xi, hXi)),
             (sys_free.plate_force(berger)[0], berger_fc(berger, xi))]
-    n = len(basis.kappa)
+    n = basis.n
     for shape in ((n,), (n, 1), (n, 4), (n, 20)):
         beta = rng.standard_normal(shape)
         for fc, want in maps:
@@ -102,7 +106,7 @@ def test_force_maps_equal_their_matmul_forms_bit_for_bit(grid, basis, sys_free, 
 
 def test_surrogate_norm_ordering(norms, rng):
     # strong norm dominates weak norm up to the spectral gap factor
-    u = norms.from_coeffs(rng.standard_normal(len(norms.kappa)))
+    u = norms.from_coeffs(rng.standard_normal(len(norms.lam)))
     assert norms.weak(u) < norms.strong(u)
 
 
@@ -129,6 +133,24 @@ def test_coercivity_sweep(grid, norms, rng):
 
     assert not bounded_below(Destabilizing())
 
+
+
+def test_surrogate_norms_depend_only_on_the_span_of_the_plate_modes(basis, eigen, sys_free, rng,
+                                                                    monkeypatch):
+    # xi -> S xi with N0 xi -> S N0 xi spans the same plate space: the norms
+    # of any deflection stay, and so do criterion 6's verdicts
+    S = np.eye(basis.n) + 0.3 * np.random.default_rng(0).standard_normal((basis.n, basis.n))
+    mixed = dataclasses.replace(basis, xi=S @ basis.xi, lift=basis.lift.combine(S))
+    norms, norms_mixed = (SurrogateNorms.of(s) for s in (sys_free, assemble(mixed, 1.0)))
+    for u in (*rng.standard_normal((3, basis.grid.n_plate)), basis.xi[0], norms.shapes[-1]):
+        for a, b in ((norms.strong(u), norms_mixed.strong(u)), (norms.weak(u), norms_mixed.weak(u))):
+            assert abs(a - b) <= 1e-12 * a
+    verdicts = []
+    for b in (basis, mixed):
+        monkeypatch.setattr(verification, "build_modal_basis", lambda *args: (b, eigen))
+        result = verification.run_criterion("force_model_contracts", ExperimentConfig(), None)
+        verdicts.append((result["pass"], {k: v[1] for k, v in result["coercivity"].items()}))
+    assert verdicts[0] == verdicts[1] == (True, {"kirchhoff": True, "berger": True})
 
 # -- 2D plate ---------------------------------------------------------------
 

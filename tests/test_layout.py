@@ -5,12 +5,13 @@ use live in tests/oracles.py.  No module imports a name it does not use, and
 every error class of the package reaches the user of the CLI as an error line."""
 
 import ast
+import dataclasses
 import importlib
 import re
 from collections import Counter
 from pathlib import Path
 
-from plateflow import cli, config, verification
+from plateflow import cli, config, modal, verification
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "plateflow").glob("*.py"))
@@ -203,21 +204,41 @@ def test_no_check_or_probe_states_a_bound():
         "\n".join(found)
 
 
-# the eigen-data of a modal basis: modal.py makes them, and only cli.py's
-# reports and the SurrogateNorms of criterion 6 read them
+# the eigen-data of a modal basis: modal.py makes them, build_modal_basis
+# returns them beside the basis, and only cli.py's cmd_modes reports them
 EIGEN_DATA = {"mu", "kappa", "psi_res", "xi_res"}
 
 
+def _reads_eigen_data(tree):
+    """The nodes of tree, outside a function cmd_modes, that read eigen-data:
+    an attribute of that name on anything but self, or a build_modal_basis
+    call of which more than the basis, [0], is used."""
+    skip = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+            and f.name == "cmd_modes" for n in ast.walk(f)}
+    basis_only = {id(n.value) for n in ast.walk(tree)
+                  if isinstance(n, ast.Subscript) and ast.unparse(n.slice) == "0"}
+    return [node for node in ast.walk(tree) if id(node) not in skip and (
+        isinstance(node, ast.Attribute) and node.attr in EIGEN_DATA
+        and ast.unparse(node.value) != "self"
+        or isinstance(node, ast.Call) and id(node) not in basis_only
+        and ast.unparse(node.func).split(".")[-1] == "build_modal_basis")]
+
+
 def test_the_reduced_system_reads_no_eigen_data():
-    # the reduced system, its stationary states, dynamics and spectrum read the
-    # Gram tables of the trial space, so any basis of it serves: none of them
-    # may read which eigenvalues its modes have
-    found = [f"{module}.py:{node.lineno}: {ast.unparse(node)}"
-             for module in ("galerkin", "steady", "dynamics", "spectrum")
-             for node in ast.walk(ast.parse((ROOT / "src" / "plateflow" / f"{module}.py")
-                                            .read_text(encoding="utf-8")))
-             if isinstance(node, ast.Attribute) and node.attr in EIGEN_DATA]
-    assert not found, "eigen-data read outside modal.py:\n" + "\n".join(found)
+    # the reduced system, its stationary states, dynamics, spectrum, battery
+    # and force norms read the Gram tables of the trial space, so any basis of
+    # it serves: outside modal.py and cmd_modes, nothing may read which
+    # eigenvalues its modes have
+    found = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+             for path in SRC if path.stem != "modal"
+             for node in _reads_eigen_data(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, "eigen-data read outside modal.py and cmd_modes:\n" + "\n".join(found)
+
+
+def test_the_trial_space_type_holds_no_eigen_data():
+    # a basis of the trial space is its grid, its stacks of flow and plate
+    # modes and the liftings of the plate modes, whatever basis it is
+    assert [f.name for f in dataclasses.fields(modal.ModalBasis)] == ["grid", "psi", "xi", "lift"]
 
 
 def test_every_error_class_reaches_the_user_as_an_error_line():

@@ -66,23 +66,25 @@ def test_streamfunction_basis_spans_the_solenoidal_fields():
     assert np.linalg.matrix_rank(Z) == n_s
 
 
-def test_stokes_modes_orthonormal_with_small_residuals(grid, basis):
+def test_stokes_modes_orthonormal_with_small_residuals(grid, basis, eigen):
     m = basis.m
+    mu, psi_res = eigen[:2]
     G = np.array([[inner_fluid(basis.psi[i], basis.psi[j], grid)
                    for j in range(m)] for i in range(m)])
     assert np.max(np.abs(G - np.eye(m))) < 1e-11
-    assert np.all(basis.psi_res < 1e-10)
+    assert np.all(psi_res < 1e-10)
     assert all(is_solenoidal(basis.psi[i], grid) for i in range(m))
-    assert np.all(np.diff(basis.mu) >= -1e-9)
+    assert np.all(np.diff(mu) >= -1e-9)
 
 
-def test_stokes_mode_gradient_gram_is_spectral(grid, basis):
+def test_stokes_mode_gradient_gram_is_spectral(grid, basis, eigen):
     # (grad psi_i, grad psi_j) = mu_i delta_ij by construction of the form
+    mu = eigen[0]
     for i in range(3):
         for j in range(3):
             val = grad_inner(basis.psi[i], basis.psi[j], grid)
-            want = basis.mu[i] if i == j else 0.0
-            assert abs(val - want) < 1e-9 * (1.0 + basis.mu[i])
+            want = mu[i] if i == j else 0.0
+            assert abs(val - want) < 1e-9 * (1.0 + mu[i])
 
 
 def test_first_stokes_eigenvalue_grid_convergence(grid):
@@ -92,24 +94,26 @@ def test_first_stokes_eigenvalue_grid_convergence(grid):
     assert abs(mu16 - mu32) / mu32 < 0.05
 
 
-def test_plate_modes_orthonormal_zero_mean(grid, basis):
+def test_plate_modes_orthonormal_zero_mean(grid, basis, eigen):
     n = basis.n
+    kappa, xi_res = eigen[2:]
     G = np.array([[inner_plate(basis.xi[i], basis.xi[j], grid)
                    for j in range(n)] for i in range(n)])
     assert np.max(np.abs(G - np.eye(n))) < 1e-11
     for x in basis.xi:
         assert abs(plate_mean(x, grid)) < 1e-12
-    assert np.all(basis.kappa > 0)
-    assert np.all(np.diff(basis.kappa) >= -1e-6)
-    assert basis.xi_res.shape == (n,) and np.all(basis.xi_res < 1e-10)
+    assert np.all(kappa > 0)
+    assert np.all(np.diff(kappa) >= -1e-6)
+    assert xi_res.shape == (n,) and np.all(xi_res < 1e-10)
 
 
-def test_plate_modes_diagonalize_bending(grid, basis):
+def test_plate_modes_diagonalize_bending(grid, basis, eigen):
+    kappa = eigen[2]
     for i in range(3):
         for j in range(3):
             val = bending_inner(basis.xi[i], basis.xi[j], grid)
-            want = basis.kappa[i] if i == j else 0.0
-            assert abs(val - want) < 1e-7 * (1.0 + basis.kappa[i])
+            want = kappa[i] if i == j else 0.0
+            assert abs(val - want) < 1e-7 * (1.0 + kappa[i])
 
 
 def test_lifted_modes_carry_their_traces(grid, basis):
@@ -214,57 +218,71 @@ def test_mean_shape_projection(grid, rng):
 
 
 def test_basis_cache_roundtrip(grid, basis, tmp_path):
-    cached = build_modal_basis(grid, basis.m, basis.n, cache_dir=str(tmp_path))
-    reloaded = build_modal_basis(grid, basis.m, basis.n, cache_dir=str(tmp_path))
-    assert np.array_equal(cached.mu, reloaded.mu)
-    assert np.array_equal(cached.kappa, reloaded.kappa)
+    (cached, (mu, psi_res, kappa, _)) = build_modal_basis(grid, basis.m, basis.n,
+                                                          cache_dir=str(tmp_path))
+    (reloaded, (mu_r, psi_res_r, kappa_r, _)) = build_modal_basis(grid, basis.m, basis.n,
+                                                                  cache_dir=str(tmp_path))
+    assert np.array_equal(mu, mu_r)
+    assert np.array_equal(kappa, kappa_r)
     assert np.array_equal(cached.psi.u, reloaded.psi.u)
     assert np.array_equal(cached.psi.w, reloaded.psi.w)
-    assert np.array_equal(cached.psi_res, reloaded.psi_res)
+    assert np.array_equal(psi_res, psi_res_r)
     assert np.array_equal(cached.xi, reloaded.xi)
     assert np.array_equal(cached.lift.u, reloaded.lift.u)
     assert np.array_equal(cached.lift.w, reloaded.lift.w)
     # the cache key includes the mode counts: a different request recomputes
-    other = build_modal_basis(grid, 2, 2, cache_dir=str(tmp_path))
+    other = build_modal_basis(grid, 2, 2, cache_dir=str(tmp_path))[0]
     assert other.m == 2 and other.n == 2
 
 
-def _cache_arrays(b):
-    # the arrays of a cache file of CACHE_VERSION holding the basis b
-    return dict(version=CACHE_VERSION, mu=b.mu, psi_u=b.psi.u, psi_w=b.psi.w,
-                psi_res=b.psi_res, kappa=b.kappa, xi=b.xi, xi_res=b.xi_res,
+def _cache_arrays(built):
+    # the arrays of a cache file of CACHE_VERSION holding build_modal_basis's
+    # (basis, eigen-data) built
+    b, (mu, psi_res, kappa, xi_res) = built
+    return dict(version=CACHE_VERSION, mu=mu, psi_u=b.psi.u, psi_w=b.psi.w,
+                psi_res=psi_res, kappa=kappa, xi=b.xi, xi_res=xi_res,
                 lift_u=b.lift.u, lift_w=b.lift.w)
 
 
-def _stale_file(b, kind):
+def _stale_file(built, kind):
     # every array of the basis, each entry of mu doubled so that a load shows
-    arrays = dict(_cache_arrays(b), mu=2.0 * b.mu)
+    arrays = dict(_cache_arrays(built), mu=2.0 * built[1][0])
     if kind == "no_version":
         del arrays["version"]
     elif kind == "other_version":
         arrays["version"] = CACHE_VERSION - 1
+    elif kind == "wrong_shape":
+        arrays["psi_u"] = built[0].psi.u[:, :-1]
+    elif kind == "not_float":
+        arrays["xi"] = built[0].xi.astype(str)
     else:
-        arrays["psi_u"] = b.psi.u[:, :-1]
+        arrays["psi_u"] = built[0].psi.u.copy()
+        arrays["psi_u"][0, 1, 1] = np.nan
     return arrays
 
 
-@pytest.mark.parametrize("kind", ["no_version", "other_version", "wrong_shape"])
-def test_basis_cache_rebuilds_stale_files(grid, basis, tmp_path, kind):
+@pytest.mark.parametrize("kind", ["no_version", "other_version", "wrong_shape", "not_float",
+                                  "non_finite"])
+def test_basis_cache_rebuilds_stale_files(grid, built, tmp_path, kind):
     # a cache file of another format version (or of none), or whose arrays do
-    # not fit the grid and mode counts, is rebuilt and overwritten: the result
-    # equals a fresh build byte for byte, and the next call loads the new file
-    b = basis
+    # not fit the grid and mode counts or are not finite floats, is rebuilt and
+    # overwritten: the result equals a fresh build byte for byte, and the next
+    # call loads the new file
+    b = built[0]
     path = tmp_path / f"modes_{grid.grid_key()}_m{b.m}_n{b.n}.npz"
-    np.savez_compressed(path, **_stale_file(b, kind))
+    np.savez_compressed(path, **_stale_file(built, kind))
     for _ in range(2):
-        _assert_same_basis(build_modal_basis(grid, b.m, b.n, cache_dir=str(tmp_path)), b)
+        _assert_same_basis(build_modal_basis(grid, b.m, b.n, cache_dir=str(tmp_path)), built)
         with np.load(path) as f:
             assert f["version"] == CACHE_VERSION
 
 
 def _assert_same_basis(got, want):
-    for name in ("mu", "kappa", "psi_res", "xi", "xi_res"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
+    # two (basis, eigen-data) of build_modal_basis, byte for byte
+    for a, b in zip(got[1], want[1]):
+        assert np.array_equal(a, b)
+    got, want = got[0], want[0]
+    assert np.array_equal(got.xi, want.xi)
     for name in ("psi", "lift"):
         assert np.array_equal(getattr(got, name).u, getattr(want, name).u)
         assert np.array_equal(getattr(got, name).w, getattr(want, name).w)
@@ -281,14 +299,15 @@ def test_basis_cache_file_is_stored_uncompressed(grid, basis, tmp_path):
     assert all(info.compress_type == zipfile.ZIP_STORED for info in members)
 
 
-def test_basis_cache_loads_a_compressed_file(grid, basis, tmp_path, forbid_eigensolve):
+def test_basis_cache_loads_a_compressed_file(grid, built, tmp_path, forbid_eigensolve):
     # files the cache once wrote load without a rebuild and are left as they
     # are: deflated, and stored with the mean shape w0 the basis used to carry
+    basis = built[0]
     name = f"modes_{grid.grid_key()}_m{basis.m}_n{basis.n}.npz"
     written = {}
     for kind, save, arrays in (
-            ("deflated", np.savez_compressed, _cache_arrays(basis)),
-            ("with_w0", np.savez, dict(_cache_arrays(basis), w0=mean_shape(grid)))):
+            ("deflated", np.savez_compressed, _cache_arrays(built)),
+            ("with_w0", np.savez, dict(_cache_arrays(built), w0=mean_shape(grid)))):
         path = tmp_path / kind / name
         path.parent.mkdir()
         save(path, **arrays)
@@ -296,7 +315,7 @@ def test_basis_cache_loads_a_compressed_file(grid, basis, tmp_path, forbid_eigen
     forbid_eigensolve()
     for path, data in written.items():
         cache = str(path.parent)
-        _assert_same_basis(build_modal_basis(grid, basis.m, basis.n, cache_dir=cache), basis)
+        _assert_same_basis(build_modal_basis(grid, basis.m, basis.n, cache_dir=cache), built)
         assert path.read_bytes() == data
 
 
