@@ -11,7 +11,8 @@ Stepper.step returns only the next state; simulate calls it once per step and
 keeps each block of steps in a buffer, from which it forms every step's
 midpoint.  The block's energy reports (E0, E, Estar shifted by the system's
 stationary state, the power integrals) come from one call each of energies
-and the power rates on its stacked columns.  The quasi-stability and
+and the power rates on its stacked columns, at the samples the block holds:
+a block is cut by steps and columns, not by strides.  The quasi-stability and
 attractor-regularity probes read a trajectory the caller runs.
 """
 
@@ -29,11 +30,11 @@ from .galerkin import GalerkinSystem
 # midpoint fixed point: relative update tolerance and iteration cap
 FP_TOL = 1e-12
 FP_MAXIT = 50
-# states (steps x trajectories) per block of simulate's energy reports, and
-# (samples x pairs) per block of quasi_stability_probe's differences; a report
-# block is cut to whole strides, and bounded in columns so that its buffers
-# stay small next to the trajectory whatever the batch size
-_BLOCK_COLUMNS = 256
+# a block of simulate's energy reports holds at most _BLOCK_STEPS steps, over
+# which its fixed numpy calls spread, and at most _BLOCK_COLUMNS states (steps x
+# trajectories), so that its buffers stay small whatever the batch size or the
+# stride; quasi_stability_probe's blocks hold _BLOCK_COLUMNS (samples x pairs)
+_BLOCK_STEPS, _BLOCK_COLUMNS = 1024, 2048
 
 
 class IntegratorError(RuntimeError):
@@ -127,11 +128,12 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
 
     y0 of shape (N, B) runs B trajectories as one batch.  keep_states=False
     keeps only the reports (states is None), for long ensembles sampled at
-    every step.  Reports are computed per block of steps from the stacked
-    columns: power rates at every step's midpoint, energies at the block's
-    samples; the dissipation and work integrals add one step at a time, left
-    to right.  Raises IntegratorError for stride < 1, for T negative or not
-    finite, and for T not a whole number of steps dt (to 1e-9 of T).
+    every step.  Reports come per block of at most _BLOCK_STEPS steps and
+    _BLOCK_COLUMNS states, whatever the stride, from its stacked columns: power
+    rates at every step's midpoint, energies at its samples; the dissipation and
+    work integrals add one step at a time, left to right.  Only these reports
+    depend on the blocks, at rounding.  Raises IntegratorError for stride < 1,
+    for T negative or not finite, and for T not a whole number of steps dt (to 1e-9 of T).
     """
     if not stride >= 1:
         raise IntegratorError(f"sample stride must be at least 1, got {stride}")
@@ -151,7 +153,7 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
     E_0 = rep[0, 1]
     if keep_states:
         states[0] = y
-    L = stride * max(1, _BLOCK_COLUMNS // (stride * B))   # samples sit at j % stride == 0
+    L = max(1, min(_BLOCK_STEPS, _BLOCK_COLUMNS // B))
     Ys = np.empty((N, min(L, n_steps) + 1, B))      # block start and its steps, step-major columns
     acc = np.zeros((2, 1, B))                       # dissipation and work integrals so far
     i = 0
@@ -166,8 +168,8 @@ def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
             mid = 0.5 * (Ys[:, :nb] + Ys[:, 1:nb + 1])      # each step's midpoint
             rates = np.stack(sys.power_rates(mid.reshape(N, -1))).reshape(2, nb, B)
             acc = np.add.accumulate(np.concatenate([acc[:, -1:], dt * rates], axis=1), axis=1)
-            js = np.arange(stride, nb + 1, stride)
-            if nb % stride:                                 # the last step of the run
+            js = np.arange(stride - k0 % stride, nb + 1, stride)   # run steps k0 + j on the stride
+            if k0 + nb == n_steps and n_steps % stride:     # the last step of the run
                 js = np.append(js, nb)
             Ysamp = Ys[:, js]
             E0, E, Estar = (e.reshape(len(js), B)

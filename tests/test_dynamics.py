@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -425,30 +427,61 @@ def _per_step_reference(sys, y0, T, dt, model, stride):
         rep.shape[:2] + y0.shape[1:])
 
 
-@pytest.mark.parametrize("keep_states", [True, False])
-@pytest.mark.parametrize("span", ["short", "whole", "long"])
-@pytest.mark.parametrize("stride", [1, 7, 10])
-@pytest.mark.parametrize("B", [1, 3])
-def test_block_reports_match_per_step_reference(sys_forced, grid, B, stride, span, keep_states):
+def _check_block_reports(sys, grid, B, stride, span, keep_states):
     # L is simulate's block length; short is under one block, whole is two
-    # blocks exactly, long has a short last block; short and long are not
-    # multiples of 7 or 10
-    L = stride * max(1, dynamics._BLOCK_COLUMNS // (stride * B))
+    # blocks exactly, long has a short last block
+    L = max(1, min(dynamics._BLOCK_STEPS, dynamics._BLOCK_COLUMNS // B))
     n_steps = {"short": L // 2 + 3, "whole": 2 * L, "long": 2 * L + 33}[span]
     dt = 1e-3
     model = _loaded_models(grid)["berger"]
-    y0 = np.column_stack([_random_unit_state(sys_forced, seed=80 + j, scale=0.5 * (j + 1))
+    y0 = np.column_stack([_random_unit_state(sys, seed=80 + j, scale=0.5 * (j + 1))
                           for j in range(B)])
     if B == 1:
         y0 = y0[:, 0]
-    tr = simulate(sys_forced, y0, n_steps * dt, dt, model, stride=stride, keep_states=keep_states)
-    t, states, rep = _per_step_reference(sys_forced, y0, n_steps * dt, dt, model, stride)
+    tr = simulate(sys, y0, n_steps * dt, dt, model, stride=stride, keep_states=keep_states)
+    t, states, rep = _per_step_reference(sys, y0, n_steps * dt, dt, model, stride)
     assert np.array_equal(tr.t, t)
     assert np.array_equal(tr.states, states) if keep_states else tr.states is None
-    # stacking columns may reorder BLAS sums; measured worst drift 1.1e-16
+    # stacking columns may reorder BLAS sums; measured worst drift 1.6e-16
     scale = 1.0 + np.abs(rep[0, 1])
     for col, (field, got) in enumerate((("E0", tr.E0), ("E", tr.E), ("Estar", tr.Estar),
                                         ("balance_residual", tr.balance_residual),
                                         ("dissipation_integral", tr.dissipation_integral))):
         assert got.shape == rep[:, col].shape
         assert np.max(np.abs(got - rep[:, col]) / scale) <= 1e-14, field
+
+
+@pytest.mark.parametrize("keep_states", [True, False])
+@pytest.mark.parametrize("span", ["short", "whole", "long"])
+@pytest.mark.parametrize("stride", [1, 7, 10])
+@pytest.mark.parametrize("B", [1, 3])
+def test_block_reports_match_per_step_reference(sys_forced, grid, B, stride, span, keep_states,
+                                                monkeypatch):
+    # a small budget where both caps bind and blocks cut strides: B = 1 blocks
+    # are 62 steps (step cap), B = 3 blocks 52 steps (column cap), and no span
+    # is a multiple of 7 or 10, so each run ends between two samples
+    monkeypatch.setattr(dynamics, "_BLOCK_STEPS", 62)
+    monkeypatch.setattr(dynamics, "_BLOCK_COLUMNS", 156)
+    _check_block_reports(sys_forced, grid, B, stride, span, keep_states)
+
+
+def test_block_reports_match_per_step_reference_at_default_budget(sys_forced, grid):
+    # B = 3 blocks are column-capped at 682 steps, not a multiple of 7
+    _check_block_reports(sys_forced, grid, 3, 7, "long", True)
+
+
+def test_sparse_stride_keeps_block_buffers_small(sys_free):
+    # two samples of a 20,000-step run: the block buffers follow the block
+    # budget, not the stride, which would size them at about 16 MB here
+    y0 = _random_unit_state(sys_free, seed=81)
+    dense = simulate(sys_free, y0, T=20.0, dt=1e-3, stride=1000)
+    tracemalloc.start()
+    try:
+        sparse = simulate(sys_free, y0, T=20.0, dt=1e-3, stride=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(sparse.t, [0.0, 20.0])
+    assert np.array_equal(sparse.states, dense.states[[0, -1]])
+    assert np.allclose(sparse.E, dense.E[[0, -1]], rtol=1e-14, atol=0.0)
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"

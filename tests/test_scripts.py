@@ -20,13 +20,16 @@ def _run(script, *args, cwd):
 
 # the start of a line each script must print
 PRINTED = {"convergence_study.py": ("\ncontinuum mu0 = 52.344691 (Bjorstad and Tjostheim 1999), "
-                                    "richardson - continuum = ",)}
+                                    "richardson - continuum = ",),
+           "battery_sweep.py": ("12x12: 12x12 on 1 x 1, m = 12, n = 8: 10 of 10 pass",
+                                "16x16-m5-n3: 16x16 on 1 x 1, m = 5, n = 3: 10 of 10 pass")}
 
 
 @pytest.mark.parametrize("script, args", [
     ("decay_rate_study.py", ("--ensemble", "1", "--out", "decay")),
     ("attractor_demo.py", ("--T", "2")),
     ("convergence_study.py", ("--max-n", "64")),
+    ("battery_sweep.py", ("12x12", "16x16-m5-n3")),
 ])
 def test_script_exits_cleanly(script, args, tmp_path):
     proc = _run(script, *args, cwd=tmp_path)
