@@ -7,13 +7,20 @@ exact for the linear terms, so the energy-balance residual isolates the
 quadrature error of the nonlinear potential (second order in dt).  A state is
 one trajectory (N,) or B trajectories stepped as the columns of (N, B); each
 column runs its own fixed point, so a batch member is its solo run up to rounding.
-Stepper.step returns only the next state; simulate calls it once per step and
-keeps each block of steps in a buffer, from which it forms every step's
-midpoint.  The block's energy reports (E0, E, Estar shifted by the system's
-stationary state, the power integrals) come from one call each of energies
-and the power rates on its stacked columns, at the samples the block holds:
-a block is cut by steps and columns, not by strides.  The quasi-stability and
-attractor-regularity probes read a trajectory the caller runs.
+Each column also carries a load, a factor on the system's loads (f_kin and
+f_plate), which scales the stepper's constant term, the forcing power and the
+stationary state Estar is shifted by; load 0 is the unforced system and load 1
+leaves every number as the system gives it.  simulate steps an ensemble of runs
+as one batch, each run with its own y0, T, stride and load: a run leaves the
+batch after its own last step, and its samples and reports go to arrays of its
+own; one run is the same code.  Stepper.step returns only the next state;
+simulate calls it once per step and keeps each block of steps in a buffer,
+from which it forms every step's midpoint.  The block's energy reports (E0, E,
+Estar, the power integrals) come from one call of the power rates on its
+stacked columns and, per run, one call of energies at that run's samples: a
+block is cut by steps, columns and the runs' last steps, not by strides.  The
+quasi-stability and attractor-regularity probes read a trajectory the caller
+runs.
 """
 
 from __future__ import annotations
@@ -55,8 +62,10 @@ class Trajectory:
 class Stepper:
     """One-step implicit midpoint map S1 y+ = S0 y + dt c - dt B fc(beta_mid),
     S1 = I - dt A/2 and S0 = I + dt A/2, through the propagator P = S1^-1 S0,
-    p = dt S1^-1 c, PB = dt S1^-1 B: base = P y + p, each iterate y+ = base - PB fc.
-    fc and potential are the model's GalerkinSystem.plate_force, built once."""
+    p = dt S1^-1 c, PB = dt S1^-1 B: base = P y + p load, each iterate y+ = base - PB fc.
+    The load scales the system's loads, and with them p, column by column; it is 1
+    until set_load sets it.  fc and potential are the model's GalerkinSystem.plate_force,
+    built once."""
 
     def __init__(self, sys: GalerkinSystem, dt: float, model: ForceModel | None):
         if not (np.isfinite(dt) and dt > 0):
@@ -67,8 +76,12 @@ class Stepper:
         N = sys.A.shape[0]
         S1 = la.lu_factor(np.eye(N) - 0.5 * dt * sys.A)
         self._P = la.lu_solve(S1, np.eye(N) + 0.5 * dt * sys.A)
-        self._p = la.lu_solve(S1, dt * sys.c)[:, None]
+        self._p = self._p_unit = la.lu_solve(S1, dt * sys.c)[:, None]
         self._PB = la.lu_solve(S1, dt * sys.B)
+
+    def set_load(self, load):
+        """Scale p by load, one factor per column of the states that step is given."""
+        self._p = self._p_unit * load
 
     def step(self, y: np.ndarray) -> np.ndarray:
         """Advance one step; returns y_next, shaped like y.  A column converged
@@ -112,82 +125,122 @@ class Stepper:
             f"{np.nan if last is None else last[k]:.3e}); reduce the time step")
 
 
-def energies(sys: GalerkinSystem, y: np.ndarray, potential):
+def energies(sys: GalerkinSystem, y: np.ndarray, potential, load):
     """(E0, E, Estar) of the states y, (N,) or columns (N, k): E0 the quadratic
     energy, E = E0 + potential(beta), the plate potential of plate_force, and
-    Estar = E - ell . y + E0_star, shifted by the system's stationary state."""
+    Estar = E - load ell . y + load^2 E0_star, shifted by the stationary state of
+    the system under load times its loads (a scalar, or one factor per column)."""
     E0 = sys.energy_quadratic(y)
     E = E0 + potential(y[sys.m:sys.m + sys.n])
-    return E0, E, E - sys.ell @ y + sys.E0_star
+    return E0, E, E - load * (sys.ell @ y) + load ** 2 * sys.E0_star
 
 
-def simulate(sys: GalerkinSystem, y0: np.ndarray, T: float, dt: float,
-             model: ForceModel | None = None, *, stride: int,
-             keep_states: bool = True) -> Trajectory:
+def _columns(owner: np.ndarray):
+    """(run, slice of its columns) for each run in owner, the run of each batch column."""
+    runs, first = np.unique(owner, return_index=True)
+    return list(zip(runs, map(slice, first, [*first[1:], len(owner)])))
+
+
+def simulate(sys: GalerkinSystem, y0, T, dt: float, model: ForceModel | None = None, *,
+             stride, keep_states: bool = True, load=1.0):
     """Integrate on [0, T], sampling every `stride` steps (and at T) with energy reports.
 
-    y0 of shape (N, B) runs B trajectories as one batch.  keep_states=False
+    y0 of shape (N, B) runs B trajectories as one batch.  load scales the
+    system's loads, and with them the stationary state that Estar is shifted by
+    and the forcing power: load 0 runs the unforced system.  keep_states=False
     keeps only the reports (states is None), for long ensembles sampled at
-    every step.  Reports come per block of at most _BLOCK_STEPS steps and
-    _BLOCK_COLUMNS states, whatever the stride, from its stacked columns: power
-    rates at every step's midpoint, energies at its samples; the dissipation and
-    work integrals add one step at a time, left to right.  Only these reports
-    depend on the blocks, at rounding.  Raises IntegratorError for stride < 1,
-    for T negative or not finite, and for T not a whole number of steps dt (to 1e-9 of T).
+    every step.  An ensemble of runs that share sys, dt, model and keep_states
+    is the same call with T a sequence of horizons, one per run, and y0, stride
+    and load sequences of the same length; it returns one Trajectory per run,
+    its solo run up to rounding.  The runs step as one batch, and a run leaves
+    it after its own last step (a fixed-point failure names its column in the
+    batch of the runs still stepping).  Reports come per block of at most
+    _BLOCK_STEPS steps and _BLOCK_COLUMNS states, whatever the stride, from its
+    stacked columns: power rates at every step's midpoint, energies at each
+    run's samples; the dissipation and work integrals add one step at a time,
+    left to right.  Only these reports depend on the blocks, at rounding.
+    Raises IntegratorError for stride < 1, for T negative or not finite, and
+    for T not a whole number of steps dt (to 1e-9 of T).
     """
-    if not stride >= 1:
-        raise IntegratorError(f"sample stride must be at least 1, got {stride}")
-    if not (np.isfinite(T) and T >= 0):
-        raise IntegratorError(f"final time must be finite and nonnegative, got {T}")
+    one = np.ndim(T) == 0
+    if one:
+        y0, T, stride, load = [y0], [T], [stride], [load]
+    for s, T_r in zip(stride, T):
+        if not s >= 1:
+            raise IntegratorError(f"sample stride must be at least 1, got {s}")
+        if not (np.isfinite(T_r) and T_r >= 0):
+            raise IntegratorError(f"final time must be finite and nonnegative, got {T_r}")
     stepper = Stepper(sys, dt, model)
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * T:
-        raise IntegratorError(f"final time {T} is not a whole number of time steps {dt}")
-    y = np.array(y0, dtype=float).reshape(len(y0), -1)
-    N, B = y.shape
-    n_samples = 1 + n_steps // stride + (n_steps % stride != 0)
-    t = np.zeros(n_samples)
-    rep = np.zeros((n_samples, 5, B))               # E0, E, Estar, balance, dissipation
-    states = np.zeros((n_samples, N, B)) if keep_states else None
-    rep[0, :3] = energies(sys, y, stepper.potential)
-    E_0 = rep[0, 1]
-    if keep_states:
-        states[0] = y
-    L = max(1, min(_BLOCK_STEPS, _BLOCK_COLUMNS // B))
-    Ys = np.empty((N, min(L, n_steps) + 1, B))      # block start and its steps, step-major columns
-    acc = np.zeros((2, 1, B))                       # dissipation and work integrals so far
-    i = 0
+    steps = [int(round(T_r / dt)) for T_r in T]
+    for n, T_r in zip(steps, T):
+        if abs(n * dt - T_r) > 1e-9 * T_r:
+            raise IntegratorError(f"final time {T_r} is not a whole number of time steps {dt}")
+    y0 = [np.array(y_r, dtype=float) for y_r in y0]
+    y = np.column_stack(y0)
+    N = len(y)
+    widths = [y_r.reshape(N, -1).shape[1] for y_r in y0]
+    # each run's own arrays: its samples are its steps over its stride, rounded up
+    t = [np.zeros(1 - (-n // s)) for n, s in zip(steps, stride)]
+    rep = [np.zeros((len(t_r), 5, b)) for t_r, b in zip(t, widths)]  # E0, E, Estar, balance, diss
+    states = [np.zeros((len(t_r), N, b)) if keep_states else None for t_r, b in zip(t, widths)]
+    loads = np.repeat(np.asarray(load, dtype=float), widths)
+    owner = np.repeat(np.arange(len(y0)), widths)          # the run of each batch column
+    last = np.array(steps)[owner]                          # and its last step
+    E0, E_0, Estar = energies(sys, y, stepper.potential, loads)
+    live = _columns(owner)
+    for r, cols in live:
+        rep[r][0, :3] = E0[cols], E_0[cols], Estar[cols]
+        if keep_states:
+            states[r][0] = y[:, cols]
+    stepper.set_load(loads)
+    acc = np.zeros((2, 1, len(owner)))                     # dissipation and work integrals so far
+    k0 = 0
     # a diverging fixed-point iterate overflows before Stepper.step names it in
     # its IntegratorError; entered once per call, not once per step
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, n_steps, L):
-            nb = min(L, n_steps - k0)
+        while np.any(keep := last > k0):
+            if not keep.all():          # the runs whose last step is taken leave the batch
+                y, acc, E_0, loads, owner, last = (a[..., keep]
+                                                   for a in (y, acc, E_0, loads, owner, last))
+                live = _columns(owner)
+                stepper.set_load(loads)
+            B = len(owner)
+            nb = min(_BLOCK_STEPS, max(1, _BLOCK_COLUMNS // B), int(last.min()) - k0)
+            Ys = np.empty((N, nb + 1, B))                  # block start and its steps, step-major
             Ys[:, 0] = y
             for j in range(1, nb + 1):
                 y = Ys[:, j] = stepper.step(y)
-            mid = 0.5 * (Ys[:, :nb] + Ys[:, 1:nb + 1])      # each step's midpoint
+            mid = Ys[:, :nb] + Ys[:, 1:]
+            mid *= 0.5                                     # each step's midpoint
             rates = np.stack(sys.power_rates(mid.reshape(N, -1))).reshape(2, nb, B)
+            rates[1] *= loads
             acc = np.add.accumulate(np.concatenate([acc[:, -1:], dt * rates], axis=1), axis=1)
-            js = np.arange(stride - k0 % stride, nb + 1, stride)   # run steps k0 + j on the stride
-            if k0 + nb == n_steps and n_steps % stride:     # the last step of the run
-                js = np.append(js, nb)
-            Ysamp = Ys[:, js]
-            E0, E, Estar = (e.reshape(len(js), B)
-                            for e in energies(sys, Ysamp.reshape(N, -1), stepper.potential))
-            diss, work = acc[:, js]
-            s = slice(i + 1, i + 1 + len(js))
-            t[s] = (k0 + js) * dt
-            rep[s] = np.stack([E0, E, Estar, (E + diss - E_0 - work) / (np.abs(E_0) + 1.0),
-                               diss], 1)
-            if keep_states:
-                states[s] = Ysamp.transpose(1, 0, 2)
-            i += len(js)
+            for r, cols in live:
+                n, s = steps[r], stride[r]
+                js = np.arange(s - k0 % s, nb + 1, s)      # run steps k0 + j on the stride
+                if k0 + nb == n and n % s:                # and its last step
+                    js = np.append(js, nb)
+                if not len(js):
+                    continue
+                Ysamp = Ys[:, js, cols]
+                E0, E, Estar = (e.reshape(Ysamp.shape[1:]) for e in
+                                energies(sys, Ysamp.reshape(N, -1), stepper.potential, load[r]))
+                diss, work = acc[:, js, cols]
+                i = -(-(k0 + js) // s)
+                t[r][i] = (k0 + js) * dt
+                rep[r][i] = np.stack([E0, E, Estar, (E + diss - E_0[cols] - work)
+                                      / (np.abs(E_0[cols]) + 1.0), diss], 1)
+                if keep_states:
+                    states[r][i] = Ysamp.transpose(1, 0, 2)
+            k0 += nb
 
-    if np.ndim(y0) == 1:
-        rep = rep[..., 0]
-        states = None if states is None else states[..., 0]
-    return Trajectory(t=t, states=states, E0=rep[:, 0], E=rep[:, 1], Estar=rep[:, 2],
-                      balance_residual=rep[:, 3], dissipation_integral=rep[:, 4])
+    out = []
+    for y_r, t_r, rep_r, st in zip(y0, t, rep, states):
+        if y_r.ndim == 1:
+            rep_r, st = rep_r[..., 0], None if st is None else st[..., 0]
+        out.append(Trajectory(t=t_r, states=st, E0=rep_r[:, 0], E=rep_r[:, 1], Estar=rep_r[:, 2],
+                              balance_residual=rep_r[:, 3], dissipation_integral=rep_r[:, 4]))
+    return out[0] if one else out
 
 
 def per_sample(fn, states: np.ndarray) -> np.ndarray:

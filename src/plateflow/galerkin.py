@@ -86,7 +86,10 @@ class GalerkinSystem:
     the pressure load is p*_j = (G0, N0 xi_j), read off f_kin, since the lifts are
     Dirichlet-orthogonal to every zero-trace solenoidal field.  The forced
     problem's Lyapunov functional, with y* = (alpha*, 0, 0), is E0(y - y*) +
-    potential - plate_load . beta = E - ell . y + E0_star.
+    potential - plate_load . beta = E - ell . y + E0_star.  The loads enter
+    linearly: under load times them, c, y*, plate_load and the forcing power
+    scale by load, and the functional is E - load ell . y + load^2 E0_star, so
+    that load 0 is the unforced problem on the same A, B and H.
     """
 
     basis: ModalBasis

@@ -25,6 +25,8 @@ import scipy.sparse.linalg as spla
 from .mesh import Grid, GridError, VelocityField, beam_operators, unpack_interior
 from .stokes import StokesSolver
 
+# the largest relative residual of a flow or plate mode that a cached basis may
+# carry; a cache file storing a larger one is rebuilt
 EIG_TOL = 1e-8
 # two eigenvalues, or two entry magnitudes of a flow mode, closer than this
 # relative gap count as equal in the gauge of the flow modes
@@ -147,8 +149,8 @@ def build_modal_basis(g: Grid, m: int, n: int, cache_dir: str | None = None):
     """(basis, (mu, psi_res, kappa, xi_res)): the m flow and n plate eigenmodes
     with liftings, built or loaded from cache, and their eigenvalues and
     residuals.  A cache file that cannot be read, is of another format version,
-    or whose arrays do not fit the grid and mode counts or are not finite, is
-    rebuilt and overwritten."""
+    whose arrays do not fit the grid and mode counts or are not finite, or whose
+    stored residuals exceed EIG_TOL, is rebuilt and overwritten."""
     if cache_dir is not None:
         path = os.path.join(cache_dir, f"modes_{g.grid_key()}_m{m}_n{n}.npz")
         built = _load_basis(path, g, m, n)
@@ -182,8 +184,9 @@ def _save_basis(path: str, built):
 
 def _load_basis(path: str, g: Grid, m: int, n: int):
     """The cached (basis, eigen-data), each array read once, or None if the file
-    is missing or unreadable, is not of CACHE_VERSION, or lacks an array or has
-    one misshapen, not of floats or not finite."""
+    is missing or unreadable, is not of CACHE_VERSION, lacks an array or has
+    one misshapen, not of floats or not finite, or stores a flow or plate
+    residual above EIG_TOL."""
     shapes = {"mu": (m,), "psi_u": (m,) + g.shape_u, "psi_w": (m,) + g.shape_w, "psi_res": (m,),
               "kappa": (n,), "xi": (n, g.n_plate), "xi_res": (n,), "lift_u": (n,) + g.shape_u,
               "lift_w": (n,) + g.shape_w}
@@ -194,7 +197,7 @@ def _load_basis(path: str, g: Grid, m: int, n: int):
         return None
     if not np.array_equal(d.get("version"), CACHE_VERSION) or any(   # np.shape(None) is ()
             np.shape(d.get(k)) != s or d[k].dtype != float or not np.isfinite(d[k]).all()
-            for k, s in shapes.items()):
+            for k, s in shapes.items()) or max(d["psi_res"].max(), d["xi_res"].max()) > EIG_TOL:
         return None
     return (ModalBasis(grid=g, psi=VelocityField(g, d["psi_u"], d["psi_w"]), xi=d["xi"],
                        lift=VelocityField(g, d["lift_u"], d["lift_w"])),

@@ -5,17 +5,19 @@ against BOUNDS, the one table of the bounds, which encode the claims being
 verified and are not configurable, and sets the result's boolean "pass".  The
 CLI prints one line per criterion and the tests assert on the same data.
 
-The battery runs as one schedule.  A check that integrates trajectories is a
-generator: it draws its random states, yields its run requests (_Run) and
-receives their trajectories.  The scheduler starts the checks in CRITERIA
-order, each up to its request, so every random draw keeps its place; it then
-steps each group of requests that share system, force model, dt and
-keep_states as one ensemble, and resumes a check once all its runs are served.
-A batch member is its solo run up to rounding, so the verdicts are those of
-the checks run one after another.  The schedule's simulate is the battery's
-only integration: the probes it feeds (quasi-stability, semigroup
-consistency, attractor regularity, distance to equilibrium) and the shifted
-energy read the trajectories they are served.
+The battery runs as one schedule on one assembled system, the forced one; a
+run of the unforced problem is a run of it at load 0.  A check that integrates
+trajectories is a generator: it draws its random states, yields its run
+requests (_Run, each with its load) and receives their trajectories.  The
+scheduler starts the checks in CRITERIA order, each up to its request, so every
+random draw keeps its place; it then steps each group of requests that share
+force model, dt and keep_states as one ensemble of simulate, in which each run
+leaves the batch after its own last step, and resumes a check once all its
+runs are served.  A batch member is its solo run up to rounding, so the
+verdicts are those of the checks run one after another.  The schedule's
+simulate is the battery's only integration: the probes it feeds
+(quasi-stability, semigroup consistency, attractor regularity, distance to
+equilibrium) and the shifted energy read the trajectories they are served.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .dynamics import (
-    IntegratorError,
     Trajectory,
     energy_balance_residual,
     fit_decay_rate,
@@ -62,44 +63,45 @@ from .steady import distance_to_equilibrium, solve_stationary_stokes
 
 
 class _Setup:
-    """Shared grid/basis/system for the battery (built once)."""
+    """Shared grid/basis/system for the battery (built once).  The one system is
+    the forced one; a run of the unforced problem is a run of it at load 0, since
+    the loads enter only c, the stationary state and the forcing power."""
 
     def __init__(self, cfg: ExperimentConfig, cache_dir):
         self.cfg, self.cache_dir = cfg, cache_dir
         self.grid = build_grid(cfg.geometry)
         self.basis = build_modal_basis(self.grid, cfg.modes.m, cfg.modes.n, cache_dir)[0]
         self.nu = cfg.physics.nu
-        self.sys_free = assemble(self.basis, self.nu)
         self.forcing = ForcingConfig(fluid_kind="shear", fluid_amp=1.0,
                                      plate_kind="sine", plate_amp=0.5)
-        self.sys_forced = assemble(self.basis, self.nu, self.forcing)
+        self.sys = assemble(self.basis, self.nu, self.forcing)
         self.gf = fluid_forcing_field(self.forcing, self.grid)
         self.berger = BergerForce(self.grid, kappa=5.0, gamma=0.0)
         self.rng = np.random.default_rng(cfg.probes.seed)
-        self.abscissa = spectral_abscissa(self.sys_free)
+        self.abscissa = spectral_abscissa(self.sys)
 
     def random_state(self, scale=1.0):
-        return self.sys_free.random_state(self.rng, scale)
+        return self.sys.random_state(self.rng, scale)
 
 
 class _Run(NamedTuple):
-    """One trajectory a check requests: simulate(sys, y0, T, dt, model, stride,
-    keep_states=keep_states); round(T/dt) must be a whole number of strides."""
+    """One trajectory a check requests of the set-up's system:
+    simulate(sys, y0, T, dt, model, stride=stride, keep_states=keep_states, load=load)."""
 
-    sys: GalerkinSystem
     y0: np.ndarray
     T: float
     dt: float
     model: ForceModel | None = None
     stride: int = 10
     keep_states: bool = True
+    load: float = 1.0
 
 
 def check_mass_matrix_positivity(s: _Setup):
     cases = []
     for (m, n) in [(1, 1), (4, 4), (12, 8)]:
         if (m, n) == (s.cfg.modes.m, s.cfg.modes.n):
-            sysmn = s.sys_free                  # the set-up's own basis; the others via its cache
+            sysmn = s.sys                       # the set-up's own basis; the others via its cache
         else:
             sysmn = assemble(build_modal_basis(s.grid, m, n, s.cache_dir)[0], s.nu)
         cases.append({"m": m, "n": n, "symmetry_error": float(np.max(np.abs(sysmn.M - sysmn.M.T))),
@@ -110,9 +112,9 @@ def check_mass_matrix_positivity(s: _Setup):
 
 def check_energy_balance(s: _Setup):
     y0 = s.random_state(0.5)
-    lin, nl1, nl2 = yield [_Run(s.sys_forced, y0, T=2.0, dt=1e-3),
-                           _Run(s.sys_forced, y0, T=2.0, dt=1e-3, model=s.berger),
-                           _Run(s.sys_forced, y0, T=2.0, dt=5e-4, model=s.berger, stride=20)]
+    lin, nl1, nl2 = yield [_Run(y0, T=2.0, dt=1e-3),
+                           _Run(y0, T=2.0, dt=1e-3, model=s.berger),
+                           _Run(y0, T=2.0, dt=5e-4, model=s.berger, stride=20)]
     res_lin = energy_balance_residual(lin)
     res1, res2 = energy_balance_residual(nl1), energy_balance_residual(nl2)
     return ({"linear_residual": res_lin, "berger_residual_dt": res1,
@@ -123,7 +125,7 @@ def check_energy_balance(s: _Setup):
 def check_exponential_stability(s: _Setup):
     members = []
     y0 = np.column_stack([s.random_state() for _ in range(10)])
-    (tr,) = yield [_Run(s.sys_free, y0, T=4.0, dt=1e-3, stride=1, keep_states=False)]
+    (tr,) = yield [_Run(y0, T=4.0, dt=1e-3, stride=1, keep_states=False, load=0.0)]
     for E0 in tr.E0.T:
         gam, fit_res = fit_decay_rate(tr.t, E0)
         rate = 0.5 * gam
@@ -136,7 +138,7 @@ def check_exponential_stability(s: _Setup):
 
 
 def check_lyapunov(s: _Setup):
-    table = lyapunov_eps_scan(s.sys_free, n_states=100,
+    table = lyapunov_eps_scan(s.sys, n_states=100,
                               rng=np.random.default_rng(s.cfg.probes.seed + 1))
     # eps_star is the largest eps whose ratio range [a0, a1] meets the bounds;
     # with none, the range at the smallest eps, which fails them, is measured
@@ -146,8 +148,8 @@ def check_lyapunov(s: _Setup):
     if eps_star is None:                        # no V to measure; an a0 or a1 row fails
         return {"eps_star": None}, {"a0": a0, "a1": a1, "V_rise": {}}
     y0 = np.column_stack([s.random_state() for _ in range(10)])
-    (tr,) = yield [_Run(s.sys_free, y0, T=3.0, dt=1e-3)]
-    V = per_sample(lambda y: lyapunov_V(s.sys_free, y, eps_star), tr.states)
+    (tr,) = yield [_Run(y0, T=3.0, dt=1e-3, load=0.0)]
+    V = per_sample(lambda y: lyapunov_V(s.sys, y, eps_star), tr.states)
     return ({"eps_star": eps_star, "a0": a0, "a1": a1},
             {"V_rise": {("v_monotone",): float(np.max(np.diff(V, axis=0)))}})
 
@@ -157,12 +159,11 @@ def check_mean_preservation(s: _Setup):
     y0 = s.random_state()
     worst_drift = 0.0
     worst_trace = 0.0
-    trajs = yield [_Run(s.sys_forced, y0, T=2.0, dt=1e-3, model=model, stride=50)
-                   for model in (None, s.berger)]
+    trajs = yield [_Run(y0, T=2.0, dt=1e-3, model=model, stride=50) for model in (None, s.berger)]
     for tr in trajs:
         means = []
         for y in tr.states:
-            rec = reconstruct(s.sys_forced, y)
+            rec = reconstruct(s.sys, y)
             means.append(plate_mean(rec.u, g))
             worst_trace = max(worst_trace, float(np.max(np.abs(rec.v.w[:, -1] - rec.u_t))))
         worst_drift = max(worst_drift, float(np.max(np.abs(np.array(means) - means[0]))))
@@ -185,7 +186,7 @@ def check_force_models(s: _Setup):
         "berger": verify_gradient(berger, u, g.h_x, rng),
         "von_karman": verify_gradient(vk, u2, g2.h ** 2, rng),
     }
-    norms = SurrogateNorms.of(s.sys_free)
+    norms = SurrogateNorms.of(s.sys)
     coerc = {
         "kirchhoff": verify_coercivity(kirch, norms, g, rng=rng),
         "berger": verify_coercivity(berger, norms, g, rng=rng),
@@ -208,15 +209,14 @@ def check_force_models(s: _Setup):
 
 
 def check_gradient_structure(s: _Setup):
-    sysf = s.sys_forced
     # duality route vs direct stationary pressure trace
     _, ptrace = solve_stationary_stokes(s.gf, s.grid, nu=s.nu)
-    pstar_err = float(np.max(np.abs(sysf.pstar - sysf.hXi @ ptrace)))
+    pstar_err = float(np.max(np.abs(s.sys.pstar - s.sys.hXi @ ptrace)))
 
-    (tr,) = yield [_Run(sysf, s.random_state(0.5), T=15.0, dt=1e-3, model=s.berger, stride=50)]
+    (tr,) = yield [_Run(s.random_state(0.5), T=15.0, dt=1e-3, model=s.berger, stride=50)]
     # Estar is shifted by the stationary flow and by p* plus the plate load, so
     # it is the Lyapunov functional of the forced problem
-    dist, eq = distance_to_equilibrium(sysf, tr.states, s.berger)
+    dist, eq = distance_to_equilibrium(s.sys, tr.states, s.berger)
     return ({"tail_distance": dist[-1], "stationary_residual": eq.residual,
              "pstar_identity_error": pstar_err},
             {"Estar_rise": {("estar_monotone",): _estar_rise(tr.Estar)}})
@@ -229,14 +229,14 @@ def check_quasi_stability(s: _Setup):
     ya, yb = (np.column_stack(side) for side in zip(*pairs))
     lin_a, lin_b = s.random_state(), s.random_state()
     rate, berger, linear = yield [
-        _Run(s.sys_free, y_rate, T=4.0, dt=1e-3),
-        _Run(s.sys_free, np.column_stack([ya, yb]), T=6.0, dt=1e-3, model=s.berger),
-        _Run(s.sys_free, np.column_stack([lin_a, lin_b]), T=6.0, dt=1e-3)]
+        _Run(y_rate, T=4.0, dt=1e-3, load=0.0),
+        _Run(np.column_stack([ya, yb]), T=6.0, dt=1e-3, model=s.berger, load=0.0),
+        _Run(np.column_stack([lin_a, lin_b]), T=6.0, dt=1e-3, load=0.0)]
     # half the decay rate of the unforced linear flow's state norm, which is
     # itself half the fitted rate of E0
     gamma_star = 0.25 * fit_decay_rate(rate.t, rate.E0)[0]
-    Ms = quasi_stability_probe(s.sys_free, berger, gamma_star).tolist()
-    M_lin = float(quasi_stability_probe(s.sys_free, linear, gamma_star)[0])
+    Ms = quasi_stability_probe(s.sys, berger, gamma_star).tolist()
+    M_lin = float(quasi_stability_probe(s.sys, linear, gamma_star)[0])
     return ({"gamma_star": gamma_star, "berger_M": Ms, "linear_M": M_lin},
             {"M": {**{f"berger_M.{i}": M for i, M in enumerate(Ms)}, "linear_M": M_lin}})
 
@@ -244,19 +244,18 @@ def check_quasi_stability(s: _Setup):
 def check_trace_operator_identities(s: _Setup):
     y0 = s.random_state()
     # 20 sample intervals on [0, 1] at each dt
-    trs = yield [_Run(s.sys_free, y0, T=1.0, dt=dt, stride=int(round(1.0 / dt)) // 20)
+    trs = yield [_Run(y0, T=1.0, dt=dt, stride=int(round(1.0 / dt)) // 20, load=0.0)
                  for dt in (1e-3, 5e-4)]
-    dev1, dev2 = (semigroup_consistency(s.sys_free, tr) for tr in trs)
-    return ({**gamma_operator_checks(s.sys_free),
+    dev1, dev2 = (semigroup_consistency(s.sys, tr) for tr in trs)
+    return ({**gamma_operator_checks(s.sys),
              "expm_deviation_ratio": dev1 / max(dev2, 1e-300),
-             "contraction_norm": max(contraction_norm(s.sys_free, T) for T in (0.5, 1.0, 2.0))},
+             "contraction_norm": max(contraction_norm(s.sys, T) for T in (0.5, 1.0, 2.0))},
             {})
 
 
 def check_attractor_regularity(s: _Setup):
-    (tr,) = yield [_Run(s.sys_forced, s.random_state(0.5), T=20.0, dt=1e-3, model=s.berger,
-                        stride=20)]
-    probe = attractor_regularity_probe(tr, s.sys_forced)
+    (tr,) = yield [_Run(s.random_state(0.5), T=20.0, dt=1e-3, model=s.berger, stride=20)]
+    probe = attractor_regularity_probe(tr, s.sys)
     return probe, {"sup_second": {(k, "non_growing"): (p["sup_second"], p["sup_first"])
                                   for k, p in probe.items()}}
 
@@ -381,48 +380,21 @@ def estar_monotone(Estar: np.ndarray) -> bool:
 
 
 def _groups(runs: list[_Run]) -> list[list[int]]:
-    """Indices of the runs that share system, force model, dt and keep_states,
-    group by group in order of first appearance."""
+    """Indices of the runs that share force model, dt and keep_states, group by
+    group in order of first appearance."""
     groups = {}
     for i, run in enumerate(runs):
-        groups.setdefault((id(run.sys), id(run.model), run.dt, run.keep_states), []).append(i)
+        groups.setdefault((id(run.model), run.dt, run.keep_states), []).append(i)
     return list(groups.values())
 
 
-_REPORTS = ("E0", "E", "Estar", "dissipation_integral", "balance_residual")
-
-
-def _simulate_group(runs: list[_Run]) -> list[Trajectory]:
-    """Step runs of one group as one ensemble: one simulate to the longest T at
-    the gcd of the strides.  Each run gets its own columns, every
-    (stride / gcd)-th sample up to its T, copied when the group has other runs
-    so that the group's arrays can be dropped.  Raises IntegratorError for a
-    run whose round(T/dt) is not a whole number of its strides."""
-    steps = [int(round(run.T / run.dt)) for run in runs]
-    for run, n in zip(runs, steps):
-        if n % run.stride:
-            raise IntegratorError(f"a run of {n} steps is not a whole number of "
-                                  f"strides {run.stride}")
-    gcd = math.gcd(*(run.stride for run in runs))
+def _simulate_group(sys: GalerkinSystem, runs: list[_Run]) -> list[Trajectory]:
+    """Step the runs of one group as one ensemble of simulate: each run leaves it
+    after its own last step, with its own samples and reports."""
     first = runs[0]
-    tr = simulate(first.sys, np.column_stack([run.y0 for run in runs]),
-                  max(run.T for run in runs), first.dt, first.model, stride=gcd,
-                  keep_states=first.keep_states)
-
-    def cut(a, *index):
-        return a[index].copy() if len(runs) > 1 else a[index]
-
-    out, col = [], 0
-    for run, n in zip(runs, steps):
-        if run.y0.ndim == 1:
-            cols, col = col, col + 1
-        else:
-            cols, col = slice(col, col + run.y0.shape[1]), col + run.y0.shape[1]
-        rows = slice(0, n // gcd + 1, run.stride // gcd)
-        states = None if tr.states is None else cut(tr.states, rows, slice(None), cols)
-        out.append(Trajectory(t=cut(tr.t, rows), states=states,
-                              **{k: cut(getattr(tr, k), rows, cols) for k in _REPORTS}))
-    return out
+    return simulate(sys, [run.y0 for run in runs], [run.T for run in runs], first.dt,
+                    first.model, stride=[run.stride for run in runs],
+                    keep_states=first.keep_states, load=[run.load for run in runs])
 
 
 def _run_checks(s: _Setup, names: list[str], report=None) -> dict:
@@ -430,8 +402,8 @@ def _run_checks(s: _Setup, names: list[str], report=None) -> dict:
     in the order of names.
 
     Each check is started, and advanced to its run requests, before the next one
-    starts.  Each group of requests is then one simulate; its arrays are dropped
-    once handed out, and a check resumes as soon as all its runs are served.
+    starts.  Each group of requests is then one simulate, which writes each run
+    into arrays of its own, and a check resumes as soon as all its runs are served.
     Once a check and every one before it are done, it is judged, and report
     gets its line: name, PASS or FAIL, and the tightest row.
     """
@@ -460,22 +432,26 @@ def _run_checks(s: _Setup, names: list[str], report=None) -> dict:
                 requests += [(name, i, run) for i, run in enumerate(runs)]
         report_done()
 
+    def resume(name):
+        check, served = waiting.pop(name)
+        try:
+            check.send(served)
+        except StopIteration as stop:
+            results[name] = stop.value
+
     for group in _groups([run for _, _, run in requests]):
         ready = []
-        for k, tr in zip(group, _simulate_group([requests[k][2] for k in group])):
+        for k, tr in zip(group, _simulate_group(s.sys, [requests[k][2] for k in group])):
             name, i, _ = requests[k]
             served = waiting[name][1]
             served[i] = tr
             if all(t is not None for t in served):
                 ready.append(name)
         # the group's trajectories are now held by their checks alone, so each
-        # is freed once its check returns
+        # is freed once its check returns, not kept by a name here into the next group
+        del tr, served
         for name in ready:
-            check, served = waiting.pop(name)
-            try:
-                check.send(served)
-            except StopIteration as stop:
-                results[name] = stop.value
+            resume(name)
         report_done()
     return {name: results[name] for name in names}
 

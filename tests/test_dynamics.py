@@ -222,6 +222,26 @@ def test_batched_simulate_matches_solo_runs(sys_forced, grid, name):
         assert np.max(np.abs(batch.balance_residual[:, j] - solo.balance_residual)) < 1e-15
 
 
+@pytest.mark.parametrize("name", ["linear", "berger"])
+def test_a_load_0_run_of_the_forced_system_is_the_unforced_run(sys_free, sys_forced, grid, name):
+    # load 0 scales away the forced system's loads column by column: in an
+    # ensemble with a loaded run, its columns equal the unforced system's run,
+    # states and all five reports, and the loaded run its own solo run
+    model = _loaded_models(grid)[name]
+    y0 = np.column_stack([_random_unit_state(sys_free, seed=90 + j, scale=0.5) for j in range(2)])
+    y1 = _random_unit_state(sys_free, seed=92, scale=0.5)
+    free, loaded = simulate(sys_forced, [y0, y1], [0.3, 0.2], 1e-3, model, stride=[10, 7],
+                            load=[0.0, 1.0])
+    for got, want in ((free, simulate(sys_free, y0, T=0.3, dt=1e-3, model=model, stride=10)),
+                      (loaded, simulate(sys_forced, y1, T=0.2, dt=1e-3, model=model, stride=7))):
+        assert np.array_equal(got.t, want.t)
+        for field in ("states", "E0", "E", "Estar", "dissipation_integral", "balance_residual"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.shape == b.shape, field
+            assert np.max(np.abs(a - b)) <= 1e-14 * max(1.0, np.max(np.abs(b))), field
+    assert np.array_equal(free.Estar, free.E) and np.max(np.abs(loaded.Estar - loaded.E)) > 1e-5
+
+
 def test_propagator_step_matches_lu_solve_midpoint(sys_forced, grid):
     # one step of the propagator against the factored midpoint equation
     # S1 y+ = S0 y + dt c - dt B fc(beta_mid), iterated with lu_solve

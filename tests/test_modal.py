@@ -17,6 +17,7 @@ from plateflow.mesh import (
 import plateflow.modal as modal
 from plateflow.modal import (
     CACHE_VERSION,
+    EIG_TOL,
     TIE_TOL,
     _fix_sign,
     _gauge,
@@ -255,6 +256,10 @@ def _stale_file(built, kind):
         arrays["psi_u"] = built[0].psi.u[:, :-1]
     elif kind == "not_float":
         arrays["xi"] = built[0].xi.astype(str)
+    elif kind in ("residual_over_tol", "plate_residual_over_tol"):
+        name = "psi_res" if kind == "residual_over_tol" else "xi_res"
+        arrays[name] = arrays[name].copy()
+        arrays[name][-1] = 2.0 * EIG_TOL
     else:
         arrays["psi_u"] = built[0].psi.u.copy()
         arrays["psi_u"][0, 1, 1] = np.nan
@@ -262,12 +267,13 @@ def _stale_file(built, kind):
 
 
 @pytest.mark.parametrize("kind", ["no_version", "other_version", "wrong_shape", "not_float",
-                                  "non_finite"])
+                                  "non_finite", "residual_over_tol", "plate_residual_over_tol"])
 def test_basis_cache_rebuilds_stale_files(grid, built, tmp_path, kind):
-    # a cache file of another format version (or of none), or whose arrays do
-    # not fit the grid and mode counts or are not finite floats, is rebuilt and
-    # overwritten: the result equals a fresh build byte for byte, and the next
-    # call loads the new file
+    # a cache file of another format version (or of none), whose arrays do not
+    # fit the grid and mode counts or are not finite floats, or that stores a
+    # flow or plate residual above EIG_TOL, is rebuilt and overwritten: the
+    # result equals a fresh build byte for byte, and the next call loads the
+    # new file
     b = built[0]
     path = tmp_path / f"modes_{grid.grid_key()}_m{b.m}_n{b.n}.npz"
     np.savez_compressed(path, **_stale_file(built, kind))

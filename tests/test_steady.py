@@ -191,18 +191,24 @@ def test_shifted_energy_matches_its_formula(sys_forced, sys_free, grid, berger):
     y0, alpha_star, pstar = _forced_start(sys_forced, grid)
     tr = simulate(sys_forced, y0, T=1.0, dt=1e-3, model=berger, stride=50)
     potential = sys_forced.plate_force(berger)[2]
-    E0, E, Estar = energies(sys_forced, tr.states.T, potential)
+    E0, E, Estar = energies(sys_forced, tr.states.T, potential, 1.0)
     want_Estar = _written_out_estar(sys_forced, tr.states, berger, alpha_star,
                                     pstar + sys_forced.f_plate)
     for got, want in ((E0, tr.E0), (E, tr.E), (Estar, want_Estar), (tr.Estar, want_Estar)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # a single state gives the same numbers as a column
-    assert np.allclose(energies(sys_forced, tr.states[-1], potential)[2],
+    assert np.allclose(energies(sys_forced, tr.states[-1], potential, 1.0)[2],
                        Estar[-1], rtol=1e-14, atol=0.0)
-    # the shift moves Estar off E; on the unforced system, Estar is E
+    # under half the loads the stationary flow and the plate load halve
+    half = _written_out_estar(sys_forced, tr.states, berger, 0.5 * alpha_star,
+                              0.5 * (pstar + sys_forced.f_plate))
+    got = energies(sys_forced, tr.states.T, potential, 0.5)[2]
+    assert np.max(np.abs(got - half)) <= 1e-14 * np.max(np.abs(half))
+    # the shift moves Estar off E; on the unforced system, and at load 0, Estar is E
     assert np.max(np.abs(Estar - E)) > 1e-5
-    plain = energies(sys_free, tr.states.T, sys_free.plate_force(berger)[2])
+    plain = energies(sys_free, tr.states.T, sys_free.plate_force(berger)[2], 1.0)
     assert np.array_equal(plain[2], plain[1])
+    assert np.array_equal(energies(sys_forced, tr.states.T, potential, 0.0)[2], E)
 
 
 def test_distance_to_equilibrium_matches_its_parts(sys_forced, grid, berger):

@@ -12,7 +12,7 @@ import pytest
 
 from plateflow import verification
 from plateflow.config import ExperimentConfig
-from plateflow.dynamics import IntegratorError, simulate
+from plateflow.dynamics import simulate
 from plateflow.forces import BergerForce
 from plateflow.verification import (
     BOUNDS,
@@ -26,12 +26,12 @@ from plateflow.verification import (
     run_criterion,
 )
 
-REPORTS = ("E0", "E", "dissipation_integral", "balance_residual")
+REPORTS = ("E0", "E", "Estar", "dissipation_integral", "balance_residual")
 
 
-def _solo(run):
-    return simulate(run.sys, run.y0, run.T, run.dt, run.model, stride=run.stride,
-                    keep_states=run.keep_states)
+def _solo(sys, run):
+    return simulate(sys, run.y0, run.T, run.dt, run.model, stride=run.stride,
+                    keep_states=run.keep_states, load=run.load)
 
 
 def _assert_close(got, want):
@@ -48,21 +48,25 @@ def test_group_members_match_their_solo_runs(sys_forced, grid):
         y = rng.standard_normal((N, *cols))
         return 0.5 * y / sys_forced.state_norm(y)
 
+    # loads 0 and 1 share a group; every member of a group but its longest
+    # leaves the ensemble early, one of them off its stride and one at once
     runs = [
-        _Run(sys_forced, y0(), T=0.3, dt=1e-3, model=berger, stride=10),
-        _Run(sys_forced, y0(3), T=0.5, dt=1e-3, model=berger, stride=25),
-        _Run(sys_forced, y0(), T=0.45, dt=1e-3, model=berger, stride=15),
-        _Run(sys_forced, y0(2), T=0.12, dt=1e-3, model=berger, stride=3, keep_states=False),
-        _Run(sys_forced, y0(), T=0.1, dt=1e-3, model=berger, stride=2, keep_states=False),
-        _Run(sys_forced, y0(), T=0.1, dt=5e-4, model=berger, stride=10),
-        _Run(sys_forced, y0(), T=0.1, dt=1e-3, stride=10),
+        _Run(y0(), T=0.3, dt=1e-3, model=berger, stride=10),
+        _Run(y0(3), T=0.5, dt=1e-3, model=berger, stride=25, load=0.0),
+        _Run(y0(), T=0.45, dt=1e-3, model=berger, stride=15),
+        _Run(y0(2), T=0.12, dt=1e-3, model=berger, stride=3, keep_states=False),
+        _Run(y0(), T=0.1, dt=1e-3, model=berger, stride=2, keep_states=False, load=0.0),
+        _Run(y0(), T=0.1, dt=5e-4, model=berger, stride=10),
+        _Run(y0(), T=0.1, dt=1e-3, stride=10),
+        _Run(y0(2), T=0.255, dt=1e-3, stride=10, load=0.0),
+        _Run(y0(), T=0.0, dt=1e-3, stride=10, load=0.0),
     ]
     groups = _groups(runs)
-    assert groups == [[0, 1, 2], [3, 4], [5], [6]]
+    assert groups == [[0, 1, 2], [3, 4], [5], [6, 7, 8]]
     for group in groups:
         members = [runs[k] for k in group]
-        for run, got in zip(members, _simulate_group(members)):
-            want = _solo(run)
+        for run, got in zip(members, _simulate_group(sys_forced, members)):
+            want = _solo(sys_forced, run)
             assert np.array_equal(got.t, want.t)
             if run.keep_states:
                 _assert_close(got.states, want.states)
@@ -70,13 +74,6 @@ def test_group_members_match_their_solo_runs(sys_forced, grid):
                 assert got.states is None
             for name in REPORTS:
                 _assert_close(getattr(got, name), getattr(want, name))
-
-
-def test_group_rejects_a_run_off_its_stride(sys_free):
-    y = np.ones(sys_free.m + 2 * sys_free.n)
-    aligned = _Run(sys_free, y, T=0.3, dt=1e-3, stride=10)
-    with pytest.raises(IntegratorError, match="not a whole number of strides 10"):
-        _simulate_group([aligned, _Run(sys_free, y, T=0.255, dt=1e-3, stride=10)])
 
 
 def _run_in_sequence(s):
@@ -87,7 +84,7 @@ def _run_in_sequence(s):
         check = _CHECKS[name](s)
         if isinstance(check, Generator):
             try:
-                check.send([_solo(run) for run in next(check)])
+                check.send([_solo(s.sys, run) for run in next(check)])
             except StopIteration as stop:
                 check = stop.value
         out[name], measured = check
@@ -125,21 +122,23 @@ def test_schedule_equals_the_checks_run_in_sequence(battery_run):
 
 
 def test_battery_schedule_steps(battery_run):
-    # at seed 0 the battery builds 7 steppers and takes 30,000 Berger and
-    # 14,000 linear steps (a batched step counts once); every free linear run
-    # at dt = 1e-3 that keeps its states, the quasi-stability pair and the
-    # semigroup run included, is one (N, 14) run to T = 6
+    # at seed 0 the battery builds 5 steppers on its one system, one per force
+    # model, dt and keep_states, and takes 24,000 Berger and 12,000 linear steps
+    # (a batched step counts once).  A run leaves its ensemble after its own
+    # last step: the linear runs at dt = 1e-3 that keep their states end at
+    # T = 1, 2 (two), 3, 4 and 6, and the Berger runs at dt = 1e-3 at T = 2
+    # (two), 6 (the 20 quasi-stability columns), 15 and 20
     summary, _, _, steppers, _ = battery_run
-    assert len(steppers) == 7
-    steps = {"berger": 0, "linear": 0}
-    for st in steppers:
-        steps["linear" if st["model"] is None else "berger"] += sum(st["steps"].values())
-    assert steps == {"berger": 30000, "linear": 14000}
-    N = steppers[0]["sys"].A.shape[0]
-    free_linear = [st["steps"] for st in steppers
-                   if st["model"] is None and st["dt"] == 1e-3 and not np.any(st["sys"].c)]
-    # exponential_stability's ensemble keeps no states and runs on its own
-    assert free_linear == [{(N, 10): 4000}, {(N, 14): 6000}]
+    sys = steppers[0]["sys"]
+    N = sys.A.shape[0]
+    assert np.any(sys.c) and all(st["sys"] is sys for st in steppers)
+    assert [(st["model"] is None, st["dt"], st["steps"]) for st in steppers] == [
+        (True, 1e-3, {(N, 16): 1000, (N, 15): 1000, (N, 13): 1000, (N, 3): 1000, (N, 2): 2000}),
+        (False, 1e-3, {(N, 24): 2000, (N, 22): 4000, (N, 2): 9000, (N, 1): 5000}),
+        (False, 5e-4, {(N, 1): 4000}),
+        # exponential_stability's ensemble keeps no states and runs on its own
+        (True, 1e-3, {(N, 10): 4000}),
+        (True, 5e-4, {(N, 1): 2000})]
     assert type(summary["quasi_stability"]["linear_M"]) is float
 
 
