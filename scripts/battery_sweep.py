@@ -2,8 +2,9 @@
 
 Runs verification.run_all at probe seed 0 on each configuration, with the
 battery's own bounds.  For each it prints one line with its verdicts, then
-each failing criterion's row as verification.judge gives it: the member
-furthest past its bound, with value, bound and margin.  Each configuration's
+each failing criterion's line as verify-all prints it: the member furthest
+past its bound, with value, bound and margin, and how many of the criterion's
+judged members fail.  Each configuration's
 summary goes to DIR/NAME/verify_all.json, so that two sweeps can be compared
 with scripts/compare_artifacts.py.  A configuration that raises is reported
 and the sweep goes on; the exit status is 0 when every configuration ran,

@@ -11,16 +11,16 @@ Each column also carries a load, a factor on the system's loads (f_kin and
 f_plate), which scales the stepper's constant term, the forcing power and the
 stationary state Estar is shifted by; load 0 is the unforced system and load 1
 leaves every number as the system gives it.  simulate steps an ensemble of runs
-as one batch, each run with its own y0, T, stride and load: a run leaves the
-batch after its own last step, and its samples and reports go to arrays of its
-own; one run is the same code.  Stepper.step returns only the next state;
-simulate calls it once per step and keeps each block of steps in a buffer,
-from which it forms every step's midpoint.  The block's energy reports (E0, E,
-Estar, the power integrals) come from one call of the power rates on its
-stacked columns and, per run, one call of energies at that run's samples: a
-block is cut by steps, columns and the runs' last steps, not by strides.  The
-quasi-stability and attractor-regularity probes read a trajectory the caller
-runs.
+as one batch, each run with its own y0, T, stride, load and keep_states: a run
+leaves the batch after its own last step, and its samples, reports and, if it
+keeps them, states go to arrays of its own; one run is the same code.
+Stepper.step returns only the next state; simulate calls it once per step and
+keeps each block of steps in a buffer, from which it forms every step's
+midpoint.  The block's energy reports (E0, E, Estar, the power integrals) come
+from one call of the power rates on its stacked columns and, per run, one call
+of energies at that run's samples: a block is cut by steps, columns and the
+runs' last steps, not by strides.  The quasi-stability and attractor-regularity
+probes read a trajectory the caller runs.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class Stepper:
             raise IntegratorError(f"time step dt must be finite and positive, got {dt}")
         self.model = model
         self._fc, _, self.potential = sys.plate_force(model)
-        self._beta = slice(sys.m, sys.m + sys.n)
+        self._beta = sys.beta
         N = sys.A.shape[0]
         S1 = la.lu_factor(np.eye(N) - 0.5 * dt * sys.A)
         self._P = la.lu_solve(S1, np.eye(N) + 0.5 * dt * sys.A)
@@ -131,7 +131,7 @@ def energies(sys: GalerkinSystem, y: np.ndarray, potential, load):
     Estar = E - load ell . y + load^2 E0_star, shifted by the stationary state of
     the system under load times its loads (a scalar, or one factor per column)."""
     E0 = sys.energy_quadratic(y)
-    E = E0 + potential(y[sys.m:sys.m + sys.n])
+    E = E0 + potential(y[sys.beta])
     return E0, E, E - load * (sys.ell @ y) + load ** 2 * sys.E0_star
 
 
@@ -142,19 +142,20 @@ def _columns(owner: np.ndarray):
 
 
 def simulate(sys: GalerkinSystem, y0, T, dt: float, model: ForceModel | None = None, *,
-             stride, keep_states: bool = True, load=1.0):
+             stride, keep_states=True, load=1.0):
     """Integrate on [0, T], sampling every `stride` steps (and at T) with energy reports.
 
     y0 of shape (N, B) runs B trajectories as one batch.  load scales the
     system's loads, and with them the stationary state that Estar is shifted by
     and the forcing power: load 0 runs the unforced system.  keep_states=False
     keeps only the reports (states is None), for long ensembles sampled at
-    every step.  An ensemble of runs that share sys, dt, model and keep_states
-    is the same call with T a sequence of horizons, one per run, and y0, stride
-    and load sequences of the same length; it returns one Trajectory per run,
-    its solo run up to rounding.  The runs step as one batch, and a run leaves
-    it after its own last step (a fixed-point failure names its column in the
-    batch of the runs still stepping).  Reports come per block of at most
+    every step.  An ensemble of runs that share sys, dt and model is the same
+    call with T a sequence of horizons, one per run, and y0, stride,
+    keep_states and load sequences of the same length; it returns one
+    Trajectory per run, its solo run up to rounding, with states only where the
+    run keeps them.  The runs step as one batch, and a run leaves it after its
+    own last step (a fixed-point failure names its column in the batch of the
+    runs still stepping).  Reports come per block of at most
     _BLOCK_STEPS steps and _BLOCK_COLUMNS states, whatever the stride, from its
     stacked columns: power rates at every step's midpoint, energies at each
     run's samples; the dissipation and work integrals add one step at a time,
@@ -164,7 +165,7 @@ def simulate(sys: GalerkinSystem, y0, T, dt: float, model: ForceModel | None = N
     """
     one = np.ndim(T) == 0
     if one:
-        y0, T, stride, load = [y0], [T], [stride], [load]
+        y0, T, stride, keep_states, load = [y0], [T], [stride], [keep_states], [load]
     for s, T_r in zip(stride, T):
         if not s >= 1:
             raise IntegratorError(f"sample stride must be at least 1, got {s}")
@@ -182,7 +183,8 @@ def simulate(sys: GalerkinSystem, y0, T, dt: float, model: ForceModel | None = N
     # each run's own arrays: its samples are its steps over its stride, rounded up
     t = [np.zeros(1 - (-n // s)) for n, s in zip(steps, stride)]
     rep = [np.zeros((len(t_r), 5, b)) for t_r, b in zip(t, widths)]  # E0, E, Estar, balance, diss
-    states = [np.zeros((len(t_r), N, b)) if keep_states else None for t_r, b in zip(t, widths)]
+    states = [np.zeros((len(t_r), N, b)) if keep else None
+              for t_r, b, keep in zip(t, widths, keep_states)]
     loads = np.repeat(np.asarray(load, dtype=float), widths)
     owner = np.repeat(np.arange(len(y0)), widths)          # the run of each batch column
     last = np.array(steps)[owner]                          # and its last step
@@ -190,7 +192,7 @@ def simulate(sys: GalerkinSystem, y0, T, dt: float, model: ForceModel | None = N
     live = _columns(owner)
     for r, cols in live:
         rep[r][0, :3] = E0[cols], E_0[cols], Estar[cols]
-        if keep_states:
+        if keep_states[r]:
             states[r][0] = y[:, cols]
     stepper.set_load(loads)
     acc = np.zeros((2, 1, len(owner)))                     # dissipation and work integrals so far
@@ -230,7 +232,7 @@ def simulate(sys: GalerkinSystem, y0, T, dt: float, model: ForceModel | None = N
                 t[r][i] = (k0 + js) * dt
                 rep[r][i] = np.stack([E0, E, Estar, (E + diss - E_0[cols] - work)
                                       / (np.abs(E_0[cols]) + 1.0), diss], 1)
-                if keep_states:
+                if keep_states[r]:
                     states[r][i] = Ysamp.transpose(1, 0, 2)
             k0 += nb
 
@@ -265,8 +267,7 @@ def lyapunov_V(sys: GalerkinSystem, y: np.ndarray, eps: float):
 def lyapunov_eps_scan(sys: GalerkinSystem, n_states: int, rng):
     """For each eps = 2^-1, ..., 2^-10, largest first, the observed ratio range
     V/E0 over random states: rows (eps, a0, a1)."""
-    N = sys.m + 2 * sys.n
-    states = rng.standard_normal((n_states, N)).T
+    states = rng.standard_normal((n_states, sys.A.shape[0])).T
     e0 = sys.energy_quadratic(states)
     table = []
     for eps in (2.0 ** (-k) for k in range(1, 11)):
@@ -310,7 +311,6 @@ def quasi_stability_probe(sys: GalerkinSystem, tr: Trajectory, gamma_star: float
     is identical, with M = 0.  Returns M as a (B,) array.
     """
     B = tr.states.shape[2] // 2
-    m, n = sys.m, sys.n
     t = tr.t
     a, b = tr.states[..., :B], tr.states[..., B:]
     Z2, du2 = np.empty((2, len(t), B))
@@ -319,7 +319,7 @@ def quasi_stability_probe(sys: GalerkinSystem, tr: Trajectory, gamma_star: float
         diff = a[k:k + rows] - b[k:k + rows]                  # (rows, N, B)
         # 2 E0(diff), and the squared plate L2 norm of du
         Z2[k:k + rows] = np.maximum(np.einsum("kib,ij,kjb->kb", diff, sys.H, diff), 0.0)
-        du = diff[:, m:m + n]
+        du = diff[:, sys.beta]
         du2[k:k + rows] = np.einsum("kib,ij,kjb->kb", du, sys.Mp, du)
     # integral term by trapezoid on the sample grid, as a recursion in k
     conv = np.zeros_like(du2)
@@ -345,13 +345,13 @@ def attractor_regularity_probe(traj: Trajectory, sys: GalerkinSystem):
     if nsamp < 9 or traj.t[-1] < 1.0:
         raise IntegratorError("trajectory too short for the regularity probe")
     start = nsamp // 2
-    m, n = sys.m, sys.n
     dts = traj.t[1] - traj.t[0]
     states = traj.states[start - 1:]
     dstate = (states[2:] - states[:-2]) / (2 * dts)       # at samples start .. nsamp-2
     vt, ut_bend, utt = (np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", x, form, x), 0.0))
-                        for x, form in ((dstate[:, sys.kin], sys.M), (states[1:-1, m + n:], sys.K),
-                                        (dstate[:, m + n:], sys.Mp)))
+                        for x, form in ((dstate[:, sys.kin], sys.M),
+                                        (states[1:-1, sys.betadot], sys.K),
+                                        (dstate[:, sys.betadot], sys.Mp)))
     half = len(vt) // 2
     return {name: {"sup_first": float(np.max(a[:half])), "sup_second": float(np.max(a[half:]))}
             for name, a in (("v_t", vt), ("u_t_bending", ut_bend), ("u_tt", utt))}

@@ -106,6 +106,8 @@ class GalerkinSystem:
     c: np.ndarray = field(repr=False, init=False)         # (N,) constant forcing term
     B: np.ndarray = field(repr=False, init=False)         # (N,n) plate-force input map
     H: np.ndarray = field(repr=False, init=False)         # (N,N) energy form
+    beta: slice = field(repr=False, init=False)           # y[beta], the plate deflection
+    betadot: slice = field(repr=False, init=False)        # y[betadot], the plate velocity
     kin: np.ndarray = field(repr=False, init=False)       # (m+n,) indices of w in y
     alpha_star: np.ndarray = field(repr=False, init=False)  # (m,) stationary flow coefficients
     pstar: np.ndarray = field(repr=False, init=False)     # (n,) stationary pressure load
@@ -119,18 +121,19 @@ class GalerkinSystem:
         if self.M_eigenvalues[0] <= 0:
             raise AssemblyError("kinetic mass matrix is not positive definite: smallest "
                                 f"eigenvalue {self.M_eigenvalues[0]:.6e}")
-        self.kin = np.concatenate([np.arange(m), m + n + np.arange(n)])
+        # the state layout y = (alpha, beta, betadot), stated here once
+        self.beta, self.betadot = slice(m, m + n), slice(m + n, m + 2 * n)
+        self.kin = np.r_[:m, self.betadot]
         self.pstar = self.f_kin[m:]
         self.plate_load = self.pstar + self.f_plate
         self.A, self.c, self.B = self.linear_parts()
-        beta = np.arange(m, m + n)
         self.H = np.zeros((m + 2 * n, m + 2 * n))
         self.H[np.ix_(self.kin, self.kin)] = self.M
-        self.H[np.ix_(beta, beta)] = self.K
+        self.H[self.beta, self.beta] = self.K
         self.alpha_star = la.solve(self.D[:m, :m], self.f_kin[:m], assume_a="pos")
         y_star = self.join(self.alpha_star, np.zeros(n), np.zeros(n))
         self.ell = self.H @ y_star
-        self.ell[beta] += self.plate_load
+        self.ell[self.beta] += self.plate_load
         self.E0_star = float(self.energy_quadratic(y_star))
 
     def linear_parts(self):
@@ -138,13 +141,12 @@ class GalerkinSystem:
         M; run once at assembly, after which they are read as sys.A, sys.c, sys.B."""
         m, n = self.m, self.n
         N = m + 2 * n
-        beta = np.arange(m, m + n)
         Minv = la.inv(self.M)
         # beta' = betadot;  w' = -Minv (D w + [0; K beta] - f) - Minv [0; fc]
         A = np.zeros((N, N))
-        A[beta, m + n + np.arange(n)] = 1.0
+        A[self.beta, self.betadot] = np.eye(n)
         A[np.ix_(self.kin, self.kin)] = -Minv @ self.D
-        A[np.ix_(self.kin, beta)] = -Minv[:, m:] @ self.K
+        A[self.kin, self.beta] = -Minv[:, m:] @ self.K
         c = np.zeros(N)
         c[self.kin] = Minv @ np.concatenate([self.f_kin[:m], self.plate_load])
         B = np.zeros((N, n))
@@ -160,8 +162,7 @@ class GalerkinSystem:
         return self.basis.n
 
     def split(self, y: np.ndarray):
-        m, n = self.m, self.n
-        return y[:m], y[m:m + n], y[m + n:]
+        return y[:self.m], y[self.beta], y[self.betadot]
 
     def join(self, alpha, beta, betadot):
         return np.concatenate([alpha, beta, betadot])
@@ -184,7 +185,7 @@ class GalerkinSystem:
         """(dissipation rate w^T D w, forcing power (f, w)) from one gather of w."""
         w = y[self.kin]
         diss = np.vecdot(w, self.D @ w, axis=0)
-        return diss, self.f_kin @ w + self.f_plate @ y[self.m + self.n:]
+        return diss, self.f_kin @ w + self.f_plate @ y[self.betadot]
 
     # -- modal plate force -----------------------------------------------
     def plate_deflection(self, beta: np.ndarray) -> np.ndarray:

@@ -141,12 +141,6 @@ class VelocityField:
                 or self.u.shape[:-2] != self.w.shape[:-2]):
             raise GridError("velocity component shape mismatch with grid")
 
-    @classmethod
-    def stack(cls, fields):
-        """One stack from single fields."""
-        fields = list(fields)
-        return cls(fields[0].grid, np.array([f.u for f in fields]), np.array([f.w for f in fields]))
-
     def __getitem__(self, k):
         return VelocityField(self.grid, self.u[k], self.w[k])
 

@@ -10,7 +10,7 @@ import scipy.linalg as la
 
 from .dynamics import Trajectory
 from .galerkin import GalerkinSystem
-from .mesh import VelocityField, inner_fluid
+from .mesh import inner_fluid
 from .stokes import HarmonicLifter
 
 
@@ -63,8 +63,7 @@ def gamma_operator_checks(sys: GalerkinSystem):
     """
     basis = sys.basis
     lifter = HarmonicLifter(basis.grid)
-    grads = VelocityField.stack(lifter.lift(x)[1] for x in basis.xi)
-    Gam = inner_fluid(grads, basis.lift, basis.grid)
+    Gam = inner_fluid(lifter.lift(basis.xi)[1], basis.lift, basis.grid)
     return {
         "gamma_symmetry": float(np.max(np.abs(Gam - Gam.T))),
         "gamma_min_eigenvalue": float(np.min(la.eigvalsh(0.5 * (Gam + Gam.T)))),

@@ -141,7 +141,7 @@ def distance_to_equilibrium(sys: GalerkinSystem, states: np.ndarray, model: Forc
 
     Returns (distances over the samples, the Equilibrium).
     """
-    eq = minimize_stationary(sys, model, beta_init=states[-1][sys.m:sys.m + sys.n])
+    eq = minimize_stationary(sys, model, beta_init=states[-1][sys.beta])
     y_eq = equilibrium_state(sys, eq)
     dist = np.array([sys.state_norm(states[k] - y_eq) for k in range(len(states))])
     return dist, eq

@@ -188,13 +188,16 @@ class HarmonicLifter:
         self._lu = spla.splu((self._grad.T @ self._grad + sp.diags(top.ravel())).tocsc())
 
     def lift(self, r: np.ndarray) -> tuple[np.ndarray, VelocityField]:
+        """(q, grad q) of one pressure trace (n_plate,), or of the rows of a
+        stack (k, n_plate) as stacks, all solved with the one factor."""
         g = self.grid
-        if r.shape != (g.n_plate,):
+        R = np.atleast_2d(r)
+        if r.ndim > 2 or R.shape[1] != g.n_plate:
             raise GridError("plate trace shape mismatch with grid")
-        rhs = np.zeros(g.shape_p)
-        rhs[:, -1] = 2.0 * r / g.h_z ** 2
-        q = self._lu.solve(rhs.ravel())
-        grad = unpack_interior(self._grad @ q, g)
-        q = q.reshape(g.shape_p)
-        grad.w[:, -1] = 2.0 * (r - q[:, -1]) / g.h_z
-        return q, grad
+        rhs = np.zeros(g.shape_p + (len(R),))
+        rhs[:, -1] = 2.0 * R.T / g.h_z ** 2
+        q = self._lu.solve(rhs.reshape(-1, len(R)))
+        grad = unpack_interior((self._grad @ q).T, g)
+        q = q.T.reshape((-1,) + g.shape_p)
+        grad.w[..., -1] = 2.0 * (R - q[..., -1]) / g.h_z
+        return (q, grad) if r.ndim == 2 else (q[0], grad[0])

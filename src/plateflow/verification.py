@@ -3,21 +3,23 @@
 Each check returns its result dict and its measured values; judge holds them
 against BOUNDS, the one table of the bounds, which encode the claims being
 verified and are not configurable, and sets the result's boolean "pass".  The
-CLI prints one line per criterion and the tests assert on the same data.
+CLI prints one line per criterion, with the tightest row and, on a FAIL, how
+many members fail, and the tests assert on the same data.
 
 The battery runs as one schedule on one assembled system, the forced one; a
 run of the unforced problem is a run of it at load 0.  A check that integrates
 trajectories is a generator: it draws its random states, yields its run
-requests (_Run, each with its load) and receives their trajectories.  The
-scheduler starts the checks in CRITERIA order, each up to its request, so every
-random draw keeps its place; it then steps each group of requests that share
-force model, dt and keep_states as one ensemble of simulate, in which each run
-leaves the batch after its own last step, and resumes a check once all its
-runs are served.  A batch member is its solo run up to rounding, so the
-verdicts are those of the checks run one after another.  The schedule's
-simulate is the battery's only integration: the probes it feeds
-(quasi-stability, semigroup consistency, attractor regularity, distance to
-equilibrium) and the shifted energy read the trajectories they are served.
+requests (_Run, each with its own load, stride and keep_states) and receives
+their trajectories.  The scheduler starts the checks in CRITERIA order, each up
+to its request, so every random draw keeps its place; it then steps each group
+of requests that share force model and dt as one ensemble of simulate, in which
+each run leaves the batch after its own last step and keeps its states only if
+it asks to, and resumes a check once all its runs are served.  A batch member
+is its solo run up to rounding, so the verdicts are those of the checks run one
+after another.  The schedule's simulate is the battery's only integration:
+the probes it feeds (quasi-stability, semigroup consistency, attractor
+regularity, distance to equilibrium) and the shifted energy read the
+trajectories they are served.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .dynamics import (
-    Trajectory,
     energy_balance_residual,
     fit_decay_rate,
     lyapunov_V,
@@ -49,7 +50,7 @@ from .forces import (
     verify_gradient,
     verify_lipschitz,
 )
-from .galerkin import ForcingConfig, GalerkinSystem, assemble, fluid_forcing_field, reconstruct
+from .galerkin import ForcingConfig, assemble, fluid_forcing_field, reconstruct
 from .mesh import build_grid, plate_mean
 from .modal import build_modal_basis
 from .plate2d import PlateGrid2D, VonKarmanForce, vk_bracket
@@ -86,7 +87,8 @@ class _Setup:
 
 class _Run(NamedTuple):
     """One trajectory a check requests of the set-up's system:
-    simulate(sys, y0, T, dt, model, stride=stride, keep_states=keep_states, load=load)."""
+    simulate(sys, y0, T, dt, model, stride=stride, keep_states=keep_states, load=load).
+    Runs that share dt and model step as one ensemble; the other fields are per run."""
 
     y0: np.ndarray
     T: float
@@ -333,9 +335,11 @@ def holds(criterion: str, quantity: str, value) -> bool:
     return all(m >= 0 for m in margins)
 
 
-def judge(criterion: str, result: dict, measured: dict) -> str:
+def judge(criterion: str, result: dict, measured: dict) -> tuple[str, int, int]:
     """Judge a check's measured values against the rows of criterion and set
-    the result's "pass"; returns the tightest row as verify-all prints it.
+    the result's "pass"; returns the tightest row as verify-all prints it, the
+    number of failing members and the number judged, a member counted once per
+    row that bounds it.
 
     A row reads its quantity from measured, else from the result's own key: a
     value, or a list or dict of members.  A member keyed by a path (a tuple of
@@ -365,8 +369,9 @@ def judge(criterion: str, result: dict, measured: dict) -> str:
         for k in parents:
             node = node[k]
         node[last] = ok
-    result["pass"] = all(row[0] for row in rows)
-    return min(rows, key=lambda row: row[:2])[2]
+    failing = sum(not row[0] for row in rows)
+    result["pass"] = not failing
+    return min(rows, key=lambda row: row[:2])[2], failing, len(rows)
 
 
 def _estar_rise(Estar: np.ndarray):
@@ -380,21 +385,12 @@ def estar_monotone(Estar: np.ndarray) -> bool:
 
 
 def _groups(runs: list[_Run]) -> list[list[int]]:
-    """Indices of the runs that share force model, dt and keep_states, group by
-    group in order of first appearance."""
+    """Indices of the runs that share force model and dt, group by group in
+    order of first appearance: each group is one ensemble of simulate."""
     groups = {}
     for i, run in enumerate(runs):
-        groups.setdefault((id(run.model), run.dt, run.keep_states), []).append(i)
+        groups.setdefault((id(run.model), run.dt), []).append(i)
     return list(groups.values())
-
-
-def _simulate_group(sys: GalerkinSystem, runs: list[_Run]) -> list[Trajectory]:
-    """Step the runs of one group as one ensemble of simulate: each run leaves it
-    after its own last step, with its own samples and reports."""
-    first = runs[0]
-    return simulate(sys, [run.y0 for run in runs], [run.T for run in runs], first.dt,
-                    first.model, stride=[run.stride for run in runs],
-                    keep_states=first.keep_states, load=[run.load for run in runs])
 
 
 def _run_checks(s: _Setup, names: list[str], report=None) -> dict:
@@ -405,7 +401,8 @@ def _run_checks(s: _Setup, names: list[str], report=None) -> dict:
     starts.  Each group of requests is then one simulate, which writes each run
     into arrays of its own, and a check resumes as soon as all its runs are served.
     Once a check and every one before it are done, it is judged, and report
-    gets its line: name, PASS or FAIL, and the tightest row.
+    gets its line: name, PASS or FAIL, and the tightest row, and on a FAIL how
+    many of the judged members fail.
     """
     results, waiting, requests = {}, {}, []
     unreported = list(names)
@@ -414,9 +411,10 @@ def _run_checks(s: _Setup, names: list[str], report=None) -> dict:
         while unreported and unreported[0] in results:
             name = unreported.pop(0)
             results[name], measured = results[name]
-            tightest = judge(name, results[name], measured)
+            tightest, failing, judged = judge(name, results[name], measured)
             if report is not None:
-                report(f"{name}: {'PASS' if results[name]['pass'] else 'FAIL'}  {tightest}")
+                report(f"{name}: PASS  {tightest}" if not failing else
+                       f"{name}: FAIL  {tightest}; {failing} of {judged} members fail")
 
     for name in names:
         check = _CHECKS[name](s)
@@ -440,8 +438,11 @@ def _run_checks(s: _Setup, names: list[str], report=None) -> dict:
             results[name] = stop.value
 
     for group in _groups([run for _, _, run in requests]):
+        # the group's runs field by field; they share dt and model
+        y0, T, dt, model, stride, keep_states, load = zip(*(requests[k][2] for k in group))
         ready = []
-        for k, tr in zip(group, _simulate_group(s.sys, [requests[k][2] for k in group])):
+        for k, tr in zip(group, simulate(s.sys, y0, T, dt[0], model[0], stride=stride,
+                                         keep_states=keep_states, load=load)):
             name, i, _ = requests[k]
             served = waiting[name][1]
             served[i] = tr

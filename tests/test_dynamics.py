@@ -231,7 +231,7 @@ def test_a_load_0_run_of_the_forced_system_is_the_unforced_run(sys_free, sys_for
     y0 = np.column_stack([_random_unit_state(sys_free, seed=90 + j, scale=0.5) for j in range(2)])
     y1 = _random_unit_state(sys_free, seed=92, scale=0.5)
     free, loaded = simulate(sys_forced, [y0, y1], [0.3, 0.2], 1e-3, model, stride=[10, 7],
-                            load=[0.0, 1.0])
+                            keep_states=[True, True], load=[0.0, 1.0])
     for got, want in ((free, simulate(sys_free, y0, T=0.3, dt=1e-3, model=model, stride=10)),
                       (loaded, simulate(sys_forced, y1, T=0.2, dt=1e-3, model=model, stride=7))):
         assert np.array_equal(got.t, want.t)

@@ -311,3 +311,26 @@ def test_only_galerkin_binds_a_force_model_to_the_plate_modes():
              if _binds_a_force_to_the_plate_modes(node)]
     assert not found, "plate quadrature or modal force formed outside galerkin.py:\n" + \
         "\n".join(found)
+
+
+def _adds_the_mode_counts(node) -> bool:
+    """Whether node adds the flow and plate mode counts: an m on one side of a
+    + and an n on the other, as m + n or sys.m + 2 * sys.n."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    left, right = ({n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(side)
+                    if isinstance(n, (ast.Attribute, ast.Name))}
+                   for side in (node.left, node.right))
+    return ("m" in left and "n" in right) or ("n" in left and "m" in right)
+
+
+def test_only_galerkin_knows_the_state_layout():
+    # GalerkinSystem states the slices beta and betadot of y = (alpha, beta,
+    # betadot) and the indices kin once; every other module indexes a state
+    # through them, so that a system with another layout states only its own
+    found = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+             for path in SRC if path.stem != "galerkin"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if _adds_the_mode_counts(node)]
+    assert not found, "mode counts added outside galerkin.py (index through GalerkinSystem's " \
+        "beta, betadot and kin):\n" + "\n".join(found)

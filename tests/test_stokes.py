@@ -169,6 +169,23 @@ def test_harmonic_lift_residual_and_boundary_pairing(grid, solver, rng):
         assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(rhs))
 
 
+def test_harmonic_lift_of_a_stack_is_the_lift_of_each_row(grid, rng):
+    # one solve with the one factor lifts every row of a stack as its own lift
+    lifter = HarmonicLifter(grid)
+    R = np.array([_zero_mean_trace(grid, rng) for _ in range(3)] + [np.ones(grid.n_plate)])
+    q, gradq = lifter.lift(R)
+    assert q.shape == (len(R),) + grid.shape_p and gradq.u.shape == (len(R),) + grid.shape_u
+    for k, r in enumerate(R):
+        qk, gk = lifter.lift(r)
+        for got, want in ((q[k], qk), (gradq[k].u, gk.u), (gradq[k].w, gk.w)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    with pytest.raises(GridError):
+        lifter.lift(R[:, :-1])
+    with pytest.raises(GridError):
+        lifter.lift(R[None])
+
+
 def test_harmonic_lift_of_constant_is_constant(grid):
     lifter = HarmonicLifter(grid)
     q, gradq = lifter.lift(np.ones(grid.n_plate))

@@ -21,7 +21,6 @@ from plateflow.verification import (
     _groups,
     _Run,
     _Setup,
-    _simulate_group,
     judge,
     run_criterion,
 )
@@ -48,8 +47,9 @@ def test_group_members_match_their_solo_runs(sys_forced, grid):
         y = rng.standard_normal((N, *cols))
         return 0.5 * y / sys_forced.state_norm(y)
 
-    # loads 0 and 1 share a group; every member of a group but its longest
-    # leaves the ensemble early, one of them off its stride and one at once
+    # loads 0 and 1, and runs that keep their states and runs that keep none,
+    # share a group; every member of a group but its longest leaves the
+    # ensemble early, one of them off its stride and one at once
     runs = [
         _Run(y0(), T=0.3, dt=1e-3, model=berger, stride=10),
         _Run(y0(3), T=0.5, dt=1e-3, model=berger, stride=25, load=0.0),
@@ -62,10 +62,12 @@ def test_group_members_match_their_solo_runs(sys_forced, grid):
         _Run(y0(), T=0.0, dt=1e-3, stride=10, load=0.0),
     ]
     groups = _groups(runs)
-    assert groups == [[0, 1, 2], [3, 4], [5], [6, 7, 8]]
+    assert groups == [[0, 1, 2, 3, 4], [5], [6, 7, 8]]
     for group in groups:
         members = [runs[k] for k in group]
-        for run, got in zip(members, _simulate_group(sys_forced, members)):
+        y0s, T, dt, model, stride, keep_states, load = zip(*members)
+        for run, got in zip(members, simulate(sys_forced, y0s, T, dt[0], model[0], stride=stride,
+                                              keep_states=keep_states, load=load)):
             want = _solo(sys_forced, run)
             assert np.array_equal(got.t, want.t)
             if run.keep_states:
@@ -122,24 +124,47 @@ def test_schedule_equals_the_checks_run_in_sequence(battery_run):
 
 
 def test_battery_schedule_steps(battery_run):
-    # at seed 0 the battery builds 5 steppers on its one system, one per force
-    # model, dt and keep_states, and takes 24,000 Berger and 12,000 linear steps
-    # (a batched step counts once).  A run leaves its ensemble after its own
-    # last step: the linear runs at dt = 1e-3 that keep their states end at
-    # T = 1, 2 (two), 3, 4 and 6, and the Berger runs at dt = 1e-3 at T = 2
-    # (two), 6 (the 20 quasi-stability columns), 15 and 20
+    # at seed 0 the battery builds 4 steppers on its one system, one per force
+    # model and dt, and takes 24,000 Berger and 8,000 linear steps (a batched
+    # step counts once).  A run leaves its ensemble after its own last step:
+    # the linear runs at dt = 1e-3 end at T = 1, 2 (two), 3 (the 10 Lyapunov
+    # columns), 4 (the 10 exponential-stability columns, which keep no states,
+    # and one more) and 6, and the Berger runs at dt = 1e-3 at T = 2 (two), 6
+    # (the 20 quasi-stability columns), 15 and 20
     summary, _, _, steppers, _ = battery_run
     sys = steppers[0]["sys"]
     N = sys.A.shape[0]
     assert np.any(sys.c) and all(st["sys"] is sys for st in steppers)
     assert [(st["model"] is None, st["dt"], st["steps"]) for st in steppers] == [
-        (True, 1e-3, {(N, 16): 1000, (N, 15): 1000, (N, 13): 1000, (N, 3): 1000, (N, 2): 2000}),
+        (True, 1e-3, {(N, 26): 1000, (N, 25): 1000, (N, 23): 1000, (N, 13): 1000, (N, 2): 2000}),
         (False, 1e-3, {(N, 24): 2000, (N, 22): 4000, (N, 2): 9000, (N, 1): 5000}),
         (False, 5e-4, {(N, 1): 4000}),
-        # exponential_stability's ensemble keeps no states and runs on its own
-        (True, 1e-3, {(N, 10): 4000}),
         (True, 5e-4, {(N, 1): 2000})]
     assert type(summary["quasi_stability"]["linear_M"]) is float
+
+
+def test_a_fail_line_counts_the_failing_members(monkeypatch):
+    # fabricated exponential-stability members: 10 trajectories judged on three
+    # rows, and the abscissa on one, 31 members; members 2 and 6 miss the
+    # abscissa and member 6 also rises, so 3 of 31 fail; a PASS line has no count
+    def line(rel_error, rise):
+        members = [{"rate": 0.5, "fit_residual": 0.0, "abscissa_rel_error": e}
+                   for e in rel_error]
+        check = ({"abscissa": -1.0, "members": members},
+                 {"E0_rise": {("members", i, "monotone"): r for i, r in enumerate(rise)},
+                  **{q: [m[q] for m in members] for q in ("rate", "abscissa_rel_error")}})
+        monkeypatch.setitem(_CHECKS, "exponential_stability", lambda s: check)
+        lines = []
+        verification._run_checks(None, ["exponential_stability"], lines.append)
+        return lines
+
+    rel_error, rise = [0.01] * 10, [-1e-3] * 10
+    assert line(rel_error, rise) == [
+        "exponential_stability: PASS  abscissa_rel_error[0] 0.01 <= 0.1, margin 0.09"]
+    rel_error[2], rel_error[6], rise[6] = 0.2, 0.15, 1e-9
+    assert line(rel_error, rise) == [
+        "exponential_stability: FAIL  E0_rise[members.6] 1e-09 <= 1e-12, margin -9.99e-10; "
+        "3 of 31 members fail"]
 
 
 def test_mass_matrix_positivity_reads_its_bases_through_the_cache(tmp_path, forbid_eigensolve):
@@ -175,7 +200,7 @@ def test_a_bound_moved_past_its_seed_0_value_fails_its_criterion_alone(battery_r
     monkeypatch.setattr(verification, "BOUNDS", tuple(moved if r == row else r for r in BOUNDS))
     for name, (result, measured) in judged.items():
         result = copy.deepcopy(result)
-        label, *_, margin = judge(name, result, measured).split()
+        label, *_, margin = judge(name, result, measured)[0].split()
         assert summary[name]["pass"] is True
         assert result["pass"] is (name != criterion), name
         if name == criterion:
