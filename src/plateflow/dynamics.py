@@ -14,6 +14,8 @@ leaves every number as the system gives it.  simulate steps an ensemble of runs
 as one batch, each run with its own y0, T, stride, load and keep_states: a run
 leaves the batch after its own last step, and its samples, reports and, if it
 keeps them, states go to arrays of its own; one run is the same code.
+A column's fixed point stops at an update of at most FP_TOL (1 + max|y_new|);
+Stepper.step reads max|y_new| only when some update is above FP_TOL itself.
 Stepper.step returns only the next state; simulate calls it once per step and
 keeps each block of steps in a buffer, from which it forms every step's
 midpoint.  The block's energy reports (E0, E, Estar, the power integrals) come
@@ -89,7 +91,8 @@ class Stepper:
         Y = y.reshape(len(y), -1)
         # per-step products, here and in the force maps' fc, call ndarray.dot: @'s BLAS call
         # and bytes without the matmul gufunc's dispatch, about half of a small @'s time
-        base = self._P.dot(Y) + self._p
+        base = self._P.dot(Y)
+        base += self._p
         if self.model is None:
             return base.reshape(y.shape)
         beta, PB, fc = self._beta, self._PB, self._fc
@@ -99,11 +102,17 @@ class Stepper:
         last = None                        # each live column's last update
         failure, k = "did not converge", 0
         for _ in range(FP_MAXIT):
-            y_new = base - PB.dot(fc(0.5 * (Yb + y_old[beta])))
+            mid = y_old[beta] + Yb
+            mid *= 0.5
+            y_new = base - PB.dot(fc(mid))
             delta = np.maximum.reduce(np.abs(y_new - y_old))
-            # an overflowed iterate reads inf - inf = nan here, so it is never done
-            done = delta - FP_TOL * (1.0 + np.maximum.reduce(np.abs(y_new))) <= 0.0
+            # within FP_TOL passes the relative test too, as fl(1 + s) >= 1; an
+            # overflowed iterate reads inf - inf = nan here, so it is never done
+            done = delta <= FP_TOL
             n_done = np.count_nonzero(done)
+            if n_done < len(done):
+                done = delta - FP_TOL * (1.0 + np.maximum.reduce(np.abs(y_new))) <= 0.0
+                n_done = np.count_nonzero(done)
             if live is not None:
                 y_next[:, live] = y_new
             if n_done == len(done):

@@ -76,7 +76,7 @@ class KirchhoffForce(ForceModel):
         s = self.ops.D.dot(u)
         a = np.abs(s)
         flux = self.kappa * (a ** self.q * s - self.mu * a ** self.r * s)
-        return self.ops.D.T.dot(flux) + (u ** 3 - u)
+        return self.ops.D.T.dot(flux) + (u * u * u - u)   # two products, not an elementwise pow
 
     def jacobian(self, u):
         """dF/du = D^T diag(phi'(D u)) D + diag(3u^2 - 1)."""

@@ -32,7 +32,7 @@ EIG_TOL = 1e-8
 # relative gap count as equal in the gauge of the flow modes
 TIE_TOL = 1e-8
 # stored in every mode-cache file; a file of any other version is rebuilt
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 def _fix_sign(vec: np.ndarray, tie: float) -> np.ndarray:
@@ -103,11 +103,12 @@ def solve_plate_eigenmodes(g: Grid, n: int):
     """Clamped plate bending eigenmodes, restricted to zero-mean deflections.
 
     Returns (kappa, xi, residual) with row k of xi the k-th shape at the plate
-    points and residual[k] the relative residual of the constrained eigenproblem:
-    the raw bending operator applied to the mode, projected back onto the
-    admissible subspace.  The zero-mean restriction matches the configuration
-    space of a plate closing an incompressible cavity.  Shapes are orthonormal
-    in the plate L2 product.
+    points and residual[k] the normwise backward error of the constrained
+    eigenproblem: the raw bending operator applied to the mode, projected back
+    onto the admissible subspace, over (kappa_max + kappa_k) |xi_k|, so that it
+    stays at rounding level although K grows like h^-4.  The zero-mean
+    restriction matches the configuration space of a plate closing an
+    incompressible cavity.  Shapes are orthonormal in the plate L2 product.
     """
     ops = beam_operators(g)
     h = g.h_x
@@ -118,11 +119,13 @@ def solve_plate_eigenmodes(g: Grid, n: int):
         )
     Kred = Z.T @ ops.K @ Z
     Mred = h * (Z.T @ Z)
-    kappa, Y = la.eigh(0.5 * (Kred + Kred.T), 0.5 * (Mred + Mred.T))
+    ev, Y = la.eigh(0.5 * (Kred + Kred.T), 0.5 * (Mred + Mred.T))
     # tie 0 keeps the argmax signs in which the battery's force-contract values were recorded
-    kappa, xi = kappa[:n].copy(), np.array([_fix_sign(Z @ Y[:, k], 0.0) for k in range(n)])
+    kappa, xi = ev[:n].copy(), np.array([_fix_sign(Z @ Y[:, k], 0.0) for k in range(n)])
     R = ops.K @ xi.T / h - kappa * xi.T
-    return kappa, xi, np.linalg.norm(Z @ (Z.T @ R), axis=0) / kappa
+    # Mred = h I, so kappa_max = ev[-1] is the norm of Z^T K Z / h
+    return kappa, xi, (np.linalg.norm(Z @ (Z.T @ R), axis=0)
+                       / ((ev[-1] + kappa) * np.linalg.norm(xi, axis=1)))
 
 
 @dataclass

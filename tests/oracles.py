@@ -302,10 +302,12 @@ def berger_fc(model: BergerForce, xi: np.ndarray):
 # ---------------------------------------------------------------------------
 # trajectories (plateflow.dynamics)
 
-def midpoint_step(stepper: Stepper, y: np.ndarray) -> np.ndarray:
+def midpoint_step(stepper: Stepper, y: np.ndarray, updates=None) -> np.ndarray:
     """Stepper.step's fixed point in its first form: every iteration checks
     each live column for a non-finite update, writes the live columns into
-    y_next, then tests them against FP_TOL and freezes the converged ones."""
+    y_next, then tests them against FP_TOL and freezes the converged ones.
+    A list given as updates gets, per iteration, each live column's update
+    and its bound FP_TOL (1 + max|y_new|)."""
     Y = y.reshape(len(y), -1)
     base = stepper._P @ Y + stepper._p
     if stepper.model is None:
@@ -325,7 +327,10 @@ def midpoint_step(stepper: Stepper, y: np.ndarray) -> np.ndarray:
             failure, k = "diverged (non-finite iterate)", np.flatnonzero(~finite)[0]
             break
         y_next[:, cols] = y_new
-        going = delta > dynamics.FP_TOL * (1.0 + np.abs(y_new).max(0))
+        bound = dynamics.FP_TOL * (1.0 + np.abs(y_new).max(0))
+        if updates is not None:
+            updates.append((delta, bound))
+        going = delta > bound
         if not going.any():
             return y_next.reshape(y.shape)
         if not going.all():

@@ -311,6 +311,44 @@ def test_step_is_the_first_fixed_point_bit_for_bit(sys_free, sys_forced, grid, m
     got = stepper.step(batch)
     assert len(set(widths)) >= 3                  # two freezes, at different iterations
     assert np.array_equal(got, midpoint_step(stepper, batch))
+    # two columns with kinetic entries of about 30 and 300: each step, one of
+    # them converges on an update above FP_TOL that only the relative test
+    # FP_TOL (1 + max|y_new|) accepts, and the columns freeze at different
+    # iterations
+    stepper = Stepper(sys_forced, 1e-3, _loaded_models(grid)["berger"])
+    fc = stepper._fc
+    monkeypatch.setattr(stepper, "_fc", lambda beta: widths.append(beta.shape[1]) or fc(beta))
+    y = np.column_stack([_random_unit_state(sys_forced, seed=s, scale=0.5) for s in range(60, 64)])
+    y[sys_forced.kin, 2:] *= [1e4, 1e5]
+    for _ in range(3):
+        updates = []
+        widths.clear()
+        want = midpoint_step(stepper, y, updates)
+        want_widths = widths.copy()
+        widths.clear()
+        y = stepper.step(y)
+        assert np.array_equal(y, want) and widths == want_widths
+        assert any(np.any((d > dynamics.FP_TOL) & (d <= b)) for d, b in updates)
+        assert len(set(widths)) >= 2
+
+
+def test_a_long_kirchhoff_run_makes_the_first_fixed_points_force_calls(sys_forced, grid,
+                                                                         monkeypatch):
+    # 2,000 steps of one Kirchhoff trajectory: the same states and the same
+    # number of force evaluations as oracles.midpoint_step
+    stepper = Stepper(sys_forced, 1e-3, _loaded_models(grid)["kirchhoff"])
+    calls, fc = [], stepper._fc
+    monkeypatch.setattr(stepper, "_fc", lambda beta: calls.append(1) or fc(beta))
+    y0 = _random_unit_state(sys_forced, seed=81, scale=0.8)
+    counts = []
+    for step in (stepper.step, lambda y: midpoint_step(stepper, y)):
+        calls.clear()
+        y = y0
+        for _ in range(2000):
+            y = step(y)
+        counts.append((len(calls), y))
+    (got, y_got), (want, y_want) = counts
+    assert got == want > 2000 and np.array_equal(y_got, y_want)
 
 
 def test_step_fails_as_the_first_fixed_point(sys_free, grid, monkeypatch):

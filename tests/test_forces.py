@@ -74,10 +74,15 @@ def test_berger_potential_scaling_oracle(grid, rng):
 
 def test_kirchhoff_local_term_condition(grid, eigen, rng):
     # the local term is the fixed cubic f(s) = s^3 - s: at kappa = 0 it is the
-    # whole force
+    # whole force, computed as two products, and within a few ulp of the
+    # cubic by pow
     u = rng.standard_normal((grid.n_plate, 3))
     model = KirchhoffForce(grid, kappa=0.0, q=2.0, r=0.0, mu=0.0)
-    assert np.array_equal(model.force(u), u ** 3 - u)
+    assert np.array_equal(model.force(u), u * u * u - u)
+    shape = (grid.n_plate, 200)
+    u = 10.0 ** rng.uniform(-3.0, 3.0, shape) * rng.choice([-1.0, 1.0], shape)
+    scale = np.abs(u) ** 3 + np.abs(u)
+    assert np.all(np.abs(model.force(u) - (u ** 3 - u)) <= 4 * np.finfo(float).eps * scale)
     # so liminf f(s)/s > -lambda_1: f(s)/s = s^2 - 1 >= -1 > -lambda_1, with
     # lambda_1 the smallest bending eigenvalue of the basis
     s = np.linspace(-30.0, 30.0, 20 * grid.n_plate).reshape(grid.n_plate, 20)   # no s = 0
