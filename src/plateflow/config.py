@@ -33,9 +33,9 @@ class PhysicsConfig:
     force_r: float = 0.0
     force_mu: float = 0.0
     force_gamma: float = 0.0
-    gf_kind: str = "none"          # none | constant | shear | bump
+    gf_kind: str = "none"          # none | shear | bump
     gf_amp: float = 0.0
-    gpl_kind: str = "none"         # none | uniform | sine
+    gpl_kind: str = "none"         # none | sine
     gpl_amp: float = 0.0
 
 
@@ -76,8 +76,8 @@ _SECTIONS = {
 }
 
 _FORCE_KINDS = ("none", "kirchhoff", "berger")
-_GF_KINDS = ("none", "constant", "shear", "bump")
-_GPL_KINDS = ("none", "uniform", "sine")
+_GF_KINDS = ("none", "shear", "bump")
+_GPL_KINDS = ("none", "sine")
 
 
 def _coerce(section: str, key: str, raw: str, target_type):

@@ -33,9 +33,9 @@ class AssemblyError(RuntimeError):
 class ForcingConfig:
     """Constant-in-time body force on the fluid and transverse load on the plate.
 
-    fluid_kind: 'none', 'constant' (uniform downward w), 'shear' (horizontal u
-    varying with depth), or 'bump' (localized vertical push).
-    plate_kind: 'none', 'uniform', or 'sine' (one full sine arch, zero mean).
+    fluid_kind: 'none', 'shear' (horizontal u varying with depth), or 'bump'
+    (localized vertical push).
+    plate_kind: 'none' or 'sine' (one full sine arch, zero mean).
     """
 
     fluid_kind: str = "none"
@@ -49,9 +49,7 @@ def fluid_forcing_field(cfg: ForcingConfig, g: Grid) -> VelocityField:
     a = cfg.fluid_amp
     if cfg.fluid_kind == "none" or a == 0.0:
         return gf
-    if cfg.fluid_kind == "constant":
-        gf.w[:, 1:-1] = -a
-    elif cfg.fluid_kind == "shear":
+    if cfg.fluid_kind == "shear":
         _, zu = g.u_face_coords()
         gf.u[1:-1, :] = a * (1.0 + zu[1:-1, :] / g.L_z)
     elif cfg.fluid_kind == "bump":
@@ -67,11 +65,8 @@ def plate_forcing_profile(cfg: ForcingConfig, g: Grid) -> np.ndarray:
     a = cfg.plate_amp
     if cfg.plate_kind == "none" or a == 0.0:
         return np.zeros(g.n_plate)
-    x = g.plate_x()
-    if cfg.plate_kind == "uniform":
-        return a * np.ones(g.n_plate)
     if cfg.plate_kind == "sine":
-        return a * np.sin(2.0 * np.pi * x / g.L_x)
+        return a * np.sin(2.0 * np.pi * g.plate_x() / g.L_x)
     raise AssemblyError(f"unknown plate forcing kind {cfg.plate_kind!r}")
 
 

@@ -6,19 +6,20 @@ verified and are not configurable, and sets the result's boolean "pass".  The
 CLI prints one line per criterion, with the tightest row and, on a FAIL, how
 many members fail, and the tests assert on the same data.
 
-The battery runs as one schedule on one assembled system, the forced one; a
-run of the unforced problem is a run of it at load 0.  A check that integrates
+The battery runs as one schedule on one assembled system, the forced one; a run
+of the unforced problem is a run of it at load 0.  A check that integrates
 trajectories is a generator: it draws its random states, yields its run
 requests (_Run, each with its own load, stride and keep_states) and receives
-their trajectories.  The scheduler starts the checks in CRITERIA order, each up
-to its request, so every random draw keeps its place; it then steps each group
-of requests that share force model and dt as one ensemble of simulate, in which
-each run leaves the batch after its own last step and keeps its states only if
-it asks to, and resumes a check once all its runs are served.  A batch member
-is its solo run up to rounding, so the verdicts are those of the checks run one
-after another.  The schedule's simulate is the battery's only integration:
-the probes it feeds (quasi-stability, semigroup consistency, attractor
-regularity, distance to equilibrium) and the shifted energy read the
+their trajectories.  The scheduler makes three passes.  It starts the checks in
+CRITERIA order, each up to its request, so every random draw keeps its place.
+It steps each group of requests that share force model and dt as one ensemble
+of simulate, in which each run leaves the batch after its own last step and
+keeps its states only if it asks to, and after each group finishes every check
+whose runs are now all served.  Last it judges the checks in CRITERIA order.  A
+batch member is its solo run up to rounding, so the verdicts are those of the
+checks run one after another.  The schedule's simulate is the battery's only
+integration: the probes it feeds (quasi-stability, semigroup consistency,
+attractor regularity, distance to equilibrium) and the shifted energy read the
 trajectories they are served.
 """
 
@@ -397,64 +398,48 @@ def _run_checks(s: _Setup, names: list[str], report=None) -> dict:
     """Run the named checks on one set-up as one schedule; returns their results
     in the order of names.
 
-    Each check is started, and advanced to its run requests, before the next one
-    starts.  Each group of requests is then one simulate, which writes each run
-    into arrays of its own, and a check resumes as soon as all its runs are served.
-    Once a check and every one before it are done, it is judged, and report
+    First each check starts, in the order of names, up to its run requests; one
+    that requests none has its result.  Then each group of requests is one
+    simulate, after which every check whose runs are now all served gets their
+    trajectories; no reference to them is kept here, so they are freed when the
+    check returns.  Last each check is judged, in the order of names, and report
     gets its line: name, PASS or FAIL, and the tightest row, and on a FAIL how
     many of the judged members fail.
     """
-    results, waiting, requests = {}, {}, []
-    unreported = list(names)
-
-    def report_done():
-        while unreported and unreported[0] in results:
-            name = unreported.pop(0)
-            results[name], measured = results[name]
-            tightest, failing, judged = judge(name, results[name], measured)
-            if report is not None:
-                report(f"{name}: PASS  {tightest}" if not failing else
-                       f"{name}: FAIL  {tightest}; {failing} of {judged} members fail")
-
+    results, pending, runs = {}, {}, []     # pending: name -> (check, indices of its runs)
     for name in names:
         check = _CHECKS[name](s)
-        if not isinstance(check, Generator):
-            results[name] = check
-        else:
+        if isinstance(check, Generator):
             try:
-                runs = next(check)
+                asked = next(check)
             except StopIteration as stop:
-                results[name] = stop.value
+                check = stop.value
             else:
-                waiting[name] = (check, [None] * len(runs))
-                requests += [(name, i, run) for i, run in enumerate(runs)]
-        report_done()
-
-    def resume(name):
-        check, served = waiting.pop(name)
-        try:
-            check.send(served)
-        except StopIteration as stop:
-            results[name] = stop.value
-
-    for group in _groups([run for _, _, run in requests]):
+                pending[name] = (check, range(len(runs), len(runs) + len(asked)))
+                runs += asked
+                continue
+        results[name] = check
+    served = {}
+    for group in _groups(runs):
         # the group's runs field by field; they share dt and model
-        y0, T, dt, model, stride, keep_states, load = zip(*(requests[k][2] for k in group))
-        ready = []
-        for k, tr in zip(group, simulate(s.sys, y0, T, dt[0], model[0], stride=stride,
-                                         keep_states=keep_states, load=load)):
-            name, i, _ = requests[k]
-            served = waiting[name][1]
-            served[i] = tr
-            if all(t is not None for t in served):
-                ready.append(name)
-        # the group's trajectories are now held by their checks alone, so each
-        # is freed once its check returns, not kept by a name here into the next group
-        del tr, served
-        for name in ready:
-            resume(name)
-        report_done()
-    return {name: results[name] for name in names}
+        y0, T, dt, model, stride, keep_states, load = zip(*(runs[k] for k in group))
+        served.update(zip(group, simulate(s.sys, y0, T, dt[0], model[0], stride=stride,
+                                          keep_states=keep_states, load=load)))
+        for name, (check, mine) in list(pending.items()):
+            if all(k in served for k in mine):
+                del pending[name]
+                try:
+                    check.send([served.pop(k) for k in mine])
+                except StopIteration as stop:
+                    results[name] = stop.value
+    summary = {}
+    for name in names:
+        summary[name], measured = results[name]
+        tightest, failing, judged = judge(name, summary[name], measured)
+        if report is not None:
+            report(f"{name}: PASS  {tightest}" if not failing else
+                   f"{name}: FAIL  {tightest}; {failing} of {judged} members fail")
+    return summary
 
 
 def run_criterion(name: str, cfg: ExperimentConfig, cache_dir):

@@ -136,6 +136,15 @@ def test_cli_bad_config_exits_2(tmp_path):
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("key, kind", [("gf_kind", "constant"), ("gpl_kind", "uniform")])
+def test_a_forcing_kind_that_loads_nothing_exits_2(tmp_path, capsys, key, kind):
+    # a uniform body force is a discrete gradient and the plate modes have zero
+    # mean, so these kinds would load the reduced model with rounding alone
+    path = _write(tmp_path, f"[physics]\n{key} = {kind}\n")
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"error: physics.{key} must be one of" in capsys.readouterr().err
+
+
 def test_cli_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

@@ -5,7 +5,7 @@ import scipy.linalg as la
 from plateflow.dynamics import Stepper, energies, simulate
 from plateflow.forces import BergerForce
 from plateflow.galerkin import ForcingConfig, assemble, fluid_forcing_field
-from plateflow.mesh import GeometryConfig, build_grid, inner_fluid
+from plateflow.mesh import GeometryConfig, VelocityField, build_grid, inner_fluid
 from plateflow.modal import build_modal_basis
 from plateflow import steady
 from plateflow.steady import (
@@ -44,12 +44,16 @@ def test_stationary_pressure_routes_agree(grid):
     # the flow, pressure and trace against the saddle-point oracle; a correct
     # solve passes the momentum check with a wide margin, also on the unequal
     # grid where some faces carry only rounding (bump, constant).  The constant
-    # forcing is a gradient: the flow rests and the trace is 0, up to rounding,
-    # which no relative comparison with the oracle can rank
+    # forcing, a uniform downward w, is a gradient: the flow rests and the trace
+    # is 0, up to rounding, which no relative comparison with the oracle can rank
     unequal = build_grid(GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
     for g, kinds in ((grid, ("shear",)), (unequal, ("shear", "bump", "constant"))):
         for kind in kinds:
-            gf = fluid_forcing_field(ForcingConfig(fluid_kind=kind, fluid_amp=2.0), g)
+            if kind == "constant":
+                gf = VelocityField(g)
+                gf.w[:, 1:-1] = -2.0
+            else:
+                gf = fluid_forcing_field(ForcingConfig(fluid_kind=kind, fluid_amp=2.0), g)
             for nu in (1.0, 0.7):
                 sol, p_trace = solve_stationary_stokes(gf, g, nu=nu)
                 assert abs(float(np.mean(p_trace))) < 1e-12

@@ -3,8 +3,10 @@ scheduled battery equals its checks run one after another; and its bound
 table: each row decides its own criterion's verdict."""
 
 import copy
+import gc
 import math
 import re
+import weakref
 from collections.abc import Generator
 
 import numpy as np
@@ -141,6 +143,35 @@ def test_battery_schedule_steps(battery_run):
         (False, 5e-4, {(N, 1): 4000}),
         (True, 5e-4, {(N, 1): 2000})]
     assert type(summary["quasi_stability"]["linear_M"]) is float
+
+
+def test_a_check_s_trajectories_are_freed_once_it_returns(battery_run, monkeypatch):
+    # exponential_stability (the one run that keeps no states) and
+    # lyapunov_construction (the one run to T = 3) get all their runs in the
+    # first group, the linear one at dt = 1e-3; by the second group's call both
+    # have returned, and the schedule holds no trajectory it has sent, so theirs
+    # are freed; the group's other runs wait for their checks' Berger runs
+    class SecondGroup(Exception):
+        pass
+
+    returned, alive = [], []
+
+    def recorded(sys, y0, T, dt, model, *, stride, keep_states, load):
+        if returned:
+            gc.collect()
+            alive.extend(sorted((T_r, keep) for T_r, keep, ref in returned if ref() is not None))
+            raise SecondGroup
+        trajs = simulate(sys, y0, T, dt, model, stride=stride, keep_states=keep_states, load=load)
+        returned.extend((T_r, keep, weakref.ref(tr))
+                        for T_r, keep, tr in zip(T, keep_states, trajs))
+        return trajs
+
+    monkeypatch.setattr(verification, "simulate", recorded)
+    with pytest.raises(SecondGroup):
+        verification.run_all(ExperimentConfig(), cache_dir=battery_run[2], report=None)
+    assert sorted((T_r, keep) for T_r, keep, _ in returned) == \
+        [(1.0, True), (2.0, True), (2.0, True), (3.0, True), (4.0, False), (4.0, True), (6.0, True)]
+    assert alive == [(1.0, True), (2.0, True), (2.0, True), (4.0, True), (6.0, True)]
 
 
 def test_a_fail_line_counts_the_failing_members(monkeypatch):
