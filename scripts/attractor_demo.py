@@ -14,7 +14,7 @@ import numpy as np
 
 from plateflow.dynamics import simulate
 from plateflow.forces import BergerForce
-from plateflow.galerkin import ForcingConfig, assemble
+from plateflow.galerkin import assemble, fluid_forcing_field
 from plateflow.mesh import GeometryConfig, build_grid
 from plateflow.modal import build_modal_basis
 from plateflow.steady import distance_to_equilibrium
@@ -29,7 +29,7 @@ def main():
 
     grid = build_grid(GeometryConfig(n_x=16, n_z=16))
     basis = build_modal_basis(grid, m=12, n=8)[0]
-    sys_ = assemble(basis, nu=1.0, forcing=ForcingConfig(fluid_kind="shear", fluid_amp=2.0))
+    sys_ = assemble(basis, nu=1.0, gf=fluid_forcing_field("shear", 2.0, grid))
     model = BergerForce(grid, kappa=5.0, gamma=0.0)
 
     y0 = sys_.random_state(np.random.default_rng(args.seed))

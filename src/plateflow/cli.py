@@ -19,7 +19,7 @@ from . import verification
 from .config import ConfigError, ExperimentConfig, parse_config, validate
 from .dynamics import IntegratorError, energy_balance_residual, fit_decay_rate, simulate
 from .forces import BergerForce, ForceModelError, KirchhoffForce
-from .galerkin import AssemblyError, ForcingConfig, assemble
+from .galerkin import AssemblyError, assemble, fluid_forcing_field, plate_forcing_profile
 from .mesh import GridError, build_grid, grad_inner, plate_mean
 from .modal import build_modal_basis
 from .spectrum import contraction_norm, generator_eigenvalues, semigroup_consistency
@@ -111,13 +111,15 @@ def _cache_dir(cfg: ExperimentConfig) -> str:
 
 def _basis(cfg: ExperimentConfig):
     g = build_grid(cfg.geometry)
-    return g, build_modal_basis(g, cfg.modes.m, cfg.modes.n, cache_dir=_cache_dir(cfg))[0]
+    return build_modal_basis(g, cfg.modes.m, cfg.modes.n, cache_dir=_cache_dir(cfg))[0]
 
 
-def _forcing(cfg: ExperimentConfig) -> ForcingConfig:
-    p = cfg.physics
-    return ForcingConfig(fluid_kind=p.gf_kind, fluid_amp=p.gf_amp,
-                         plate_kind=p.gpl_kind, plate_amp=p.gpl_amp)
+def _assembled(cfg: ExperimentConfig):
+    """The system of cfg on its basis, with its [physics] body force and plate load."""
+    basis, p = _basis(cfg), cfg.physics
+    g = basis.grid
+    return assemble(basis, p.nu, fluid_forcing_field(p.gf_kind, p.gf_amp, g),
+                    plate_forcing_profile(p.gpl_kind, p.gpl_amp, g))
 
 
 def _force_model(cfg: ExperimentConfig, g):
@@ -131,9 +133,9 @@ def _force_model(cfg: ExperimentConfig, g):
 
 
 def _system(cfg: ExperimentConfig):
-    """The system of cfg, assembled with its forcing on its basis, and its force model."""
-    g, basis = _basis(cfg)
-    return assemble(basis, cfg.physics.nu, _forcing(cfg)), _force_model(cfg, g)
+    """The system of cfg, assembled with its loads on its basis, and its force model."""
+    sys_ = _assembled(cfg)
+    return sys_, _force_model(cfg, sys_.basis.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +166,7 @@ def cmd_modes(cfg: ExperimentConfig) -> int:
 
 
 def cmd_assemble(cfg: ExperimentConfig) -> int:
-    g, basis = _basis(cfg)
-    sys_ = assemble(basis, cfg.physics.nu, _forcing(cfg))
+    sys_ = _assembled(cfg)
     eigs, m = sys_.M_eigenvalues, sys_.m
     # the viscous and bending pencils of the system's tables: any basis of the spans
     flow = la.eigvalsh(sys_.D[:m, :m] / sys_.nu, sys_.M[:m, :m])
@@ -266,8 +267,7 @@ def cmd_attract(cfg: ExperimentConfig) -> int:
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
-    g, basis = _basis(cfg)
-    sys_ = assemble(basis, cfg.physics.nu)
+    sys_ = assemble(_basis(cfg), cfg.physics.nu)
     ev = generator_eigenvalues(sys_)
     write_csv(os.path.join(cfg.output.dir, "spectrum.csv"), ("re", "im"),
               zip(ev.real.tolist(), ev.imag.tolist()))

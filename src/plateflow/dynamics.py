@@ -348,13 +348,20 @@ def attractor_regularity_probe(traj: Trajectory, sys: GalerkinSystem):
     Central differences of the sampled coefficients give surrogates for the
     fluid acceleration in the kinetic mass, the plate velocity in the bending
     table and the plate acceleration in the plate mass.  Returns, for each,
-    its sup over the earlier and over the later half of the tail.
+    its sup over the earlier and over the later half of the tail.  The
+    differences divide by twice the first interval, so an interval that is
+    not the first's (to 1e-9 of it), as at a sample at T off the stride, raises.
     """
     nsamp = len(traj.t)
     if nsamp < 9 or traj.t[-1] < 1.0:
         raise IntegratorError("trajectory too short for the regularity probe")
     start = nsamp // 2
     dts = traj.t[1] - traj.t[0]
+    off = np.abs(np.diff(traj.t) - dts)
+    k = int(np.argmax(off))
+    if off[k] > 1e-9 * dts:
+        raise IntegratorError(f"the regularity probe needs evenly spaced samples: interval "
+                              f"{k}, [{traj.t[k]:.9g}, {traj.t[k + 1]:.9g}], is not {dts:.9g}")
     states = traj.states[start - 1:]
     dstate = (states[2:] - states[:-2]) / (2 * dts)       # at samples start .. nsamp-2
     vt, ut_bend, utt = (np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", x, form, x), 0.0))

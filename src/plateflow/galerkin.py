@@ -29,45 +29,30 @@ class AssemblyError(RuntimeError):
     pass
 
 
-@dataclass
-class ForcingConfig:
-    """Constant-in-time body force on the fluid and transverse load on the plate.
-
-    fluid_kind: 'none', 'shear' (horizontal u varying with depth), or 'bump'
-    (localized vertical push).
-    plate_kind: 'none' or 'sine' (one full sine arch, zero mean).
-    """
-
-    fluid_kind: str = "none"
-    fluid_amp: float = 0.0
-    plate_kind: str = "none"
-    plate_amp: float = 0.0
-
-
-def fluid_forcing_field(cfg: ForcingConfig, g: Grid) -> VelocityField:
+def fluid_forcing_field(kind: str, amp: float, g: Grid) -> VelocityField:
+    """Body force 'none', 'shear' (u varying with depth) or 'bump' (vertical push), times amp."""
     gf = VelocityField(g)
-    a = cfg.fluid_amp
-    if cfg.fluid_kind == "none" or a == 0.0:
+    if kind == "none" or amp == 0.0:
         return gf
-    if cfg.fluid_kind == "shear":
+    if kind == "shear":
         _, zu = g.u_face_coords()
-        gf.u[1:-1, :] = a * (1.0 + zu[1:-1, :] / g.L_z)
-    elif cfg.fluid_kind == "bump":
+        gf.u[1:-1, :] = amp * (1.0 + zu[1:-1, :] / g.L_z)
+    elif kind == "bump":
         xw, zw = g.w_face_coords()
         r2 = ((xw - 0.5 * g.L_x) / g.L_x) ** 2 + ((zw + 0.5 * g.L_z) / g.L_z) ** 2
-        gf.w[:, 1:-1] = a * np.exp(-20.0 * r2)[:, 1:-1]
+        gf.w[:, 1:-1] = amp * np.exp(-20.0 * r2)[:, 1:-1]
     else:
-        raise AssemblyError(f"unknown fluid forcing kind {cfg.fluid_kind!r}")
+        raise AssemblyError(f"unknown fluid forcing kind {kind!r}")
     return gf
 
 
-def plate_forcing_profile(cfg: ForcingConfig, g: Grid) -> np.ndarray:
-    a = cfg.plate_amp
-    if cfg.plate_kind == "none" or a == 0.0:
+def plate_forcing_profile(kind: str, amp: float, g: Grid) -> np.ndarray:
+    """The plate load 'none' or 'sine' (one full sine arch, zero mean), times amp."""
+    if kind == "none" or amp == 0.0:
         return np.zeros(g.n_plate)
-    if cfg.plate_kind == "sine":
-        return a * np.sin(2.0 * np.pi * g.plate_x() / g.L_x)
-    raise AssemblyError(f"unknown plate forcing kind {cfg.plate_kind!r}")
+    if kind == "sine":
+        return amp * np.sin(2.0 * np.pi * g.plate_x() / g.L_x)
+    raise AssemblyError(f"unknown plate forcing kind {kind!r}")
 
 
 @dataclass
@@ -197,13 +182,15 @@ class GalerkinSystem:
         return model.modal(self.basis.xi, self.hXi)
 
 
-def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None) -> GalerkinSystem:
+def assemble(basis: ModalBasis, nu: float, gf: VelocityField | None = None,
+             plate: np.ndarray | None = None) -> GalerkinSystem:
+    """The reduced system on basis at viscosity nu, with the body force gf on
+    the fluid and the load plate (n_plate,) on the plate projected on the trial
+    space; a missing load is zero."""
     if nu <= 0:
         raise AssemblyError("viscosity must be positive")
     g = basis.grid
-    m, n = basis.m, basis.n
-    if forcing is None:
-        forcing = ForcingConfig()
+    m = basis.m
     psi, lift = basis.psi, basis.lift
 
     def gram(form):
@@ -221,9 +208,9 @@ def assemble(basis: ModalBasis, nu: float, forcing: ForcingConfig | None = None)
     K = basis.xi @ beam_operators(g).K @ basis.xi.T
     K = 0.5 * (K + K.T)
 
-    gf = fluid_forcing_field(forcing, g)
+    gf = VelocityField(g) if gf is None else gf
     f_kin = np.concatenate([inner_fluid(gf, psi, g), inner_fluid(gf, lift, g)])
-    f_plate = hXi @ plate_forcing_profile(forcing, g)
+    f_plate = np.zeros(basis.n) if plate is None else hXi @ plate
 
     return GalerkinSystem(basis=basis, nu=nu, M=M, D=D, Mp=Mp, K=K, hXi=hXi,
                           f_kin=f_kin, f_plate=f_plate)

@@ -23,7 +23,7 @@ class GridError(ValueError):
 
 # ---------------------------------------------------------------------------
 # 1-D stencils (dense, they are small); every sparse grid operator is a
-# Kronecker sum of them
+# Kronecker sum of them, taken in COO form (scipy's BSR default stores zeros)
 # ---------------------------------------------------------------------------
 
 def offdiag(n: int, c: float) -> np.ndarray:
@@ -34,20 +34,6 @@ def offdiag(n: int, c: float) -> np.ndarray:
 def forward_diff(n: int, c: float) -> np.ndarray:
     """(n-1) x n forward difference: row k is c (x_{k+1} - x_k)."""
     return c * (np.eye(n - 1, n, k=1) - np.eye(n - 1, n))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> sp.coo_matrix:
-    """Sparse Kronecker product of two 1-D stencils; zero entries are not stored.
-
-    Built from the nonzero entries directly: on a 16x16 grid the format
-    conversions inside scipy.sparse.kron cost more than the product itself.
-    """
-    ra, ca = np.nonzero(a)
-    rb, cb = np.nonzero(b)
-    return sp.coo_matrix((np.outer(a[ra, ca], b[rb, cb]).ravel(),
-                          (np.add.outer(ra * b.shape[0], rb).ravel(),
-                           np.add.outer(ca * b.shape[1], cb).ravel())),
-                         shape=(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -196,8 +182,9 @@ def dirichlet_form(g: Grid) -> sp.csr_matrix:
 
     def laplacian(nx, nz, diag):
         # vol * (-Lap) on an nx x nz block of faces, row-major in (i, j)
-        return (kron(offdiag(nx, -vol / hx ** 2), np.eye(nz))
-                + kron(np.eye(nx), offdiag(nz, -vol / hz ** 2)) + sp.diags(vol * diag))
+        return (sp.kron(offdiag(nx, -vol / hx ** 2), np.eye(nz), format="coo")
+                + sp.kron(np.eye(nx), offdiag(nz, -vol / hz ** 2), format="coo")
+                + sp.diags(vol * diag))
 
     # u rows: tangential walls top and bottom; w rows: left and right
     return sp.block_diag([
@@ -206,16 +193,11 @@ def dirichlet_form(g: Grid) -> sp.csr_matrix:
     ], format="csr")
 
 
-def _table(s):
-    """A float for two fields, the table over the modes for a stack on either side."""
-    return float(s) if np.ndim(s) == 0 else s
-
-
 def inner_fluid(a: VelocityField, b: VelocityField, g: Grid):
     """Discrete (a, b)_O of fields zero on S: full weight on the interior
     faces, half on the Omega row.  A stack on either side gives the Gram table."""
     ta, tb = a.w[..., -1], b.w[..., -1]
-    return _table(g.h_x * g.h_z * (pack_interior(a) @ pack_interior(b).T + 0.5 * (ta @ tb.T)))
+    return g.h_x * g.h_z * (pack_interior(a) @ pack_interior(b).T + 0.5 * (ta @ tb.T))
 
 
 def plate_mean(a: np.ndarray, g: Grid) -> float:
@@ -233,8 +215,8 @@ def grad_inner(a: VelocityField, b: VelocityField, g: Grid):
     Dirichlet value across Omega.  A stack on either side gives the Gram table.
     """
     ta, tb = a.w[..., -1], b.w[..., -1]
-    return _table(pack_interior(a) @ (dirichlet_form(g) @ pack_interior(b).T)
-                  + (g.h_x / g.h_z) * (ta @ tb.T - ta @ b.w[..., -2].T - a.w[..., -2] @ tb.T))
+    return (pack_interior(a) @ (dirichlet_form(g) @ pack_interior(b).T)
+            + (g.h_x / g.h_z) * (ta @ tb.T - ta @ b.w[..., -2].T - a.w[..., -2] @ tb.T))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .forces import ForceModel, ForceModelError
-from .mesh import kron, offdiag
+from .mesh import offdiag
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,6 @@ class PlateGrid2D:
     def n_int(self):
         return self.n - 1
 
-    @property
-    def size(self):
-        return self.n_int ** 2
-
     def interior_coords(self):
         x = np.arange(1, self.n) * self.h
         return np.meshgrid(x, x, indexing="ij")
@@ -63,7 +59,7 @@ def second_derivative_maps(g: PlateGrid2D):
     d2 = offdiag(n, 1.0 / h ** 2) - (2.0 / h ** 2) * np.eye(n)
     d1 = (np.eye(n, k=1) - np.eye(n, k=-1)) / (2.0 * h)   # centered first difference
     eye = np.eye(n)
-    return kron(d2, eye).tocsr(), kron(eye, d2).tocsr(), kron(d1, d1).tocsr()
+    return tuple(sp.kron(a, b, format="csr") for a, b in ((d2, eye), (eye, d2), (d1, d1)))
 
 
 def second_derivatives(u: np.ndarray, g: PlateGrid2D):
@@ -103,7 +99,8 @@ def clamped_laplacian_map(g: PlateGrid2D) -> sp.csr_matrix:
     T = offdiag(g.n + 1, 1.0 / h2)[:, 1:-1]
     T[0, 0] = T[-1, -1] = 2.0 / h2
     E = np.eye(g.n + 1, g.n_int, k=-1)   # the interior nodes among all n+1
-    return (kron(T, E) + kron(E, T) - (4.0 / h2) * kron(E, E)).tocsr()
+    return (sp.kron(T, E, format="coo") + sp.kron(E, T, format="coo")
+            - (4.0 / h2) * sp.kron(E, E, format="coo")).tocsr()
 
 
 def bending_form(g: PlateGrid2D) -> sp.csc_matrix:

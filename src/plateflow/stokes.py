@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import (Grid, GridError, VelocityField, dirichlet_form, forward_diff, kron,
+from .mesh import (Grid, GridError, VelocityField, dirichlet_form, forward_diff,
                    pack_interior, unpack_interior)
 
 # a plate trace whose mean exceeds this, relative to 1 + its largest entry,
@@ -64,8 +64,9 @@ class VelocityBlocks:
 
 def velocity_blocks(grid: Grid) -> VelocityBlocks:
     g = grid
-    Gr = sp.vstack([kron(forward_diff(g.n_x, g.h_z), np.eye(g.n_z)),
-                    kron(np.eye(g.n_x), forward_diff(g.n_z, g.h_x))], format="csr")
+    Gr = sp.vstack([sp.kron(forward_diff(g.n_x, g.h_z), np.eye(g.n_z), format="coo"),
+                    sp.kron(np.eye(g.n_x), forward_diff(g.n_z, g.h_x), format="coo")],
+                   format="csr")
     return VelocityBlocks(grid=grid, A=dirichlet_form(g), Gr=Gr, n_u=(g.n_x - 1) * g.n_z,
                           n_w=g.n_x * (g.n_z - 1))
 
@@ -81,7 +82,8 @@ def _streamfunction_basis(g: Grid) -> sp.csr_matrix:
     """
     dx = forward_diff(g.n_x, 1.0 / g.h_x).T
     dz = -forward_diff(g.n_z, 1.0 / g.h_z).T
-    return sp.vstack([kron(np.eye(g.n_x - 1), dz), kron(dx, np.eye(g.n_z - 1))], format="csr")
+    return sp.vstack([sp.kron(np.eye(g.n_x - 1), dz, format="coo"),
+                      sp.kron(dx, np.eye(g.n_z - 1), format="coo")], format="csr")
 
 
 class StokesSolver:

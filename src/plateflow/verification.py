@@ -51,7 +51,7 @@ from .forces import (
     verify_gradient,
     verify_lipschitz,
 )
-from .galerkin import ForcingConfig, assemble, fluid_forcing_field, reconstruct
+from .galerkin import assemble, fluid_forcing_field, plate_forcing_profile, reconstruct
 from .mesh import build_grid, plate_mean
 from .modal import build_modal_basis
 from .plate2d import PlateGrid2D, VonKarmanForce, vk_bracket
@@ -74,10 +74,9 @@ class _Setup:
         self.grid = build_grid(cfg.geometry)
         self.basis = build_modal_basis(self.grid, cfg.modes.m, cfg.modes.n, cache_dir)[0]
         self.nu = cfg.physics.nu
-        self.forcing = ForcingConfig(fluid_kind="shear", fluid_amp=1.0,
-                                     plate_kind="sine", plate_amp=0.5)
-        self.sys = assemble(self.basis, self.nu, self.forcing)
-        self.gf = fluid_forcing_field(self.forcing, self.grid)
+        self.gf = fluid_forcing_field("shear", 1.0, self.grid)
+        self.sys = assemble(self.basis, self.nu, self.gf,
+                            plate_forcing_profile("sine", 0.5, self.grid))
         self.berger = BergerForce(self.grid, kappa=5.0, gamma=0.0)
         self.rng = np.random.default_rng(cfg.probes.seed)
         self.abscissa = spectral_abscissa(self.sys)

@@ -7,7 +7,7 @@ import plateflow.modal as modal
 import plateflow.verification as verification
 from plateflow.config import ExperimentConfig
 from plateflow.dynamics import Stepper
-from plateflow.galerkin import ForcingConfig, assemble
+from plateflow.galerkin import assemble, fluid_forcing_field, plate_forcing_profile
 from plateflow.mesh import GeometryConfig, build_grid
 from plateflow.modal import build_modal_basis
 
@@ -40,10 +40,9 @@ def sys_free(basis):
 
 
 @pytest.fixture(scope="session")
-def sys_forced(basis):
-    forcing = ForcingConfig(fluid_kind="shear", fluid_amp=1.0,
-                            plate_kind="sine", plate_amp=0.5)
-    return assemble(basis, nu=1.0, forcing=forcing)
+def sys_forced(basis, grid):
+    return assemble(basis, nu=1.0, gf=fluid_forcing_field("shear", 1.0, grid),
+                    plate=plate_forcing_profile("sine", 0.5, grid))
 
 
 @pytest.fixture

@@ -261,7 +261,7 @@ def project_initial(sys: GalerkinSystem, v0: VelocityField, u0: np.ndarray,
 def plate2d_eigenmodes(g: PlateGrid2D, n_modes: int):
     """Lowest clamped bending eigenpairs of the 2D plate (L2-normalized)."""
     K = bending_form(g)
-    M = g.h ** 2 * sp.identity(g.size, format="csc")
+    M = g.h ** 2 * sp.identity(g.n_int ** 2, format="csc")
     vals, vecs = spla.eigsh(K, k=n_modes, M=M, sigma=0.0)
     order = np.argsort(vals)
     vals = vals[order]

@@ -182,6 +182,12 @@ def test_attractor_regularity_probe_flags_growth(sys_free):
         assert grow[name]["sup_second"] > 2.0 * grow[name]["sup_first"] > 0.0
         assert non_growing(decay[name])
         assert 0.0 < decay[name]["sup_second"] < decay[name]["sup_first"]
+    # a sample at T off the stride, as simulate adds it, makes the last
+    # interval short: the central differences would divide by the wrong span
+    t[-1] = t[-2] + 0.25 * (t[1] - t[0])
+    with pytest.raises(IntegratorError,
+                       match=r"evenly spaced samples: interval 199, \[3\.98, 3\.985\]"):
+        probe(-1.0)
 
 
 def test_fixed_point_failure_is_reported(sys_free, grid):

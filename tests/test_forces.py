@@ -168,7 +168,7 @@ def test_clamped_laplacian_boundary_rows_mirror_the_ghost(g2, rng):
     # the clamped ghost u_{-1} = u_1 leaves 2 u_adjacent / h^2 on a boundary
     # node (corners see no interior neighbour)
     n = g2.n
-    u = rng.standard_normal(g2.size)
+    u = rng.standard_normal(g2.n_int ** 2)
     Lu = (clamped_laplacian_map(g2) @ u).reshape(n + 1, n + 1)
     full = np.zeros((n + 1, n + 1))
     full[1:-1, 1:-1] = u.reshape(g2.n_int, g2.n_int)
@@ -211,8 +211,8 @@ def test_bracket_polynomial_oracles(g2):
 @given(st.integers(0, 2 ** 31 - 1))
 def test_bracket_symmetric(g2, seed):
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal(g2.size)
-    v = rng.standard_normal(g2.size)
+    u = rng.standard_normal(g2.n_int ** 2)
+    v = rng.standard_normal(g2.n_int ** 2)
     assert np.array_equal(vk_bracket(u, v, g2), vk_bracket(v, u, g2))
 
 

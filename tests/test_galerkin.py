@@ -2,19 +2,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from hypothesis import given, settings, strategies as st
 
 from plateflow.dynamics import Stepper, lyapunov_V, simulate
 from plateflow.forces import BergerForce, ForceModel, KirchhoffForce
 from plateflow.galerkin import (
     AssemblyError,
-    ForcingConfig,
     assemble,
     fluid_forcing_field,
     plate_forcing_profile,
     reconstruct,
 )
-from plateflow.mesh import VelocityField, grad_inner, inner_fluid, plate_mean
+from plateflow.mesh import VelocityField, grad_inner, inner_fluid, pack_interior, plate_mean
 from plateflow.spectrum import generator_eigenvalues, spectral_abscissa
 from plateflow.steady import minimize_stationary, solve_stationary_stokes
 import oracles
@@ -60,12 +60,12 @@ def test_assembly_does_not_depend_on_the_basis_of_the_trial_space(basis, grid, s
     # the stationary flow go to S^-T alpha* and the pressure load to S p*, and
     # the forced Berger and Kirchhoff plates rest in the same deflections (the
     # Kirchhoff force through the default modal form, projected by hXi)
-    forcing = ForcingConfig(fluid_kind="shear", fluid_amp=1.0, plate_kind="sine", plate_amp=0.5)
+    loads = fluid_forcing_field("shear", 1.0, grid), plate_forcing_profile("sine", 0.5, grid)
     k = basis.m if side == "flow" else basis.n
     S = np.eye(k) + 0.3 * np.random.default_rng(0).standard_normal((k, k))
     other = (dataclasses.replace(basis, psi=basis.psi.combine(S)) if side == "flow" else
              dataclasses.replace(basis, xi=S @ basis.xi, lift=basis.lift.combine(S)))
-    sys_, mixed = (assemble(b, 1.0, forcing) for b in (basis, other))
+    sys_, mixed = (assemble(b, 1.0, *loads) for b in (basis, other))
     ev, ev_mixed = generator_eigenvalues(sys_), generator_eigenvalues(mixed)
     assert np.max(np.abs(ev - ev_mixed)) <= 1e-12 * np.max(np.abs(ev))
     alpha = S.T @ mixed.alpha_star if side == "flow" else mixed.alpha_star
@@ -86,10 +86,9 @@ def test_full_order_flow_space(basis, grid, sys_forced, rng):
     # solve and the m = 12 stationary flow is the Galerkin projection of it
     full = oracles.full_order_basis(basis)
     assert full.m == (grid.n_x - 1) * (grid.n_z - 1)
-    forcing = ForcingConfig(fluid_kind="shear", fluid_amp=1.0, plate_kind="sine", plate_amp=0.5)
-    gf = fluid_forcing_field(forcing, grid)
+    gf, plate = fluid_forcing_field("shear", 1.0, grid), plate_forcing_profile("sine", 0.5, grid)
     for nu, abscissa in ((1.0, -5.17623), (0.1, -0.994168), (0.01, -0.148496)):
-        sys_ = assemble(full, nu, forcing)
+        sys_ = assemble(full, nu, gf, plate)
         assert np.max(np.abs(sys_.M - sys_.M.T)) == 0.0 and np.linalg.eigvalsh(sys_.M)[0] > 0
         assert abs(spectral_abscissa(sys_) - abscissa) <= 1e-5 * abs(abscissa)
         v = full.psi.combine(sys_.alpha_star)
@@ -102,6 +101,33 @@ def test_full_order_flow_space(basis, grid, sys_forced, rng):
             assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(grad_inner(v, basis.psi, grid)))
         rec = reconstruct(sys_, rng.standard_normal(full.m + 2 * full.n))
         assert np.array_equal(rec.v.w[:, -1], rec.u_t)
+
+
+@pytest.mark.parametrize("nu, errors, full_norm", [
+    (1.0, (2.096779e-2, 1.004965e-3, 5.759752e-5), 9.678669e-4),
+    (0.1, (0.1226363, 0.3442107, 0.3423419), 0.2429449),
+    (0.01, (0.1461399, 0.6331326, 1.112561), 0.8641624),
+])
+def test_reduced_model_against_full_order_in_time(basis, nu, errors, full_norm):
+    # the seed-0 unit-energy state of the m = 12 model, lifted exactly to full
+    # order (its flow part through C = (Z^T Z)^-1 Z^T psi on the packed faces),
+    # and both models run unforced and linear to T = 1: the error in the full
+    # order energy norm at t = 0, 0.1, 0.5 and 1; at nu <= 0.1 the m = 12
+    # trajectory ends further from full order than full order is from zero
+    full = oracles.full_order_basis(basis)
+    Z = pack_interior(full.psi).T
+    C = la.solve(Z.T @ Z, Z.T @ pack_interior(basis.psi).T, assume_a="pos")
+    reduced, full_sys = assemble(basis, nu), assemble(full, nu)
+    red = simulate(reduced, reduced.random_state(np.random.default_rng(0)), 1.0, 1e-3, stride=100)
+    lifted = np.concatenate([C @ red.states.T[:basis.m], red.states.T[basis.m:]])
+    ref = simulate(full_sys, lifted[:, 0], 1.0, 1e-3, stride=100)
+    assert np.array_equal(ref.t, red.t) and np.allclose(red.t[[1, 5, 10]], (0.1, 0.5, 1.0))
+    err = full_sys.state_norm(ref.states.T - lifted)
+    assert err[0] == 0.0
+    np.testing.assert_allclose(err[[1, 5, 10]], errors, rtol=1e-6)
+    y1_norm = full_sys.state_norm(ref.states[-1])
+    assert abs(y1_norm - full_norm) <= 1e-6 * full_norm
+    assert (err[10] > y1_norm) == (nu <= 0.1)
 
 
 def test_lyapunov_V_is_its_field_definition(sys_forced, grid, rng):
@@ -186,12 +212,25 @@ def test_rhs_affine_in_state(sys_free, c1, c2):
 
 
 def test_forcing_fields(grid):
-    gf = fluid_forcing_field(ForcingConfig(fluid_kind="shear", fluid_amp=2.0), grid)
+    gf = fluid_forcing_field("shear", 2.0, grid)
     assert np.max(np.abs(gf.u)) > 0 and np.max(np.abs(gf.w)) == 0
-    gp = plate_forcing_profile(ForcingConfig(plate_kind="sine", plate_amp=1.0), grid)
+    gp = plate_forcing_profile("sine", 1.0, grid)
     assert abs(plate_mean(gp, grid)) < 1e-12
-    none = fluid_forcing_field(ForcingConfig(), grid)
+    none = fluid_forcing_field("none", 0.0, grid)
     assert np.max(np.abs(none.u)) == 0 and np.max(np.abs(none.w)) == 0
+    with pytest.raises(AssemblyError, match="unknown fluid forcing kind 'swirl'"):
+        fluid_forcing_field("swirl", 1.0, grid)
+    with pytest.raises(AssemblyError, match="unknown plate forcing kind 'cosine'"):
+        plate_forcing_profile("cosine", 1.0, grid)
+
+
+def test_a_missing_load_is_positive_zero(sys_free):
+    # assembled with no loads, every load and every table derived from them is
+    # +0.0, not -0.0, so that an unforced artifact spells no "-0"
+    for name in ("f_kin", "f_plate", "alpha_star", "pstar", "plate_load", "ell", "c"):
+        a = getattr(sys_free, name)
+        assert np.all(a == 0.0) and not np.any(np.signbit(a)), name
+    assert sys_free.E0_star == 0.0 and not np.signbit(sys_free.E0_star)
 
 
 @pytest.mark.parametrize("trial", ["eigen", "plate", "full"])

@@ -36,17 +36,43 @@ def _definitions(tree):
                 yield name, node.lineno, node.end_lineno
 
 
-def _words(lines):
-    return Counter(w for line in lines for w in re.findall(r"\w+", line))
+def _identifiers(tree):
+    """(identifier, line) of each name the code of tree reads or defines: its
+    names and attributes (f-string fields included), import aliases and
+    definition names, and the words of each string constant that is not a
+    docstring (a "module:qual" target names its definition).  Comments and
+    docstrings name nothing."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)
+                  and isinstance(node.body[0].value.value, str)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for name in re.findall(r"\w+", node.name) + [node.asname] * bool(node.asname):
+                yield name, node.lineno
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in docstrings:
+            for name in re.findall(r"\w+", node.value):
+                yield name, node.lineno
 
 
 def test_every_definition_in_src_is_used_outside_the_tests():
-    lines = {p: p.read_text(encoding="utf-8").splitlines() for p in USERS}
-    total = sum((_words(v) for v in lines.values()), Counter())
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in USERS}
+    found = {p: list(_identifiers(tree)) for p, tree in trees.items()}
+    total = Counter(name for names in found.values() for name, _ in names)
     unused = [f"{path.relative_to(ROOT)}: {name}"
               for path in SRC
-              for name, first, last in _definitions(ast.parse("\n".join(lines[path])))
-              if total[name] == _words(lines[path][first - 1:last])[name]]
+              for name, first, last in _definitions(trees[path])
+              if total[name] == sum(w == name and first <= line <= last
+                                    for w, line in found[path])]
     assert not unused, ("defined in src/plateflow but named nowhere else in src/plateflow, "
                         "scripts or perfbench (move it to tests/oracles.py or delete it):\n"
                         + "\n".join(unused))

@@ -1,6 +1,8 @@
 """The scripts in scripts/: the experiments run to completion on small inputs,
-and the artifact comparison passes identical outputs and fails perturbed ones."""
+and the artifact comparison passes identical outputs and fails perturbed ones
+(in process, through its main, but for one run as a script)."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -16,6 +18,23 @@ def _run(script, *args, cwd):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+def _load(script):
+    spec = importlib.util.spec_from_file_location(Path(script).stem, ROOT / "scripts" / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_artifacts = _load("compare_artifacts.py")
+
+
+def _compare(tmp_path, capsys):
+    """compare_artifacts.py's main on tmp_path/a and tmp_path/b, in process:
+    its exit status and what it printed."""
+    code = compare_artifacts.main([str(tmp_path / "a"), str(tmp_path / "b")])
+    return code, capsys.readouterr().out
 
 
 # the start of a line each script must print
@@ -72,11 +91,11 @@ def _write_artifacts(root, energy, rows):
     (0.5, [(0.0, 0.5), (0.1, 0.2501)], 1),                # CSV number off
     (0.5, [(0.0, 0.5)], 1),                               # CSV row missing
 ])
-def test_compare_artifacts(tmp_path, energy, rows, code):
+def test_compare_artifacts(tmp_path, capsys, energy, rows, code):
     _write_artifacts(tmp_path / "a", 0.5, [(0.0, 0.5), (0.1, 0.25)])
     _write_artifacts(tmp_path / "b", energy, rows)
-    proc = _run("compare_artifacts.py", str(tmp_path / "a"), str(tmp_path / "b"), cwd=tmp_path)
-    assert proc.returncode == code, proc.stdout + proc.stderr
+    returncode, out = _compare(tmp_path, capsys)
+    assert returncode == code, out
 
 
 @pytest.mark.parametrize("key, a, b, code", [
@@ -84,21 +103,23 @@ def test_compare_artifacts(tmp_path, energy, rows, code):
     ("gradient_errors", 2e-11, 2e-4, 1),       # one side over the bound
     ("lipschitz", 2e-11, 4e-11, 1),            # other keys compare the numbers
 ])
-def test_compare_artifacts_judges_gradient_errors_by_their_bound(tmp_path, key, a, b, code):
+def test_compare_artifacts_judges_gradient_errors_by_their_bound(tmp_path, capsys, key, a, b,
+                                                                code):
     for side, x in (("a", a), ("b", b)):
         (tmp_path / side).mkdir()
         (tmp_path / side / "forces_verify.json").write_text(
             json.dumps({key: {"von_karman": x}, "pass": True}))
-    proc = _run("compare_artifacts.py", str(tmp_path / "a"), str(tmp_path / "b"), cwd=tmp_path)
-    assert proc.returncode == code, proc.stdout + proc.stderr
+    returncode, out = _compare(tmp_path, capsys)
+    assert returncode == code, out
 
 
-def test_compare_artifacts_rejects_key_and_file_mismatches(tmp_path):
+def test_compare_artifacts_rejects_key_and_file_mismatches(tmp_path, capsys):
     _write_artifacts(tmp_path / "a", 0.5, [(0.0, 0.5)])
     _write_artifacts(tmp_path / "b", 0.5, [(0.0, 0.5)])
     (tmp_path / "b" / "run" / "summary.json").write_text(json.dumps({"energy": 0.5}))
-    proc = _run("compare_artifacts.py", str(tmp_path / "a"), str(tmp_path / "b"), cwd=tmp_path)
-    assert proc.returncode == 1 and "keys differ" in proc.stdout
+    returncode, out = _compare(tmp_path, capsys)
+    assert returncode == 1 and "keys differ" in out
     (tmp_path / "b" / "run" / "summary.json").unlink()
+    # run as a script: the exit status through __main__
     proc = _run("compare_artifacts.py", str(tmp_path / "a"), str(tmp_path / "b"), cwd=tmp_path)
     assert proc.returncode == 1 and "only in" in proc.stdout

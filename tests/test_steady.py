@@ -4,7 +4,7 @@ import scipy.linalg as la
 
 from plateflow.dynamics import Stepper, energies, simulate
 from plateflow.forces import BergerForce
-from plateflow.galerkin import ForcingConfig, assemble, fluid_forcing_field
+from plateflow.galerkin import assemble, fluid_forcing_field, plate_forcing_profile
 from plateflow.mesh import GeometryConfig, VelocityField, build_grid, inner_fluid
 from plateflow.modal import build_modal_basis
 from plateflow import steady
@@ -26,13 +26,13 @@ from saddle_stokes import assert_matches_saddle_point
 
 @pytest.fixture(scope="module")
 def gf(grid):
-    return fluid_forcing_field(ForcingConfig(fluid_kind="shear", fluid_amp=2.0), grid)
+    return fluid_forcing_field("shear", 2.0, grid)
 
 
 @pytest.fixture(scope="module")
-def sys_shear(basis):
+def sys_shear(basis, gf):
     # the system assembled from gf alone
-    return assemble(basis, 1.0, ForcingConfig("shear", 2.0))
+    return assemble(basis, 1.0, gf)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ def test_stationary_pressure_routes_agree(grid):
                 gf = VelocityField(g)
                 gf.w[:, 1:-1] = -2.0
             else:
-                gf = fluid_forcing_field(ForcingConfig(fluid_kind=kind, fluid_amp=2.0), g)
+                gf = fluid_forcing_field(kind, 2.0, g)
             for nu in (1.0, 0.7):
                 sol, p_trace = solve_stationary_stokes(gf, g, nu=nu)
                 assert abs(float(np.mean(p_trace))) < 1e-12
@@ -86,7 +86,7 @@ def test_stationary_stokes_rejects_a_perturbed_pressure(grid, gf, monkeypatch):
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
 def test_stationary_stokes_rejects_a_perturbed_pressure_on_every_grid_size(n, monkeypatch):
     g = build_grid(GeometryConfig(n_x=n, n_z=n))
-    gf = fluid_forcing_field(ForcingConfig(fluid_kind="shear", fluid_amp=2.0), g)
+    gf = fluid_forcing_field("shear", 2.0, g)
     assert_rejects_a_perturbed_pressure(gf, g, monkeypatch)
 
 
@@ -107,9 +107,8 @@ def test_stationary_data_off_unit_viscosity():
     # trace of the stationary Stokes solve, and without loads Estar is E
     g = build_grid(GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
     basis = build_modal_basis(g, m=6, n=4)[0]
-    forcing = ForcingConfig(fluid_kind="bump", fluid_amp=1.5)
-    gf = fluid_forcing_field(forcing, g)
-    sys_ = assemble(basis, 0.7, forcing)
+    gf = fluid_forcing_field("bump", 1.5, g)
+    sys_ = assemble(basis, 0.7, gf)
     assert np.array_equal(sys_.alpha_star, la.solve(sys_.D[:basis.m, :basis.m],
                                                     inner_fluid(gf, basis.psi, g), assume_a="pos"))
     assert np.array_equal(sys_.pstar, inner_fluid(gf, basis.lift, g))
@@ -172,7 +171,7 @@ def test_trajectory_attracted_to_equilibrium(sys_forced, berger):
 def _forced_start(sys_forced, grid):
     # y0, and sys_forced's stationary flow and pressure load written out from
     # its fluid forcing
-    gf = fluid_forcing_field(ForcingConfig(fluid_kind="shear", fluid_amp=1.0), grid)
+    gf = fluid_forcing_field("shear", 1.0, grid)
     basis = sys_forced.basis
     rng = np.random.default_rng(2)
     y0 = rng.standard_normal(sys_forced.m + 2 * sys_forced.n)
@@ -238,10 +237,10 @@ def test_minimize_reports_stagnation(sys_shear, berger, monkeypatch):
         minimize_stationary(sys_shear, berger, np.zeros(sys_shear.n))
 
 
-def test_minimize_stationary_reaches_rounding_residual(basis, berger):
+def test_minimize_stationary_reaches_rounding_residual(basis, gf, berger):
     # the Newton steps on the exact Hessian drive the forced Berger residual
     # to rounding, far below the STAT_TOL acceptance bound
-    sys_ = assemble(basis, 1.0, ForcingConfig("shear", 2.0, plate_kind="sine", plate_amp=0.5))
+    sys_ = assemble(basis, 1.0, gf, plate_forcing_profile("sine", 0.5, basis.grid))
     eq = minimize_stationary(sys_, berger, np.zeros(sys_.n))
     assert eq.residual <= 1e-12 * np.linalg.norm(sys_.pstar + sys_.f_plate)
 

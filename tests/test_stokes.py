@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plateflow.galerkin import ForcingConfig, fluid_forcing_field
+from plateflow.galerkin import fluid_forcing_field
 from plateflow.mesh import (
     GeometryConfig,
     GridError,
@@ -53,7 +53,7 @@ def test_solver_rejects_bad_viscosity(grid):
 
 
 def test_body_force_solution_is_solenoidal_no_slip(grid, solver):
-    gf = fluid_forcing_field(ForcingConfig(fluid_kind="shear", fluid_amp=1.0), grid)
+    gf = fluid_forcing_field("shear", 1.0, grid)
     sol = solver.solve_body_force(gf)
     assert is_solenoidal(sol.v, grid)
     assert np.max(np.abs(sol.v.w[:, -1])) == 0.0      # no normal flow through Omega
@@ -62,7 +62,7 @@ def test_body_force_solution_is_solenoidal_no_slip(grid, solver):
 
 def test_body_force_and_pressure_trace_reject_a_stack(grid, solver, basis):
     # their right-hand sides index one field's grid axes
-    gf = fluid_forcing_field(ForcingConfig(fluid_kind="shear", fluid_amp=1.0), grid)
+    gf = fluid_forcing_field("shear", 1.0, grid)
     sol = solver.solve_body_force(gf)
     with pytest.raises(GridError, match="stack"):
         solver.solve_body_force(basis.psi)
@@ -122,7 +122,7 @@ def test_adjoint_trace_functional_duality(grid, rng):
     # (N0^* gf, b)_Omega = (gf, N0 b)_O for zero-mean traces b, with
     # N0^* gf = pressure_trace(solve_body_force(gf), gf)
     for g in (grid, build_grid(UNEQUAL)):
-        for gf in (fluid_forcing_field(ForcingConfig(fluid_kind="bump", fluid_amp=1.5), g),
+        for gf in (fluid_forcing_field("bump", 1.5, g),
                    _random_body_force(g, rng)):
             for nu in (1.0, 0.7):
                 solver = StokesSolver(g, nu=nu)
@@ -138,7 +138,7 @@ def test_pressure_trace_agrees_with_adjoint_route(grid, rng):
     # the streamfunction solve and its recovered pressure against the
     # saddle-point solve, whose trace is the adjoint of its lift
     for g in (grid, build_grid(UNEQUAL)):
-        for gf in [fluid_forcing_field(ForcingConfig(fluid_kind=kind, fluid_amp=2.0), g)
+        for gf in [fluid_forcing_field(kind, 2.0, g)
                    for kind in ("shear", "bump")] + [_random_body_force(g, rng)]:
             for nu in (1.0, 0.7):
                 solver = StokesSolver(g, nu=nu)
@@ -147,7 +147,7 @@ def test_pressure_trace_agrees_with_adjoint_route(grid, rng):
 
 
 def test_pressure_trace_independent_of_viscosity(grid):
-    gf = fluid_forcing_field(ForcingConfig(fluid_kind="shear", fluid_amp=1.0), grid)
+    gf = fluid_forcing_field("shear", 1.0, grid)
     traces = []
     for nu in (1.0, 3.0):
         solver = StokesSolver(grid, nu=nu)
