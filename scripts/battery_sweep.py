@@ -80,13 +80,13 @@ def _seeds(text):
     return seeds
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("names", nargs="*", metavar="NAME", help=f"of {', '.join(CONFIGS)}")
     ap.add_argument("--seeds", type=_seeds, metavar="A:B",
                     help="the default configuration at probe seeds A <= seed < B")
     ap.add_argument("--out", default="out_sweep", help="directory of the summaries and mode cache")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     unknown = [name for name in args.names if name not in CONFIGS]
     if unknown:
         ap.error(f"unknown configuration {', '.join(unknown)}")

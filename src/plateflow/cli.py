@@ -90,9 +90,6 @@ def write_csv(path: str, header, rows) -> None:
 
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    env_out = os.environ.get("PLATEFLOW_OUT")
-    if env_out:
-        cfg.output.dir = env_out
     if args.out:
         cfg.output.dir = args.out
     if args.seed is not None:
@@ -311,7 +308,7 @@ def _add_common(p):
     p.add_argument("--config", metavar="PATH", default=None,
                    help="experiment config file (INI sections); defaults apply if omitted")
     p.add_argument("--out", metavar="DIR", default=None,
-                   help="output directory (overrides config and PLATEFLOW_OUT)")
+                   help="output directory (overrides config)")
     p.add_argument("--seed", metavar="N", type=int, default=None,
                    help="random seed (overrides config)")
 

@@ -94,10 +94,12 @@ def parse_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     parser.optionxform = str    # keys are case sensitive (e.g. integration.T)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:     # a directory, say, or bytes not UTF-8
+        raise ConfigError(f"cannot read config file {path}: {getattr(exc, 'strerror', exc)}")
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}")
 

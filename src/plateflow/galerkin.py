@@ -31,28 +31,28 @@ class AssemblyError(RuntimeError):
 
 def fluid_forcing_field(kind: str, amp: float, g: Grid) -> VelocityField:
     """Body force 'none', 'shear' (u varying with depth) or 'bump' (vertical push), times amp."""
+    if kind not in ("none", "shear", "bump"):
+        raise AssemblyError(f"unknown fluid forcing kind {kind!r}")
     gf = VelocityField(g)
     if kind == "none" or amp == 0.0:
         return gf
     if kind == "shear":
         _, zu = g.u_face_coords()
         gf.u[1:-1, :] = amp * (1.0 + zu[1:-1, :] / g.L_z)
-    elif kind == "bump":
+    else:
         xw, zw = g.w_face_coords()
         r2 = ((xw - 0.5 * g.L_x) / g.L_x) ** 2 + ((zw + 0.5 * g.L_z) / g.L_z) ** 2
         gf.w[:, 1:-1] = amp * np.exp(-20.0 * r2)[:, 1:-1]
-    else:
-        raise AssemblyError(f"unknown fluid forcing kind {kind!r}")
     return gf
 
 
 def plate_forcing_profile(kind: str, amp: float, g: Grid) -> np.ndarray:
     """The plate load 'none' or 'sine' (one full sine arch, zero mean), times amp."""
+    if kind not in ("none", "sine"):
+        raise AssemblyError(f"unknown plate forcing kind {kind!r}")
     if kind == "none" or amp == 0.0:
         return np.zeros(g.n_plate)
-    if kind == "sine":
-        return amp * np.sin(2.0 * np.pi * g.plate_x() / g.L_x)
-    raise AssemblyError(f"unknown plate forcing kind {kind!r}")
+    return amp * np.sin(2.0 * np.pi * g.plate_x() / g.L_x)
 
 
 @dataclass

@@ -233,7 +233,6 @@ class BeamOperators:
     constraints u(0)=u(Lx)=0 (third-order extrapolation to the edge).
     """
 
-    grid: Grid
     D: np.ndarray = field(repr=False)
     K: np.ndarray = field(repr=False)
     C: np.ndarray = field(repr=False)
@@ -248,4 +247,4 @@ def beam_operators(g: Grid) -> BeamOperators:
     C = np.zeros((2, n))
     C[0, :3] = [15.0 / 8.0, -10.0 / 8.0, 3.0 / 8.0]
     C[1, -3:] = [3.0 / 8.0, -10.0 / 8.0, 15.0 / 8.0]
-    return BeamOperators(grid=g, D=D, K=K, C=C)
+    return BeamOperators(D=D, K=K, C=C)

@@ -83,7 +83,7 @@ def solve_stokes_eigenmodes(g: Grid, m: int):
                         f"(the solenoidal space has dimension {n_s})")
     vol = g.h_x * g.h_z
     solver = StokesSolver(g)
-    Z, K, A = solver.Z, solver.K, solver.blocks.A
+    Z, K, A = solver.Z, solver.K, solver.A
     M = (vol * (Z.T @ Z)).tocsc()
     mu, Y = spla.eigsh(K, k=min(m + 4, n_s - 1), M=M, sigma=0, tol=0, v0=np.ones(n_s),
                        OPinv=spla.LinearOperator(K.shape, matvec=solver.lu.solve, dtype=float))

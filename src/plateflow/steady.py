@@ -131,10 +131,6 @@ def find_equilibria(sys: GalerkinSystem, model: ForceModel | None, seed: int) ->
     return sorted(found, key=cmp_to_key(order))
 
 
-def equilibrium_state(sys: GalerkinSystem, eq: Equilibrium) -> np.ndarray:
-    return sys.join(sys.alpha_star, eq.beta_star, np.zeros(sys.n))
-
-
 def distance_to_equilibrium(sys: GalerkinSystem, states: np.ndarray, model: ForceModel | None):
     """Distance of every sampled state (samples, N) to the equilibrium that descent
     from the last sample's plate coefficients finds.
@@ -142,6 +138,6 @@ def distance_to_equilibrium(sys: GalerkinSystem, states: np.ndarray, model: Forc
     Returns (distances over the samples, the Equilibrium).
     """
     eq = minimize_stationary(sys, model, beta_init=states[-1][sys.beta])
-    y_eq = equilibrium_state(sys, eq)
+    y_eq = sys.join(sys.alpha_star, eq.beta_star, np.zeros(sys.n))
     dist = np.array([sys.state_norm(states[k] - y_eq) for k in range(len(states))])
     return dist, eq

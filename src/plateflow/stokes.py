@@ -44,9 +44,8 @@ class StokesSolution:
     p: np.ndarray
 
 
-@dataclass(frozen=True)
-class VelocityBlocks:
-    """Interior-face operator blocks of the MAC Stokes system.
+def velocity_blocks(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(A, Gr): the interior-face operator blocks of the MAC Stokes system.
 
     Dofs are packed as mesh.pack_interior packs them, pressures cell by
     cell.  A is mesh.dirichlet_form, the vector Laplacian energy form scaled
@@ -54,21 +53,11 @@ class VelocityBlocks:
     the volume-scaled pressure gradient, whose transpose is the negative
     volume-scaled divergence.
     """
-
-    grid: Grid
-    A: sp.csr_matrix
-    Gr: sp.csr_matrix
-    n_u: int
-    n_w: int
-
-
-def velocity_blocks(grid: Grid) -> VelocityBlocks:
     g = grid
     Gr = sp.vstack([sp.kron(forward_diff(g.n_x, g.h_z), np.eye(g.n_z), format="coo"),
                     sp.kron(np.eye(g.n_x), forward_diff(g.n_z, g.h_x), format="coo")],
                    format="csr")
-    return VelocityBlocks(grid=grid, A=dirichlet_form(g), Gr=Gr, n_u=(g.n_x - 1) * g.n_z,
-                          n_w=g.n_x * (g.n_z - 1))
+    return dirichlet_form(g), Gr
 
 
 def _streamfunction_basis(g: Grid) -> sp.csr_matrix:
@@ -100,20 +89,18 @@ class StokesSolver:
             raise ValueError("viscosity must be positive")
         self.grid = grid
         self.nu = nu
-        self.blocks = velocity_blocks(grid)
+        self.A, self.Gr = velocity_blocks(grid)
         self.Z = _streamfunction_basis(grid)
-        self.K = (self.Z.T @ (self.blocks.A @ self.Z)).tocsc()
+        self.K = (self.Z.T @ (self.A @ self.Z)).tocsc()
         # K is symmetric: a minimum-degree ordering of K + K^T fills in less than COLAMD
         self.lu = spla.splu(self.K, permc_spec="MMD_AT_PLUS_A")
 
-    def lift(self, xi: np.ndarray) -> VelocityField:
-        """N0: the Stokes extensions of one zero-mean plate trace (n_plate,) or
-        of the rows of a stack (k, n_plate), with the Omega row set to the
-        trace itself."""
-        g, blocks, Z = self.grid, self.blocks, self.Z
+    def lift(self, X: np.ndarray) -> VelocityField:
+        """N0: the Stokes extensions of the zero-mean plate traces in the rows
+        of a stack (k, n_plate), as a stack with each Omega row set to its trace."""
+        g, Z = self.grid, self.Z
         vol = g.h_x * g.h_z
-        X = np.atleast_2d(xi)
-        if xi.ndim > 2 or X.shape[1] != g.n_plate:
+        if X.ndim != 2 or X.shape[1] != g.n_plate:
             raise GridError("plate function shape mismatch with grid")
         scale = 1.0 + np.max(np.abs(X), axis=1)
         if np.any(np.abs(g.h_x * np.sum(X, axis=1)) > LIFT_MEAN_TOL * scale):
@@ -123,14 +110,15 @@ class StokesSolver:
         # E - Z K^-1 Z^T (A E - b): E extends each trace by the streamfunction
         # s_i = -sum_{k<=i} h_x xi_k on the top vertices (so only its top u-row is
         # nonzero); b is the trace's coupling into the top interior w-row
-        E = np.zeros((blocks.n_u + blocks.n_w, len(X)))
+        n_u = (g.n_x - 1) * g.n_z
+        E = np.zeros((Z.shape[0], len(X)))
         b = np.zeros_like(E)
-        E[:blocks.n_u].reshape(g.n_x - 1, g.n_z, -1)[:, -1] = \
+        E[:n_u].reshape(g.n_x - 1, g.n_z, -1)[:, -1] = \
             -g.h_x * np.cumsum(X, axis=1)[:, :-1].T / g.h_z
-        b[blocks.n_u:].reshape(g.n_x, g.n_z - 1, -1)[:, -1] = vol * X.T / g.h_z ** 2
-        v = unpack_interior((E - Z @ self.lu.solve(Z.T @ (blocks.A @ E - b))).T, g)
+        b[n_u:].reshape(g.n_x, g.n_z - 1, -1)[:, -1] = vol * X.T / g.h_z ** 2
+        v = unpack_interior((E - Z @ self.lu.solve(Z.T @ (self.A @ E - b))).T, g)
         v.w[..., -1] = X
-        return v if xi.ndim == 2 else v[0]
+        return v
 
     def solve_body_force(self, gf: VelocityField) -> StokesSolution:
         """Stationary Stokes flow with no-slip boundary everywhere.
@@ -139,7 +127,7 @@ class StokesSolver:
         body force; the pressure solves the Neumann problem Gr^T Gr p =
         Gr^T (b - nu A v) with one cell pinned, then has its mean removed.
         """
-        g, A, Gr = self.grid, self.blocks.A, self.blocks.Gr
+        g, A, Gr = self.grid, self.A, self.Gr
         b = g.h_x * g.h_z * pack_interior(_one_field(gf))
         v = self.Z @ self.lu.solve(self.Z.T @ b) / self.nu
         # Gr 1 = 0, so the pinned cell's equation is minus the sum of the others
@@ -153,7 +141,7 @@ class StokesSolver:
         to the size of its terms on the largest face.  One scale for all
         faces: a face whose terms are all at rounding level would otherwise
         read its rounding as O(1)."""
-        g, A, Gr = self.grid, self.blocks.A, self.blocks.Gr
+        g, A, Gr = self.grid, self.A, self.Gr
         b = g.h_x * g.h_z * pack_interior(_one_field(gf))
         v, p = pack_interior(sol.v), sol.p.ravel()
         r = b - self.nu * (A @ v) - Gr @ p
@@ -179,22 +167,20 @@ class HarmonicLifter:
     """
 
     def __init__(self, grid: Grid):
-        self.grid = grid
-        g = grid
+        self.grid = g = grid
         # the face gradient Gr / vol is zero across the walls, so its normal
         # form Gr^T Gr / vol^2 is -Lap with Neumann walls; the Dirichlet ghost
         # across Omega adds 2/hz^2 to the top row
-        self._grad = velocity_blocks(g).Gr / (g.h_x * g.h_z)
+        self._grad = velocity_blocks(g)[1] / (g.h_x * g.h_z)
         top = np.zeros(g.shape_p)
         top[:, -1] = 2.0 / g.h_z ** 2
         self._lu = spla.splu((self._grad.T @ self._grad + sp.diags(top.ravel())).tocsc())
 
-    def lift(self, r: np.ndarray) -> tuple[np.ndarray, VelocityField]:
-        """(q, grad q) of one pressure trace (n_plate,), or of the rows of a
-        stack (k, n_plate) as stacks, all solved with the one factor."""
+    def lift(self, R: np.ndarray) -> tuple[np.ndarray, VelocityField]:
+        """(q, grad q) of the pressure traces in the rows of a stack (k, n_plate),
+        as stacks, all solved with the one factor."""
         g = self.grid
-        R = np.atleast_2d(r)
-        if r.ndim > 2 or R.shape[1] != g.n_plate:
+        if R.ndim != 2 or R.shape[1] != g.n_plate:
             raise GridError("plate trace shape mismatch with grid")
         rhs = np.zeros(g.shape_p + (len(R),))
         rhs[:, -1] = 2.0 * R.T / g.h_z ** 2
@@ -202,4 +188,4 @@ class HarmonicLifter:
         grad = unpack_interior((self._grad @ q).T, g)
         q = q.T.reshape((-1,) + g.shape_p)
         grad.w[..., -1] = 2.0 * (R - q[..., -1]) / g.h_z
-        return (q, grad) if r.ndim == 2 else (q[0], grad[0])
+        return q, grad

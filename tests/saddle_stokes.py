@@ -30,17 +30,17 @@ class SaddlePointStokesSolver:
         self.grid = grid
         self.nu = nu
         g = grid
-        self.blocks = velocity_blocks(grid)
-        self.nu_int = self.blocks.n_u
-        self.nw_int = self.blocks.n_w
+        A, Gr = velocity_blocks(grid)
+        self.nu_int = (g.n_x - 1) * g.n_z
+        self.nw_int = g.n_x * (g.n_z - 1)
         self.np_ = g.n_x * g.n_z
         self.n_tot = self.nu_int + self.nw_int + self.np_ + 1
         vol = g.h_x * g.h_z
         e = vol * np.ones((self.np_, 1))
         K = sp.bmat(
             [
-                [nu * self.blocks.A, self.blocks.Gr, None],
-                [self.blocks.Gr.T, None, e],
+                [nu * A, Gr, None],
+                [Gr.T, None, e],
                 [None, e.T, None],
             ],
             format="csc",

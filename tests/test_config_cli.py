@@ -136,6 +136,15 @@ def test_cli_bad_config_exits_2(tmp_path):
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("make", [lambda p: p.mkdir(), lambda p: p.write_bytes(b"\xff\xfe")],
+                         ids=["directory", "not-utf8"])
+def test_cli_config_that_cannot_be_read_exits_2(tmp_path, capsys, make):
+    path = tmp_path / "cfg.ini"
+    make(path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: cannot read config file {path}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, kind", [("gf_kind", "constant"), ("gpl_kind", "uniform")])
 def test_a_forcing_kind_that_loads_nothing_exits_2(tmp_path, capsys, key, kind):
     # a uniform body force is a discrete gradient and the plate modes have zero

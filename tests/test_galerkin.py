@@ -218,10 +218,12 @@ def test_forcing_fields(grid):
     assert abs(plate_mean(gp, grid)) < 1e-12
     none = fluid_forcing_field("none", 0.0, grid)
     assert np.max(np.abs(none.u)) == 0 and np.max(np.abs(none.w)) == 0
-    with pytest.raises(AssemblyError, match="unknown fluid forcing kind 'swirl'"):
-        fluid_forcing_field("swirl", 1.0, grid)
-    with pytest.raises(AssemblyError, match="unknown plate forcing kind 'cosine'"):
-        plate_forcing_profile("cosine", 1.0, grid)
+    # an unknown kind is refused at every amplitude, 0 included
+    for amp in (1.0, 0.0):
+        with pytest.raises(AssemblyError, match="unknown fluid forcing kind 'swirl'"):
+            fluid_forcing_field("swirl", amp, grid)
+        with pytest.raises(AssemblyError, match="unknown plate forcing kind 'cosine'"):
+            plate_forcing_profile("cosine", amp, grid)
 
 
 def test_a_missing_load_is_positive_zero(sys_free):

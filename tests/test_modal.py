@@ -40,7 +40,7 @@ def _dense_oracle(g):
     """The whole streamfunction pencil (K, M) solved densely: eigenvalues,
     M-orthonormal eigenvectors, Z and M."""
     Z = _streamfunction_basis(g)
-    K = (Z.T @ (velocity_blocks(g).A @ Z)).toarray()
+    K = (Z.T @ (velocity_blocks(g)[0] @ Z)).toarray()
     M = g.h_x * g.h_z * (Z.T @ Z).toarray()
     mu, Y = la.eigh(K, M)
     return mu, Y, Z, M

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from plateflow.cli import main as cli_main
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -28,6 +30,7 @@ def _load(script):
 
 
 compare_artifacts = _load("compare_artifacts.py")
+battery_sweep = _load("battery_sweep.py")
 
 
 def _compare(tmp_path, capsys):
@@ -57,17 +60,15 @@ def test_script_exits_cleanly(script, args, tmp_path):
         assert line in proc.stdout, line
 
 
-def test_battery_sweep_over_seeds_names_the_failing_seeds(tmp_path):
-    # probe seed 3 fails criterion 3 alone; its summary is verify-all's, byte for byte
-    proc = _run("battery_sweep.py", "--seeds", "3:4", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.startswith("seed 3: 9 of 10 pass")
-    assert proc.stdout.endswith("\nfailing seeds: {3}\n")
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    cli = subprocess.run([sys.executable, "-c", "import sys; from plateflow.cli import main; "
-                          "sys.exit(main(sys.argv[1:]))", "verify-all", "--seed", "3",
-                          "--out", "cli"], cwd=tmp_path, env=env, capture_output=True, timeout=300)
-    assert cli.returncode == 1
+def test_battery_sweep_over_seeds_names_the_failing_seeds(tmp_path, capsys):
+    # probe seed 3 fails criterion 3 alone; its summary is verify-all's, byte for
+    # byte.  Both run in process, through the script's main and the CLI's
+    code = battery_sweep.main(["--seeds", "3:4", "--out", str(tmp_path / "out_sweep")])
+    out, err = capsys.readouterr()
+    assert code == 0, out + err
+    assert out.startswith("seed 3: 9 of 10 pass")
+    assert out.endswith("\nfailing seeds: {3}\n")
+    assert cli_main(["verify-all", "--seed", "3", "--out", str(tmp_path / "cli")]) == 1
     assert ((tmp_path / "out_sweep" / "seed3" / "verify_all.json").read_bytes()
             == (tmp_path / "cli" / "verify_all.json").read_bytes())
 

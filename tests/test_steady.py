@@ -12,7 +12,6 @@ from plateflow.steady import (
     STOKES_TOL,
     StationaryError,
     distance_to_equilibrium,
-    equilibrium_state,
     find_equilibria,
     minimize_stationary,
     solve_stationary_stokes,
@@ -162,7 +161,7 @@ def test_trajectory_attracted_to_equilibrium(sys_forced, berger):
     assert estar_monotone(traj.Estar)
     assert dist[-1] < 1e-4
     assert dist[-1] < dist[0]
-    y_eq = equilibrium_state(sys_forced, eq)
+    y_eq = sys_forced.join(sys_forced.alpha_star, eq.beta_star, np.zeros(sys_forced.n))
     # the equilibrium is a fixed point of the discrete dynamics
     y1 = Stepper(sys_forced, 1e-3, berger).step(y_eq)
     assert sys_forced.state_norm(y1 - y_eq) < 1e-10

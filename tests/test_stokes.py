@@ -36,11 +36,17 @@ def _zero_mean_trace(g, rng):
     return psi - plate_mean(psi, g) / g.L_x
 
 
+def _harmonic_lift(lifter, r):
+    """(q, grad q) of one trace r: the lift of the one-row stack, row 0."""
+    q, gradq = lifter.lift(r[None])
+    return q[0], gradq[0]
+
+
 def test_gradient_block_is_minus_volume_divergence(rng):
     # Gr^T x = -vol div(x) for packed interior-face vectors x (walls and the
     # Omega row zero), on a grid with unequal spacings so h_x and h_z cannot trade
     g = build_grid(GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
-    Gr = velocity_blocks(g).Gr
+    Gr = velocity_blocks(g)[1]
     X = rng.standard_normal((5, Gr.shape[0]))
     div = discrete_div(unpack_interior(X, g), g).reshape(5, -1)
     want = -g.h_x * g.h_z * div
@@ -72,16 +78,19 @@ def test_body_force_and_pressure_trace_reject_a_stack(grid, solver, basis):
 
 def test_lift_matches_trace_and_rejects_nonzero_mean(grid, solver, rng):
     psi = _zero_mean_trace(grid, rng)
-    v = solver.lift(psi)
+    v = solver.lift(psi[None])[0]
     assert is_solenoidal(v, grid)
     assert np.array_equal(v.w[:, -1], psi)
     with pytest.raises(StokesSolveError, match="zero-mean"):
-        solver.lift(np.ones(grid.n_plate))
-    # a stack is checked row by row, and a trace of another length is refused
+        solver.lift(np.ones((1, grid.n_plate)))
+    # a stack is checked row by row; a trace of another length, or one trace
+    # not in a stack, is refused
     with pytest.raises(StokesSolveError, match="zero-mean"):
         solver.lift(np.array([psi, psi + 1e-6]))
     with pytest.raises(GridError, match="shape"):
-        solver.lift(psi[:-1])
+        solver.lift(psi[None, :-1])
+    with pytest.raises(GridError, match="shape"):
+        solver.lift(psi)
 
 
 def test_lift_on_unequal_spacings(rng):
@@ -90,7 +99,7 @@ def test_lift_on_unequal_spacings(rng):
     # energy is minimal); nu != 1 must cancel between the operator and the trace
     g = build_grid(UNEQUAL)
     psi = _zero_mean_trace(g, rng)
-    v = StokesSolver(g, nu=0.7).lift(psi)
+    v = StokesSolver(g, nu=0.7).lift(psi[None])[0]
     assert is_solenoidal(v, g)
     assert np.array_equal(v.w[:, -1], psi)
     Z = unpack_interior(_streamfunction_basis(g).toarray().T, g)
@@ -101,8 +110,8 @@ def test_lift_on_unequal_spacings(rng):
 def test_lift_is_linear(grid, solver, rng):
     a = _zero_mean_trace(grid, rng)
     b = _zero_mean_trace(grid, rng)
-    sab = solver.lift(a + 2.0 * b)
-    sa, sb = solver.lift(a), solver.lift(b)
+    sab = solver.lift((a + 2.0 * b)[None])[0]
+    sa, sb = solver.lift(a[None])[0], solver.lift(b[None])[0]
     comb = VelocityField(grid, sa.u + 2.0 * sb.u, sa.w + 2.0 * sb.w)
     assert np.max(np.abs(sab.u - comb.u)) < 1e-11
     assert np.max(np.abs(sab.w - comb.w)) < 1e-11
@@ -130,7 +139,7 @@ def test_adjoint_trace_functional_duality(grid, rng):
                 for _ in range(4):
                     b = _zero_mean_trace(g, rng)
                     lhs = inner_plate(r, b, g)
-                    rhs = inner_fluid(gf, solver.lift(b), g)
+                    rhs = inner_fluid(gf, solver.lift(b[None])[0], g)
                     assert abs(lhs - rhs) < 1e-11 * (1.0 + abs(rhs))
 
 
@@ -158,12 +167,12 @@ def test_pressure_trace_independent_of_viscosity(grid):
 def test_harmonic_lift_residual_and_boundary_pairing(grid, solver, rng):
     lifter = HarmonicLifter(grid)
     r = _zero_mean_trace(grid, rng)
-    q, gradq = lifter.lift(r)
+    q, gradq = _harmonic_lift(lifter, r)
     assert harmonic_residual(grid, q, r) < 1e-10
     # (grad q, v)_O = (r, v.n)_Omega for solenoidal v with no-slip on S
     for _ in range(4):
         b = project_zero_mean(rng.standard_normal(grid.n_plate), grid)
-        v = solver.lift(b)
+        v = solver.lift(b[None])[0]
         lhs = inner_fluid(gradq, v, grid)
         rhs = inner_plate(r, b, grid)
         assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(rhs))
@@ -176,7 +185,7 @@ def test_harmonic_lift_of_a_stack_is_the_lift_of_each_row(grid, rng):
     q, gradq = lifter.lift(R)
     assert q.shape == (len(R),) + grid.shape_p and gradq.u.shape == (len(R),) + grid.shape_u
     for k, r in enumerate(R):
-        qk, gk = lifter.lift(r)
+        qk, gk = _harmonic_lift(lifter, r)
         for got, want in ((q[k], qk), (gradq[k].u, gk.u), (gradq[k].w, gk.w)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -184,10 +193,12 @@ def test_harmonic_lift_of_a_stack_is_the_lift_of_each_row(grid, rng):
         lifter.lift(R[:, :-1])
     with pytest.raises(GridError):
         lifter.lift(R[None])
+    with pytest.raises(GridError):
+        lifter.lift(R[0])
 
 
 def test_harmonic_lift_of_constant_is_constant(grid):
     lifter = HarmonicLifter(grid)
-    q, gradq = lifter.lift(np.ones(grid.n_plate))
+    q, gradq = _harmonic_lift(lifter, np.ones(grid.n_plate))
     assert np.max(np.abs(q - 1.0)) < 1e-11
     assert inner_fluid(gradq, gradq, grid) < 1e-20
