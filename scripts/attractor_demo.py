@@ -15,7 +15,7 @@ import numpy as np
 from plateflow.dynamics import simulate
 from plateflow.forces import BergerForce
 from plateflow.galerkin import assemble, fluid_forcing_field
-from plateflow.mesh import GeometryConfig, build_grid
+from plateflow.mesh import Grid, build_grid
 from plateflow.modal import build_modal_basis
 from plateflow.steady import distance_to_equilibrium
 from plateflow.verification import estar_monotone
@@ -27,7 +27,7 @@ def main():
     ap.add_argument("--T", type=float, default=15.0)
     args = ap.parse_args()
 
-    grid = build_grid(GeometryConfig(n_x=16, n_z=16))
+    grid = build_grid(Grid(n_x=16, n_z=16))
     basis = build_modal_basis(grid, m=12, n=8)[0]
     sys_ = assemble(basis, nu=1.0, gf=fluid_forcing_field("shear", 2.0, grid))
     model = BergerForce(grid, kappa=5.0, gamma=0.0)

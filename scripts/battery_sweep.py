@@ -26,7 +26,7 @@ import traceback
 
 from plateflow.cli import write_json
 from plateflow.config import ExperimentConfig, ModesConfig, ProbesConfig
-from plateflow.mesh import GeometryConfig
+from plateflow.mesh import Grid
 from plateflow.verification import CRITERIA, run_all
 
 # name: (n_x, n_z, L_x, L_z, m, n)
@@ -49,7 +49,7 @@ CONFIGS = {
 
 def _config(name, seed=0):
     n_x, n_z, L_x, L_z, m, n = CONFIGS[name]
-    return ExperimentConfig(geometry=GeometryConfig(n_x=n_x, n_z=n_z, L_x=L_x, L_z=L_z),
+    return ExperimentConfig(geometry=Grid(n_x=n_x, n_z=n_z, L_x=L_x, L_z=L_z),
                             modes=ModesConfig(m=m, n=n), probes=ProbesConfig(seed=seed))
 
 

@@ -19,7 +19,7 @@ import resource
 import sys
 import time
 
-from plateflow.mesh import GeometryConfig, build_grid
+from plateflow.mesh import Grid, build_grid
 from plateflow.modal import solve_stokes_eigenmodes
 
 RATIO_BOUNDS = (3.5, 4.5)
@@ -35,7 +35,7 @@ def main():
     mu0, timings = [], []
     for n in sizes:
         t0 = time.perf_counter()
-        grid = build_grid(GeometryConfig(n_x=n, n_z=n))
+        grid = build_grid(Grid(n_x=n, n_z=n))
         mu0.append(float(solve_stokes_eigenmodes(grid, 1)[0][0]))
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         timings.append((n, time.perf_counter() - t0, rss_mb))

@@ -16,7 +16,7 @@ import numpy as np
 from plateflow.cli import write_csv
 from plateflow.dynamics import fit_decay_rate, simulate
 from plateflow.galerkin import assemble
-from plateflow.mesh import GeometryConfig, build_grid
+from plateflow.mesh import Grid, build_grid
 from plateflow.modal import build_modal_basis
 from plateflow.spectrum import spectral_abscissa
 
@@ -29,7 +29,7 @@ def main():
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
-    grid = build_grid(GeometryConfig(n_x=16, n_z=16))
+    grid = build_grid(Grid(n_x=16, n_z=16))
     basis = build_modal_basis(grid, m=12, n=8)[0]
     rng = np.random.default_rng(args.seed)
 

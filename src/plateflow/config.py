@@ -1,8 +1,9 @@
 """Experiment configuration: flat INI-style file with one section per group.
 
-Unknown sections or keys are rejected so that typos fail loudly, and so is a
-float field that is nan or infinite; every validation error names the
-offending field as section.key.
+Values are literal text, and a ; or # after whitespace starts a comment.
+Unknown sections, [DEFAULT] among them, or keys are rejected so that typos fail
+loudly, and so is a float field that is nan or infinite; every validation error
+names the offending field as section.key.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .mesh import GeometryConfig
+from .galerkin import FLUID_LOADS, PLATE_LOADS
+from .mesh import Grid
 
 
 class ConfigError(ValueError):
@@ -58,7 +60,7 @@ class OutputConfig:
 
 @dataclass
 class ExperimentConfig:
-    geometry: GeometryConfig = field(default_factory=GeometryConfig)
+    geometry: Grid = field(default_factory=Grid)
     modes: ModesConfig = field(default_factory=ModesConfig)
     physics: PhysicsConfig = field(default_factory=PhysicsConfig)
     integration: IntegrationConfig = field(default_factory=IntegrationConfig)
@@ -66,18 +68,7 @@ class ExperimentConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-_SECTIONS = {
-    "geometry": GeometryConfig,
-    "modes": ModesConfig,
-    "physics": PhysicsConfig,
-    "integration": IntegrationConfig,
-    "probes": ProbesConfig,
-    "output": OutputConfig,
-}
-
 _FORCE_KINDS = ("none", "kirchhoff", "berger")
-_GF_KINDS = ("none", "shear", "bump")
-_GPL_KINDS = ("none", "sine")
 
 
 def _coerce(section: str, key: str, raw: str, target_type):
@@ -91,7 +82,7 @@ def _coerce(section: str, key: str, raw: str, target_type):
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     parser.optionxform = str    # keys are case sensitive (e.g. integration.T)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -104,8 +95,11 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config parse error: {exc}")
 
     cfg = ExperimentConfig()
+    if parser.defaults():       # configparser would copy its keys into every section
+        raise ConfigError("unknown config section [DEFAULT]")
+    sections = {f.name for f in fields(cfg)}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
         current = getattr(cfg, section)
         types = {f.name: type(getattr(current, f.name)) for f in fields(current)}
@@ -135,10 +129,10 @@ def validate(cfg: ExperimentConfig):
         raise ConfigError("physics.nu must be positive")
     if p.force not in _FORCE_KINDS:
         raise ConfigError(f"physics.force must be one of {_FORCE_KINDS}")
-    if p.gf_kind not in _GF_KINDS:
-        raise ConfigError(f"physics.gf_kind must be one of {_GF_KINDS}")
-    if p.gpl_kind not in _GPL_KINDS:
-        raise ConfigError(f"physics.gpl_kind must be one of {_GPL_KINDS}")
+    if p.gf_kind not in FLUID_LOADS:
+        raise ConfigError(f"physics.gf_kind must be one of {FLUID_LOADS}")
+    if p.gpl_kind not in PLATE_LOADS:
+        raise ConfigError(f"physics.gpl_kind must be one of {PLATE_LOADS}")
     if p.force == "kirchhoff" and not p.force_q > p.force_r >= 0:
         raise ConfigError("physics.force_q must exceed physics.force_r >= 0")
     i = cfg.integration

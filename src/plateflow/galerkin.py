@@ -29,9 +29,13 @@ class AssemblyError(RuntimeError):
     pass
 
 
+FLUID_LOADS = ("none", "shear", "bump")
+PLATE_LOADS = ("none", "sine")
+
+
 def fluid_forcing_field(kind: str, amp: float, g: Grid) -> VelocityField:
     """Body force 'none', 'shear' (u varying with depth) or 'bump' (vertical push), times amp."""
-    if kind not in ("none", "shear", "bump"):
+    if kind not in FLUID_LOADS:
         raise AssemblyError(f"unknown fluid forcing kind {kind!r}")
     gf = VelocityField(g)
     if kind == "none" or amp == 0.0:
@@ -48,7 +52,7 @@ def fluid_forcing_field(kind: str, amp: float, g: Grid) -> VelocityField:
 
 def plate_forcing_profile(kind: str, amp: float, g: Grid) -> np.ndarray:
     """The plate load 'none' or 'sine' (one full sine arch, zero mean), times amp."""
-    if kind not in ("none", "sine"):
+    if kind not in PLATE_LOADS:
         raise AssemblyError(f"unknown plate forcing kind {kind!r}")
     if kind == "none" or amp == 0.0:
         return np.zeros(g.n_plate)

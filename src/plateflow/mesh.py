@@ -37,23 +37,22 @@ def forward_diff(n: int, c: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GeometryConfig:
+class Grid:
+    """Uniform MAC grid on (0,Lx) x (-Lz,0) with the plate along the top edge;
+    it is the experiment's [geometry] section, and fixes its two spacings."""
+
     n_x: int = 16
     n_z: int = 16
     L_x: float = 1.0
     L_z: float = 1.0
 
+    @property
+    def h_x(self):
+        return self.L_x / self.n_x
 
-@dataclass(frozen=True)
-class Grid:
-    """Uniform MAC grid on (0,Lx) x (-Lz,0) with the plate along the top edge."""
-
-    n_x: int
-    n_z: int
-    L_x: float
-    L_z: float
-    h_x: float
-    h_z: float
+    @property
+    def h_z(self):
+        return self.L_z / self.n_z
 
     @property
     def shape_u(self):
@@ -91,19 +90,13 @@ class Grid:
         return f"{self.n_x}x{self.n_z}_{self.L_x:.12g}x{self.L_z:.12g}"
 
 
-def build_grid(config: GeometryConfig) -> Grid:
-    if config.n_x < 4 or config.n_z < 4:
+def build_grid(g: Grid) -> Grid:
+    """g, once its cell counts and extents are checked."""
+    if g.n_x < 4 or g.n_z < 4:
         raise GridError("grid too coarse: need n_x, n_z >= 4")
-    if config.L_x <= 0 or config.L_z <= 0:
+    if g.L_x <= 0 or g.L_z <= 0:
         raise GridError("domain extents must be positive")
-    return Grid(
-        n_x=config.n_x,
-        n_z=config.n_z,
-        L_x=config.L_x,
-        L_z=config.L_z,
-        h_x=config.L_x / config.n_x,
-        h_z=config.L_z / config.n_z,
-    )
+    return g
 
 
 @dataclass

@@ -8,13 +8,13 @@ import plateflow.verification as verification
 from plateflow.config import ExperimentConfig
 from plateflow.dynamics import Stepper
 from plateflow.galerkin import assemble, fluid_forcing_field, plate_forcing_profile
-from plateflow.mesh import GeometryConfig, build_grid
+from plateflow.mesh import Grid, build_grid
 from plateflow.modal import build_modal_basis
 
 
 @pytest.fixture(scope="session")
 def grid():
-    return build_grid(GeometryConfig(n_x=16, n_z=16))
+    return build_grid(Grid(n_x=16, n_z=16))
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,16 @@
 import json
 import os
-from dataclasses import fields, replace
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from plateflow import modal
 from plateflow.cli import _dumps, main, write_csv, write_json
-from plateflow.config import _SECTIONS, ConfigError, parse_config
-from plateflow.mesh import VelocityField
+from plateflow.config import ConfigError, ExperimentConfig, parse_config
+from plateflow.mesh import Grid, VelocityField, build_grid, dirichlet_form
 from plateflow.spectrum import semigroup_consistency
 from plateflow.verification import estar_monotone
 
@@ -34,15 +36,47 @@ def test_negative_viscosity_names_field(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    path = _write(tmp_path, "[physics]\nviscoty = 1.0\n")
-    with pytest.raises(ConfigError, match="viscoty"):
-        parse_config(path)
+    # the grid's spacings are derived from its extents and cell counts
+    for text, key in [("[physics]\nviscoty = 1.0\n", "physics.viscoty"),
+                      ("[geometry]\nh_x = 0.1\n", "geometry.h_x")]:
+        with pytest.raises(ConfigError, match=f"unknown config key {key}"):
+            parse_config(_write(tmp_path, text))
 
 
-def test_unknown_section_rejected(tmp_path):
-    path = _write(tmp_path, "[physic]\nnu = 1.0\n")
-    with pytest.raises(ConfigError, match="physic"):
-        parse_config(path)
+def test_unknown_section_rejected(tmp_path, capsys):
+    # configparser would copy [DEFAULT]'s keys into every section, or drop
+    # them when there is none
+    for text, section in [("[physic]\nnu = 1.0\n", "physic"),
+                          ("[DEFAULT]\nn_x = 8\n", "DEFAULT"),
+                          ("[DEFAULT]\nseed = 3\n[probes]\n", "DEFAULT")]:
+        path = _write(tmp_path, text)
+        with pytest.raises(ConfigError, match=rf"unknown config section \[{section}\]"):
+            parse_config(path)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert f"error: unknown config section [{section}]" in capsys.readouterr().err
+
+
+def test_readme_example_config_parses(tmp_path):
+    # the ini block of README's Configuration section, verbatim, inline
+    # comments included
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (text,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    p = parse_config(_write(tmp_path, text)).physics
+    assert (p.force, p.force_kappa, p.gf_kind, p.gf_amp) == ("berger", 5.0, "shear", 2.0)
+
+
+@pytest.mark.parametrize("value", ["runs/50%", "runs_%(x)s"])
+def test_percent_in_a_value_is_literal_text(tmp_path, value):
+    assert parse_config(_write(tmp_path, f"[output]\ndir = {value}\n")).output.dir == value
+
+
+def test_geometry_section_is_the_grid(tmp_path):
+    text = "[geometry]\nn_x = 12\nn_z = 9\nL_x = 1.3\nL_z = 0.7\n"
+    g = parse_config(_write(tmp_path, text)).geometry
+    grid = build_grid(Grid(12, 9, 1.3, 0.7))
+    assert g == grid and hash(g) == hash(grid)
+    assert g.h_x == 1.3 / 12 and g.h_z == 0.7 / 9
+    assert dirichlet_form(g) is dirichlet_form(grid)
 
 
 def test_type_errors_are_reported(tmp_path):
@@ -229,8 +263,8 @@ def test_write_json_trailing_newline(tmp_path):
     assert open(path, "rb").read() == b'{"x":1}\n'
 
 
-_FLOAT_FIELDS = [(section, f.name) for section, cls in _SECTIONS.items() for f in fields(cls)
-                 if isinstance(getattr(cls(), f.name), float)]
+_FLOAT_FIELDS = [(section, key) for section, values in vars(ExperimentConfig()).items()
+                 for key, value in vars(values).items() if isinstance(value, float)]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -141,7 +141,7 @@ def _calls(tree):
 
 # the classes parse_config fills from the experiment file take every field
 # from there, not from a call
-SKIP = {c.__name__ for c in (*config._SECTIONS.values(), config.ExperimentConfig)}
+SKIP = {"ExperimentConfig", *(type(s).__name__ for s in vars(config.ExperimentConfig()).values())}
 
 
 def _defaults_and_calls():

@@ -5,7 +5,7 @@ from scipy.linalg import eigh, null_space
 from scipy.optimize import brentq
 
 from plateflow.mesh import (
-    GeometryConfig,
+    Grid,
     GridError,
     VelocityField,
     beam_operators,
@@ -22,9 +22,9 @@ from oracles import (beam_biharmonic, bending_inner, discrete_div, grad_inner_by
 
 def test_build_grid_rejects_coarse():
     with pytest.raises(GridError, match="too coarse"):
-        build_grid(GeometryConfig(n_x=3, n_z=16))
+        build_grid(Grid(n_x=3, n_z=16))
     with pytest.raises(GridError, match="too coarse"):
-        build_grid(GeometryConfig(n_x=16, n_z=2))
+        build_grid(Grid(n_x=16, n_z=2))
 
 
 def test_grid_shapes(grid):
@@ -60,7 +60,7 @@ def test_inner_product_dispatch(grid, rng):
 
 def test_plate_quadrature_oracle():
     # midpoint rule on (0,1): integral of sin(pi x)^2 = 1/2, error O(h^2)
-    g = build_grid(GeometryConfig(n_x=64, n_z=4))
+    g = build_grid(Grid(n_x=64, n_z=4))
     s = np.sin(np.pi * g.plate_x())
     assert abs(inner_plate(s, s, g) - 0.5) < 1e-3
     assert abs(plate_mean(s, g) - 2.0 / np.pi) < 1e-3
@@ -94,7 +94,7 @@ def _velocity_space_stack(g, k, rng):
 
 def _assert_form_matches_reference(form, reference, rng):
     for n_x, n_z, L_x, L_z in FORM_GRIDS:
-        g = build_grid(GeometryConfig(n_x=n_x, n_z=n_z, L_x=L_x, L_z=L_z))
+        g = build_grid(Grid(n_x=n_x, n_z=n_z, L_x=L_x, L_z=L_z))
         k = 4
         stack = _velocity_space_stack(g, k, rng)
         want = reference(stack, stack, g)
@@ -123,7 +123,7 @@ def test_inner_fluid_is_packed_faces_plus_half_omega_row(rng):
 @settings(max_examples=20, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_inner_fluid_bilinear(c1, c2):
-    g = build_grid(GeometryConfig(n_x=8, n_z=8))
+    g = build_grid(Grid(n_x=8, n_z=8))
     rng = np.random.default_rng(42)
     a = VelocityField(g, rng.standard_normal(g.shape_u), rng.standard_normal(g.shape_w))
     b = VelocityField(g, rng.standard_normal(g.shape_u), rng.standard_normal(g.shape_w))
@@ -163,7 +163,7 @@ def _clamped_beam_eig_oracle(k_index=1):
 
 def test_clamped_beam_first_eigenvalue_converges():
     # the clamped bending pencil alone, without the plate modes' zero-mean constraint
-    g = build_grid(GeometryConfig(n_x=64, n_z=4))
+    g = build_grid(Grid(n_x=64, n_z=4))
     ops = beam_operators(g)
     Z = null_space(ops.C)
     kappa = eigh(Z.T @ ops.K @ Z, g.h_x * (Z.T @ Z), eigvals_only=True)
@@ -185,7 +185,7 @@ def test_beam_biharmonic_matches_bending_form(grid, rng):
 def test_boundary_constraint_rows_kill_smooth_clamped_shape():
     # x^2 (1-x)^2 has value and slope zero at both ends; the one-sided
     # extrapolation constraints should nearly vanish on its samples
-    g = build_grid(GeometryConfig(n_x=64, n_z=4))
+    g = build_grid(Grid(n_x=64, n_z=4))
     x = g.plate_x()
     u = x ** 2 * (1 - x) ** 2
     ops = beam_operators(g)

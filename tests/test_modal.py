@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as la
 
 from plateflow.mesh import (
-    GeometryConfig,
+    Grid,
     GridError,
     build_grid,
     grad_inner,
@@ -32,8 +32,8 @@ from oracles import (bending_inner, discrete_div, inner_plate, is_solenoidal, me
                      project_zero_mean)
 from saddle_stokes import SaddlePointStokesSolver
 
-GRIDS = {"16x16": GeometryConfig(n_x=16, n_z=16),
-         "12x9": GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7)}
+GRIDS = {"16x16": Grid(n_x=16, n_z=16),
+         "12x9": Grid(n_x=12, n_z=9, L_x=1.3, L_z=0.7)}
 
 
 def _dense_oracle(g):
@@ -59,7 +59,7 @@ def _packed(v, g):
 def test_streamfunction_basis_spans_the_solenoidal_fields():
     # every column is a divergence-free field whose walls and Omega row carry
     # zero, and the columns are independent: (n_x-1)(n_z-1) of them
-    g = build_grid(GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
+    g = build_grid(Grid(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
     Z = _streamfunction_basis(g).toarray()
     n_s = (g.n_x - 1) * (g.n_z - 1)
     assert Z.shape[1] == n_s
@@ -90,7 +90,7 @@ def test_stokes_mode_gradient_gram_is_spectral(grid, basis, eigen):
 
 
 def test_first_stokes_eigenvalue_grid_convergence(grid):
-    fine = build_grid(GeometryConfig(n_x=32, n_z=32))
+    fine = build_grid(Grid(n_x=32, n_z=32))
     mu16 = solve_stokes_eigenmodes(grid, 1)[0][0]
     mu32 = solve_stokes_eigenmodes(fine, 1)[0][0]
     assert abs(mu16 - mu32) / mu32 < 0.05
@@ -114,7 +114,7 @@ def test_plate_residual_stays_at_rounding_on_fine_grids(monkeypatch):
     # largest eigenvalue, which the residual is measured against: at 256^2 the
     # residual reads at most EIG_TOL (the residual relative to kappa alone read
     # 2.1e-7), and modes perturbed by 1e-6 of their norm read above it
-    g = build_grid(GeometryConfig(n_x=256, n_z=256))
+    g = build_grid(Grid(n_x=256, n_z=256))
     assert np.all(solve_plate_eigenmodes(g, 8)[2] <= EIG_TOL)
     rng = np.random.default_rng(0)
 
@@ -152,7 +152,7 @@ def test_mode_count_limits(grid):
 def test_eigensolver_takes_every_count_below_the_dimension():
     # the Lanczos solver needs m < n_s: on a 4x4 grid (n_s = 9) m = 8 is the
     # largest count, and its eigenvalues are the pencil's first eight
-    g = build_grid(GeometryConfig(n_x=4, n_z=4))
+    g = build_grid(Grid(n_x=4, n_z=4))
     mu_ref = _dense_oracle(g)[0]
     mu = solve_stokes_eigenmodes(g, 8)[0]
     assert np.max(np.abs(mu - mu_ref[:8]) / mu_ref[:8]) < 1e-10

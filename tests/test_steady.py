@@ -5,7 +5,7 @@ import scipy.linalg as la
 from plateflow.dynamics import Stepper, energies, simulate
 from plateflow.forces import BergerForce
 from plateflow.galerkin import assemble, fluid_forcing_field, plate_forcing_profile
-from plateflow.mesh import GeometryConfig, VelocityField, build_grid, inner_fluid
+from plateflow.mesh import Grid, VelocityField, build_grid, inner_fluid
 from plateflow.modal import build_modal_basis
 from plateflow import steady
 from plateflow.steady import (
@@ -45,7 +45,7 @@ def test_stationary_pressure_routes_agree(grid):
     # grid where some faces carry only rounding (bump, constant).  The constant
     # forcing, a uniform downward w, is a gradient: the flow rests and the trace
     # is 0, up to rounding, which no relative comparison with the oracle can rank
-    unequal = build_grid(GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
+    unequal = build_grid(Grid(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
     for g, kinds in ((grid, ("shear",)), (unequal, ("shear", "bump", "constant"))):
         for kind in kinds:
             if kind == "constant":
@@ -84,7 +84,7 @@ def test_stationary_stokes_rejects_a_perturbed_pressure(grid, gf, monkeypatch):
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
 def test_stationary_stokes_rejects_a_perturbed_pressure_on_every_grid_size(n, monkeypatch):
-    g = build_grid(GeometryConfig(n_x=n, n_z=n))
+    g = build_grid(Grid(n_x=n, n_z=n))
     gf = fluid_forcing_field("shear", 2.0, g)
     assert_rejects_a_perturbed_pressure(gf, g, monkeypatch)
 
@@ -104,7 +104,7 @@ def test_stationary_data_off_unit_viscosity():
     # alpha* carries its 1/nu through D: at nu = 0.7 on an unequal grid, the
     # system's stationary data solve for the projections of the forcing, p* is the pressure
     # trace of the stationary Stokes solve, and without loads Estar is E
-    g = build_grid(GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
+    g = build_grid(Grid(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
     basis = build_modal_basis(g, m=6, n=4)[0]
     gf = fluid_forcing_field("bump", 1.5, g)
     sys_ = assemble(basis, 0.7, gf)

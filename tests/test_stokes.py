@@ -3,7 +3,7 @@ import pytest
 
 from plateflow.galerkin import fluid_forcing_field
 from plateflow.mesh import (
-    GeometryConfig,
+    Grid,
     GridError,
     VelocityField,
     build_grid,
@@ -23,7 +23,7 @@ from oracles import (discrete_div, harmonic_residual, inner_plate, is_solenoidal
                      project_zero_mean)
 from saddle_stokes import assert_matches_saddle_point
 
-UNEQUAL = GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7)
+UNEQUAL = Grid(n_x=12, n_z=9, L_x=1.3, L_z=0.7)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ def _harmonic_lift(lifter, r):
 def test_gradient_block_is_minus_volume_divergence(rng):
     # Gr^T x = -vol div(x) for packed interior-face vectors x (walls and the
     # Omega row zero), on a grid with unequal spacings so h_x and h_z cannot trade
-    g = build_grid(GeometryConfig(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
+    g = build_grid(Grid(n_x=12, n_z=9, L_x=1.3, L_z=0.7))
     Gr = velocity_blocks(g)[1]
     X = rng.standard_normal((5, Gr.shape[0]))
     div = discrete_div(unpack_interior(X, g), g).reshape(5, -1)
