@@ -40,13 +40,12 @@ def fluid_forcing_field(kind: str, amp: float, g: Grid) -> VelocityField:
     gf = VelocityField(g)
     if kind == "none" or amp == 0.0:
         return gf
+    x, z = g.face_coords()
     if kind == "shear":
-        _, zu = g.u_face_coords()
-        gf.u[1:-1, :] = amp * (1.0 + zu[1:-1, :] / g.L_z)
+        gf.faces[:g.n_u] = amp * (1.0 + z[:g.n_u] / g.L_z)
     else:
-        xw, zw = g.w_face_coords()
-        r2 = ((xw - 0.5 * g.L_x) / g.L_x) ** 2 + ((zw + 0.5 * g.L_z) / g.L_z) ** 2
-        gf.w[:, 1:-1] = amp * np.exp(-20.0 * r2)[:, 1:-1]
+        r2 = ((x[g.n_u:] - 0.5 * g.L_x) / g.L_x) ** 2 + ((z[g.n_u:] + 0.5 * g.L_z) / g.L_z) ** 2
+        gf.faces[g.n_u:] = amp * np.exp(-20.0 * r2)
     return gf
 
 
@@ -229,11 +228,11 @@ class ReconstructedState:
 
 def reconstruct(sys: GalerkinSystem, y: np.ndarray) -> ReconstructedState:
     """Coefficients to fields.  The flow modes have zero trace on Omega and the
-    lifted modes carry their plate modes as trace, so the trace row of v is
-    set to the plate velocity itself, as StokesSolver.lift sets it: the trace
-    identity v|_Omega = u_t holds bit for bit."""
+    lifted modes carry their plate modes as trace, so the trace of v is the
+    plate velocity itself, as StokesSolver.lift's traces are its plate traces:
+    the trace identity v|_Omega = u_t holds bit for bit."""
     alpha, beta, betadot = sys.split(y)
     u_t = sys.plate_deflection(betadot)
     v = sys.basis.psi.combine(alpha) + sys.basis.lift.combine(betadot)
-    v.w[:, -1] = u_t
+    v.trace = u_t
     return ReconstructedState(v=v, u=sys.plate_deflection(beta), u_t=u_t)

@@ -55,16 +55,6 @@ class Grid:
         return self.L_z / self.n_z
 
     @property
-    def shape_u(self):
-        # x-velocity faces, including the two wall columns i=0 and i=n_x
-        return (self.n_x + 1, self.n_z)
-
-    @property
-    def shape_w(self):
-        # z-velocity faces, including bottom wall row j=0 and top (Omega) row j=n_z
-        return (self.n_x, self.n_z + 1)
-
-    @property
     def shape_p(self):
         return (self.n_x, self.n_z)
 
@@ -76,18 +66,29 @@ class Grid:
         """Plate sample abscissae: cell centers of (0, Lx)."""
         return (np.arange(self.n_x) + 0.5) * self.h_x
 
-    def u_face_coords(self):
-        x = np.arange(self.n_x + 1) * self.h_x
-        z = -self.L_z + (np.arange(self.n_z) + 0.5) * self.h_z
-        return np.meshgrid(x, z, indexing="ij")
+    @property
+    def n_u(self):
+        # interior u-faces, the first n_u packed faces
+        return (self.n_x - 1) * self.n_z
 
-    def w_face_coords(self):
-        x = (np.arange(self.n_x) + 0.5) * self.h_x
-        z = -self.L_z + np.arange(self.n_z + 1) * self.h_z
-        return np.meshgrid(x, z, indexing="ij")
+    @property
+    def n_faces(self):
+        return self.n_u + self.n_x * (self.n_z - 1)
+
+    def face_coords(self):
+        """(x, z) of the packed interior faces: the u-faces x = i h_x (0 < i <
+        n_x) at the cell-center depths, row-major in (i, j), then the w-faces
+        at the plate abscissae and depths z = -L_z + j h_z (0 < j < n_z),
+        row-major in (i, j).  This is the one statement of the packing."""
+        zc = -self.L_z + (np.arange(self.n_z) + 0.5) * self.h_z
+        xu, zu = np.meshgrid(np.arange(1, self.n_x) * self.h_x, zc, indexing="ij")
+        xw, zw = np.meshgrid(self.plate_x(), -self.L_z + np.arange(1, self.n_z) * self.h_z,
+                             indexing="ij")
+        return np.concatenate([xu.ravel(), xw.ravel()]), np.concatenate([zu.ravel(), zw.ravel()])
 
     def grid_key(self) -> str:
-        return f"{self.n_x}x{self.n_z}_{self.L_x:.12g}x{self.L_z:.12g}"
+        # repr round-trips a float: two grids share a key only if their extents are equal
+        return f"{self.n_x}x{self.n_z}_{float(self.L_x)!r}x{float(self.L_z)!r}"
 
 
 def build_grid(g: Grid) -> Grid:
@@ -101,61 +102,49 @@ def build_grid(g: Grid) -> Grid:
 
 @dataclass
 class VelocityField:
-    """MAC velocity: u on vertical faces, w on horizontal faces (boundary rows included).
+    """A MAC velocity of the flow's space, zero on the wall S: its packed
+    interior faces, (..., n_faces) in the order of Grid.face_coords, and its
+    Omega row, the normal trace (..., n_x).  A missing part is zero.
 
-    u and w may carry a leading mode axis, which makes the field a stack of
+    Both may carry one leading mode axis, which makes the field a stack of
     fields; stack[k] is the k-th field and stack.combine(c) is sum_k c_k stack[k].
     """
 
     grid: Grid
-    u: np.ndarray = None
-    w: np.ndarray = None
+    faces: np.ndarray = None
+    trace: np.ndarray = None
 
     def __post_init__(self):
-        if self.u is None:
-            self.u = np.zeros(self.grid.shape_u)
-        if self.w is None:
-            self.w = np.zeros(self.grid.shape_w)
-        if (self.u.shape[-2:] != self.grid.shape_u or self.w.shape[-2:] != self.grid.shape_w
-                or self.u.shape[:-2] != self.w.shape[:-2]):
-            raise GridError("velocity component shape mismatch with grid")
+        g = self.grid
+        lead = next((a.shape[:-1] for a in (self.faces, self.trace) if a is not None), ())
+        if self.faces is None:
+            self.faces = np.zeros(lead + (g.n_faces,))
+        if self.trace is None:
+            self.trace = np.zeros(lead + (g.n_x,))
+        if self.faces.shape != lead + (g.n_faces,) or self.trace.shape != lead + (g.n_x,):
+            raise GridError("velocity field shape mismatch with grid")
 
     def __getitem__(self, k):
-        return VelocityField(self.grid, self.u[k], self.w[k])
+        return VelocityField(self.grid, self.faces[k], self.trace[k])
 
     def combine(self, c: np.ndarray):
         """sum_k c_k self[k] for a stack."""
-        return VelocityField(self.grid, np.tensordot(c, self.u, 1), np.tensordot(c, self.w, 1))
+        return VelocityField(self.grid, np.tensordot(c, self.faces, 1),
+                             np.tensordot(c, self.trace, 1))
 
     def __add__(self, other):
-        return VelocityField(self.grid, self.u + other.u, self.w + other.w)
+        return VelocityField(self.grid, self.faces + other.faces, self.trace + other.trace)
+
+
+def w_under_omega(v: VelocityField) -> np.ndarray:
+    """The interior w-row j = n_z - 1 below the Omega row, (..., n_x)."""
+    g = v.grid
+    return v.faces[..., g.n_u + g.n_z - 2::g.n_z - 1]
 
 
 # ---------------------------------------------------------------------------
-# The interior faces and the Dirichlet form on them.  Every field the program
-# forms (modes, lifts, forcings, harmonic gradients) is zero on the wall S, so
-# a field is its packed interior faces plus its Omega row, the top w-row, and
-# both fluid inner products read these.
+# The Dirichlet form on the packed faces, and the two fluid inner products
 # ---------------------------------------------------------------------------
-
-def pack_interior(v: VelocityField) -> np.ndarray:
-    """The interior-face values of a field, packed [u-faces row-major in
-    (i, j); w-faces row-major in (i, j)]; a stack gives one row per field."""
-    lead = v.u.shape[:-2]
-    return np.concatenate([v.u[..., 1:-1, :].reshape(lead + (-1,)),
-                           v.w[..., 1:-1].reshape(lead + (-1,))], axis=-1)
-
-
-def unpack_interior(X: np.ndarray, g: Grid) -> VelocityField:
-    """Packed interior-face vectors (one per row of X) to velocity fields whose
-    boundary faces are zero: the inverse of pack_interior."""
-    n_u = (g.n_x - 1) * g.n_z
-    lead = X.shape[:-1]
-    v = VelocityField(g, np.zeros(lead + g.shape_u), np.zeros(lead + g.shape_w))
-    v.u[..., 1:-1, :] = X[..., :n_u].reshape(lead + (g.n_x - 1, g.n_z))
-    v.w[..., 1:-1] = X[..., n_u:].reshape(lead + (g.n_x, g.n_z - 1))
-    return v
-
 
 @lru_cache(maxsize=8)
 def dirichlet_form(g: Grid) -> sp.csr_matrix:
@@ -189,8 +178,7 @@ def dirichlet_form(g: Grid) -> sp.csr_matrix:
 def inner_fluid(a: VelocityField, b: VelocityField, g: Grid):
     """Discrete (a, b)_O of fields zero on S: full weight on the interior
     faces, half on the Omega row.  A stack on either side gives the Gram table."""
-    ta, tb = a.w[..., -1], b.w[..., -1]
-    return g.h_x * g.h_z * (pack_interior(a) @ pack_interior(b).T + 0.5 * (ta @ tb.T))
+    return g.h_x * g.h_z * (a.faces @ b.faces.T + 0.5 * (a.trace @ b.trace.T))
 
 
 def plate_mean(a: np.ndarray, g: Grid) -> float:
@@ -207,9 +195,9 @@ def grad_inner(a: VelocityField, b: VelocityField, g: Grid):
     exact bilinear form of the assembled Stokes operator with the trace as the
     Dirichlet value across Omega.  A stack on either side gives the Gram table.
     """
-    ta, tb = a.w[..., -1], b.w[..., -1]
-    return (pack_interior(a) @ (dirichlet_form(g) @ pack_interior(b).T)
-            + (g.h_x / g.h_z) * (ta @ tb.T - ta @ b.w[..., -2].T - a.w[..., -2] @ tb.T))
+    ta, tb = a.trace, b.trace
+    return (a.faces @ (dirichlet_form(g) @ b.faces.T)
+            + (g.h_x / g.h_z) * (ta @ tb.T - ta @ w_under_omega(b).T - w_under_omega(a) @ tb.T))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from .mesh import Grid, GridError, VelocityField, beam_operators, unpack_interior
+from .mesh import Grid, GridError, VelocityField, beam_operators
 from .stokes import StokesSolver
 
 # the largest relative residual of a flow or plate mode that a cached basis may
@@ -32,7 +32,7 @@ EIG_TOL = 1e-8
 # relative gap count as equal in the gauge of the flow modes
 TIE_TOL = 1e-8
 # stored in every mode-cache file; a file of any other version is rebuilt
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 
 def _fix_sign(vec: np.ndarray, tie: float) -> np.ndarray:
@@ -96,7 +96,7 @@ def solve_stokes_eigenmodes(g: Grid, m: int):
     AX = A @ X.T
     R = Z @ spla.splu(M, permc_spec="MMD_AT_PLUS_A").solve(Z.T @ (AX - mu * vol * X.T))
     residual = vol * np.linalg.norm(R, axis=0) / np.maximum(np.linalg.norm(AX, axis=0), 1e-300)
-    return mu, unpack_interior(X, g), residual, solver.lift
+    return mu, VelocityField(g, X), residual, solver.lift
 
 
 def solve_plate_eigenmodes(g: Grid, n: int):
@@ -141,7 +141,7 @@ class ModalBasis:
 
     @property
     def m(self):
-        return len(self.psi.u)
+        return len(self.psi.faces)
 
     @property
     def n(self):
@@ -176,9 +176,8 @@ def _save_basis(path: str, built):
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            np.savez(f, version=CACHE_VERSION, mu=mu, psi_u=b.psi.u, psi_w=b.psi.w,
-                     psi_res=psi_res, kappa=kappa, xi=b.xi, xi_res=xi_res,
-                     lift_u=b.lift.u, lift_w=b.lift.w)
+            np.savez(f, version=CACHE_VERSION, mu=mu, psi=b.psi.faces, psi_res=psi_res,
+                     kappa=kappa, xi=b.xi, xi_res=xi_res, lift=b.lift.faces)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -190,9 +189,8 @@ def _load_basis(path: str, g: Grid, m: int, n: int):
     is missing or unreadable, is not of CACHE_VERSION, lacks an array or has
     one misshapen, not of floats or not finite, or stores a flow or plate
     residual above EIG_TOL."""
-    shapes = {"mu": (m,), "psi_u": (m,) + g.shape_u, "psi_w": (m,) + g.shape_w, "psi_res": (m,),
-              "kappa": (n,), "xi": (n, g.n_plate), "xi_res": (n,), "lift_u": (n,) + g.shape_u,
-              "lift_w": (n,) + g.shape_w}
+    shapes = {"mu": (m,), "psi": (m, g.n_faces), "psi_res": (m,), "kappa": (n,),
+              "xi": (n, g.n_plate), "xi_res": (n,), "lift": (n, g.n_faces)}
     try:
         with np.load(path) as f:
             d = {k: f[k] for k in ("version", *shapes) if k in f.files}
@@ -202,6 +200,6 @@ def _load_basis(path: str, g: Grid, m: int, n: int):
             np.shape(d.get(k)) != s or d[k].dtype != float or not np.isfinite(d[k]).all()
             for k, s in shapes.items()) or max(d["psi_res"].max(), d["xi_res"].max()) > EIG_TOL:
         return None
-    return (ModalBasis(grid=g, psi=VelocityField(g, d["psi_u"], d["psi_w"]), xi=d["xi"],
-                       lift=VelocityField(g, d["lift_u"], d["lift_w"])),
+    return (ModalBasis(grid=g, psi=VelocityField(g, d["psi"]), xi=d["xi"],
+                       lift=VelocityField(g, d["lift"], d["xi"])),
             (d["mu"], d["psi_res"], d["kappa"], d["xi_res"]))

@@ -19,8 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import (Grid, GridError, VelocityField, dirichlet_form, forward_diff,
-                   pack_interior, unpack_interior)
+from .mesh import Grid, GridError, VelocityField, dirichlet_form, forward_diff, w_under_omega
 
 # a plate trace whose mean exceeds this, relative to 1 + its largest entry,
 # has no solenoidal extension
@@ -33,7 +32,7 @@ class StokesSolveError(RuntimeError):
 
 def _one_field(v: VelocityField) -> VelocityField:
     """The right-hand sides index one field's grid axes: reject a stack."""
-    if v.u.ndim != 2:
+    if v.faces.ndim != 1:
         raise GridError("expected one velocity field, got a stack")
     return v
 
@@ -47,11 +46,11 @@ class StokesSolution:
 def velocity_blocks(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """(A, Gr): the interior-face operator blocks of the MAC Stokes system.
 
-    Dofs are packed as mesh.pack_interior packs them, pressures cell by
-    cell.  A is mesh.dirichlet_form, the vector Laplacian energy form scaled
-    by the cell volume (symmetric positive definite, viscosity-free); Gr is
-    the volume-scaled pressure gradient, whose transpose is the negative
-    volume-scaled divergence.
+    Dofs are the packed interior faces of mesh.Grid.face_coords, pressures
+    cell by cell.  A is mesh.dirichlet_form, the vector Laplacian energy form
+    scaled by the cell volume (symmetric positive definite, viscosity-free);
+    Gr is the volume-scaled pressure gradient, whose transpose is the
+    negative volume-scaled divergence.
     """
     g = grid
     Gr = sp.vstack([sp.kron(forward_diff(g.n_x, g.h_z), np.eye(g.n_z), format="coo"),
@@ -97,7 +96,7 @@ class StokesSolver:
 
     def lift(self, X: np.ndarray) -> VelocityField:
         """N0: the Stokes extensions of the zero-mean plate traces in the rows
-        of a stack (k, n_plate), as a stack with each Omega row set to its trace."""
+        of a stack (k, n_plate), as a stack whose traces are the rows of X."""
         g, Z = self.grid, self.Z
         vol = g.h_x * g.h_z
         if X.ndim != 2 or X.shape[1] != g.n_plate:
@@ -109,16 +108,14 @@ class StokesSolver:
             )
         # E - Z K^-1 Z^T (A E - b): E extends each trace by the streamfunction
         # s_i = -sum_{k<=i} h_x xi_k on the top vertices (so only its top u-row is
-        # nonzero); b is the trace's coupling into the top interior w-row
-        n_u = (g.n_x - 1) * g.n_z
-        E = np.zeros((Z.shape[0], len(X)))
+        # nonzero); b is the trace's coupling into the top interior w-row.  Each
+        # lift is one contiguous row, as each mode of a psi stack is
+        E = np.zeros((g.n_faces, len(X)))
         b = np.zeros_like(E)
-        E[:n_u].reshape(g.n_x - 1, g.n_z, -1)[:, -1] = \
+        E[:g.n_u].reshape(g.n_x - 1, g.n_z, -1)[:, -1] = \
             -g.h_x * np.cumsum(X, axis=1)[:, :-1].T / g.h_z
-        b[n_u:].reshape(g.n_x, g.n_z - 1, -1)[:, -1] = vol * X.T / g.h_z ** 2
-        v = unpack_interior((E - Z @ self.lu.solve(Z.T @ (self.A @ E - b))).T, g)
-        v.w[..., -1] = X
-        return v
+        b[g.n_u:].reshape(g.n_x, g.n_z - 1, -1)[:, -1] = vol * X.T / g.h_z ** 2
+        return VelocityField(g, (E - Z @ self.lu.solve(Z.T @ (self.A @ E - b))).T.copy(), X)
 
     def solve_body_force(self, gf: VelocityField) -> StokesSolution:
         """Stationary Stokes flow with no-slip boundary everywhere.
@@ -128,12 +125,12 @@ class StokesSolver:
         Gr^T (b - nu A v) with one cell pinned, then has its mean removed.
         """
         g, A, Gr = self.grid, self.A, self.Gr
-        b = g.h_x * g.h_z * pack_interior(_one_field(gf))
+        b = g.h_x * g.h_z * _one_field(gf).faces
         v = self.Z @ self.lu.solve(self.Z.T @ b) / self.nu
         # Gr 1 = 0, so the pinned cell's equation is minus the sum of the others
         p = np.zeros(g.n_x * g.n_z)
         p[1:] = spla.spsolve((Gr.T @ Gr)[1:, 1:].tocsc(), (Gr.T @ (b - self.nu * (A @ v)))[1:])
-        return StokesSolution(v=unpack_interior(v, g), p=(p - np.mean(p)).reshape(g.shape_p))
+        return StokesSolution(v=VelocityField(g, v), p=(p - np.mean(p)).reshape(g.shape_p))
 
     def momentum_residual(self, sol: StokesSolution, gf: VelocityField) -> float:
         """max |b - nu A v - Gr p| / max (|b| + nu |A||v| + |Gr||p|) over the
@@ -142,8 +139,8 @@ class StokesSolver:
         faces: a face whose terms are all at rounding level would otherwise
         read its rounding as O(1)."""
         g, A, Gr = self.grid, self.A, self.Gr
-        b = g.h_x * g.h_z * pack_interior(_one_field(gf))
-        v, p = pack_interior(sol.v), sol.p.ravel()
+        b = g.h_x * g.h_z * _one_field(gf).faces
+        v, p = sol.v.faces, sol.p.ravel()
         r = b - self.nu * (A @ v) - Gr @ p
         scale = np.abs(b) + self.nu * (abs(A) @ np.abs(v)) + abs(Gr) @ np.abs(p)
         # every term is bounded by scale, so r is exactly 0 when scale is
@@ -152,8 +149,8 @@ class StokesSolver:
     def pressure_trace(self, sol: StokesSolution, gf: VelocityField) -> np.ndarray:
         """Duality-consistent trace of the pressure on Omega for a no-slip solve."""
         g = self.grid
-        top = _one_field(gf).w[:, g.n_z]
-        r = self.nu * sol.v.w[:, g.n_z - 1] / g.h_z + sol.p[:, g.n_z - 1] + 0.5 * g.h_z * top
+        top = _one_field(gf).trace
+        r = self.nu * w_under_omega(sol.v) / g.h_z + sol.p[:, g.n_z - 1] + 0.5 * g.h_z * top
         return r - np.mean(r)
 
 
@@ -185,7 +182,6 @@ class HarmonicLifter:
         rhs = np.zeros(g.shape_p + (len(R),))
         rhs[:, -1] = 2.0 * R.T / g.h_z ** 2
         q = self._lu.solve(rhs.reshape(-1, len(R)))
-        grad = unpack_interior((self._grad @ q).T, g)
+        faces = (self._grad @ q).T
         q = q.T.reshape((-1,) + g.shape_p)
-        grad.w[..., -1] = 2.0 * (R - q[..., -1]) / g.h_z
-        return q, grad
+        return q, VelocityField(g, faces, 2.0 * (R - q[..., -1]) / g.h_z)

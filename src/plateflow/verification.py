@@ -167,7 +167,7 @@ def check_mean_preservation(s: _Setup):
         for y in tr.states:
             rec = reconstruct(s.sys, y)
             means.append(plate_mean(rec.u, g))
-            worst_trace = max(worst_trace, float(np.max(np.abs(rec.v.w[:, -1] - rec.u_t))))
+            worst_trace = max(worst_trace, float(np.max(np.abs(rec.v.trace - rec.u_t))))
         worst_drift = max(worst_drift, float(np.max(np.abs(np.array(means) - means[0]))))
     return {"mean_drift": worst_drift, "trace_mismatch": worst_trace}, {}
 

@@ -22,7 +22,7 @@ from plateflow.dynamics import IntegratorError, Stepper, per_sample, simulate
 from plateflow.forces import BergerForce, KirchhoffForce
 from plateflow.galerkin import AssemblyError, GalerkinSystem
 from plateflow.mesh import (BeamOperators, Grid, GridError, VelocityField, beam_operators,
-                            inner_fluid, plate_mean, unpack_interior)
+                            inner_fluid, plate_mean)
 from plateflow.modal import ModalBasis
 from plateflow.plate2d import PlateGrid2D, bending_form
 from plateflow.stokes import StokesSolver
@@ -33,11 +33,42 @@ from plateflow.stokes import StokesSolver
 DIV_TOL = 1e-10
 
 
+def face_shapes(g: Grid):
+    """The shapes of the u- and w-face arrays of the MAC grid, every face
+    included: u (n_x + 1, n_z), w (n_x, n_z + 1)."""
+    return (g.n_x + 1, g.n_z), (g.n_x, g.n_z + 1)
+
+
+def face_arrays(v: VelocityField):
+    """(u, w): v on every face of the grid, zero on the wall S, the top w-row
+    its Omega trace; a stack gives a leading axis.  The inverse of
+    field_on_faces on such arrays."""
+    g = v.grid
+    lead = v.faces.shape[:-1]
+    shape_u, shape_w = face_shapes(g)
+    u, w = np.zeros(lead + shape_u), np.zeros(lead + shape_w)
+    u[..., 1:-1, :] = v.faces[..., :g.n_u].reshape(lead + (g.n_x - 1, g.n_z))
+    w[..., 1:-1] = v.faces[..., g.n_u:].reshape(lead + (g.n_x, g.n_z - 1))
+    w[..., -1] = v.trace
+    return u, w
+
+
+def field_on_faces(g: Grid, u: np.ndarray, w: np.ndarray) -> VelocityField:
+    """The field of the face arrays u and w: their interior faces packed
+    u-faces then w-faces, each row-major in (i, j), and the top w-row as the
+    trace; the wall values are dropped."""
+    lead = u.shape[:-2]
+    return VelocityField(g, np.concatenate([u[..., 1:-1, :].reshape(lead + (-1,)),
+                                            w[..., 1:-1].reshape(lead + (-1,))], axis=-1),
+                         w[..., -1])
+
+
 def discrete_div(v: VelocityField, g: Grid) -> np.ndarray:
-    """Cell-centered divergence; uses the stored boundary faces directly."""
+    """Cell-centered divergence, face by face on the face arrays."""
     if v.grid is not g and v.grid != g:
         raise GridError("field/grid mismatch")
-    return (v.u[..., 1:, :] - v.u[..., :-1, :]) / g.h_x + (v.w[..., 1:] - v.w[..., :-1]) / g.h_z
+    u, w = face_arrays(v)
+    return (u[..., 1:, :] - u[..., :-1, :]) / g.h_x + (w[..., 1:] - w[..., :-1]) / g.h_z
 
 
 def is_solenoidal(v: VelocityField, g: Grid, tol: float = DIV_TOL) -> bool:
@@ -46,9 +77,10 @@ def is_solenoidal(v: VelocityField, g: Grid, tol: float = DIV_TOL) -> bool:
 
 def _face_weights(g: Grid):
     """Quadrature weights for the fluid L2 product: 1/2 on boundary faces."""
-    wu = np.ones(g.shape_u)
+    shape_u, shape_w = face_shapes(g)
+    wu = np.ones(shape_u)
     wu[0, :] = wu[-1, :] = 0.5
-    ww = np.ones(g.shape_w)
+    ww = np.ones(shape_w)
     ww[:, 0] = ww[:, -1] = 0.5
     return wu, ww
 
@@ -57,23 +89,24 @@ def _gram(a: VelocityField, b: VelocityField, pa, pb, coef, scale: float):
     """scale * sum_t coef_t <pa_t, pb_t>, each pair of parts contracted over its
     grid axes: a float for two fields, the table over the modes for a stack on
     either side."""
-    la, lb = a.u.shape[:-2], b.u.shape[:-2]
+    la, lb = a.faces.shape[:-1], b.faces.shape[:-1]
     s = scale * sum(c * (x.reshape(la + (-1,)) @ y.reshape(lb + (-1,)).T)
                     for c, x, y in zip(coef, pa, pb))
     return float(s) if np.ndim(s) == 0 else s
 
 
 def inner_fluid_by_faces(a: VelocityField, b: VelocityField, g: Grid):
-    """(a, b)_O by the trapezoidal rule over every stored face, boundary faces
+    """(a, b)_O by the trapezoidal rule over every face, boundary faces
     at half weight: the reference for mesh.inner_fluid."""
     wu, ww = _face_weights(g)
-    return _gram(a, b, (wu * a.u, ww * a.w), (b.u, b.w), (1.0, 1.0), g.h_x * g.h_z)
+    (ua, wa), (ub, wb) = face_arrays(a), face_arrays(b)
+    return _gram(a, b, (wu * ua, ww * wa), (ub, wb), (1.0, 1.0), g.h_x * g.h_z)
 
 
 def _grad_parts(v: VelocityField):
     """The face differences and wall values whose weighted products make
     grad_inner_by_faces."""
-    u, w = v.u, v.w
+    u, w = face_arrays(v)
     ui, wi = u[..., 1:-1, :], w[..., 1:-1]
     return (
         # u: d/dx at cell centers (boundary u-faces are zero by no-slip)
@@ -90,7 +123,7 @@ def _grad_parts(v: VelocityField):
 def grad_inner_by_faces(a: VelocityField, b: VelocityField, g: Grid):
     """(grad a, grad b)_O difference by difference: the face differences at
     their positions, tangential walls by the half-cell ghost rule (a wall
-    value at twice the weight), the normal traces on Omega the stored top
+    value at twice the weight), the normal traces on Omega the top
     w-rows.  The reference for mesh.grad_inner."""
     cx, cz = 1.0 / g.h_x ** 2, 1.0 / g.h_z ** 2
     return _gram(a, b, _grad_parts(a), _grad_parts(b),
@@ -191,7 +224,7 @@ def full_order_basis(basis: ModalBasis) -> ModalBasis:
     space, with no eigensolve: the velocities of the interior-vertex
     streamfunctions, the columns of StokesSolver's Z; only psi is replaced."""
     g = basis.grid
-    return replace(basis, psi=unpack_interior(StokesSolver(g).Z.T.toarray(), g))
+    return replace(basis, psi=VelocityField(g, StokesSolver(g).Z.T.toarray()))
 
 
 def rhs(sys: GalerkinSystem, y: np.ndarray, force_coeffs=None) -> np.ndarray:
@@ -228,7 +261,7 @@ def project_initial(sys: GalerkinSystem, v0: VelocityField, u0: np.ndarray,
     d = float(np.max(np.abs(discrete_div(v0, g))))
     if d > DIV_TOL:
         raise AssemblyError(f"initial velocity is not divergence free: max divergence {d:.3e}")
-    tr = float(np.max(np.abs(v0.w[:, -1] - u1)))
+    tr = float(np.max(np.abs(v0.trace - u1)))
     if tr > TRACE_TOL:
         raise AssemblyError(
             f"initial data incompatible: fluid normal trace differs from plate velocity by {tr:.3e}"
@@ -244,10 +277,10 @@ def project_initial(sys: GalerkinSystem, v0: VelocityField, u0: np.ndarray,
     plate_res = float(np.sqrt(max(inner_plate(r, r, g), 0.0)))
 
     lift_dot = sys.basis.lift.combine(betadot)
-    rest = VelocityField(g, v0.u - lift_dot.u, v0.w - lift_dot.w)
+    rest = VelocityField(g, v0.faces - lift_dot.faces, v0.trace - lift_dot.trace)
     alpha = la.solve(sys.M[:sys.m, :sys.m], inner_fluid(sys.basis.psi, rest, g), assume_a="pos")
     fit = lift_dot + sys.basis.psi.combine(alpha)
-    diff = VelocityField(g, v0.u - fit.u, v0.w - fit.w)
+    diff = VelocityField(g, v0.faces - fit.faces, v0.trace - fit.trace)
     vres = float(np.sqrt(max(inner_fluid(diff, diff, g), 0.0)))
 
     y0 = sys.join(alpha, beta, betadot)

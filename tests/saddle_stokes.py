@@ -12,8 +12,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from plateflow.mesh import Grid, GridError, VelocityField, plate_mean, unpack_interior
+from plateflow.mesh import Grid, GridError, VelocityField, plate_mean
 from plateflow.stokes import StokesSolution, StokesSolveError, _one_field, velocity_blocks
+from oracles import face_arrays, face_shapes, field_on_faces
 
 
 class SaddlePointStokesSolver:
@@ -53,8 +54,9 @@ class SaddlePointStokesSolver:
         gf = _one_field(gf)
         rhs = np.zeros(self.n_tot)
         vol = g.h_x * g.h_z
-        rhs[: self.nu_int] = vol * gf.u[1:-1, :].ravel()
-        rhs[self.nu_int: self.nu_int + self.nw_int] = vol * gf.w[:, 1:-1].ravel()
+        u, w = face_arrays(gf)
+        rhs[: self.nu_int] = vol * u[1:-1, :].ravel()
+        rhs[self.nu_int: self.nu_int + self.nw_int] = vol * w[:, 1:-1].ravel()
         return rhs
 
     def _rhs_trace(self, psi: np.ndarray) -> np.ndarray:
@@ -70,9 +72,12 @@ class SaddlePointStokesSolver:
 
     def _unpack(self, x: np.ndarray, w_top: np.ndarray | None = None) -> StokesSolution:
         g = self.grid
-        v = unpack_interior(x[: self.nu_int + self.nw_int], g)
+        u, w = (np.zeros(s) for s in face_shapes(g))
+        u[1:-1, :] = x[: self.nu_int].reshape(g.n_x - 1, g.n_z)
+        w[:, 1:-1] = x[self.nu_int: self.nu_int + self.nw_int].reshape(g.n_x, g.n_z - 1)
         if w_top is not None:
-            v.w[:, -1] = w_top
+            w[:, -1] = w_top
+        v = field_on_faces(g, u, w)
         p = x[self.nu_int + self.nw_int: -1].reshape(g.n_x, g.n_z)
         p = p - np.mean(p)
         return StokesSolution(v=v, p=p)
@@ -107,8 +112,9 @@ class SaddlePointStokesSolver:
     def pressure_trace(self, sol: StokesSolution, gf: VelocityField | None = None) -> np.ndarray:
         """Duality-consistent trace of the pressure on Omega for a no-slip solve."""
         g = self.grid
-        top = np.zeros(g.n_plate) if gf is None else _one_field(gf).w[:, g.n_z]
-        r = self.nu * sol.v.w[:, g.n_z - 1] / g.h_z + sol.p[:, g.n_z - 1] + 0.5 * g.h_z * top
+        top = np.zeros(g.n_plate) if gf is None else face_arrays(_one_field(gf))[1][:, g.n_z]
+        r = (self.nu * face_arrays(sol.v)[1][:, g.n_z - 1] / g.h_z + sol.p[:, g.n_z - 1]
+             + 0.5 * g.h_z * top)
         return r - np.mean(r)
 
 
@@ -117,9 +123,10 @@ def assert_matches_saddle_point(sol, trace, gf, g, nu):
     saddle-point oracle, each relative to the oracle's largest entry."""
     oracle = SaddlePointStokesSolver(g, nu=nu)
     ref = oracle.solve_body_force(gf)
-    v_scale = max(np.max(np.abs(ref.v.u)), np.max(np.abs(ref.v.w)))
-    assert np.max(np.abs(sol.v.u - ref.v.u)) < 1e-11 * v_scale
-    assert np.max(np.abs(sol.v.w - ref.v.w)) < 1e-11 * v_scale
+    (u, w), (ref_u, ref_w) = face_arrays(sol.v), face_arrays(ref.v)
+    v_scale = max(np.max(np.abs(ref_u)), np.max(np.abs(ref_w)))
+    assert np.max(np.abs(u - ref_u)) < 1e-11 * v_scale
+    assert np.max(np.abs(w - ref_w)) < 1e-11 * v_scale
     assert np.max(np.abs(sol.p - ref.p)) < 1e-11 * np.max(np.abs(ref.p))
     ref_trace = oracle.pressure_trace(ref, gf)
     assert np.max(np.abs(trace - ref_trace)) < 1e-11 * np.max(np.abs(ref_trace))

@@ -10,9 +10,10 @@ import pytest
 from plateflow import modal
 from plateflow.cli import _dumps, main, write_csv, write_json
 from plateflow.config import ConfigError, ExperimentConfig, parse_config
-from plateflow.mesh import Grid, VelocityField, build_grid, dirichlet_form
+from plateflow.mesh import Grid, build_grid, dirichlet_form
 from plateflow.spectrum import semigroup_consistency
 from plateflow.verification import estar_monotone
+from oracles import face_arrays, field_on_faces
 
 
 def _write(tmp_path, text, name="cfg.ini"):
@@ -350,13 +351,13 @@ def test_values_the_models_reject_exit_2(tmp_path, capsys, command, text, messag
 def test_a_degenerate_cached_basis_exits_2(tmp_path, capsys, basis, eigen, command):
     # a well-shaped cache of the default grid whose flow stack holds mode 0
     # twice loads, and assembling it reports the singular kinetic mass
-    u, w = basis.psi.u.copy(), basis.psi.w.copy()
+    u, w = face_arrays(basis.psi)
     u[1], w[1] = u[0], w[0]
     out = tmp_path / "out"
     (out / "modes_cache").mkdir(parents=True)
     g = basis.grid
     modal._save_basis(str(out / "modes_cache" / f"modes_{g.grid_key()}_m12_n8.npz"),
-                      (replace(basis, psi=VelocityField(g, u, w)), eigen))
+                      (replace(basis, psi=field_on_faces(g, u, w)), eigen))
     assert main([command, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1

@@ -14,7 +14,7 @@ from plateflow.galerkin import (
     plate_forcing_profile,
     reconstruct,
 )
-from plateflow.mesh import VelocityField, grad_inner, inner_fluid, pack_interior, plate_mean
+from plateflow.mesh import VelocityField, grad_inner, inner_fluid, plate_mean
 from plateflow.spectrum import generator_eigenvalues, spectral_abscissa
 from plateflow.steady import minimize_stationary, solve_stationary_stokes
 import oracles
@@ -92,15 +92,17 @@ def test_full_order_flow_space(basis, grid, sys_forced, rng):
         assert np.max(np.abs(sys_.M - sys_.M.T)) == 0.0 and np.linalg.eigvalsh(sys_.M)[0] > 0
         assert abs(spectral_abscissa(sys_) - abscissa) <= 1e-5 * abs(abscissa)
         v = full.psi.combine(sys_.alpha_star)
-        want = solve_stationary_stokes(gf, grid, nu)[0].v
-        scale = max(np.max(np.abs(want.u)), np.max(np.abs(want.w)))
-        assert max(np.max(np.abs(v.u - want.u)), np.max(np.abs(v.w - want.w))) <= 1e-12 * scale
+        (u, w), (want_u, want_w) = (oracles.face_arrays(f)
+                                    for f in (v, solve_stationary_stokes(gf, grid, nu)[0].v))
+        scale = max(np.max(np.abs(want_u)), np.max(np.abs(want_w)))
+        assert max(np.max(np.abs(u - want_u)), np.max(np.abs(w - want_w))) <= 1e-12 * scale
         if nu == 1.0:
             v_m = basis.psi.combine(sys_forced.alpha_star)
-            gap = grad_inner(VelocityField(grid, v.u - v_m.u, v.w - v_m.w), basis.psi, grid)
+            gap = grad_inner(VelocityField(grid, v.faces - v_m.faces, v.trace - v_m.trace),
+                             basis.psi, grid)
             assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(grad_inner(v, basis.psi, grid)))
         rec = reconstruct(sys_, rng.standard_normal(full.m + 2 * full.n))
-        assert np.array_equal(rec.v.w[:, -1], rec.u_t)
+        assert np.array_equal(rec.v.trace, rec.u_t)
 
 
 @pytest.mark.parametrize("nu, errors, full_norm", [
@@ -115,8 +117,8 @@ def test_reduced_model_against_full_order_in_time(basis, nu, errors, full_norm):
     # order energy norm at t = 0, 0.1, 0.5 and 1; at nu <= 0.1 the m = 12
     # trajectory ends further from full order than full order is from zero
     full = oracles.full_order_basis(basis)
-    Z = pack_interior(full.psi).T
-    C = la.solve(Z.T @ Z, Z.T @ pack_interior(basis.psi).T, assume_a="pos")
+    Z = full.psi.faces.T
+    C = la.solve(Z.T @ Z, Z.T @ basis.psi.faces.T, assume_a="pos")
     reduced, full_sys = assemble(basis, nu), assemble(full, nu)
     red = simulate(reduced, reduced.random_state(np.random.default_rng(0)), 1.0, 1e-3, stride=100)
     lifted = np.concatenate([C @ red.states.T[:basis.m], red.states.T[basis.m:]])
@@ -212,12 +214,15 @@ def test_rhs_affine_in_state(sys_free, c1, c2):
 
 
 def test_forcing_fields(grid):
+    # the shear pushes the u-faces, faces[:n_u], and leaves the w-faces and
+    # the Omega row at rest
     gf = fluid_forcing_field("shear", 2.0, grid)
-    assert np.max(np.abs(gf.u)) > 0 and np.max(np.abs(gf.w)) == 0
+    assert np.max(np.abs(gf.faces[:grid.n_u])) > 0
+    assert np.max(np.abs(gf.faces[grid.n_u:])) == 0 and np.max(np.abs(gf.trace)) == 0
     gp = plate_forcing_profile("sine", 1.0, grid)
     assert abs(plate_mean(gp, grid)) < 1e-12
     none = fluid_forcing_field("none", 0.0, grid)
-    assert np.max(np.abs(none.u)) == 0 and np.max(np.abs(none.w)) == 0
+    assert np.max(np.abs(none.faces)) == 0 and np.max(np.abs(none.trace)) == 0
     # an unknown kind is refused at every amplitude, 0 included
     for amp in (1.0, 0.0):
         with pytest.raises(AssemblyError, match="unknown fluid forcing kind 'swirl'"):
@@ -266,8 +271,9 @@ def test_projection_rejects_incompatible_data(sys_free, grid, rng):
     y_ref = rng.standard_normal(sys_free.m + 2 * sys_free.n)
     rec = reconstruct(sys_free, y_ref)
     with pytest.raises(AssemblyError, match="divergence"):
-        bad = VelocityField(grid, rec.v.u.copy(), rec.v.w.copy())
-        bad.u[3, 3] += 1.0
+        u, w = oracles.face_arrays(rec.v)
+        u[3, 3] += 1.0
+        bad = oracles.field_on_faces(grid, u, w)
         oracles.project_initial(sys_free, bad, rec.u, rec.u_t)
     with pytest.raises(AssemblyError, match="trace"):
         oracles.project_initial(sys_free, rec.v, rec.u, rec.u_t + 1e-3)
@@ -277,7 +283,7 @@ def test_reconstruct_trace_identity_is_exact(sys_free, grid, rng):
     y = rng.standard_normal(sys_free.m + 2 * sys_free.n)
     rec = reconstruct(sys_free, y)
     assert oracles.is_solenoidal(rec.v, grid)
-    assert np.array_equal(rec.v.w[:, -1], rec.u_t)
+    assert np.array_equal(rec.v.trace, rec.u_t)
 
 
 def test_state_norm_matches_energy(sys_free, grid, rng):

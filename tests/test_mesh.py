@@ -13,11 +13,12 @@ from plateflow.mesh import (
     grad_inner,
     inner_fluid,
     plate_mean,
-    unpack_interior,
 )
+from plateflow.galerkin import fluid_forcing_field
 from plateflow.stokes import velocity_blocks
-from oracles import (beam_biharmonic, bending_inner, discrete_div, grad_inner_by_faces,
-                     inner_fluid_by_faces, inner_plate, inner_product, is_solenoidal)
+from oracles import (beam_biharmonic, bending_inner, discrete_div, face_shapes, field_on_faces,
+                     grad_inner_by_faces, inner_fluid_by_faces, inner_plate, inner_product,
+                     is_solenoidal)
 
 
 def test_build_grid_rejects_coarse():
@@ -28,11 +29,39 @@ def test_build_grid_rejects_coarse():
 
 
 def test_grid_shapes(grid):
-    assert grid.shape_u == (17, 16)
-    assert grid.shape_w == (16, 17)
+    assert grid.n_u == 15 * 16
+    assert grid.n_faces == 15 * 16 + 16 * 15
+    assert [c.shape for c in grid.face_coords()] == [(grid.n_faces,)] * 2
     assert grid.shape_p == (16, 16)
     assert grid.n_plate == 16
     assert len(grid.plate_x()) == 16
+
+
+# (faces, trace) of fields off the grid: faces not n_faces long, a trace not
+# n_x long, or leading axes that differ between the two
+OFF_GRID = {
+    "faces_short": lambda g: (np.zeros(g.n_faces - 1), None),
+    "stack_faces_long": lambda g: (np.zeros((2, g.n_faces + 1)), None),
+    "trace_short": lambda g: (np.zeros(g.n_faces), np.zeros(g.n_x - 1)),
+    "trace_alone_long": lambda g: (None, np.zeros(g.n_x + 1)),
+    "stack_trace_long": lambda g: (np.zeros((2, g.n_faces)), np.zeros((2, g.n_x + 1))),
+    "stack_sizes_differ": lambda g: (np.zeros((2, g.n_faces)), np.zeros((3, g.n_x))),
+    "traces_stacked_on_one_field": lambda g: (np.zeros(g.n_faces), np.zeros((1, g.n_x))),
+}
+
+
+@pytest.mark.parametrize("case", OFF_GRID)
+def test_velocity_field_rejects_a_shape_off_the_grid(grid, case):
+    with pytest.raises(GridError, match="shape"):
+        VelocityField(grid, *OFF_GRID[case](grid))
+
+
+def test_velocity_field_fills_a_missing_part_with_zeros(grid):
+    # a missing part is zero, with the leading axes of the part given
+    faces_only = VelocityField(grid, np.ones((3, grid.n_faces)))
+    trace_only = VelocityField(grid, trace=np.ones((3, grid.n_x)))
+    assert np.array_equal(faces_only.trace, np.zeros((3, grid.n_x)))
+    assert np.array_equal(trace_only.faces, np.zeros((3, grid.n_faces)))
 
 
 def test_grad_div_duality(grid, rng):
@@ -40,11 +69,9 @@ def test_grad_div_duality(grid, rng):
     # summation by parts with no boundary contribution
     g = grid
     p = rng.standard_normal(g.shape_p)
-    v = VelocityField(g)
-    v.u[1:-1, :] = rng.standard_normal((g.n_x - 1, g.n_z))
-    v.w[:, 1:-1] = rng.standard_normal((g.n_x, g.n_z - 1))
+    v = VelocityField(g, rng.standard_normal(g.n_faces))
     vol = g.h_x * g.h_z
-    lhs = inner_fluid(unpack_interior(velocity_blocks(g)[1] @ p.ravel() / vol, g), v, g)
+    lhs = inner_fluid(VelocityField(g, velocity_blocks(g)[1] @ p.ravel() / vol), v, g)
     rhs = -vol * float(np.sum(p * discrete_div(v, g)))
     assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(lhs))
 
@@ -68,13 +95,10 @@ def test_plate_quadrature_oracle():
 
 def test_grad_inner_nonnegative(grid, rng):
     g = grid
-    v = VelocityField(g)
-    v.u[1:-1, :] = rng.standard_normal((g.n_x - 1, g.n_z))
-    v.w[:, 1:-1] = rng.standard_normal((g.n_x, g.n_z - 1))
+    v = VelocityField(g, rng.standard_normal(g.n_faces))
     q = grad_inner(v, v, g)
     assert q > 0
-    w = VelocityField(g)
-    w.u[1:-1, :] = rng.standard_normal((g.n_x - 1, g.n_z))
+    w = VelocityField(g, np.r_[rng.standard_normal(g.n_u), np.zeros(g.n_faces - g.n_u)])
     assert abs(grad_inner(v, w, g) - grad_inner(w, v, g)) < 1e-12 * (1 + q)
 
 
@@ -82,14 +106,44 @@ def test_grad_inner_nonnegative(grid, rng):
 FORM_GRIDS = ((16, 16, 1.0, 1.0), (12, 9, 1.3, 0.7), (64, 64, 1.0, 1.0))
 
 
+def _forcing_on_face_arrays(kind, amp, g):
+    """The forcing field on the face arrays, with the expressions of the
+    u- and w-face coordinate grids that the face arrays are laid out on."""
+    shape_u, shape_w = face_shapes(g)
+    u, w = np.zeros(shape_u), np.zeros(shape_w)
+    if kind == "shear":
+        _, zu = np.meshgrid(np.arange(g.n_x + 1) * g.h_x,
+                            -g.L_z + (np.arange(g.n_z) + 0.5) * g.h_z, indexing="ij")
+        u[1:-1, :] = amp * (1.0 + zu[1:-1, :] / g.L_z)
+    else:
+        xw, zw = np.meshgrid((np.arange(g.n_x) + 0.5) * g.h_x,
+                             -g.L_z + np.arange(g.n_z + 1) * g.h_z, indexing="ij")
+        r2 = ((xw - 0.5 * g.L_x) / g.L_x) ** 2 + ((zw + 0.5 * g.L_z) / g.L_z) ** 2
+        w[:, 1:-1] = amp * np.exp(-20.0 * r2)[:, 1:-1]
+    return field_on_faces(g, u, w)
+
+
+@pytest.mark.parametrize("kind", ["shear", "bump"])
+def test_face_coords_pack_the_faces_in_the_order_of_the_face_arrays(kind):
+    # Grid.face_coords states the packing once: a forcing built on it equals,
+    # bit for bit, the forcing built on the face arrays and packed by the
+    # oracle, whose order is the one the Dirichlet form's rows are checked in
+    # (test_grad_inner_is_stokes_form_plus_trace_terms)
+    for n_x, n_z, L_x, L_z in FORM_GRIDS:
+        g = build_grid(Grid(n_x=n_x, n_z=n_z, L_x=L_x, L_z=L_z))
+        got, want = fluid_forcing_field(kind, 1.7, g), _forcing_on_face_arrays(kind, 1.7, g)
+        assert np.array_equal(got.faces, want.faces) and not got.trace.any()
+
+
 def _velocity_space_stack(g, k, rng):
     """k random fields of the velocity space: zero on S, random on the
     interior faces and the Omega row."""
-    u = np.zeros((k,) + g.shape_u)
-    w = np.zeros((k,) + g.shape_w)
+    shape_u, shape_w = face_shapes(g)
+    u = np.zeros((k,) + shape_u)
+    w = np.zeros((k,) + shape_w)
     u[:, 1:-1, :] = rng.standard_normal((k, g.n_x - 1, g.n_z))
     w[:, :, 1:] = rng.standard_normal((k, g.n_x, g.n_z))
-    return VelocityField(g, u, w)
+    return field_on_faces(g, u, w)
 
 
 def _assert_form_matches_reference(form, reference, rng):
@@ -116,7 +170,7 @@ def test_grad_inner_is_stokes_form_plus_trace_terms(rng):
 
 def test_inner_fluid_is_packed_faces_plus_half_omega_row(rng):
     # inner_fluid reads the packed interior faces and half the Omega row; the
-    # reference weighs every stored face by the trapezoidal rule
+    # reference weighs every face of the face arrays by the trapezoidal rule
     _assert_form_matches_reference(inner_fluid, inner_fluid_by_faces, rng)
 
 
@@ -125,18 +179,17 @@ def test_inner_fluid_is_packed_faces_plus_half_omega_row(rng):
 def test_inner_fluid_bilinear(c1, c2):
     g = build_grid(Grid(n_x=8, n_z=8))
     rng = np.random.default_rng(42)
-    a = VelocityField(g, rng.standard_normal(g.shape_u), rng.standard_normal(g.shape_w))
-    b = VelocityField(g, rng.standard_normal(g.shape_u), rng.standard_normal(g.shape_w))
-    c = VelocityField(g, rng.standard_normal(g.shape_u), rng.standard_normal(g.shape_w))
-    lhs = inner_fluid(VelocityField(g, c1 * a.u + c2 * b.u, c1 * a.w + c2 * b.w), c, g)
+    a, b, c = (field_on_faces(g, *(rng.standard_normal(s) for s in face_shapes(g)))
+               for _ in range(3))
+    lhs = inner_fluid(VelocityField(g, c1 * a.faces + c2 * b.faces, c1 * a.trace + c2 * b.trace),
+                      c, g)
     rhs = c1 * inner_fluid(a, c, g) + c2 * inner_fluid(b, c, g)
     assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(lhs))
 
 
 def test_divergence_of_a_stack_is_taken_field_by_field(grid, rng):
     g = grid
-    stack = VelocityField(g, rng.standard_normal((3,) + g.shape_u),
-                          rng.standard_normal((3,) + g.shape_w))
+    stack = field_on_faces(g, *(rng.standard_normal((3,) + s) for s in face_shapes(g)))
     div = discrete_div(stack, g)
     assert div.shape == (3,) + g.shape_p
     for k in range(3):
@@ -145,7 +198,7 @@ def test_divergence_of_a_stack_is_taken_field_by_field(grid, rng):
 
 def test_is_solenoidal_flags_compressible(grid):
     v = VelocityField(grid)
-    v.u[1:-1, :] = 1.0e-3
+    v.faces[:grid.n_u] = 1.0e-3
     assert not is_solenoidal(v, grid)
     assert is_solenoidal(VelocityField(grid), grid)
 

@@ -9,11 +9,11 @@ import scipy.linalg as la
 from plateflow.mesh import (
     Grid,
     GridError,
+    VelocityField,
     build_grid,
     grad_inner,
     inner_fluid,
     plate_mean,
-    unpack_interior,
 )
 import plateflow.modal as modal
 from plateflow.modal import (
@@ -28,8 +28,8 @@ from plateflow.modal import (
     solve_stokes_eigenmodes,
 )
 from plateflow.stokes import _streamfunction_basis, velocity_blocks
-from oracles import (bending_inner, discrete_div, inner_plate, is_solenoidal, mean_shape,
-                     project_zero_mean)
+from oracles import (bending_inner, discrete_div, face_arrays, inner_plate, is_solenoidal,
+                     mean_shape, project_zero_mean)
 from saddle_stokes import SaddlePointStokesSolver
 
 GRIDS = {"16x16": Grid(n_x=16, n_z=16),
@@ -50,12 +50,6 @@ def _clusters(mu):
     return np.split(np.arange(len(mu)), np.flatnonzero(np.diff(mu) > TIE_TOL * mu[1:]) + 1)
 
 
-def _packed(v, g):
-    """A stack of velocity fields as rows of packed interior-face values."""
-    return np.hstack([v.u[:, 1:-1, :].reshape(len(v.u), -1),
-                      v.w[:, :, 1:-1].reshape(len(v.w), -1)])
-
-
 def test_streamfunction_basis_spans_the_solenoidal_fields():
     # every column is a divergence-free field whose walls and Omega row carry
     # zero, and the columns are independent: (n_x-1)(n_z-1) of them
@@ -63,7 +57,7 @@ def test_streamfunction_basis_spans_the_solenoidal_fields():
     Z = _streamfunction_basis(g).toarray()
     n_s = (g.n_x - 1) * (g.n_z - 1)
     assert Z.shape[1] == n_s
-    v = unpack_interior(Z.T, g)
+    v = VelocityField(g, Z.T)
     assert np.max(np.abs(discrete_div(v, g))) < 1e-12 / min(g.h_x, g.h_z) ** 2
     assert np.linalg.matrix_rank(Z) == n_s
 
@@ -139,7 +133,7 @@ def test_plate_modes_diagonalize_bending(grid, basis, eigen):
 def test_lifted_modes_carry_their_traces(grid, basis):
     for k in range(basis.n):
         assert is_solenoidal(basis.lift[k], grid)
-        assert np.max(np.abs(basis.lift[k].w[:, -1] - basis.xi[k])) < 1e-10
+        assert np.max(np.abs(basis.lift[k].trace - basis.xi[k])) < 1e-10
 
 
 def test_mode_count_limits(grid):
@@ -171,7 +165,7 @@ def test_stokes_eigenmodes_match_dense_oracle(name):
     mu_ref, Y, Z, M = _dense_oracle(g)
     assert np.max(np.abs(mu - mu_ref[:m]) / mu_ref[:m]) < 1e-10
     assert np.all(res < 1e-10)
-    X, X_ref = _packed(psi, g), (Z @ Y[:, :m]).T
+    X, X_ref = psi.faces, (Z @ Y[:, :m]).T
     vol = g.h_x * g.h_z
     clusters = [c for c in _clusters(mu_ref[:m + 4]) if c[0] < m]
     if name == "16x16":
@@ -202,9 +196,9 @@ def test_gauge_depends_only_on_the_span_of_each_cluster(grid, basis):
         for c in _clusters(mu_ref):
             Yr[:, c] = Y[:, c] @ la.qr(rng.standard_normal((len(c), len(c))))[0]
         assert np.max(np.abs(modes(Yr) - ref)) < 1e-10
-    assert np.max(np.abs(_packed(basis.psi, grid) - ref[:basis.m])) < 1e-9
+    assert np.max(np.abs(basis.psi.faces - ref[:basis.m])) < 1e-9
     # a count that cuts the pair (1, 2) keeps the first of the gauged pair
-    assert np.max(np.abs(_packed(solve_stokes_eigenmodes(grid, 2)[1], grid) - ref[:2])) < 1e-9
+    assert np.max(np.abs(solve_stokes_eigenmodes(grid, 2)[1].faces - ref[:2])) < 1e-9
 
 
 @pytest.mark.parametrize("name", GRIDS)
@@ -216,11 +210,11 @@ def test_lift_matches_saddle_point_solver(name):
     v = solve_stokes_eigenmodes(g, 2)[3](xi)
     solver = SaddlePointStokesSolver(g, nu=0.7)
     for k in range(len(xi)):
-        ref = solver.lift(xi[k]).v
-        scale = max(np.max(np.abs(ref.u)), np.max(np.abs(ref.w)))
-        assert np.max(np.abs(v[k].u - ref.u)) < 1e-11 * scale
-        assert np.max(np.abs(v[k].w - ref.w)) < 1e-11 * scale
-        assert np.array_equal(v[k].w[:, -1], ref.w[:, -1])
+        (u, w), (ref_u, ref_w) = face_arrays(v[k]), face_arrays(solver.lift(xi[k]).v)
+        scale = max(np.max(np.abs(ref_u)), np.max(np.abs(ref_w)))
+        assert np.max(np.abs(u - ref_u)) < 1e-11 * scale
+        assert np.max(np.abs(w - ref_w)) < 1e-11 * scale
+        assert np.array_equal(w[:, -1], ref_w[:, -1])
 
 
 def test_mean_shape_projection(grid, rng):
@@ -244,24 +238,37 @@ def test_basis_cache_roundtrip(grid, basis, tmp_path):
                                                                   cache_dir=str(tmp_path))
     assert np.array_equal(mu, mu_r)
     assert np.array_equal(kappa, kappa_r)
-    assert np.array_equal(cached.psi.u, reloaded.psi.u)
-    assert np.array_equal(cached.psi.w, reloaded.psi.w)
+    assert np.array_equal(cached.psi.faces, reloaded.psi.faces)
+    assert np.array_equal(cached.psi.trace, reloaded.psi.trace) and not reloaded.psi.trace.any()
     assert np.array_equal(psi_res, psi_res_r)
     assert np.array_equal(cached.xi, reloaded.xi)
-    assert np.array_equal(cached.lift.u, reloaded.lift.u)
-    assert np.array_equal(cached.lift.w, reloaded.lift.w)
+    assert np.array_equal(cached.lift.faces, reloaded.lift.faces)
+    # the file stores no lift trace: the lifts carry the plate modes as trace
+    assert np.array_equal(cached.lift.trace, reloaded.lift.trace)
+    assert np.array_equal(reloaded.lift.trace, reloaded.xi)
     # the cache key includes the mode counts: a different request recomputes
     other = build_modal_basis(grid, 2, 2, cache_dir=str(tmp_path))[0]
     assert other.m == 2 and other.n == 2
+
+
+def test_basis_cache_keeps_grids_of_nearby_extents_apart(tmp_path, forbid_eigensolve):
+    # extents 1e-13 apart are two grids: two files, and each reload is the
+    # basis of its own grid, byte for byte
+    grids = [build_grid(Grid(n_x=8, n_z=8, L_x=L_x)) for L_x in (1.0, 1.0 + 1e-13)]
+    fresh = [build_modal_basis(g, 4, 3, cache_dir=str(tmp_path)) for g in grids]
+    assert len(set(os.listdir(tmp_path))) == 2
+    forbid_eigensolve()
+    for g, want in zip(grids, fresh):
+        _assert_same_basis(build_modal_basis(g, 4, 3, cache_dir=str(tmp_path)), want)
+    assert not np.array_equal(fresh[0][0].psi.faces, fresh[1][0].psi.faces)
 
 
 def _cache_arrays(built):
     # the arrays of a cache file of CACHE_VERSION holding build_modal_basis's
     # (basis, eigen-data) built
     b, (mu, psi_res, kappa, xi_res) = built
-    return dict(version=CACHE_VERSION, mu=mu, psi_u=b.psi.u, psi_w=b.psi.w,
-                psi_res=psi_res, kappa=kappa, xi=b.xi, xi_res=xi_res,
-                lift_u=b.lift.u, lift_w=b.lift.w)
+    return dict(version=CACHE_VERSION, mu=mu, psi=b.psi.faces, psi_res=psi_res, kappa=kappa,
+                xi=b.xi, xi_res=xi_res, lift=b.lift.faces)
 
 
 def _stale_file(built, kind):
@@ -272,7 +279,14 @@ def _stale_file(built, kind):
     elif kind == "other_version":
         arrays["version"] = CACHE_VERSION - 1
     elif kind == "wrong_shape":
-        arrays["psi_u"] = built[0].psi.u[:, :-1]
+        arrays["psi"] = built[0].psi.faces[:, :-1]
+    elif kind == "version_3_layout":
+        # the arrays of version 3: psi and the lifts on every face, wall rows
+        # and Omega rows included
+        del arrays["psi"], arrays["lift"]
+        arrays["version"] = 3
+        for name in ("psi", "lift"):
+            arrays[f"{name}_u"], arrays[f"{name}_w"] = face_arrays(getattr(built[0], name))
     elif kind == "not_float":
         arrays["xi"] = built[0].xi.astype(str)
     elif kind in ("residual_over_tol", "plate_residual_over_tol"):
@@ -280,13 +294,14 @@ def _stale_file(built, kind):
         arrays[name] = arrays[name].copy()
         arrays[name][-1] = 2.0 * EIG_TOL
     else:
-        arrays["psi_u"] = built[0].psi.u.copy()
-        arrays["psi_u"][0, 1, 1] = np.nan
+        arrays["psi"] = built[0].psi.faces.copy()
+        arrays["psi"][0, 1] = np.nan
     return arrays
 
 
-@pytest.mark.parametrize("kind", ["no_version", "other_version", "wrong_shape", "not_float",
-                                  "non_finite", "residual_over_tol", "plate_residual_over_tol"])
+@pytest.mark.parametrize("kind", ["no_version", "other_version", "version_3_layout",
+                                  "wrong_shape", "not_float", "non_finite", "residual_over_tol",
+                                  "plate_residual_over_tol"])
 def test_basis_cache_rebuilds_stale_files(grid, built, tmp_path, kind):
     # a cache file of another format version (or of none), whose arrays do not
     # fit the grid and mode counts or are not finite floats, or that stores a
@@ -309,8 +324,8 @@ def _assert_same_basis(got, want):
     got, want = got[0], want[0]
     assert np.array_equal(got.xi, want.xi)
     for name in ("psi", "lift"):
-        assert np.array_equal(getattr(got, name).u, getattr(want, name).u)
-        assert np.array_equal(getattr(got, name).w, getattr(want, name).w)
+        assert np.array_equal(getattr(got, name).faces, getattr(want, name).faces)
+        assert np.array_equal(getattr(got, name).trace, getattr(want, name).trace)
 
 
 def test_basis_cache_file_is_stored_uncompressed(grid, basis, tmp_path):
@@ -320,7 +335,7 @@ def test_basis_cache_file_is_stored_uncompressed(grid, basis, tmp_path):
     assert os.listdir(tmp_path) == [name]
     with zipfile.ZipFile(tmp_path / name) as z:
         members = z.infolist()
-    assert len(members) == 10
+    assert len(members) == 8
     assert all(info.compress_type == zipfile.ZIP_STORED for info in members)
 
 
@@ -394,10 +409,10 @@ def test_stacked_gram_tables_match_pairwise(grid, basis, form):
     # Errors are relative to |a_i| |b_j| (flow x lifted gradient pairs vanish).
     for a, b in ((basis.psi, basis.lift), (basis.lift, basis.lift)):
         table = form(a, b, grid)
-        pairs = np.array([[form(a[i], b[j], grid) for j in range(len(b.u))]
-                          for i in range(len(a.u))])
-        norms_a = np.sqrt([form(a[i], a[i], grid) for i in range(len(a.u))])
-        norms_b = np.sqrt([form(b[j], b[j], grid) for j in range(len(b.u))])
+        pairs = np.array([[form(a[i], b[j], grid) for j in range(len(b.faces))]
+                          for i in range(len(a.faces))])
+        norms_a = np.sqrt([form(a[i], a[i], grid) for i in range(len(a.faces))])
+        norms_b = np.sqrt([form(b[j], b[j], grid) for j in range(len(b.faces))])
         scale = np.outer(norms_a, norms_b)
         assert table.shape == pairs.shape
         assert np.max(np.abs(table - pairs) / scale) <= 1e-14
